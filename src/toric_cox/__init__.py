@@ -76,6 +76,7 @@ from .lattice import (
     solve_integer,
 )
 from .polyhedral import (
+    PolytopeFamily,
     RationalCone,
     RationalPolytope,
     WeightForm,
@@ -84,6 +85,7 @@ from .polyhedral import (
     cone_from_inequalities,
     dual_cone,
     hilbert_basis,
+    polytope_family,
     polytope_lattice_points,
     polytope_vertices,
     strictly_positive_form,

@@ -16,13 +16,14 @@ from typing import Mapping, Sequence
 
 from .errors import OracleMismatch, TorsionClassGroup
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
-from .lattice import LatticeMap, Vector, solve_integer
+from .lattice import IntegerMatrix, LatticeMap, Vector, solve_integer
 from .polyhedral import (
+    PolytopeFamily,
     RationalCone,
     RationalPolytope,
     WeightForm,
     cone_from_generators,
-    polytope_lattice_points,
+    polytope_family,
     strictly_positive_form,
 )
 
@@ -59,6 +60,23 @@ class CoxData:
 
     def one(self) -> "GradedPolynomial":
         return self.monomial((0,) * self.num_vars)
+
+    @functools.cached_property
+    def class_section(self) -> LatticeMap:
+        """Integer section of the degree map: column i is ``divisor_in_class(self, e_i)``.
+
+        ``solve_integer`` is linear in the class for a surjective map, so
+        this section lifts every class to the same divisor as
+        :func:`divisor_in_class`.
+        """
+        units = IntegerMatrix.identity(self.cl_rank).columns()
+        lifts = [divisor_in_class(self, e).coefficients for e in units]
+        return LatticeMap(IntegerMatrix.from_rows(zip(*lifts)))
+
+    @functools.cached_property
+    def section_polytopes(self) -> PolytopeFamily:
+        """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets."""
+        return polytope_family(self.fan.rays, self.fan.dim)
 
 
 def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
@@ -268,8 +286,7 @@ def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariant
 
 
 def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
-    divisor = divisor_in_class(cd, class_vector)
-    return len(polytope_lattice_points(section_polytope(cd, divisor)))
+    return len(cd.section_polytopes.lattice_points(cd.class_section(class_vector)))
 
 
 def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
@@ -282,6 +299,7 @@ def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
     if by_fiber != by_polytope:
         raise OracleMismatch(
             f"fiber count {by_fiber} != polytope count {by_polytope} at {lam}"
+            f" (lifted divisor {cd.class_section(lam)})"
         )
     return by_fiber
 

@@ -11,7 +11,6 @@ choice.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -20,10 +19,10 @@ from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
     IntegerMatrix,
     Vector,
+    adjugate,
     kernel_basis,
     primitive_vector,
     rational_rank,
-    solve_rational,
 )
 
 
@@ -176,37 +175,122 @@ def recession_cone(p: RationalPolytope) -> RationalCone:
     return cone_from_inequalities([normal for normal, _ in p.inequalities], p.ambient_dim)
 
 
+# One entry per nonsingular d-subset S of the normals: the indices of S, the
+# rows of -sign(det) * adj(N_S), and |det(N_S)|.  The vertex cut out by S is
+# then (solver . a_S) / |det| for any offsets a.
+VertexSolver = tuple[tuple[int, ...], tuple[Vector, ...], int]
+
+
+def _vertex_solvers(normals: Sequence[Vector], ambient_dim: int) -> tuple[VertexSolver, ...]:
+    out = []
+    for subset in itertools.combinations(range(len(normals)), ambient_dim):
+        adj, det = adjugate([normals[i] for i in subset])
+        if det:
+            sign = -1 if det > 0 else 1
+            out.append((subset, tuple(tuple(sign * x for x in row) for row in adj), abs(det)))
+    return tuple(out)
+
+
+def _vertices(
+    normals: Sequence[Vector], solvers: Sequence[VertexSolver], offsets: Sequence[int]
+) -> list[tuple[Vector, int]]:
+    """Feasible vertices as pairs (numerator, det > 0), tested in integers.
+
+    A candidate m = num / det satisfies <n, m> >= -a exactly when
+    <n, num> + a * det >= 0.  The same vertex may appear once per subset
+    that cuts it out.
+    """
+    out = []
+    for subset, solver, det in solvers:
+        local = [offsets[i] for i in subset]
+        num = tuple(sum(s * a for s, a in zip(row, local)) for row in solver)
+        if all(
+            sum(n * x for n, x in zip(normal, num)) + a * det >= 0
+            for normal, a in zip(normals, offsets)
+        ):
+            out.append((num, det))
+    return out
+
+
+@dataclass(frozen=True)
+class PolytopeFamily:
+    """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i and any offsets a.
+
+    Built by :func:`polytope_family`, which checks boundedness and tabulates
+    the vertex solvers once, so that each offset vector costs integer
+    arithmetic only.
+    """
+
+    ambient_dim: int
+    normals: tuple[Vector, ...]
+    solvers: tuple[VertexSolver, ...]
+
+    def vertices(self, offsets: Sequence[int]) -> list[tuple[Vector, int]]:
+        """Vertices for these offsets as integer pairs (numerator, det > 0), possibly repeated."""
+        if len(offsets) != len(self.normals):
+            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
+        return _vertices(self.normals, self.solvers, offsets)
+
+    def lattice_points(self, offsets: Sequence[int]) -> tuple[Vector, ...]:
+        """All integer points for these offsets, sorted lexicographically.
+
+        The leading coordinates run over the integer bounding box of the
+        vertices; the last one runs over the exact integer interval that
+        the inequalities leave for each prefix.
+        """
+        vertices = self.vertices(offsets)
+        if not vertices:
+            return ()
+        if self.ambient_dim == 0:
+            return ((),)
+        lows = [min(-(-num[c] // det) for num, det in vertices) for c in range(self.ambient_dim)]
+        highs = [max(num[c] // det for num, det in vertices) for c in range(self.ambient_dim)]
+        rows = [(normal[:-1], normal[-1], a) for normal, a in zip(self.normals, offsets)]
+        points: list[Vector] = []
+        box = [range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1])]
+        for prefix in itertools.product(*box):
+            lo, hi = lows[-1], highs[-1]
+            for head, last, a in rows:
+                # last * x + slack >= 0 for the last coordinate x
+                slack = sum(n * x for n, x in zip(head, prefix)) + a
+                if last > 0:
+                    lo = max(lo, -(slack // last))
+                elif last < 0:
+                    hi = min(hi, slack // -last)
+                elif slack < 0:
+                    hi = lo - 1
+                    break
+            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+        return tuple(points)
+
+
+def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:
+    """The family of fixed normals; UnboundedPolytope unless their recession cone is {0}."""
+    norm = tuple(tuple(int(x) for x in h) for h in normals)
+    if any(len(h) != ambient_dim for h in norm):
+        raise ValueError("inequality dimension mismatch")
+    if cone_from_inequalities(norm, ambient_dim).generators:
+        raise UnboundedPolytope("polytope has a recession direction")
+    return PolytopeFamily(ambient_dim, norm, _vertex_solvers(norm, ambient_dim))
+
+
 def polytope_vertices(p: RationalPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices, by exact solves over dimension-sized subsets of the inequalities."""
-    d = p.ambient_dim
-    seen: set[tuple[Fraction, ...]] = set()
-    for subset in itertools.combinations(p.inequalities, d):
-        rows = [normal for normal, _ in subset]
-        rhs = [-offset for _, offset in subset]
-        solution = solve_rational(rows, rhs)
-        if solution is None:
-            continue
-        if p.satisfies(solution):
-            seen.add(solution)
-    return tuple(sorted(seen))
+    """All vertices as exact fractions, from the integer adjugates of dimension-sized subsets."""
+    normals = [normal for normal, _ in p.inequalities]
+    offsets = [offset for _, offset in p.inequalities]
+    solvers = _vertex_solvers(normals, p.ambient_dim)
+    return tuple(sorted({
+        tuple(Fraction(x, det) for x in num) for num, det in _vertices(normals, solvers, offsets)
+    }))
 
 
 def polytope_lattice_points(p: RationalPolytope) -> tuple[Vector, ...]:
     """All integer points of a bounded polytope, sorted lexicographically.
 
-    Raises UnboundedPolytope when the recession cone is nonzero; scans the
-    integer bounding box of the vertex set otherwise.
+    Raises UnboundedPolytope when the recession cone is nonzero.
     """
-    if recession_cone(p).generators:
-        raise UnboundedPolytope("polytope has a recession direction")
-    vertices = polytope_vertices(p)
-    if not vertices:
-        return ()
-    ranges = []
-    for c in range(p.ambient_dim):
-        coords = [v[c] for v in vertices]
-        ranges.append(range(math.ceil(min(coords)), math.floor(max(coords)) + 1))
-    return tuple(pt for pt in itertools.product(*ranges) if p.satisfies(pt))
+    family = polytope_family([normal for normal, _ in p.inequalities], p.ambient_dim)
+    return family.lattice_points([offset for _, offset in p.inequalities])
 
 
 @dataclass(frozen=True)
@@ -262,24 +346,16 @@ def hilbert_basis(c: RationalCone) -> tuple[Vector, ...]:
 def strictly_positive_form(eff: RationalCone, lattice_rank: int) -> WeightForm:
     """Deterministic integral form positive on every nonzero lattice point of ``eff``.
 
-    Rule: sum the primitive generators of the dual cone, then rescale by
-    the least positive integer making the form >= 1 on the Hilbert basis.
-    For integral data the rescale is always 1, but the rule is kept
-    explicit.
+    Rule: sum the primitive generators of the dual cone.  The form is
+    integral, so once it is positive on the generators of the pointed cone
+    ``eff`` it is >= 1 on every nonzero lattice point of ``eff``.
     """
     if eff.ambient_dim != lattice_rank:
         raise ValueError("cone does not live in the stated lattice")
     if not eff.is_pointed():
         raise NotPointed("effective cone contains a line")
     base = tuple(sum(col) for col in zip(*eff.facet_normals)) if eff.facet_normals else (0,) * lattice_rank
-    values = []
-    for h in hilbert_basis(eff):
-        value = sum(a * b for a, b in zip(base, h))
-        if value <= 0:
-            raise NotPointed("dual-ray sum fails to be positive; cone is degenerate")
-        values.append(value)
-    scale = max((-(-1 // v) for v in values), default=1)
-    form = WeightForm(tuple(scale * x for x in base))
+    form = WeightForm(base)
     for g in eff.generators:
         if form(g) <= 0:
             raise NotPointed("form not positive on a generator")

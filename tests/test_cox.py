@@ -17,7 +17,8 @@ from toric_cox.cox import (
     section_polytope,
     shift_module_degree,
 )
-from toric_cox.errors import NotComplete, NotSmooth
+from toric_cox import cox as cox_module
+from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
 from toric_cox.polyhedral import cone_contains, polytope_lattice_points
 
@@ -63,6 +64,22 @@ class TestGradedDimension:
             cd = corpus_cox[name]
             for lam in itertools.product(range(-3, 4), repeat=cd.cl_rank):
                 graded_dimension(cd, lam)  # raises OracleMismatch on any bug
+
+    def test_class_section_lifts_like_divisor_in_class(self, corpus_cox):
+        for name, cd in corpus_cox.items():
+            for lam in itertools.product(range(-2, 3), repeat=cd.cl_rank):
+                assert cd.class_section(lam) == divisor_in_class(cd, lam).coefficients, (name, lam)
+
+    def test_mismatch_is_caught_and_reports_the_lift(self, corpus_cox, monkeypatch):
+        cd = corpus_cox["hirzebruch_1"]
+        real = cox_module._fiber_dimension
+        monkeypatch.setattr(cox_module, "_fiber_dimension", lambda cd, lam: real(cd, lam) + 1)
+        lift = divisor_in_class(cd, (1, 0)).coefficients
+        with pytest.raises(OracleMismatch) as caught:
+            graded_dimension(cd, (1, 0))
+        assert str(caught.value) == (
+            f"fiber count 3 != polytope count 2 at (1, 0) (lifted divisor {lift})"
+        )
 
 
 class TestMonomialBasis:

@@ -89,6 +89,25 @@ def test_blowup_surfaces_full_pipeline(seed):
         assert roundtrip_check(fan, ample)
 
 
+@pytest.mark.parametrize(
+    "cones, radius, total, nonzero",
+    [
+        # pinned from the Fraction-based section-polytope oracle it replaced
+        ((0, 1, 2), 2, 407, 158),
+        ((0, 1, 2, 3), 1, 116, 72),
+    ],
+)
+def test_graded_dimensions_pinned_on_blowups(cones, radius, total, nonzero):
+    fan = Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
+    for index in cones:
+        fan = blow_up(fan, index)
+    cd = cox_data(fan)
+    assert cd.cl_rank == len(cones) + 1
+    window = itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank)
+    dims = [graded_dimension(cd, lam) for lam in window]
+    assert (sum(dims), sum(1 for d in dims if d)) == (total, nonzero)
+
+
 def test_single_blowup_matches_hirzebruch_one():
     fan = Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
     blown = blow_up(fan, 0)

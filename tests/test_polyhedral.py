@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_cox.errors import NotPointed, UnboundedPolytope
+from toric_cox.lattice import solve_rational
 from toric_cox.polyhedral import (
     RationalPolytope,
     cone_contains,
     cone_from_generators,
     dual_cone,
     hilbert_basis,
+    polytope_family,
     polytope_lattice_points,
     polytope_vertices,
     strictly_positive_form,
@@ -110,19 +112,23 @@ class TestConeContains:
 
 
 def brute_force_points(p: RationalPolytope) -> tuple:
-    """Independent oracle: scan the integer bounding box of the vertex set."""
-    vertices = polytope_vertices(p)
-    if not vertices:
-        return ()
-    ranges = []
-    for c in range(p.ambient_dim):
-        values = [v[c] for v in vertices]
-        lo = min(values)
-        hi = max(values)
-        ranges.append(range(int(lo) - 1, int(hi) + 2))
-    return tuple(
-        pt for pt in itertools.product(*ranges) if p.satisfies(pt)
-    )
+    """Independent oracle: test every point of the fixed box [-3, 3]^2.
+
+    Every polygon passed here lies inside that box, and the scan shares no
+    code with the vertex or lattice-point machinery under test.
+    """
+    assert p.ambient_dim == 2
+    return tuple(pt for pt in itertools.product(range(-3, 4), repeat=2) if p.satisfies(pt))
+
+
+def rational_vertices(p: RationalPolytope) -> tuple:
+    """Reference vertex set: a Fraction solve for every pair of inequalities."""
+    seen = set()
+    for pair in itertools.combinations(p.inequalities, 2):
+        solution = solve_rational([n for n, _ in pair], [-a for _, a in pair])
+        if solution is not None and p.satisfies(solution):
+            seen.add(solution)
+    return tuple(sorted(seen))
 
 
 class TestPolytopeLatticePoints:
@@ -149,6 +155,34 @@ class TestPolytopeLatticePoints:
         with pytest.raises(UnboundedPolytope):
             polytope_lattice_points(p)
 
+    def test_unbounded_family_is_rejected_at_construction(self):
+        with pytest.raises(UnboundedPolytope):
+            polytope_family([(1, 0), (0, 1), (-1, 1)], 2)
+
+    def test_family_serves_every_offset_vector(self):
+        # the triangle conv{(0,0), (2,0), (0,2)} scaled by t, then emptied
+        family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
+        for t in range(4):
+            assert len(family.lattice_points((0, 0, t))) == (t + 1) * (t + 2) // 2
+        assert family.lattice_points((0, 0, -1)) == ()
+        with pytest.raises(ValueError):
+            family.lattice_points((0, 0))
+
+    def test_vertices_are_integer_pairs(self):
+        family = polytope_family([(2, 0), (0, 2), (-2, -1)], 2)
+        pairs = family.vertices((1, 1, 2))
+        assert all(det > 0 for _, det in pairs)
+        half = Fraction(-1, 2)
+        assert {tuple(Fraction(x, det) for x in num) for num, det in pairs} == {
+            (half, half),
+            (half, 3),
+            (Fraction(5, 4), half),
+        }
+
+    def test_zero_dimensional_polytope(self):
+        family = polytope_family([], 0)
+        assert family.lattice_points(()) == ((),)
+
     def test_vertices_are_rational(self):
         p = RationalPolytope.from_inequalities(
             [((2, 0), 1), ((0, 2), 1), ((-2, -1), 2)], 2
@@ -172,6 +206,7 @@ class TestPolytopeLatticePoints:
         cuts = [(n, o) for n, o in extra if any(n)]
         p = RationalPolytope.from_inequalities(base + cuts, 2)
         assert polytope_lattice_points(p) == brute_force_points(p)
+        assert polytope_vertices(p) == rational_vertices(p)
 
 
 class TestStrictlyPositiveForm:
