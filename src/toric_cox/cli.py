@@ -15,27 +15,14 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cox import (
-    cox_data,
-    effective_cone,
-    effective_weight_form,
-    irrelevant_ideal,
-    monomial_basis,
-)
+from .cox import cox_data, irrelevant_ideal, monomial_basis
 from .errors import MalformedFan, ToricCoxError
 from .euler import (
     build_euler_module,
     check_euler_identity,
     graded_piece_dim,
 )
-from .fans import (
-    Fan,
-    anticanonical,
-    class_group,
-    fan_from_json,
-    fan_to_json,
-    validate_fan,
-)
+from .fans import anticanonical, fan_from_json, fan_to_json, validate_fan
 from .reconstruction import grading_from_json, reconstruct_fan
 from .verify import run_verification
 
@@ -107,16 +94,8 @@ def _vector_str(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def _load_fan(path: str) -> tuple[Fan, str]:
-    raw = _read_file(path)
-    return fan_from_json(raw.decode("utf-8")), _digest(raw)
-
-
-def cmd_validate(path: str) -> tuple[Report, int]:
-    raw = _read_file(path)
-    digest = _digest(raw)
-    fan = fan_from_json(raw.decode("utf-8"))
-    report = validate_fan(fan)
+def cmd_validate(text: str, digest: str) -> tuple[Report, int]:
+    report = validate_fan(fan_from_json(text))
     section: Section = (
         "validation",
         (
@@ -134,12 +113,11 @@ def cmd_validate(path: str) -> tuple[Report, int]:
     )
 
 
-def cmd_cox(path: str) -> tuple[Report, int]:
-    fan, digest = _load_fan(path)
+def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
+    fan = fan_from_json(text)
     cd = cox_data(fan)
-    _, degree_map = class_group(fan)
-    form = effective_weight_form(cd)
-    eff = effective_cone(cd)
+    form = cd.weight_form
+    eff = cd.effective_cone
     ideal = irrelevant_ideal(cd)
     ideal_monomials = ", ".join(
         str(cd.monomial(e)) for e in ideal.generators
@@ -150,7 +128,7 @@ def cmd_cox(path: str) -> tuple[Report, int]:
             (
                 ("rank", str(cd.cl_rank)),
                 ("torsion", "none"),
-                ("degree matrix rows", "; ".join(_vector_str(r) for r in degree_map.matrix.entries)),
+                ("degree matrix rows", "; ".join(_vector_str(r) for r in cd.degree_map.matrix.entries)),
             ),
         ),
         (
@@ -165,7 +143,7 @@ def cmd_cox(path: str) -> tuple[Report, int]:
             (
                 ("coefficients", _vector_str(form.coefficients)),
                 ("defining inequalities", "nonnegative on the effective cone, >= 1 on its nonzero lattice points"),
-                ("values on variable degrees", _vector_str([form(d) for d in cd.variable_degrees()])),
+                ("values on variable degrees", _vector_str(cd.variable_weights)),
             ),
         ),
         (
@@ -183,17 +161,15 @@ def cmd_cox(path: str) -> tuple[Report, int]:
     return Report("cox", digest, sections, status_ok=True), 0
 
 
-def cmd_euler(path: str, degree: tuple[int, ...] | None) -> tuple[Report, int]:
-    fan, digest = _load_fan(path)
-    cd = cox_data(fan)
+def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[Report, int]:
+    cd = cox_data(fan_from_json(text))
     em = build_euler_module(cd)
-    form = effective_weight_form(cd)
     if degree is None:
         degree = (0,) * cd.cl_rank
     if len(degree) != cd.cl_rank:
         raise MalformedFan(f"degree must have {cd.cl_rank} coordinates")
     dim = graded_piece_dim(em, degree)
-    identity = check_euler_identity(em, form, trials=20)
+    identity = check_euler_identity(em, cd.weight_form, trials=20)
     sections: tuple[Section, ...] = (
         (
             "module",
@@ -224,11 +200,8 @@ def cmd_euler(path: str, degree: tuple[int, ...] | None) -> tuple[Report, int]:
                   status_message="" if ok else "euler identity failed"), (0 if ok else 1)
 
 
-def cmd_reconstruct(path: str) -> tuple[Report, int]:
-    raw = _read_file(path)
-    digest = _digest(raw)
-    grading = grading_from_json(raw.decode("utf-8"))
-    fan = reconstruct_fan(grading)
+def cmd_reconstruct(text: str, digest: str) -> tuple[Report, int]:
+    fan = reconstruct_fan(grading_from_json(text))
     sections: tuple[Section, ...] = (
         (
             "reconstructed fan",
@@ -243,9 +216,8 @@ def cmd_reconstruct(path: str) -> tuple[Report, int]:
     return Report("reconstruct", digest, sections, status_ok=True), 0
 
 
-def cmd_verify(path: str) -> tuple[Report, int]:
-    fan, digest = _load_fan(path)
-    results = run_verification(fan)
+def cmd_verify(text: str, digest: str) -> tuple[Report, int]:
+    results = run_verification(fan_from_json(text))
     entries = tuple(
         (result.name, ("pass: " if result.passed else "FAIL: ") + result.detail)
         for result in results
@@ -295,26 +267,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = args.command
-    digest = ""
     try:
         raw = _read_file(args.file)
-        digest = _digest(raw)
     except OSError as exc:
-        report = _error_report(command, digest, "io", str(exc))
+        report = _error_report(command, "", "io", str(exc))
         print(report.to_json() if args.json else report.to_text())
         return 2
+    digest = _digest(raw)
     try:
+        text = raw.decode("utf-8")
         if command == "validate":
-            report, code = cmd_validate(args.file)
+            report, code = cmd_validate(text, digest)
         elif command == "cox":
-            report, code = cmd_cox(args.file)
+            report, code = cmd_cox(text, digest)
         elif command == "euler":
-            report, code = cmd_euler(args.file, args.degree)
+            report, code = cmd_euler(text, digest, args.degree)
         elif command == "reconstruct":
-            report, code = cmd_reconstruct(args.file)
+            report, code = cmd_reconstruct(text, digest)
         else:
-            report, code = cmd_verify(args.file)
-    except json.JSONDecodeError as exc:
+            report, code = cmd_verify(text, digest)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         report, code = _error_report(command, digest, "parse", str(exc)), 2
     except MalformedFan as exc:
         report, code = _error_report(command, digest, "malformed", str(exc)), 3

@@ -30,12 +30,20 @@ from .polyhedral import (
 
 @dataclass(frozen=True)
 class CoxData:
-    """Variables-to-rays correspondence with the class-group grading."""
+    """Variables-to-rays correspondence with the class-group grading.
+
+    The per-fan context: everything derived from the grading is computed
+    on first use and cached on the instance, so it lives as long as it.
+    """
 
     fan: Fan
     cl_rank: int
     degree_map: LatticeMap
     variable_names: tuple[str, ...]
+    # Largest-so-far fiber-count table (max weight, counts); grown by _fiber_counts.
+    _fiber_table: tuple[int, dict[Vector, int]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_vars(self) -> int:
@@ -60,6 +68,25 @@ class CoxData:
 
     def one(self) -> "GradedPolynomial":
         return self.monomial((0,) * self.num_vars)
+
+    @functools.cached_property
+    def effective_cone(self) -> RationalCone:
+        """Cone spanned by the variable degrees; every graded piece is spanned by monomials."""
+        return cone_from_generators(self.variable_degrees(), self.cl_rank)
+
+    @functools.cached_property
+    def weight_form(self) -> WeightForm:
+        """Integral form positive on all nonzero effective classes, >= 1 on variable degrees."""
+        form = strictly_positive_form(self.effective_cone, self.cl_rank)
+        for degree in self.variable_degrees():
+            if form(degree) < 1:
+                raise AssertionError("weight form below 1 on a variable degree")
+        return form
+
+    @functools.cached_property
+    def variable_weights(self) -> tuple[int, ...]:
+        """The weight form on each variable degree; every entry is >= 1."""
+        return tuple(self.weight_form(d) for d in self.variable_degrees())
 
     @functools.cached_property
     def class_section(self) -> LatticeMap:
@@ -208,24 +235,14 @@ class MonomialIdeal:
     generators: tuple[Vector, ...]
 
 
-@functools.lru_cache(maxsize=None)
 def effective_cone(cd: CoxData) -> RationalCone:
-    """Cone spanned by the variable degrees; every graded piece is spanned by monomials."""
-    return cone_from_generators(cd.variable_degrees(), cd.cl_rank)
+    """Cone spanned by the variable degrees (cached on ``cd``)."""
+    return cd.effective_cone
 
 
-@functools.lru_cache(maxsize=None)
 def effective_weight_form(cd: CoxData) -> WeightForm:
-    """Integral form positive on all nonzero effective classes, >= 1 on variable degrees."""
-    form = strictly_positive_form(effective_cone(cd), cd.cl_rank)
-    for degree in cd.variable_degrees():
-        if form(degree) < 1:
-            raise AssertionError("weight form below 1 on a variable degree")
-    return form
-
-
-# Largest-so-far fiber-count tables, keyed by the grading data.
-_FIBER_TABLES: dict[CoxData, tuple[int, dict[Vector, int]]] = {}
+    """Integral form positive on all nonzero effective classes (cached on ``cd``)."""
+    return cd.weight_form
 
 
 def _fiber_counts(cd: CoxData, max_weight: int) -> dict[Vector, int]:
@@ -236,17 +253,13 @@ def _fiber_counts(cd: CoxData, max_weight: int) -> dict[Vector, int]:
     over weight levels realizes in place.  Independent of any polytope
     geometry, so it can serve as one side of the dual-oracle check.
     """
-    cached = _FIBER_TABLES.get(cd)
+    cached = cd._fiber_table
     if cached is not None and cached[0] >= max_weight:
         return cached[1]
-    form = effective_weight_form(cd)
     zero = (0,) * cd.cl_rank
     levels: list[dict[Vector, int]] = [dict() for _ in range(max_weight + 1)]
     levels[0][zero] = 1
-    for degree in cd.variable_degrees():
-        w = form(degree)
-        if w < 1:
-            raise AssertionError("variable of nonpositive weight")
+    for degree, w in zip(cd.variable_degrees(), cd.variable_weights):
         for level in range(0, max_weight - w + 1):
             target = levels[level + w]
             for mu, count in list(levels[level].items()):
@@ -256,12 +269,12 @@ def _fiber_counts(cd: CoxData, max_weight: int) -> dict[Vector, int]:
     for level_counts in levels:
         for mu, count in level_counts.items():
             table[mu] = table.get(mu, 0) + count
-    _FIBER_TABLES[cd] = (max_weight, table)
+    object.__setattr__(cd, "_fiber_table", (max_weight, table))
     return table
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
-    weight = effective_weight_form(cd)(class_vector)
+    weight = cd.weight_form(class_vector)
     if weight < 0:
         return 0
     if any(class_vector) and weight == 0:
@@ -304,31 +317,43 @@ def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
     return by_fiber
 
 
+def _exponents_up_to_weight(
+    weights: Sequence[int], budget: int, exact: bool = False
+) -> list[Vector]:
+    """Exponent vectors e with sum_i weights[i] * e[i] <= budget, lexicographically.
+
+    With ``exact`` only the vectors of weight exactly ``budget`` are kept.
+    The weights must be positive.  This bounded recursion is the one
+    monomial enumerator of the package.
+    """
+    n = len(weights)
+    if budget < 0:
+        return []
+    if n == 0:
+        return [()] if budget == 0 or not exact else []
+    found: list[Vector] = []
+
+    def extend(prefix: Vector, left: int) -> None:
+        w = weights[len(prefix)]
+        if len(prefix) == n - 1:
+            if not exact:
+                found.extend(prefix + (e,) for e in range(left // w + 1))
+            elif left % w == 0:
+                found.append(prefix + (left // w,))
+            return
+        for e in range(left // w + 1):
+            extend(prefix + (e,), left - e * w)
+
+    extend((), budget)
+    return found
+
+
 def monomial_basis(cd: CoxData, class_vector: Sequence[int]) -> tuple[Vector, ...]:
     """Exponent vectors of the monomials of one class, lexicographically sorted."""
     lam = tuple(int(x) for x in class_vector)
-    form = effective_weight_form(cd)
-    budget = form(lam)
-    if budget < 0 or (budget == 0 and any(lam)):
-        return ()
-    degrees = cd.variable_degrees()
-    weights = [form(d) for d in degrees]
-    n = cd.num_vars
-    found: list[Vector] = []
-
-    def extend(prefix: list[int], remaining: Vector, budget_left: int) -> None:
-        index = len(prefix)
-        if index == n:
-            if not any(remaining):
-                found.append(tuple(prefix))
-            return
-        limit = budget_left // weights[index]
-        for e in range(limit + 1):
-            rest = tuple(a - e * b for a, b in zip(remaining, degrees[index]))
-            extend(prefix + [e], rest, budget_left - e * weights[index])
-
-    extend([], lam, budget)
-    return tuple(sorted(found))
+    # Every monomial of class lam has weight exactly w(lam).
+    candidates = _exponents_up_to_weight(cd.variable_weights, cd.weight_form(lam), exact=True)
+    return tuple(e for e in candidates if cd.degree_of_exponent(e) == lam)
 
 
 def irrelevant_ideal(cd: CoxData) -> MonomialIdeal:

@@ -20,7 +20,7 @@ from typing import Sequence
 from .cox import (
     CoxData,
     GradedPolynomial,
-    effective_weight_form,
+    _exponents_up_to_weight,
     graded_dimension,
     monomial_basis,
 )
@@ -42,12 +42,7 @@ class EulerModule:
 
 
 def build_euler_module(cd: CoxData) -> EulerModule:
-    degrees = cd.variable_degrees()
-    total = tuple(sum(col) for col in zip(*degrees))
-    anticanonical_class = cd.degree_map((1,) * cd.num_vars)
-    if total != anticanonical_class:
-        raise AssertionError("basis degrees must sum to the anticanonical class")
-    return EulerModule(cox=cd, basis_degrees=degrees)
+    return EulerModule(cox=cd, basis_degrees=cd.variable_degrees())
 
 
 @dataclass(eq=True)
@@ -140,34 +135,14 @@ def induced_algebra_generators(em: EulerModule, form: WeightForm) -> tuple[Grade
     """Images of the module basis under the Euler contraction: weighted variables.
 
     Since the basis generates the module, these polynomials generate the
-    whole coordinate ring as an algebra; each variable appears with a
-    positive scalar, which is asserted.
+    whole coordinate ring as an algebra; image i is ``form(deg x_i) * x_i``.
     """
-    images = tuple(euler_contract(em, basis_element(em, i), form) for i in range(em.rank))
-    for i, image in enumerate(images):
-        expected = em.cox.variable(i)
-        scalar = form(em.basis_degrees[i])
-        if image != scalar * expected or scalar <= 0:
-            raise AssertionError("basis image is not a positive multiple of its variable")
-    return images
+    return tuple(euler_contract(em, basis_element(em, i), form) for i in range(em.rank))
 
 
 def monomials_of_weight_at_most(cd: CoxData, bound: int) -> tuple[Vector, ...]:
-    """All exponent vectors of weight (under the positive form) at most the bound."""
-    form = effective_weight_form(cd)
-    weights = [form(d) for d in cd.variable_degrees()]
-    out: list[Vector] = []
-
-    def extend(prefix: list[int], budget: int) -> None:
-        index = len(prefix)
-        if index == cd.num_vars:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget // weights[index] + 1):
-            extend(prefix + [e], budget - e * weights[index])
-
-    extend([], bound)
-    return tuple(sorted(out))
+    """All exponent vectors of weight (under the positive form) at most the bound, sorted."""
+    return tuple(_exponents_up_to_weight(cd.variable_weights, bound))
 
 
 @dataclass(frozen=True)
@@ -239,21 +214,6 @@ def graded_generation_check(
     if any(weight_of(e) < 1 for e in candidates):
         raise ValueError("candidates must have positive weight")
 
-    def monomials_at(w: int) -> set[Vector]:
-        out: set[Vector] = set()
-
-        def extend(prefix: list[int], budget: int) -> None:
-            index = len(prefix)
-            if index == n:
-                if budget == 0:
-                    out.add(tuple(prefix))
-                return
-            for e in range(budget // weights[index] + 1):
-                extend(prefix + [e], budget - e * weights[index])
-
-        extend([], w)
-        return out
-
     reachable: dict[int, set[Vector]] = {0: {(0,) * n}}
     for w in range(1, bound + 1):
         layer: set[Vector] = set()
@@ -263,7 +223,7 @@ def graded_generation_check(
                 for base in reachable.get(w - wc, ()):
                     layer.add(tuple(a + b for a, b in zip(base, c)))
         reachable[w] = layer
-        if layer != monomials_at(w):
+        if layer != set(_exponents_up_to_weight(weights, w, exact=True)):
             return False
     return True
 

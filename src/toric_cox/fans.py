@@ -67,6 +67,16 @@ class Fan:
         return tuple(self.rays[i] for i in cone)
 
 
+def is_integer(value: object) -> bool:
+    """A JSON integer: ``true`` and ``false`` load as ``bool``, an ``int`` subclass, and are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_integer_list(value: object) -> bool:
+    """A JSON list of integers in the sense of :func:`is_integer`."""
+    return isinstance(value, list) and all(is_integer(x) for x in value)
+
+
 def fan_from_json(text: str) -> Fan:
     data = json.loads(text)
     if not isinstance(data, dict):
@@ -75,17 +85,13 @@ def fan_from_json(text: str) -> Fan:
         if key not in data:
             raise MalformedFan(f"missing key {key!r}")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise MalformedFan("dim must be a positive integer")
     rays = data["rays"]
     cones = data["max_cones"]
-    if not isinstance(rays, list) or not all(
-        isinstance(r, list) and all(isinstance(x, int) for x in r) for r in rays
-    ):
+    if not isinstance(rays, list) or not all(is_integer_list(r) for r in rays):
         raise MalformedFan("rays must be a list of integer vectors")
-    if not isinstance(cones, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cones
-    ):
+    if not isinstance(cones, list) or not all(is_integer_list(c) for c in cones):
         raise MalformedFan("max_cones must be a list of index lists")
     return Fan.make(dim, rays, cones)
 

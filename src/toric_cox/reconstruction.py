@@ -28,6 +28,7 @@ from .fans import (
     anticanonical,
     class_group,
     is_ample,
+    is_integer_list,
     require_smooth_complete,
     validate_fan,
 )
@@ -67,12 +68,14 @@ def grading_from_json(text: str) -> GradingInput:
         raise MalformedFan("grading file must be an object with keys 'Q' and 'w'")
     q = data["Q"]
     w = data["w"]
-    if not isinstance(q, list) or not all(
-        isinstance(row, list) and all(isinstance(x, int) for x in row) for row in q
-    ):
-        raise MalformedFan("'Q' must be a list of integer rows")
-    if not isinstance(w, list) or not all(isinstance(x, int) for x in w):
+    if not (isinstance(q, list) and q and all(is_integer_list(row) and row for row in q)):
+        raise MalformedFan("'Q' must be a nonempty list of nonempty integer rows")
+    if any(len(row) != len(q[0]) for row in q):
+        raise MalformedFan("the rows of 'Q' must have equal length")
+    if not is_integer_list(w):
         raise MalformedFan("'w' must be an integer vector")
+    if len(w) != len(q):
+        raise MalformedFan(f"'w' has {len(w)} entries, expected one per row of 'Q' ({len(q)})")
     return GradingInput(IntegerMatrix.from_rows(q), tuple(w))
 
 
@@ -207,7 +210,6 @@ class SplittingCertificate:
     rank: int
     degree_multiset: tuple[Vector, ...]
     anticanonical_check: bool
-    divisor_match: bool
 
 
 def splitting_certificate(f: Fan) -> SplittingCertificate:
@@ -217,10 +219,8 @@ def splitting_certificate(f: Fan) -> SplittingCertificate:
     degrees = sorted(degree_map.matrix.columns())
     total = tuple(sum(col) for col in zip(*degrees))
     anticanonical_class = degree_map(anticanonical(f).coefficients)
-    column_set = set(degree_map.matrix.columns())
     return SplittingCertificate(
         rank=f.n_rays,
         degree_multiset=tuple(degrees),
         anticanonical_check=(total == anticanonical_class),
-        divisor_match=all(d in column_set for d in degrees),
     )

