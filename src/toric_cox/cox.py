@@ -56,7 +56,7 @@ class CoxData:
         return self.degree_map(exponents)
 
     def monomial(self, exponents: Sequence[int], coefficient: int | Fraction = 1) -> "GradedPolynomial":
-        return make_polynomial(self, {tuple(int(e) for e in exponents): Fraction(coefficient)})
+        return make_polynomial(self, {tuple(exponents): coefficient})
 
     def variable(self, index: int) -> "GradedPolynomial":
         e = [0] * self.num_vars
@@ -134,10 +134,19 @@ def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
 
 @dataclass(eq=True)
 class GradedPolynomial:
-    """Polynomial with exact rational coefficients in the Cox variables."""
+    """Polynomial with exact rational coefficients in the Cox variables.
+
+    ``terms`` maps exponent vectors (length ``num_vars``, entries >= 0) to
+    nonzero ``Fraction``s.  :func:`make_polynomial` validates outside input;
+    arithmetic builds valid exponents from valid ones, so construction only
+    drops zero coefficients.
+    """
 
     cox: CoxData
     terms: dict[Vector, Fraction] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.terms = {e: c for e, c in self.terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -151,7 +160,7 @@ class GradedPolynomial:
         return None
 
     def is_homogeneous(self) -> bool:
-        return len({self.cox.degree_of_exponent(e) for e in self.terms}) <= 1
+        return self.is_zero() or self.degree is not None
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.cox.num_vars, Fraction(0))
@@ -159,8 +168,8 @@ class GradedPolynomial:
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         merged = dict(self.terms)
         for e, c in other.terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return make_polynomial(self.cox, merged)
+            merged[e] = merged.get(e, 0) + c
+        return GradedPolynomial(self.cox, merged)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         return self + (-1) * other
@@ -170,15 +179,15 @@ class GradedPolynomial:
 
     def __mul__(self, other: "GradedPolynomial | int | Fraction") -> "GradedPolynomial":
         if isinstance(other, (int, Fraction)):
-            return make_polynomial(self.cox, {e: c * other for e, c in self.terms.items()})
+            return GradedPolynomial(self.cox, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         out: dict[Vector, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return make_polynomial(self.cox, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return GradedPolynomial(self.cox, out)
 
     __rmul__ = __mul__
 
@@ -186,12 +195,9 @@ class GradedPolynomial:
         """Formal partial derivative with respect to one variable."""
         out: dict[Vector, Fraction] = {}
         for e, c in self.terms.items():
-            if e[index] == 0:
-                continue
-            lowered = list(e)
-            lowered[index] -= 1
-            out[tuple(lowered)] = out.get(tuple(lowered), Fraction(0)) + c * e[index]
-        return make_polynomial(self.cox, out)
+            if e[index]:
+                out[e[:index] + (e[index] - 1,) + e[index + 1:]] = c * e[index]
+        return GradedPolynomial(self.cox, out)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -217,15 +223,14 @@ class GradedPolynomial:
 
 
 def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction]) -> GradedPolynomial:
-    cleaned: dict[Vector, Fraction] = {}
+    """The validating entry for outside input: ValueError on a wrong-length or negative exponent."""
+    checked: dict[Vector, Fraction] = {}
     for e, c in terms.items():
-        coeff = Fraction(c)
-        if coeff:
-            key = tuple(int(x) for x in e)
-            if len(key) != cox.num_vars or any(x < 0 for x in key):
-                raise ValueError(f"bad exponent vector {key}")
-            cleaned[key] = coeff
-    return GradedPolynomial(cox, cleaned)
+        key = tuple(int(x) for x in e)
+        if len(key) != cox.num_vars or any(x < 0 for x in key):
+            raise ValueError(f"bad exponent vector {key}")
+        checked[key] = Fraction(c)
+    return GradedPolynomial(cox, checked)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .cox import (
     GradedPolynomial,
     _exponents_up_to_weight,
     graded_dimension,
+    make_polynomial,
     monomial_basis,
 )
 from .errors import InhomogeneousInput
@@ -71,9 +72,7 @@ class EulerModuleElement:
         return None
 
     def is_homogeneous(self) -> bool:
-        if self.is_zero():
-            return True
-        return self.degree is not None
+        return self.is_zero() or self.degree is not None
 
     def __add__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         return EulerModuleElement(
@@ -124,11 +123,18 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     """
     if not element.is_homogeneous():
         raise InhomogeneousInput("contraction requires a homogeneous element")
-    cd = em.cox
-    total = cd.zero()
+    total: dict[Vector, Fraction] = {}
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
-        total = total + form(degree) * cd.variable(i) * component
-    return total
+        weight = form(degree)
+        for e, c in component.terms.items():
+            raised = _raise_exponent(e, i)
+            total[raised] = total.get(raised, 0) + weight * c
+    return GradedPolynomial(em.cox, total)
+
+
+def _raise_exponent(e: Vector, index: int) -> Vector:
+    """The exponent of x_index * x^e."""
+    return e[:index] + (e[index] + 1,) + e[index + 1:]
 
 
 def induced_algebra_generators(em: EulerModule, form: WeightForm) -> tuple[GradedPolynomial, ...]:
@@ -175,12 +181,7 @@ def check_euler_identity(
     checked = 0
     for _ in range(trials):
         lam = classes[rng.randrange(len(classes))]
-        basis = monomial_basis(cd, lam)
-        s = cd.zero()
-        for e in basis:
-            coefficient = Fraction(rng.randint(-3, 3))
-            if coefficient:
-                s = s + cd.monomial(e, coefficient)
+        s = make_polynomial(cd, {e: rng.randint(-3, 3) for e in monomial_basis(cd, lam)})
         expected = form(lam) * s
         actual = euler_contract(em, derivation(em, s), form)
         checked += 1
@@ -300,7 +301,7 @@ def _projection_rank(em: EulerModule, lam: Vector, ring_basis: tuple[Vector, ...
     for i, degree in enumerate(em.basis_degrees):
         shifted = tuple(a - b for a, b in zip(lam, degree))
         for e in monomial_basis(cd, shifted):
-            product = tuple(a + b for a, b in zip(e, _variable_exponent(cd, i)))
+            product = _raise_exponent(e, i)
             column = [0] * len(row_index)
             for j, dj in enumerate(degree):
                 if dj:
@@ -309,9 +310,3 @@ def _projection_rank(em: EulerModule, lam: Vector, ring_basis: tuple[Vector, ...
     if not columns:
         return 0
     return rational_rank(columns)
-
-
-def _variable_exponent(cd: CoxData, index: int) -> Vector:
-    e = [0] * cd.num_vars
-    e[index] = 1
-    return tuple(e)

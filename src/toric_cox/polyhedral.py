@@ -171,10 +171,6 @@ class RationalPolytope:
         )
 
 
-def recession_cone(p: RationalPolytope) -> RationalCone:
-    return cone_from_inequalities([normal for normal, _ in p.inequalities], p.ambient_dim)
-
-
 # One entry per nonsingular d-subset S of the normals: the indices of S, the
 # rows of -sign(det) * adj(N_S), and |det(N_S)|.  The vertex cut out by S is
 # then (solver . a_S) / |det| for any offsets a.

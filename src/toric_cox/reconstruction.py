@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     NotAmpleLift,
     NotSmooth,
     NotSurjective,
+    UnboundedPolytope,
 )
 from .fans import (
     Fan,
@@ -41,13 +41,7 @@ from .lattice import (
     rational_rank,
     solve_integer,
 )
-from .polyhedral import (
-    RationalPolytope,
-    cone_contains,
-    cone_from_generators,
-    polytope_vertices,
-    recession_cone,
-)
+from .polyhedral import cone_contains, cone_from_generators, polytope_family
 
 
 @dataclass(frozen=True)
@@ -79,16 +73,17 @@ def grading_from_json(text: str) -> GradingInput:
     return GradingInput(IntegerMatrix.from_rows(q), tuple(w))
 
 
-def _require_surjective(q: IntegerMatrix) -> None:
+def _surjective_kernel(q: IntegerMatrix) -> IntegerMatrix:
+    """Canonical kernel basis of the grading matrix; NotSurjective unless it is onto."""
     presentation = cokernel(q)
     if presentation.free_rank or presentation.invariant_factors:
         raise NotSurjective("grading matrix does not surject onto the class lattice")
+    return kernel_basis(q)
 
 
 def gale_dual_rays(gi: GradingInput) -> IntegerMatrix:
     """Primitivized rows of the canonical kernel basis of the grading matrix."""
-    _require_surjective(gi.degree_matrix)
-    kernel = kernel_basis(gi.degree_matrix)
+    kernel = _surjective_kernel(gi.degree_matrix)
     rows = []
     for i in range(kernel.rows):
         row = kernel.row(i)
@@ -130,24 +125,27 @@ def _reconstruct_from_kernel(
     else:
         if q.mat_vec(lift) != tuple(ample_class):
             raise ValueError("provided lift has the wrong class")
-    polytope = RationalPolytope.from_inequalities(
-        [(ray, a) for ray, a in zip(rays, lift)], n
-    )
-    if recession_cone(polytope).generators:
-        raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span")
-    vertices = polytope_vertices(polytope)
-    if not vertices or _affine_rank(vertices) != n:
+    try:
+        family = polytope_family(rays, n)
+    except UnboundedPolytope as exc:
+        raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span") from exc
+    # Vertices as integer pairs (num, det): the point num / det, possibly repeated.
+    vertices = family.vertices(lift)
+    if not vertices:
         raise NotAmpleLift("lifted polytope is not full-dimensional")
-    max_cones = []
-    active_anywhere: set[int] = set()
-    for vertex in vertices:
-        active = tuple(
+    base, base_det = vertices[0]
+    diffs = [[x * base_det - y * det for x, y in zip(num, base)] for num, det in vertices[1:]]
+    if rational_rank(diffs) != n:
+        raise NotAmpleLift("lifted polytope is not full-dimensional")
+    max_cones = {
+        tuple(
             i
             for i, (ray, a) in enumerate(zip(rays, lift))
-            if sum(c * x for c, x in zip(ray, vertex)) == -a
+            if sum(c * x for c, x in zip(ray, num)) == -a * det
         )
-        active_anywhere.update(active)
-        max_cones.append(active)
+        for num, det in vertices
+    }
+    active_anywhere = {i for cone in max_cones for i in cone}
     if active_anywhere != set(range(len(rays))):
         raise NotAmpleLift("some ray is inactive on the lifted polytope")
     fan = Fan.make(n, rays, sorted(max_cones))
@@ -160,20 +158,6 @@ def _reconstruct_from_kernel(
     return fan
 
 
-def _affine_rank(points: Sequence[tuple[Fraction, ...]]) -> int:
-    if len(points) < 2:
-        return 0
-    base = points[0]
-    diffs = []
-    for p in points[1:]:
-        delta = [x - y for x, y in zip(p, base)]
-        denominator = 1
-        for value in delta:
-            denominator = denominator * value.denominator // gcd(denominator, value.denominator)
-        diffs.append([int(x * denominator) for x in delta])
-    return rational_rank(diffs)
-
-
 def reconstruct_fan(gi: GradingInput) -> Fan:
     """Normal fan of a lifted polytope for the given grading and interior class.
 
@@ -181,9 +165,9 @@ def reconstruct_fan(gi: GradingInput) -> Fan:
     row), NotSmooth (non-primitive kernel row or a non-unimodular vertex
     cone), NotAmpleLift (degenerate polytope or inactive ray).
     """
-    _require_surjective(gi.degree_matrix)
-    kernel = kernel_basis(gi.degree_matrix)
-    return _reconstruct_from_kernel(gi.degree_matrix, gi.ample_class, kernel)
+    return _reconstruct_from_kernel(
+        gi.degree_matrix, gi.ample_class, _surjective_kernel(gi.degree_matrix)
+    )
 
 
 def roundtrip_check(f: Fan, ample_divisor: TorusInvariantDivisor) -> bool:

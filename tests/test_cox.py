@@ -5,7 +5,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toric_cox.corpus import SMOOTH_COMPLETE
 from toric_cox.cox import (
     cox_data,
     divisor_in_class,
@@ -13,14 +16,16 @@ from toric_cox.cox import (
     effective_weight_form,
     graded_dimension,
     irrelevant_ideal,
+    make_polynomial,
     monomial_basis,
     section_polytope,
     shift_module_degree,
 )
 from toric_cox import cox as cox_module
+from toric_cox.euler import EulerModuleElement, build_euler_module, derivation, euler_contract
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
-from toric_cox.polyhedral import cone_contains, polytope_lattice_points
+from toric_cox.polyhedral import WeightForm, cone_contains, polytope_lattice_points
 
 
 class TestCoxData:
@@ -300,3 +305,88 @@ class TestGradedPolynomialArithmetic:
         p = cd.monomial((1, 2, 0))
         assert p.partial(1) == cd.monomial((1, 1, 0), 2)
         assert p.partial(2).is_zero()
+
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), (1, -1, 0)])
+    def test_boundary_rejects_bad_exponent_vectors(self, corpus_cox, bad):
+        cd = corpus_cox["p2"]
+        with pytest.raises(ValueError):
+            make_polynomial(cd, {bad: 1})
+        with pytest.raises(ValueError):
+            make_polynomial(cd, {(1, 0, 0): 1, bad: 0})
+        with pytest.raises(ValueError):
+            cd.monomial(bad)
+
+    def test_arithmetic_and_contraction_bypass_the_boundary(self, corpus_cox, monkeypatch):
+        cd = corpus_cox["hirzebruch_1"]
+        em = build_euler_module(cd)
+        s = cd.monomial((1, 2, 0, 1), Fraction(1, 2)) + cd.monomial((1, 0, 0, 1))
+        t = cd.monomial((0, 1, 1, 0), 3)
+
+        def refuse(*args):
+            raise AssertionError("make_polynomial reached from an internal path")
+
+        monkeypatch.setattr(cox_module, "make_polynomial", refuse)
+        assert _valid((s + t - s * t * 2).partial(1))
+        form = cd.weight_form
+        assert euler_contract(em, derivation(em, t), form) == form(t.degree) * t
+
+
+def _valid(p) -> bool:
+    """The term invariant: valid exponent vectors with nonzero Fraction coefficients."""
+    return all(
+        len(e) == p.cox.num_vars and min(e) >= 0 and type(c) is Fraction and c
+        for e, c in p.terms.items()
+    )
+
+
+def _polynomial(data, cd, max_terms=4):
+    """A random polynomial, assembled from ``cd.monomial`` with possibly zero coefficients."""
+    exponent = st.tuples(*[st.integers(0, 2)] * cd.num_vars)
+    coefficient = st.fractions(-3, 3, max_denominator=3)
+    p = cd.zero()
+    for e, c in data.draw(st.lists(st.tuples(exponent, coefficient), max_size=max_terms)):
+        p = p + cd.monomial(e, c)
+    return p
+
+
+class TestPolynomialProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_ring_laws_keep_the_invariant(self, corpus_cox, name, data):
+        cd = corpus_cox[name]
+        p, q, r = (_polynomial(data, cd) for _ in range(3))
+        assert (p - p).terms == {}
+        assert p * (q + r) == p * q + p * r
+        for result in (p + q, p - q, p * q, -p, p * Fraction(2, 3), 0 * p, p.partial(0)):
+            assert _valid(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_leibniz_rule_for_partial(self, corpus_cox, name, data):
+        cd = corpus_cox[name]
+        p, q = _polynomial(data, cd), _polynomial(data, cd)
+        for i in range(cd.num_vars):
+            assert (p * q).partial(i) == p.partial(i) * q + p * q.partial(i)
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_contraction_matches_the_product_formula(self, corpus_cox, name, data):
+        cd = corpus_cox[name]
+        em = build_euler_module(cd)
+        twist = cd.degree_of_exponent(data.draw(st.tuples(*[st.integers(0, 2)] * cd.num_vars)))
+        components = []
+        for degree in em.basis_degrees:
+            basis = monomial_basis(cd, tuple(a - b for a, b in zip(twist, degree)))
+            coefficients = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+            components.append(make_polynomial(cd, dict(zip(basis, data.draw(coefficients)))))
+        element = EulerModuleElement(em, tuple(components))
+        # the fan's weight form, or any integral form (zero or negative weights included)
+        form = data.draw(
+            st.just(cd.weight_form)
+            | st.builds(WeightForm, st.tuples(*[st.integers(-2, 2)] * cd.cl_rank))
+        )
+        expected = cd.zero()
+        for i, (component, degree) in enumerate(zip(components, em.basis_degrees)):
+            expected = expected + form(degree) * cd.variable(i) * component
+        actual = euler_contract(em, element, form)
+        assert actual == expected and _valid(actual)

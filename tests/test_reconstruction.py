@@ -113,6 +113,20 @@ class TestReconstructFan:
         with pytest.raises((NotSmooth, NotAmpleLift)):
             reconstruct_fan(GradingInput(q, (1, 1)))
 
+    @pytest.mark.parametrize(
+        "class_vector, error, message",
+        [
+            # one vertex, (-1, -1/2), has denominator 2
+            ((1, 1), NotAmpleLift, "some ray is inactive on the lifted polytope"),
+            # the vertex (-2, -1) is also cut out by two rays of determinant 2
+            ((2, 1), NotSmooth, "normal fan is not smooth and complete"),
+        ],
+    )
+    def test_vertices_with_determinant_two(self, class_vector, error, message):
+        q = IntegerMatrix.from_rows([[1, 0, 1, 2], [0, 1, 0, 1]])
+        with pytest.raises(error, match=f"^{message}$"):
+            reconstruct_fan(GradingInput(q, class_vector))
+
     def test_lift_translation_invariance(self, p2):
         _, q = class_group(p2)
         kernel = p2.ray_matrix()
