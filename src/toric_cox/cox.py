@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import OracleMismatch, TorsionClassGroup
@@ -40,16 +41,16 @@ class CoxData:
     cl_rank: int
     degree_map: LatticeMap
     variable_names: tuple[str, ...]
-    # Largest-so-far fiber-count table (max weight, counts); grown by _fiber_counts.
-    _fiber_table: tuple[int, dict[Vector, int]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def num_vars(self) -> int:
         return self.fan.n_rays
 
     def variable_degrees(self) -> tuple[Vector, ...]:
+        return self._variable_degrees
+
+    @functools.cached_property
+    def _variable_degrees(self) -> tuple[Vector, ...]:
         return self.degree_map.matrix.columns()
 
     def degree_of_exponent(self, exponents: Sequence[int]) -> Vector:
@@ -104,6 +105,16 @@ class CoxData:
     def section_polytopes(self) -> PolytopeFamily:
         """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets."""
         return polytope_family(self.fan.rays, self.fan.dim)
+
+    @functools.cached_property
+    def fiber_levels(self) -> tuple[list[dict[Vector, int]], ...]:
+        """Per variable i, level L maps a class to its number of monomials of weight L in x_0..x_i.
+
+        Only level 0 (the constant monomial) exists at first; :func:`_fiber_level`
+        appends heavier levels on demand and never rebuilds one.
+        """
+        zero = (0,) * self.cl_rank
+        return tuple([{zero: 1}] for _ in range(self.num_vars))
 
 
 def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
@@ -250,41 +261,37 @@ def effective_weight_form(cd: CoxData) -> WeightForm:
     return cd.weight_form
 
 
-def _fiber_counts(cd: CoxData, max_weight: int) -> dict[Vector, int]:
-    """Number of monomials per class, for all classes of weight <= max_weight.
+def _fiber_level(cd: CoxData, weight: int) -> dict[Vector, int]:
+    """Number of monomials per class, for the classes of weight exactly ``weight`` >= 0.
 
-    Dynamic program over the variables: extending by one variable adds a
-    geometric series along its degree, which the single ascending sweep
-    over weight levels realizes in place.  Independent of any polytope
-    geometry, so it can serve as one side of the dual-oracle check.
+    Dynamic program over the variables and weight levels: the monomials in
+    x_0..x_i of weight L either avoid x_i or are x_i times one of weight
+    L - w_i, so ``levels_i[L] = levels_(i-1)[L] + shift_{d_i}(levels_i[L - w_i])``.
+    A weight beyond the top level appends the missing levels to each
+    variable in turn; lighter weights are a lookup.  Independent of any
+    polytope geometry, so it can serve as one side of the dual-oracle check.
     """
-    cached = cd._fiber_table
-    if cached is not None and cached[0] >= max_weight:
-        return cached[1]
-    zero = (0,) * cd.cl_rank
-    levels: list[dict[Vector, int]] = [dict() for _ in range(max_weight + 1)]
-    levels[0][zero] = 1
-    for degree, w in zip(cd.variable_degrees(), cd.variable_weights):
-        for level in range(0, max_weight - w + 1):
-            target = levels[level + w]
-            for mu, count in list(levels[level].items()):
-                nu = tuple(a + b for a, b in zip(mu, degree))
-                target[nu] = target.get(nu, 0) + count
-    table: dict[Vector, int] = {}
-    for level_counts in levels:
-        for mu, count in level_counts.items():
-            table[mu] = table.get(mu, 0) + count
-    object.__setattr__(cd, "_fiber_table", (max_weight, table))
-    return table
+    levels = cd.fiber_levels
+    top = len(levels[-1]) - 1
+    if weight > top:
+        previous = None
+        for degree, w, own in zip(cd.variable_degrees(), cd.variable_weights, levels):
+            for level in range(top + 1, weight + 1):
+                counts = dict(previous[level]) if previous is not None else {}
+                if level >= w:
+                    for mu, count in own[level - w].items():
+                        nu = tuple(map(add, mu, degree))
+                        counts[nu] = counts.get(nu, 0) + count
+                own.append(counts)
+            previous = own
+    return levels[-1][weight]
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
     weight = cd.weight_form(class_vector)
     if weight < 0:
         return 0
-    if any(class_vector) and weight == 0:
-        return 0
-    return _fiber_counts(cd, weight).get(class_vector, 0)
+    return _fiber_level(cd, weight).get(class_vector, 0)
 
 
 def section_polytope(cd: CoxData, divisor: TorusInvariantDivisor) -> RationalPolytope:
@@ -315,10 +322,7 @@ def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
     by_fiber = _fiber_dimension(cd, lam)
     by_polytope = _polytope_dimension(cd, lam)
     if by_fiber != by_polytope:
-        raise OracleMismatch(
-            f"fiber count {by_fiber} != polytope count {by_polytope} at {lam}"
-            f" (lifted divisor {cd.class_section(lam)})"
-        )
+        raise OracleMismatch(lam, by_fiber, by_polytope, cd.class_section(lam))
     return by_fiber
 
 

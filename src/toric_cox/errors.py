@@ -43,7 +43,22 @@ class NotPointed(ToricCoxError):
 
 
 class OracleMismatch(ToricCoxError):
-    """The two independent graded-dimension oracles disagree; implementation bug."""
+    """The two independent graded-dimension oracles disagree; implementation bug.
+
+    Carries the class, both counts and the divisor the class was lifted to.
+    """
+
+    def __init__(
+        self, class_vector: tuple[int, ...], by_fiber: int, by_polytope: int, lift: tuple[int, ...]
+    ) -> None:
+        super().__init__(
+            f"fiber count {by_fiber} != polytope count {by_polytope} at {class_vector}"
+            f" (lifted divisor {lift})"
+        )
+        self.class_vector = class_vector
+        self.by_fiber = by_fiber
+        self.by_polytope = by_polytope
+        self.lift = lift
 
 
 class InhomogeneousInput(ToricCoxError):

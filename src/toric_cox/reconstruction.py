@@ -38,7 +38,6 @@ from .lattice import (
     cokernel,
     kernel_basis,
     primitive_vector,
-    rational_rank,
     solve_integer,
 )
 from .polyhedral import cone_contains, cone_from_generators, polytope_family
@@ -130,13 +129,8 @@ def _reconstruct_from_kernel(
     except UnboundedPolytope as exc:
         raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span") from exc
     # Vertices as integer pairs (num, det): the point num / det, possibly repeated.
+    # They exist and span n: the polytope is q's fiber over an interior class cut by the orthant.
     vertices = family.vertices(lift)
-    if not vertices:
-        raise NotAmpleLift("lifted polytope is not full-dimensional")
-    base, base_det = vertices[0]
-    diffs = [[x * base_det - y * det for x, y in zip(num, base)] for num, det in vertices[1:]]
-    if rational_rank(diffs) != n:
-        raise NotAmpleLift("lifted polytope is not full-dimensional")
     max_cones = {
         tuple(
             i
@@ -163,7 +157,8 @@ def reconstruct_fan(gi: GradingInput) -> Fan:
 
     Errors: NotSurjective (grading not onto), DegenerateRay (a zero kernel
     row), NotSmooth (non-primitive kernel row or a non-unimodular vertex
-    cone), NotAmpleLift (degenerate polytope or inactive ray).
+    cone), NotAmpleLift (class not interior, unbounded polyhedron or inactive
+    ray).
     """
     return _reconstruct_from_kernel(
         gi.degree_matrix, gi.ample_class, _surjective_kernel(gi.degree_matrix)

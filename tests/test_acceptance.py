@@ -60,14 +60,6 @@ def class_window(rank: int, radius: int):
     return itertools.product(range(-radius, radius + 1), repeat=rank)
 
 
-def prime_fiber_cache(cd) -> None:
-    """Evaluate the heaviest corner first so the count table is built once."""
-    form = effective_weight_form(cd)
-    corners = itertools.product((-ORACLE_RADIUS, ORACLE_RADIUS), repeat=cd.cl_rank)
-    heaviest = max(corners, key=form)
-    graded_dimension(cd, heaviest)
-
-
 def random_homogeneous(cd, rng, max_weight=3):
     pool = sorted(
         {cd.degree_of_exponent(e) for e in monomials_of_weight_at_most(cd, max_weight)}
@@ -96,7 +88,6 @@ def test_criterion_01_class_group_exactness(corpus):
 def test_criterion_02_dual_oracle_dimensions(corpus):
     for name, fan in corpus.items():
         cd = cox_data(fan)
-        prime_fiber_cache(cd)
         for lam in class_window(cd.cl_rank, ORACLE_RADIUS):
             graded_dimension(cd, lam)  # OracleMismatch on any disagreement
     cd = cox_data(corpus["p2"])

@@ -2,6 +2,7 @@
 form, irrelevant ideal and the shift identity."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,18 @@ from toric_cox.euler import EulerModuleElement, build_euler_module, derivation, 
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
 from toric_cox.polyhedral import WeightForm, cone_contains, polytope_lattice_points
+
+# P^2 blown up three and four times (the surfaces of test_pipeline's pinned blow-ups)
+BLOWUP_R4 = Fan.make(
+    2,
+    [[1, 0], [0, 1], [-1, -1], [1, 1], [2, 1], [-1, 0]],
+    [[0, 2], [0, 4], [1, 3], [1, 5], [2, 5], [3, 4]],
+)
+BLOWUP_R5 = Fan.make(
+    2,
+    [[1, 0], [0, 1], [-1, -1], [1, 1], [2, 1], [-1, 0], [-1, 1]],
+    [[0, 2], [0, 4], [1, 3], [1, 6], [2, 5], [3, 4], [5, 6]],
+)
 
 
 class TestCoxData:
@@ -85,6 +98,9 @@ class TestGradedDimension:
         assert str(caught.value) == (
             f"fiber count 3 != polytope count 2 at (1, 0) (lifted divisor {lift})"
         )
+        mismatch = caught.value
+        assert (mismatch.class_vector, mismatch.by_fiber, mismatch.by_polytope) == ((1, 0), 3, 2)
+        assert mismatch.lift == lift
 
 
 class TestMonomialBasis:
@@ -157,14 +173,47 @@ class TestFanContext:
             graded_dimension(cd, (2,))
         assert len(calls) == 2
 
-    def test_fiber_table_lives_on_the_instance(self, p2):
+    def test_fiber_levels_live_on_the_instance(self, p2):
         cd = cox_data(p2)
+        levels = cd.fiber_levels
+        # a fresh instance holds level 0 only: the constant monomial, per variable
+        assert levels == ([{(0,): 1}],) * 3
         graded_dimension(cd, (3,))
-        max_weight, table = cd._fiber_table
-        assert max_weight == 3 and table[(3,)] == 10
+        assert cd.fiber_levels is levels
+        assert [len(own) for own in levels] == [4, 4, 4] and levels[-1][3] == {(3,): 10}
+        kept = [list(own) for own in levels]
+        contents = [[dict(level) for level in own] for own in levels]
+
+        # a lighter class is a lookup: no level is added or changed
         graded_dimension(cd, (1,))
-        assert cd._fiber_table[1] is table
-        assert cox_data(p2)._fiber_table is None
+        assert [[dict(level) for level in own] for own in levels] == contents
+        assert all(a is b for own, old in zip(levels, kept) for a, b in zip(own, old))
+
+        # a heavier class appends levels and keeps the existing level dicts
+        graded_dimension(cd, (5,))
+        assert [len(own) for own in levels] == [6, 6, 6] and levels[-1][5] == {(5,): 21}
+        assert all(a is b for own, old in zip(levels, kept) for a, b in zip(own, old))
+        assert [[dict(level) for level in own[:4]] for own in levels] == contents
+        assert [len(own) for own in cox_data(p2).fiber_levels] == [1, 1, 1]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_fiber_dimension_does_not_depend_on_query_order(self, corpus, order):
+        # monomial_basis enumerates exponents directly, without the fiber levels
+        fans = dict(corpus, blowup_r4=BLOWUP_R4, blowup_r5=BLOWUP_R5)
+        for name, fan in fans.items():
+            cd = cox_data(fan)
+            radius = 2 if cd.cl_rank <= 2 else 1
+            window = sorted(
+                itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank),
+                key=lambda lam: (cd.weight_form(lam), lam),
+            )
+            if order == "descending":
+                window.reverse()
+            elif order == "shuffled":
+                random.Random(name).shuffle(window)
+            for lam in window:
+                expected = len(monomial_basis(cd, lam))
+                assert cox_module._fiber_dimension(cd, lam) == expected, (name, lam)
 
     def test_no_module_level_caches(self):
         assert not hasattr(cox_module, "_FIBER_TABLES")

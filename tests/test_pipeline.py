@@ -95,6 +95,7 @@ def test_blowup_surfaces_full_pipeline(seed):
         # pinned from the Fraction-based section-polytope oracle it replaced
         ((0, 1, 2), 2, 407, 158),
         ((0, 1, 2, 3), 1, 116, 72),
+        ((0, 1, 2, 3, 4), 1, 210, 138),  # rank 6: pinned from the largest-so-far fiber table
     ],
 )
 def test_graded_dimensions_pinned_on_blowups(cones, radius, total, nonzero):

@@ -1,6 +1,7 @@
 """Gale-dual rays, fan reconstruction, round trips and splitting certificates."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from toric_cox.errors import (
     NotAmpleLift,
     NotSmooth,
     NotSurjective,
+    UnboundedPolytope,
 )
 from toric_cox.fans import (
     Fan,
@@ -17,10 +19,12 @@ from toric_cox.fans import (
     class_group,
     is_ample,
 )
-from toric_cox.lattice import IntegerMatrix
+from toric_cox.lattice import IntegerMatrix, rational_rank, solve_integer
+from toric_cox.polyhedral import polytope_family
 from toric_cox.reconstruction import (
     GradingInput,
     _reconstruct_from_kernel,
+    _surjective_kernel,
     gale_dual_rays,
     grading_from_json,
     reconstruct_fan,
@@ -138,6 +142,33 @@ class TestReconstructFan:
         gi = grading_from_json('{"Q": [[1, 1, 1]], "w": [2]}')
         assert gi.degree_matrix.entries == ((1, 1, 1),)
         assert gi.ample_class == (2,)
+
+    def test_interior_class_lifts_to_a_full_dimensional_polytope(self):
+        # Why reconstruction checks no dimension: by Gale duality the lifted
+        # polytope is the grading's fiber over the class cut by the orthant,
+        # and an interior class meets the open orthant.
+        rng = random.Random(0)
+        checked = 0
+        for _ in range(600):
+            rank, n = rng.randint(1, 3), rng.randint(1, 3)
+            q = IntegerMatrix.from_rows(
+                [[rng.randint(-2, 2) for _ in range(rank + n)] for _ in range(rank)]
+            )
+            try:
+                kernel = _surjective_kernel(q)
+                family = polytope_family([kernel.row(i) for i in range(kernel.rows)], n)
+            except (NotSurjective, UnboundedPolytope):
+                continue
+            interior_class = q.mat_vec([rng.randint(1, 3) for _ in range(rank + n)])
+            vertices = family.vertices(solve_integer(q, interior_class))
+            assert vertices
+            base, base_det = vertices[0]
+            diffs = [
+                [x * base_det - y * det for x, y in zip(num, base)] for num, det in vertices[1:]
+            ]
+            assert rational_rank(diffs) == n
+            checked += 1
+        assert checked >= 100
 
 
 class TestRoundTrip:
