@@ -2,10 +2,11 @@
 
 Cones are stored in canonical double description: a minimal generator set
 together with the matching facet-normal set, both primitive and sorted, so
-duality is an involution on the nose.  All enumeration is exact; the sizes
-this package handles (ambient dimension below ~10, a handful of
-generators) make brute-force subset enumeration the simplest correct
-choice.
+duality is an involution on the nose.  All enumeration is exact, and each
+cone costs one subset enumeration: the dual side tries every subset of rank
+one less than the input rank, the simplest correct choice at desk scale
+(ambient dimension below ~10); the primal side then reads each extreme ray
+off the face of one input vector, the dual generators that vanish on it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
@@ -26,51 +27,51 @@ from .lattice import (
 )
 
 
-def _unit_vectors(dim: int) -> list[Vector]:
-    out = []
-    for i in range(dim):
-        e = [0] * dim
-        e[i] = 1
-        out.append(tuple(e))
-        out.append(tuple(-x for x in e))
-    return out
+def _extreme_rays(rows: Sequence[Vector], dim: int, faces: Iterable[Sequence[Vector]]) -> tuple[Vector, ...]:
+    """Minimal generator set of {y : <g, y> >= 0 for all g in rows}, for primitive nonzero rows.
 
-
-def _dual_generators(vectors: Sequence[Vector], dim: int) -> tuple[Vector, ...]:
-    """Minimal generator set of {y : <g, y> >= 0 for all g in vectors}.
-
-    Lineality (the kernel of the stacked vectors) contributes plus/minus
-    basis pairs; the pointed part is found by brute force over subsets of
-    rank one less than the input rank, which at desk scale is cheap and
-    provably finds every extreme ray exactly once up to dedup.
+    Lineality (the kernel of the rows) contributes plus/minus basis pairs.
+    Each face is a set of rows; where a face cuts the complement of the
+    lineality down to a line, the ray of that line in the cone is kept, so
+    the faces must cut out every extreme ray.
     """
-    rows = sorted({primitive_vector(v) for v in vectors if any(v)})
-    if not rows:
-        return tuple(sorted(_unit_vectors(dim)))
-    matrix = IntegerMatrix.from_rows(rows)
-    lineality = kernel_basis(matrix).columns()
+
+    def kernel(stacked: Sequence[Sequence[int]]) -> IntegerMatrix:
+        return kernel_basis(IntegerMatrix.from_rows(stacked) if stacked else IntegerMatrix.zero(0, dim))
+
+    lineality = [list(v) for v in kernel(rows).columns()]
     out: set[Vector] = set()
     for basis_vec in lineality:
         p = primitive_vector(basis_vec)
         out.add(p)
         out.add(tuple(-x for x in p))
-    rank = rational_rank(rows)
-    if rank >= 1:
-        for subset in itertools.combinations(rows, rank - 1):
-            stacked = list(subset) + [list(l) for l in lineality]
-            if stacked:
-                candidates = kernel_basis(IntegerMatrix.from_rows(stacked))
-            else:
-                candidates = IntegerMatrix.identity(dim)
-            if candidates.cols != 1:
-                continue
-            y = candidates.column(0)
-            products = [sum(a * b for a, b in zip(g, y)) for g in rows]
-            if all(p >= 0 for p in products):
-                out.add(primitive_vector(y))
-            elif all(p <= 0 for p in products):
-                out.add(primitive_vector(tuple(-x for x in y)))
+    for face in faces:
+        candidates = kernel(list(face) + lineality)
+        if candidates.cols != 1:
+            continue
+        y = candidates.column(0)
+        products = [sum(a * b for a, b in zip(g, y)) for g in rows]
+        if all(p >= 0 for p in products):
+            out.add(primitive_vector(y))
+        elif all(p <= 0 for p in products):
+            out.add(primitive_vector(tuple(-x for x in y)))
     return tuple(sorted(out))
+
+
+def _double_description(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """Canonical generators of cone(vectors) and of its dual, from one subset enumeration.
+
+    Modulo lineality, each extreme ray of cone(vectors) is spanned by some
+    input v and is the line cut out by the dual generators vanishing on v
+    (Fukuda-Prodon, "Double description method revisited", 1996).
+    """
+    vecs = [tuple(int(x) for x in v) for v in vectors]
+    if any(len(v) != dim for v in vecs):
+        raise ValueError("vector dimension mismatch")
+    rows = sorted({primitive_vector(v) for v in vecs if any(v)})
+    dual = _extreme_rays(rows, dim, itertools.combinations(rows, rational_rank(rows) - 1) if rows else ())
+    faces = ([d for d in dual if not sum(a * b for a, b in zip(d, v))] for v in rows)
+    return _extreme_rays(dual, dim, faces), dual
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,12 @@ class RationalCone:
 
 
 def cone_from_generators(generators: Sequence[Sequence[int]], ambient_dim: int) -> RationalCone:
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if any(len(g) != ambient_dim for g in gens):
-        raise ValueError("generator dimension mismatch")
-    normals = _dual_generators([g for g in gens], ambient_dim)
-    canonical = _dual_generators(normals, ambient_dim)
+    canonical, normals = _double_description(generators, ambient_dim)
     return RationalCone(ambient_dim, canonical, normals)
 
 
 def cone_from_inequalities(normals: Sequence[Sequence[int]], ambient_dim: int) -> RationalCone:
-    norm = [tuple(int(x) for x in h) for h in normals]
-    gens = _dual_generators(norm, ambient_dim)
-    canonical_normals = _dual_generators(gens, ambient_dim)
+    canonical_normals, gens = _double_description(normals, ambient_dim)
     return RationalCone(ambient_dim, gens, canonical_normals)
 
 
@@ -263,8 +258,6 @@ class PolytopeFamily:
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:
     """The family of fixed normals; UnboundedPolytope unless their recession cone is {0}."""
     norm = tuple(tuple(int(x) for x in h) for h in normals)
-    if any(len(h) != ambient_dim for h in norm):
-        raise ValueError("inequality dimension mismatch")
     if cone_from_inequalities(norm, ambient_dim).generators:
         raise UnboundedPolytope("polytope has a recession direction")
     return PolytopeFamily(ambient_dim, norm, _vertex_solvers(norm, ambient_dim))

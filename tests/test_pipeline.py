@@ -26,7 +26,9 @@ from toric_cox.fans import (
     validate_fan,
 )
 from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form
+from toric_cox.polyhedral import cone_from_generators, dual_cone
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
+from toric_cox.verify import _first_ample_divisor
 
 
 def blow_up(fan: Fan, cone_index: int) -> Fan:
@@ -50,12 +52,12 @@ def random_blowup_surface(rng: random.Random, steps: int) -> Fan:
     return fan
 
 
-def first_ample(fan: Fan, max_coeff: int) -> TorusInvariantDivisor | None:
-    for coeffs in itertools.product(range(max_coeff + 1), repeat=fan.n_rays):
-        divisor = TorusInvariantDivisor(coeffs)
-        if is_ample(fan, divisor):
-            return divisor
-    return None
+def blown_up_plane(cones) -> Fan:
+    """P^2 blown up at the maximal cones of the given indices, in turn."""
+    fan = Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
+    for index in cones:
+        fan = blow_up(fan, index)
+    return fan
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -84,7 +86,7 @@ def test_blowup_surfaces_full_pipeline(seed):
     certificate = splitting_certificate(fan)
     assert certificate.rank == fan.n_rays and certificate.anticanonical_check
 
-    ample = first_ample(fan, 4)
+    ample = _first_ample_divisor(fan, 4)
     if ample is not None:
         assert roundtrip_check(fan, ample)
 
@@ -96,17 +98,63 @@ def test_blowup_surfaces_full_pipeline(seed):
         ((0, 1, 2), 2, 407, 158),
         ((0, 1, 2, 3), 1, 116, 72),
         ((0, 1, 2, 3, 4), 1, 210, 138),  # rank 6: pinned from the largest-so-far fiber table
+        ((0, 1, 2, 3, 4, 5), 1, 290, 258),  # rank 7: pinned from the two-pass cone canonicalisation
     ],
 )
 def test_graded_dimensions_pinned_on_blowups(cones, radius, total, nonzero):
-    fan = Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
-    for index in cones:
-        fan = blow_up(fan, index)
-    cd = cox_data(fan)
+    cd = cox_data(blown_up_plane(cones))
     assert cd.cl_rank == len(cones) + 1
     window = itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank)
     dims = [graded_dimension(cd, lam) for lam in window]
     assert (sum(dims), sum(1 for d in dims if d)) == (total, nonzero)
+
+
+# Pinned from the two-pass cone canonicalisation, which tried all C(21, 7)
+# subsets of the facet normals for the generators.
+RANK_EIGHT_GENERATORS = (
+    (-2, 3, -1, 1, -1, 2, 5, 1),
+    (0, 0, 0, 0, 0, 0, 0, 1),
+    (0, 0, 0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1, 0, 0),
+    (0, 0, 0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0, 0, 0),
+    (0, 0, 1, 0, 0, 0, 0, 0),
+    (0, 1, 0, 0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 0),
+    (3, -5, 2, -2, 1, -3, -8, -1),
+)
+RANK_EIGHT_FACET_NORMALS = (
+    (0, 0, 0, 0, 1, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0, 0, 1),
+    (0, 0, 1, 0, 0, 0, 0, 2),
+    (0, 0, 1, 0, 1, 1, 0, 0),
+    (0, 0, 1, 1, 0, 0, 0, 0),
+    (0, 0, 2, 0, 0, 1, 0, 0),
+    (0, 0, 3, 0, 0, 2, 0, 0),
+    (0, 0, 3, 0, 2, 0, 1, 0),
+    (0, 0, 4, 0, 0, 0, 1, 0),
+    (0, 0, 5, 0, 0, 0, 1, 0),
+    (0, 1, 2, 0, 1, 0, 0, 0),
+    (0, 1, 3, 0, 0, 0, 0, 0),
+    (0, 2, 5, 0, 0, 0, 0, 0),
+    (1, 0, 0, 0, 0, 0, 0, 2),
+    (1, 0, 0, 0, 0, 0, 0, 3),
+    (1, 0, 0, 0, 0, 1, 0, 0),
+    (1, 0, 0, 1, 0, 0, 0, 1),
+    (1, 1, 1, 0, 0, 0, 0, 0),
+    (2, 0, 1, 0, 0, 0, 1, 0),
+    (2, 1, 0, 0, 0, 0, 0, 1),
+    (3, 0, 0, 0, 0, 0, 1, 1),
+)
+
+
+def test_rank_eight_effective_cone_pinned():
+    cd = cox_data(blown_up_plane(range(7)))
+    eff = cd.effective_cone
+    assert cd.cl_rank == 8 and len(eff.facet_normals) == 21
+    assert (eff.generators, eff.facet_normals) == (RANK_EIGHT_GENERATORS, RANK_EIGHT_FACET_NORMALS)
+    assert dual_cone(dual_cone(eff)) == eff
+    assert cone_from_generators(eff.generators, 8) == eff
 
 
 def test_single_blowup_matches_hirzebruch_one():

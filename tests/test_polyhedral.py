@@ -4,15 +4,23 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_cox.errors import NotPointed, UnboundedPolytope
-from toric_cox.lattice import solve_rational
+from toric_cox.lattice import (
+    IntegerMatrix,
+    kernel_basis,
+    primitive_vector,
+    rational_rank,
+    solve_rational,
+)
 from toric_cox.polyhedral import (
+    RationalCone,
     RationalPolytope,
     cone_contains,
     cone_from_generators,
+    cone_from_inequalities,
     dual_cone,
     hilbert_basis,
     polytope_family,
@@ -82,6 +90,93 @@ class TestDualCone:
         assert dual_cone(dual_cone(c)) == c
         for g in c.generators:
             assert cone_contains(c, g)
+
+
+def reference_dual_generators(vectors, dim):
+    """Minimal generators of {y : <g, y> >= 0 for all g in vectors}, by brute force.
+
+    Every (rank - 1)-subset of the vectors is tried, so canonicalising one
+    side of a cone this way takes two full subset enumerations; the
+    constructors under test take one.
+    """
+    rows = sorted({primitive_vector(v) for v in vectors if any(v)})
+    if not rows:
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        return tuple(sorted(units + [tuple(-x for x in e) for e in units]))
+    lineality = kernel_basis(IntegerMatrix.from_rows(rows)).columns()
+    out = set()
+    for basis_vec in lineality:
+        p = primitive_vector(basis_vec)
+        out.add(p)
+        out.add(tuple(-x for x in p))
+    for subset in itertools.combinations(rows, rational_rank(rows) - 1):
+        stacked = list(subset) + [list(l) for l in lineality]
+        if stacked:
+            candidates = kernel_basis(IntegerMatrix.from_rows(stacked))
+        else:
+            candidates = IntegerMatrix.identity(dim)
+        if candidates.cols != 1:
+            continue
+        y = candidates.column(0)
+        products = [sum(a * b for a, b in zip(g, y)) for g in rows]
+        if all(p >= 0 for p in products):
+            out.add(primitive_vector(y))
+        elif all(p <= 0 for p in products):
+            out.add(primitive_vector(tuple(-x for x in y)))
+    return tuple(sorted(out))
+
+
+@st.composite
+def vector_lists(draw):
+    """A dimension 1-4 and a list of vectors, possibly empty, with zero vectors,
+    lines and lower-dimensional spans mixed in."""
+    dim = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=6))
+    if vectors and draw(st.booleans()):
+        vectors.append(tuple(-x for x in vectors[0]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, dim - 1))
+        vectors = [v[:k] + (0,) + v[k + 1:] for v in vectors]
+    if draw(st.booleans()):
+        vectors.insert(draw(st.integers(0, len(vectors))), (0,) * dim)
+    return dim, vectors
+
+
+# Explicit cases: the empty list, including in dimension 0, a zero vector, a
+# line and a lower-dimensional span.
+EDGE_CASES = [(0, []), (2, []), (3, [(0, 0, 0)]), (2, [(1, 1), (-1, -1)]), (3, [(1, 0, 0), (0, 1, 0)])]
+
+
+def with_edge_cases(test):
+    for case in EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+class TestAgainstTwoPassReference:
+    @settings(max_examples=150, deadline=None)
+    @given(vector_lists())
+    @with_edge_cases
+    def test_cone_from_generators(self, case):
+        dim, vectors = case
+        normals = reference_dual_generators(vectors, dim)
+        expected = RationalCone(dim, reference_dual_generators(normals, dim), normals)
+        assert cone_from_generators(vectors, dim) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(vector_lists())
+    @with_edge_cases
+    def test_cone_from_inequalities(self, case):
+        dim, vectors = case
+        generators = reference_dual_generators(vectors, dim)
+        expected = RationalCone(dim, generators, reference_dual_generators(generators, dim))
+        assert cone_from_inequalities(vectors, dim) == expected
+
+    @pytest.mark.parametrize("construct", [cone_from_generators, cone_from_inequalities])
+    @pytest.mark.parametrize("vectors", [[(1, 0, 0)], [(1, 0), (0, 1, 1)], [()]])
+    def test_vector_length_must_match_dimension(self, construct, vectors):
+        with pytest.raises(ValueError):
+            construct(vectors, 2)
 
 
 class TestConeContains:
