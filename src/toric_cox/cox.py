@@ -103,7 +103,11 @@ class CoxData:
 
     @functools.cached_property
     def section_polytopes(self) -> PolytopeFamily:
-        """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets."""
+        """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets.
+
+        Its Fourier-Motzkin tables are built on the first lattice-point
+        query and serve every class of the fan.
+        """
         return polytope_family(self.fan.rays, self.fan.dim)
 
     @functools.cached_property

@@ -7,13 +7,25 @@ cone costs one subset enumeration: the dual side tries every subset of rank
 one less than the input rank, the simplest correct choice at desk scale
 (ambient dimension below ~10); the primal side then reads each extreme ray
 off the face of one input vector, the dual generators that vanish on it.
+
+Polytopes {m : <n_i, m> >= -a_i} with fixed normals form a family served
+for any offsets a.  Lattice points come from Fourier-Motzkin tables built
+once per family: each derived inequality is a normal over the leading
+coordinates paired with an integer multiplier over the original offsets,
+so one dot product per row turns the tables into the exact projections of
+one polytope, whose integer intervals are walked coordinate by coordinate.
+Vertices come from vertex solvers (integer adjugates of the
+dimension-sized subsets of the normals), also tabulated once per family.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Literal, Sequence
 
 from .errors import NotPointed, UnboundedPolytope
@@ -203,55 +215,129 @@ def _vertices(
     return out
 
 
+# A multiplier over the original inequalities, as sorted pairs (index, value > 0).
+Multiplier = tuple[tuple[int, int], ...]
+# One derived inequality of level k + 1: the normal's coefficients on
+# x_0..x_{k-1}, its nonzero coefficient c on x_k and its multiplier y, standing
+# for <head, x[:k]> + c * x_k + <y, a> >= 0 for any offsets a.
+EliminationRow = tuple[Vector, int, Multiplier]
+
+
+def _eliminate(
+    normals: Sequence[Vector], ambient_dim: int
+) -> tuple[tuple[Multiplier, ...], tuple[tuple[EliminationRow, ...], ...]]:
+    """Fourier-Motzkin tables of {x : <n_i, x> + a_i >= 0}, independent of the offsets a.
+
+    Coordinates are eliminated last to first.  Eliminating x_k combines each
+    row with a positive coefficient on x_k with each row with a negative one
+    and keeps the rows without x_k; the rows left after eliminating
+    x_k..x_{d-1} describe the projection onto x_0..x_{k-1} for every a.  A
+    derived row whose multiplier involves more than (eliminated coordinates
+    + 1) original rows is implied by the others and dropped (Chernikov's
+    rule; Schrijver, *Theory of Linear and Integer Programming*, 12.2), so
+    the projection stays exact while the tables stay small.  Bound, as
+    measured on seeded generic bounded normals (entries in [-9, 9]) and
+    pinned by the tests: the tables of d = 4 with n = 14 hold at most 129
+    rows per level, those of d = 5 with n = 16 at most 310, each built in
+    well under a second.  Without the rule the row count roughly squares
+    with each eliminated coordinate: for that d = 4 family, level 1 holds
+    15,899 rows and level 0 would combine 31.6 million pairs.
+
+    Returns the multipliers of the offset-only rows (level 0) and, for each
+    k, the rows of level k + 1 with a nonzero coefficient on x_k; its rows
+    without x_k are already in level k.
+    """
+    rows: dict[Multiplier, Vector] = {((i, 1),): tuple(n) for i, n in enumerate(normals)}
+    bounds = []
+    for k in reversed(range(ambient_dim)):
+        bounds.append(tuple((normal[:k], normal[k], y) for y, normal in rows.items() if normal[k]))
+        positive = [(y, normal) for y, normal in rows.items() if normal[k] > 0]
+        negative = [(y, normal) for y, normal in rows.items() if normal[k] < 0]
+        derived = {y: normal[:k] for y, normal in rows.items() if not normal[k]}
+        support_bound = ambient_dim - k + 1
+        for p_mult, p_normal in positive:
+            for q_mult, q_normal in negative:
+                p, q = dict(p_mult), dict(q_mult)
+                support = sorted(p.keys() | q.keys())
+                if len(support) > support_bound:
+                    continue
+                s, t = -q_normal[k], p_normal[k]
+                y = [s * p.get(i, 0) + t * q.get(i, 0) for i in support]
+                normal = [s * a + t * b for a, b in zip(p_normal[:k], q_normal[:k])]
+                g = gcd(*y, *normal)
+                derived[tuple((i, v // g) for i, v in zip(support, y))] = tuple(x // g for x in normal)
+        rows = derived
+    return tuple(rows), tuple(reversed(bounds))
+
+
 @dataclass(frozen=True)
 class PolytopeFamily:
     """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i and any offsets a.
 
-    Built by :func:`polytope_family`, which checks boundedness and tabulates
-    the vertex solvers once, so that each offset vector costs integer
+    Built by :func:`polytope_family`, which checks boundedness.  The tables
+    that serve every offset vector are computed on first use and cached on
+    the instance: Fourier-Motzkin elimination tables for lattice points and
+    vertex solvers for vertices, so each offset vector costs integer
     arithmetic only.
     """
 
     ambient_dim: int
     normals: tuple[Vector, ...]
-    solvers: tuple[VertexSolver, ...]
+
+    @functools.cached_property
+    def tables(self) -> tuple[tuple[Multiplier, ...], tuple[tuple[EliminationRow, ...], ...]]:
+        """The Fourier-Motzkin tables of the normals (see :func:`_eliminate`)."""
+        return _eliminate(self.normals, self.ambient_dim)
+
+    @functools.cached_property
+    def solvers(self) -> tuple[VertexSolver, ...]:
+        return _vertex_solvers(self.normals, self.ambient_dim)
+
+    def _check_offsets(self, offsets: Sequence[int]) -> None:
+        if len(offsets) != len(self.normals):
+            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
 
     def vertices(self, offsets: Sequence[int]) -> list[tuple[Vector, int]]:
         """Vertices for these offsets as integer pairs (numerator, det > 0), possibly repeated."""
-        if len(offsets) != len(self.normals):
-            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
+        self._check_offsets(offsets)
         return _vertices(self.normals, self.solvers, offsets)
 
     def lattice_points(self, offsets: Sequence[int]) -> tuple[Vector, ...]:
         """All integer points for these offsets, sorted lexicographically.
 
-        The leading coordinates run over the integer bounding box of the
-        vertices; the last one runs over the exact integer interval that
-        the inequalities leave for each prefix.
+        Each table row's multiplier dotted with the offsets gives its
+        constant.  The offset-only rows (level 0) decide emptiness; given a
+        prefix x_0..x_{k-1} of a point of the polytope's projection, the rows
+        of level k + 1 bound x_k below (coefficient > 0) and above
+        (coefficient < 0), and the projection being exact, every x_k in that
+        integer interval extends the prefix within the next projection.
+        Boundedness puts rows on both sides at every level.
         """
-        vertices = self.vertices(offsets)
-        if not vertices:
+        self._check_offsets(offsets)
+        level_zero, levels = self.tables
+
+        def constant(y: Multiplier) -> int:
+            return sum(v * offsets[i] for i, v in y)
+
+        if any(constant(y) < 0 for y in level_zero):
             return ()
-        if self.ambient_dim == 0:
-            return ((),)
-        lows = [min(-(-num[c] // det) for num, det in vertices) for c in range(self.ambient_dim)]
-        highs = [max(num[c] // det for num, det in vertices) for c in range(self.ambient_dim)]
-        rows = [(normal[:-1], normal[-1], a) for normal, a in zip(self.normals, offsets)]
+        lower = [[(head, c, constant(y)) for head, c, y in level if c > 0] for level in levels]
+        upper = [[(head, -c, constant(y)) for head, c, y in level if c < 0] for level in levels]
         points: list[Vector] = []
-        box = [range(lo, hi + 1) for lo, hi in zip(lows[:-1], highs[:-1])]
-        for prefix in itertools.product(*box):
-            lo, hi = lows[-1], highs[-1]
-            for head, last, a in rows:
-                # last * x + slack >= 0 for the last coordinate x
-                slack = sum(n * x for n, x in zip(head, prefix)) + a
-                if last > 0:
-                    lo = max(lo, -(slack // last))
-                elif last < 0:
-                    hi = min(hi, slack // -last)
-                elif slack < 0:
-                    hi = lo - 1
-                    break
-            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+
+        def extend(prefix: Vector) -> None:
+            k = len(prefix)
+            if k == self.ambient_dim:
+                points.append(prefix)
+                return
+            # with slack = <head, prefix> + <y, a>: c * x + slack >= 0 bounds x
+            # below, and -c * x + slack >= 0 (c stored positive) above
+            lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
+            hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
+            for x in range(lo, hi + 1):
+                extend(prefix + (x,))
+
+        extend(())
         return tuple(points)
 
 
@@ -260,7 +346,7 @@ def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> Polyt
     norm = tuple(tuple(int(x) for x in h) for h in normals)
     if cone_from_inequalities(norm, ambient_dim).generators:
         raise UnboundedPolytope("polytope has a recession direction")
-    return PolytopeFamily(ambient_dim, norm, _vertex_solvers(norm, ambient_dim))
+    return PolytopeFamily(ambient_dim, norm)
 
 
 def polytope_vertices(p: RationalPolytope) -> tuple[tuple[Fraction, ...], ...]:
@@ -274,7 +360,8 @@ def polytope_vertices(p: RationalPolytope) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def polytope_lattice_points(p: RationalPolytope) -> tuple[Vector, ...]:
-    """All integer points of a bounded polytope, sorted lexicographically.
+    """All integer points of a bounded polytope, sorted lexicographically, by the walk
+    of :meth:`PolytopeFamily.lattice_points`.
 
     Raises UnboundedPolytope when the recession cone is nonzero.
     """

@@ -23,6 +23,7 @@ from toric_cox.cox import (
     shift_module_degree,
 )
 from toric_cox import cox as cox_module
+from toric_cox import polyhedral as polyhedral_module
 from toric_cox.euler import EulerModuleElement, build_euler_module, derivation, euler_contract
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
@@ -101,6 +102,75 @@ class TestGradedDimension:
         mismatch = caught.value
         assert (mismatch.class_vector, mismatch.by_fiber, mismatch.by_polytope) == ((1, 0), 3, 2)
         assert mismatch.lift == lift
+
+
+# Images of (e1, e2) under the lattice automorphisms of the fan of P^2.
+P2_SYMMETRIES = tuple(itertools.permutations(((1, 0), (0, 1), (-1, -1)), 2))
+
+
+def mixed_blowup(rank: int, index: int) -> Fan:
+    """P^2 blown up rank - 1 times at seeded maximal cones, under a seeded symmetry of P^2."""
+    rng = random.Random(f"mix-{rank}-{index}")
+    rays, cones = [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2), (0, 2)]
+    for _ in range(rank - 1):
+        a, b = cones.pop(rng.randrange(len(cones)))
+        rays.append(tuple(x + y for x, y in zip(rays[a], rays[b])))
+        cones += [(a, len(rays) - 1), (b, len(rays) - 1)]
+    e1, e2 = rng.choice(P2_SYMMETRIES)
+    return Fan.make(2, [[x * p + y * q for p, q in zip(e1, e2)] for x, y in rays], cones)
+
+
+class TestOracleIndependence:
+    """The elimination tables and the fiber levels answer without each other."""
+
+    def fans(self, corpus):
+        return dict(corpus, **{f"mix_{r}_{i}": mixed_blowup(r, i) for r in range(2, 6) for i in range(2)})
+
+    def test_level_zero_cuts_out_the_effective_cone(self, corpus):
+        # Gale duality: the rational section polytope of a lift of lam is
+        # non-empty exactly when lam is in the effective cone
+        for name, fan in self.fans(corpus).items():
+            cd = cox_data(fan)
+            level_zero, _ = cd.section_polytopes.tables
+            radius = 2 if cd.cl_rank <= 4 else 1
+            for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
+                offsets = cd.class_section(lam)
+                feasible = all(sum(v * offsets[i] for i, v in y) >= 0 for y in level_zero)
+                assert feasible == cd.effective_cone.contains(lam), (name, lam)
+
+    def windows(self, corpus):
+        for name, fan in self.fans(corpus).items():
+            cd = cox_data(fan)
+            radius = 2 if cd.cl_rank <= 2 else 1
+            window = list(itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank))
+            yield name, fan, {lam: graded_dimension(cd, lam) for lam in window}
+
+    def test_fiber_dimension_without_the_tables(self, corpus, monkeypatch):
+        expected = list(self.windows(corpus))
+
+        def refuse(*args):
+            raise AssertionError("elimination tables used")
+
+        monkeypatch.setattr(polyhedral_module, "_eliminate", refuse)
+        monkeypatch.setattr(polyhedral_module.PolytopeFamily, "lattice_points", refuse)
+        for name, fan, dims in expected:
+            cd = cox_data(fan)
+            with pytest.raises(AssertionError):
+                graded_dimension(cd, (0,) * cd.cl_rank)
+            assert {lam: cox_module._fiber_dimension(cd, lam) for lam in dims} == dims, name
+
+    def test_polytope_dimension_without_the_fiber_levels(self, corpus, monkeypatch):
+        expected = list(self.windows(corpus))
+
+        def refuse(*args):
+            raise AssertionError("fiber levels used")
+
+        monkeypatch.setattr(cox_module, "_fiber_level", refuse)
+        for name, fan, dims in expected:
+            cd = cox_data(fan)
+            with pytest.raises(AssertionError):
+                graded_dimension(cd, (0,) * cd.cl_rank)
+            assert {lam: cox_module._polytope_dimension(cd, lam) for lam in dims} == dims, name
 
 
 class TestMonomialBasis:

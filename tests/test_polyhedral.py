@@ -1,12 +1,16 @@
 """Cone duality, membership, lattice points and the positive weight form."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toric_cox import polyhedral as polyhedral_module
 from toric_cox.errors import NotPointed, UnboundedPolytope
 from toric_cox.lattice import (
     IntegerMatrix,
@@ -207,23 +211,97 @@ class TestConeContains:
 
 
 def brute_force_points(p: RationalPolytope) -> tuple:
-    """Independent oracle: test every point of the fixed box [-3, 3]^2.
+    """Independent oracle: test every point of the fixed box [-2, 2]^d.
 
-    Every polygon passed here lies inside that box, and the scan shares no
+    Every polytope passed here lies inside that box, and the scan shares no
     code with the vertex or lattice-point machinery under test.
     """
-    assert p.ambient_dim == 2
-    return tuple(pt for pt in itertools.product(range(-3, 4), repeat=2) if p.satisfies(pt))
+    return tuple(pt for pt in itertools.product(range(-2, 3), repeat=p.ambient_dim) if p.satisfies(pt))
 
 
 def rational_vertices(p: RationalPolytope) -> tuple:
-    """Reference vertex set: a Fraction solve for every pair of inequalities."""
+    """Reference vertex set: a Fraction solve for every dimension-sized subset of inequalities."""
     seen = set()
-    for pair in itertools.combinations(p.inequalities, 2):
-        solution = solve_rational([n for n, _ in pair], [-a for _, a in pair])
+    for subset in itertools.combinations(p.inequalities, p.ambient_dim):
+        solution = solve_rational([n for n, _ in subset], [-a for _, a in subset])
         if solution is not None and p.satisfies(solution):
             seen.add(solution)
     return tuple(sorted(seen))
+
+
+def vertex_box_points(family, offsets) -> tuple:
+    """Reference lattice points through the vertices, the enumerator the elimination
+    tables replaced: scan the integer bounding box of the vertices and keep the
+    points that satisfy every inequality."""
+    vertices = family.vertices(offsets)
+    if not vertices:
+        return ()
+    box = [
+        range(min(-(-num[c] // det) for num, det in vertices), max(num[c] // det for num, det in vertices) + 1)
+        for c in range(family.ambient_dim)
+    ]
+    return tuple(
+        pt
+        for pt in itertools.product(*box)
+        if all(sum(n * x for n, x in zip(normal, pt)) + a >= 0 for normal, a in zip(family.normals, offsets))
+    )
+
+
+@st.composite
+def boxed_polytopes(draw):
+    """A polytope inside [-2, 2]^d for d = 0..4: a box, possibly empty or a single
+    point, cut by random half-spaces (zero normals and negative offsets included),
+    sometimes with a plus/minus normal pair that cuts out a hyperplane or a slab."""
+    dim = draw(st.integers(0, 4))
+    rows = []
+    for i in range(dim):
+        unit = tuple(int(i == j) for j in range(dim))
+        low, high = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows += [(unit, -low), (tuple(-x for x in unit), high)]
+    cuts = draw(st.lists(st.tuples(st.tuples(*[st.integers(-2, 2)] * dim), st.integers(-3, 3)), max_size=4))
+    if cuts and draw(st.booleans()):
+        normal, offset = cuts[0]
+        cuts.append((tuple(-x for x in normal), -offset + draw(st.integers(-1, 1))))
+    return RationalPolytope.from_inequalities(rows + cuts, dim)
+
+
+def square(*cuts):
+    return RationalPolytope.from_inequalities([((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2), *cuts], 2)
+
+
+# Explicit cases: ambient dimension 0 (no rows, feasible, infeasible), the
+# single point (1, -2, 0), a zero normal with a negative offset (empty) and
+# with offset 0 (no cut), the plane x + y = -1 in a cube, and the line
+# 2x = 1, which holds no lattice point.
+POLYTOPE_EDGE_CASES = [
+    RationalPolytope.from_inequalities([], 0),
+    RationalPolytope.from_inequalities([((), 0), ((), 2)], 0),
+    RationalPolytope.from_inequalities([((), 0), ((), -1)], 0),
+    RationalPolytope.from_inequalities([((1, 0, 0), -1), ((-1, 0, 0), 1), ((0, 1, 0), 2), ((0, -1, 0), -2),
+                                        ((0, 0, 1), 0), ((0, 0, -1), 0)], 3),
+    square(((0, 0), -1)),
+    square(((0, 0), 0), ((-1, -1), -3)),
+    RationalPolytope.from_inequalities([((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((-1, 0, 0), 2),
+                                        ((0, -1, 0), 2), ((0, 0, -1), 2), ((1, 1, 0), 1), ((-1, -1, 0), -1)], 3),
+    square(((2, 0), -1), ((-2, 0), 1)),
+]
+
+
+def with_polytope_edge_cases(test):
+    for case in POLYTOPE_EDGE_CASES:
+        test = example(case)(test)
+    return test
+
+
+def generic_family(seed: str, dim: int, n: int):
+    """Bounded family of ``n`` seeded random normals in dimension ``dim``."""
+    rng = random.Random(seed)
+    while True:
+        normals = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(n)]
+        try:
+            return polytope_family(normals, dim)
+        except UnboundedPolytope:
+            continue
 
 
 class TestPolytopeLatticePoints:
@@ -286,22 +364,57 @@ class TestPolytopeLatticePoints:
             assert all(isinstance(x, Fraction) for x in v)
             assert p.satisfies(v)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.tuples(st.integers(-2, 2), st.integers(-2, 2)), st.integers(-1, 3)
-            ),
-            max_size=4,
-        )
-    )
-    def test_box_scan_oracle(self, extra):
-        # a box keeps things bounded; extra random halfplanes cut it
-        base = [((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2)]
-        cuts = [(n, o) for n, o in extra if any(n)]
-        p = RationalPolytope.from_inequalities(base + cuts, 2)
+    @settings(max_examples=200, deadline=None)
+    @given(boxed_polytopes())
+    @with_polytope_edge_cases
+    def test_box_scan_oracle(self, p):
         assert polytope_lattice_points(p) == brute_force_points(p)
-        assert polytope_vertices(p) == rational_vertices(p)
+        if p.ambient_dim <= 3:  # the Fraction reference takes C(rows, 4) solves at d = 4
+            assert polytope_vertices(p) == rational_vertices(p)
+
+    # (dim, n): rows of level 0 and, per coordinate k, the rows of level k + 1
+    # that bound x_k, pinned at their first computation.  Without Chernikov's
+    # rule level 1 of the first family holds 15,899 rows.
+    PRUNED_TABLE_SIZES = {
+        (4, 14): (129, [99, 89, 36, 13]),
+        (5, 16): (248, [310, 222, 130, 62, 16]),
+    }
+
+    @pytest.mark.parametrize("dim, n", sorted(PRUNED_TABLE_SIZES))
+    def test_elimination_tables_stay_small(self, dim, n):
+        family = generic_family(f"fm-{dim}-{n}-0", dim, n)
+        start = time.process_time()
+        level_zero, levels = family.tables
+        assert time.process_time() - start < 2.0
+        assert (len(level_zero), [len(level) for level in levels]) == self.PRUNED_TABLE_SIZES[dim, n]
+        # rows are divided by their content, which keeps the integers small
+        assert all(gcd(*(v for _, v in y)) == 1 for y in level_zero)
+        rng = random.Random(f"offsets-{dim}-{n}")
+        for _ in range(4):
+            # nonnegative offsets keep the origin inside
+            offsets = [rng.randint(0, 12) for _ in range(n)]
+            points = family.lattice_points(offsets)
+            assert (0,) * dim in points
+            assert points == vertex_box_points(family, offsets)
+
+    def test_level_zero_decides_rational_emptiness(self):
+        # the line 2x = 1 is non-empty over Q and holds no lattice point
+        family = polytope_family([(2, 0), (-2, 0), (0, 1), (0, -1)], 2)
+        level_zero, _ = family.tables
+        for offsets, feasible in [((-1, 1, 1, 1), True), ((-1, 0, 1, 1), False), ((0, 0, 0, -1), False)]:
+            assert all(sum(v * offsets[i] for i, v in y) >= 0 for y in level_zero) == feasible
+            assert bool(family.vertices(offsets)) == feasible
+            assert family.lattice_points(offsets) == ()
+
+    def test_tables_and_solvers_are_built_on_first_use(self, monkeypatch):
+        family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
+        assert "tables" not in vars(family) and "solvers" not in vars(family)
+        family.lattice_points((0, 0, 1))
+        assert "tables" in vars(family) and "solvers" not in vars(family)
+        monkeypatch.setattr(polyhedral_module, "_eliminate", None)
+        assert family.lattice_points((0, 0, 2)) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+        family.vertices((0, 0, 1))
+        assert "solvers" in vars(family)
 
 
 class TestStrictlyPositiveForm:
