@@ -25,7 +25,6 @@ from .errors import (
     InhomogeneousInput,
     MalformedFan,
     NotAmpleLift,
-    NotCartier,
     NotComplete,
     NotPointed,
     NotSmooth,

@@ -18,10 +18,6 @@ class RaysDontSpan(ToricCoxError):
     """Fan rays do not span the ambient lattice, so the divisor map is not injective."""
 
 
-class NotCartier(ToricCoxError):
-    """No integral local trivialization exists on some maximal cone."""
-
-
 class NotComplete(ToricCoxError):
     """Operation requires a complete fan."""
 

@@ -4,6 +4,12 @@ Structural validation, divisor class group with its degree map, Cartier
 data of invariant divisors, ampleness, the anticanonical divisor and the
 transition exponents of local trivializations.
 
+Validation keeps the chart of each maximal cone s: the integer right
+inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
+``U N_s V = [I | 0]``.  Cartier data is linear in the divisor,
+``m_s = -R_s a_s``, so ampleness and transitions cost no solve, and the
+charts give ``verify`` its wall forms when no small divisor is ample.
+
 Conventions fixed here and relied on everywhere else:
 
 * the divisor map sends a character ``m`` to the pairing vector
@@ -18,11 +24,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .errors import MalformedFan, NotCartier, NotComplete, NotSmooth, RaysDontSpan
+from .errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
@@ -31,7 +37,6 @@ from .lattice import (
     cokernel,
     rational_rank,
     smith_normal_form,
-    solve_integer,
 )
 from .polyhedral import cone_from_generators, cone_intersection
 
@@ -105,9 +110,12 @@ def fan_to_json(f: Fan) -> str:
 
 @dataclass(frozen=True)
 class FanReport:
+    """Validation flags; on a smooth fan also the chart of each maximal cone (not compared or shown)."""
+
     simplicial: bool
     smooth: bool
     complete: bool
+    charts: tuple[IntegerMatrix, ...] = field(default=(), compare=False, repr=False)
 
 
 def _check_structure(f: Fan) -> None:
@@ -164,16 +172,20 @@ def _check_face_intersections(f: Fan) -> None:
             )
 
 
-def _is_smooth(f: Fan) -> bool:
-    # Rays of each maximal cone must extend to a lattice basis: the Smith
-    # diagonal of the ray matrix is all ones (for square matrices, det +-1).
+def _charts(f: Fan) -> tuple[IntegerMatrix, ...] | None:
+    """The chart of each maximal cone of a simplicial fan, or None if one is not unimodular.
+
+    The rays of a cone extend to a lattice basis exactly when the Smith form
+    of its k x d ray matrix N is U N V = [I_k | 0]; then R = V[:, :k] U has N R = I_k.
+    """
+    charts = []
     for cone in f.max_cones:
-        matrix = IntegerMatrix.from_rows(f.cone_rays(cone))
-        _, d, _ = smith_normal_form(matrix)
-        diag = [d.entries[i][i] for i in range(min(d.rows, d.cols))]
-        if len(diag) < len(cone) or any(x != 1 for x in diag):
-            return False
-    return True
+        u, d, v = smith_normal_form(IntegerMatrix.from_rows(f.cone_rays(cone)))
+        k = len(cone)
+        if any(d.entries[i][i] != 1 for i in range(k)):
+            return None
+        charts.append(IntegerMatrix.from_rows(row[:k] for row in v.entries) @ u)
+    return tuple(charts)
 
 
 def _is_complete(f: Fan) -> bool:
@@ -193,8 +205,9 @@ def validate_fan(f: Fan) -> FanReport:
     """Structural validation plus the simplicial / smooth / complete flags.
 
     Structural violations raise MalformedFan naming the offending ray or
-    cone.  Completeness is decided by facet pairing, which is sound for
-    the simplicial full-dimensional fans this package supports;
+    cone.  A fan is smooth when every maximal cone has a chart, which the
+    report carries.  Completeness is decided by facet pairing, which is
+    sound for the simplicial full-dimensional fans this package supports;
     non-simplicial input is reported as neither smooth nor complete.
     """
     _check_structure(f)
@@ -202,10 +215,12 @@ def validate_fan(f: Fan) -> FanReport:
     if not simplicial:
         return FanReport(simplicial=False, smooth=False, complete=False)
     _check_face_intersections(f)
+    charts = _charts(f)
     return FanReport(
         simplicial=True,
-        smooth=_is_smooth(f),
+        smooth=charts is not None,
         complete=_is_complete(f),
+        charts=charts or (),
     )
 
 
@@ -259,20 +274,16 @@ class CartierData:
 
 
 def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> CartierData:
+    """``m_s = -R_s a_s`` per maximal cone s; no check, as on a smooth fan every divisor is Cartier."""
     report = validate_fan(f)
     if not report.smooth:
         raise NotSmooth("Cartier data computed only on smooth fans")
     if len(divisor.coefficients) != f.n_rays:
         raise ValueError("divisor has the wrong number of coefficients")
-    characters = []
-    for cone in f.max_cones:
-        rows = IntegerMatrix.from_rows(f.cone_rays(cone))
-        rhs = [-divisor.coefficients[i] for i in cone]
-        solution = solve_integer(rows, rhs)
-        if solution is None:
-            raise NotCartier(f"no integral trivialization on cone {cone}")
-        characters.append(solution)
-    return CartierData(tuple(characters))
+    a = divisor.coefficients
+    return CartierData(tuple(
+        chart.mat_vec([-a[i] for i in cone]) for chart, cone in zip(report.charts, f.max_cones)
+    ))
 
 
 @dataclass(frozen=True)

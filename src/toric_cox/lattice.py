@@ -95,19 +95,8 @@ class LatticeMap:
 
     matrix: IntegerMatrix
 
-    @property
-    def source_rank(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def target_rank(self) -> int:
-        return self.matrix.rows
-
     def __call__(self, v: Sequence[int]) -> Vector:
         return self.matrix.mat_vec(v)
-
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        return LatticeMap(self.matrix.mul(other.matrix))
 
 
 @dataclass(frozen=True)
@@ -379,28 +368,6 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def solve_rational(rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> tuple[Fraction, ...] | None:
-    """Unique rational solution of a square system, or None if singular."""
-    n = len(rows)
-    if n == 0:
-        return ()
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("square system expected")
-    mat = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if mat[i][c]), None)
-        if pivot is None:
-            return None
-        mat[c], mat[pivot] = mat[pivot], mat[c]
-        inv = mat[c][c]
-        mat[c] = [x / inv for x in mat[c]]
-        for i in range(n):
-            if i != c and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
-    return tuple(mat[i][n] for i in range(n))
-
-
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
     m = [list(r) for r in rows]
@@ -442,10 +409,3 @@ def primitive_vector(v: Sequence[int]) -> Vector:
     if g == 0:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def is_unimodular(a: IntegerMatrix) -> bool:
-    if a.rows != a.cols:
-        return False
-    _, d, _ = smith_normal_form(a)
-    return all(x == 1 for x in _diagonal(d))

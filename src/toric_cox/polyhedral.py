@@ -274,11 +274,12 @@ def _eliminate(
 class PolytopeFamily:
     """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i and any offsets a.
 
-    Built by :func:`polytope_family`, which checks boundedness.  The tables
-    that serve every offset vector are computed on first use and cached on
-    the instance: Fourier-Motzkin elimination tables for lattice points and
-    vertex solvers for vertices, so each offset vector costs integer
-    arithmetic only.
+    Built by :func:`polytope_family`, which checks boundedness, or directly
+    where it holds by construction (the rays of a complete fan).  The
+    tables that serve every offset vector are computed on first use and
+    cached on the instance: Fourier-Motzkin elimination tables for lattice
+    points and vertex solvers for vertices, so each offset vector costs
+    integer arithmetic only.
     """
 
     ambient_dim: int

@@ -33,6 +33,7 @@ from .fans import (
     validate_fan,
 )
 from .lattice import hermite_basis, kernel_basis
+from .polyhedral import cone_from_inequalities
 from .reconstruction import roundtrip_check, splitting_certificate
 
 
@@ -175,12 +176,46 @@ def _first_ample_divisor(fan: Fan, max_coeff: int = 2) -> TorusInvariantDivisor 
     return None
 
 
+def _wall_forms(fan: Fan) -> list[list[int]]:
+    """One form on divisors per wall of a smooth complete fan: ample iff all are positive.
+
+    Across the wall from cone s to the ray rho of its neighbour, the support
+    function is strictly convex iff ``a_rho - <c, a_s> > 0``, with
+    ``c = R_s^T v_rho`` the coordinates of v_rho on the rays of s; convexity
+    across every wall is convexity (Cox-Little-Schenck, sections 6.1, 6.4).
+    """
+    charts = validate_fan(fan).charts
+    forms = []
+    for s, t in itertools.combinations(range(len(fan.max_cones)), 2):
+        outside = set(fan.max_cones[t]) - set(fan.max_cones[s])
+        if len(outside) == 1:
+            (rho,) = outside
+            c = dict(zip(fan.max_cones[s], charts[s].transpose().mat_vec(fan.rays[rho])))
+            forms.append([int(i == rho) - c.get(i, 0) for i in range(fan.n_rays)])
+    return forms
+
+
+def _nef_cone_divisor(fan: Fan) -> TorusInvariantDivisor:
+    """The sum of the generators of the nef cone, cut out by the wall forms in divisor space.
+
+    Its lineality pairs (principal divisors) cancel and its extreme rays sum
+    into its interior, the ample cone, whenever that is not empty.
+    """
+    nef = cone_from_inequalities(_wall_forms(fan), fan.n_rays)
+    return TorusInvariantDivisor(tuple(map(sum, zip(*nef.generators))))
+
+
 def _roundtrip_check(fan: Fan) -> CheckResult:
+    """Round trip through the grading with the anticanonical divisor if it is
+    ample, else the lexicographically first ample divisor with coefficients
+    in {0, 1, 2}, else the sum of the generators of the nef cone."""
     divisor = anticanonical(fan)
     if not is_ample(fan, divisor):
         divisor = _first_ample_divisor(fan)
     if divisor is None:
-        return CheckResult("round trip", False, "no ample divisor with coefficients <= 2")
+        divisor = _nef_cone_divisor(fan)
+        if not is_ample(fan, divisor):
+            return CheckResult("round trip", False, "no ample divisor: the nef cone has empty interior")
     ok = roundtrip_check(fan, divisor)
     return CheckResult(
         "round trip",

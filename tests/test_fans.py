@@ -1,12 +1,16 @@
 """Fan validation, class groups, Cartier data, transitions and ampleness."""
 
 import itertools
+import random
 
 import pytest
 
+from toric_cox import fans as fans_module
+from toric_cox import lattice as lattice_module
 from toric_cox.errors import MalformedFan, NotComplete, RaysDontSpan
 from toric_cox.fans import (
     Fan,
+    FanReport,
     TorusInvariantDivisor,
     anticanonical,
     cartier_data,
@@ -43,6 +47,11 @@ class TestValidateFan:
     def test_projective_plane(self, p2):
         report = validate_fan(p2)
         assert (report.simplicial, report.smooth, report.complete) == (True, True, True)
+        assert report == FanReport(True, True, True)
+        assert repr(report) == "FanReport(simplicial=True, smooth=True, complete=True)"
+
+    def test_no_charts_without_smoothness(self):
+        assert validate_fan(Fan.make(2, [[1, 0], [1, 2]], [[0, 1]])).charts == ()
 
     def test_affine_plane_incomplete(self):
         fan = Fan.make(2, [[1, 0], [0, 1]], [[0, 1]])
@@ -132,6 +141,26 @@ class TestClassGroup:
 
 
 class TestCartierData:
+    def test_no_smith_form_after_validation(self, corpus, monkeypatch):
+        fan = corpus["delpezzo6"]
+        validate_fan(fan)
+        real = lattice_module.smith_normal_form
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
+        monkeypatch.setattr(fans_module, "smith_normal_form", counted)
+        rng = random.Random(5)
+        for _ in range(50):
+            divisor = TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)])
+            cartier_data(fan, divisor)
+            is_ample(fan, divisor)
+            cech_transitions(fan, divisor)
+        assert calls == []
+
     def test_projective_plane_coordinate_divisor(self, p2):
         data = cartier_data(p2, TorusInvariantDivisor.make([1, 0, 0]))
         assert data.characters[0] == (-1, 0)  # cone on rays 0,1

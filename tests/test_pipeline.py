@@ -9,7 +9,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toric_cox import verify as verify_module
+from toric_cox.cli import main
+from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import cox_data, effective_weight_form, graded_dimension
 from toric_cox.euler import (
     build_euler_module,
@@ -21,14 +26,16 @@ from toric_cox.fans import (
     Fan,
     TorusInvariantDivisor,
     anticanonical,
+    cartier_data,
     class_group,
+    fan_to_json,
     is_ample,
     validate_fan,
 )
-from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form
-from toric_cox.polyhedral import cone_from_generators, dual_cone
+from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form, solve_integer
+from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities, dual_cone
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
-from toric_cox.verify import _first_ample_divisor
+from toric_cox.verify import _first_ample_divisor, _nef_cone_divisor, _roundtrip_check, _wall_forms
 
 
 def blow_up(fan: Fan, cone_index: int) -> Fan:
@@ -203,3 +210,92 @@ def test_smith_normal_form_at_scale():
         assert y % x == 0
     pres = cokernel(a)
     assert pres.free_rank == 20 - len(nonzero)
+
+
+# Smooth complete surfaces with no ample divisor whose coefficients lie in
+# {0, 1, 2}: P^2 blown up four and five times, and the rank-4 surfaces the
+# benchmark generator draws for seeds 0, 3 and 7 (seed 6 draws seed 0's).
+BOX_WITHOUT_AMPLE = {
+    "plane-4": blown_up_plane((0, 1, 2, 3)),
+    "plane-5": blown_up_plane((0, 1, 2, 3, 4)),
+    "seed-0": Fan.make(
+        2,
+        [[1, 0], [0, 1], [-1, -1], [-1, 0], [-2, -1], [-3, -2]],
+        [[0, 1], [0, 2], [1, 3], [2, 5], [3, 4], [4, 5]],
+    ),
+    "seed-3": Fan.make(
+        2,
+        [[1, 0], [0, 1], [-1, -1], [0, -1], [1, -1], [1, -2]],
+        [[0, 1], [0, 4], [1, 2], [2, 3], [3, 5], [4, 5]],
+    ),
+    "seed-7": Fan.make(
+        2,
+        [[1, 0], [0, 1], [-1, -1], [-1, 0], [-1, 1], [-1, 2]],
+        [[0, 1], [0, 2], [1, 5], [2, 3], [3, 4], [4, 5]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOX_WITHOUT_AMPLE))
+def test_verify_passes_where_no_small_divisor_is_ample(capsys, tmp_path, name):
+    fan = BOX_WITHOUT_AMPLE[name]
+    assert _first_ample_divisor(fan) is None
+    assert is_ample(fan, _nef_cone_divisor(fan))
+    path = tmp_path / f"{name}.json"
+    path.write_text(fan_to_json(fan))
+    assert main(["verify", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_empty_nef_interior_is_reported(monkeypatch):
+    fan = BOX_WITHOUT_AMPLE["seed-3"]
+    monkeypatch.setattr(verify_module, "_nef_cone_divisor", lambda f: anticanonical(f))
+    result = _roundtrip_check(fan)
+    assert (result.passed, result.detail) == (False, "no ample divisor: the nef cone has empty interior")
+
+
+# (P^1)^3: rays +-e_i, one maximal cone per choice of sign in each coordinate.
+P1_CUBED = Fan.make(
+    3,
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fan=st.sampled_from([blown_up_plane(c) for c in ((), (0, 0, 0), (0, 1, 2, 3), (2, 3, 1, 5))] + [P1_CUBED]),
+    data=st.data(),
+)
+def test_wall_forms_decide_ampleness(fan, data):
+    # combinations of the nef cone's generators, on its boundary and off
+    # it, plus a small perturbation that is often zero
+    generators = cone_from_inequalities(_wall_forms(fan), fan.n_rays).generators
+    weights = data.draw(st.lists(st.integers(-1, 2), min_size=len(generators), max_size=len(generators)))
+    noise = data.draw(st.lists(st.sampled_from([0, 0, 0, -1, 1]), min_size=fan.n_rays, max_size=fan.n_rays))
+    coefficients = [sum(w * g[i] for w, g in zip(weights, generators)) + noise[i] for i in range(fan.n_rays)]
+    by_walls = all(sum(f * a for f, a in zip(form, coefficients)) > 0 for form in _wall_forms(fan))
+    assert by_walls == is_ample(fan, TorusInvariantDivisor.make(coefficients))
+
+
+# The corpus, blow-ups, and smooth fans whose maximal cones are not all
+# full-dimensional.
+CARTIER_FANS = (
+    *(load_fan(name) for name in SMOOTH_COMPLETE),
+    *(blown_up_plane(cones) for cones in ((0, 0, 0), (0, 1, 2, 3), (2, 3, 1, 5, 0))),
+    Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0], [1, 2]]),
+    Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]], [[0, 1], [2, 3]]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fan=st.sampled_from(CARTIER_FANS), data=st.data())
+def test_cartier_data_is_the_smith_solution(fan, data):
+    coefficients = data.draw(st.lists(st.integers(-9, 9), min_size=fan.n_rays, max_size=fan.n_rays))
+    divisor = TorusInvariantDivisor.make(coefficients)
+    # reference: per maximal cone, a Smith solve of <m, v_ray> = -a_ray on its rays
+    expected = tuple(
+        solve_integer(IntegerMatrix.from_rows(fan.cone_rays(cone)), [-coefficients[i] for i in cone])
+        for cone in fan.max_cones
+    )
+    assert cartier_data(fan, divisor).characters == expected

@@ -17,7 +17,6 @@ from toric_cox.lattice import (
     kernel_basis,
     primitive_vector,
     rational_rank,
-    solve_rational,
 )
 from toric_cox.polyhedral import (
     RationalCone,
@@ -217,6 +216,25 @@ def brute_force_points(p: RationalPolytope) -> tuple:
     code with the vertex or lattice-point machinery under test.
     """
     return tuple(pt for pt in itertools.product(range(-2, 3), repeat=p.ambient_dim) if p.satisfies(pt))
+
+
+def solve_rational(rows, rhs) -> tuple | None:
+    """Reference solver: the unique solution of a square system by Gauss-Jordan
+    elimination over Fractions, or None if the system is singular."""
+    n = len(rows)
+    mat = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if mat[i][c]), None)
+        if pivot is None:
+            return None
+        mat[c], mat[pivot] = mat[pivot], mat[c]
+        inv = mat[c][c]
+        mat[c] = [x / inv for x in mat[c]]
+        for i in range(n):
+            if i != c and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return tuple(row[n] for row in mat)
 
 
 def rational_vertices(p: RationalPolytope) -> tuple:
