@@ -366,16 +366,17 @@ def monomial_basis(cd: CoxData, class_vector: Sequence[int]) -> tuple[Vector, ..
 
 
 def irrelevant_ideal(cd: CoxData) -> MonomialIdeal:
-    """Generated by the products of the variables outside each maximal cone."""
+    """Generated by the products of the variables outside each maximal cone.
+
+    These generators are minimal by construction: validation rejects nested
+    maximal cones, so their complements are distinct and pairwise
+    incomparable.
+    """
     raw = []
     for cone in cd.fan.max_cones:
         outside = set(range(cd.num_vars)) - set(cone)
         raw.append(tuple(1 if i in outside else 0 for i in range(cd.num_vars)))
-    minimal = []
-    for e in sorted(set(raw)):
-        if not any(other != e and all(a >= b for a, b in zip(e, other)) for other in raw):
-            minimal.append(e)
-    return MonomialIdeal(tuple(minimal))
+    return MonomialIdeal(tuple(sorted(raw)))
 
 
 def shift_module_degree(cd: CoxData, divisor: TorusInvariantDivisor) -> Vector:

@@ -7,8 +7,10 @@ transition exponents of local trivializations.
 Validation keeps the chart of each maximal cone s: the integer right
 inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
 ``U N_s V = [I | 0]``.  Cartier data is linear in the divisor,
-``m_s = -R_s a_s``, so ampleness and transitions cost no solve, and the
-charts give ``verify`` its wall forms when no small divisor is ample.
+``m_s = -R_s a_s``, so transitions cost no solve.  Validation also pairs
+the maximal cones across each facet; on a smooth complete fan it keeps one
+integer form per wall, and a divisor is ample iff every wall form is
+positive on it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -25,7 +27,6 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Sequence
 
 from .errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
@@ -35,6 +36,7 @@ from .lattice import (
     LatticeMap,
     Vector,
     cokernel,
+    primitive_vector,
     rational_rank,
     smith_normal_form,
 )
@@ -110,12 +112,14 @@ def fan_to_json(f: Fan) -> str:
 
 @dataclass(frozen=True)
 class FanReport:
-    """Validation flags; on a smooth fan also the chart of each maximal cone (not compared or shown)."""
+    """Validation flags; on a smooth fan also the chart of each maximal cone, and
+    on a smooth complete one the form of each wall (neither compared nor shown)."""
 
     simplicial: bool
     smooth: bool
     complete: bool
     charts: tuple[IntegerMatrix, ...] = field(default=(), compare=False, repr=False)
+    wall_forms: tuple[Vector, ...] = field(default=(), compare=False, repr=False)
 
 
 def _check_structure(f: Fan) -> None:
@@ -124,10 +128,7 @@ def _check_structure(f: Fan) -> None:
             raise MalformedFan(f"ray {i} has length {len(ray)}, expected {f.dim}")
         if not any(ray):
             raise MalformedFan(f"ray {i} is zero")
-        g = 0
-        for x in ray:
-            g = gcd(g, x)
-        if g != 1:
+        if primitive_vector(ray) != ray:
             raise MalformedFan(f"ray {i} is not primitive")
     for i, j in itertools.combinations(range(f.n_rays), 2):
         if f.rays[i] == f.rays[j]:
@@ -188,16 +189,35 @@ def _charts(f: Fan) -> tuple[IntegerMatrix, ...] | None:
     return tuple(charts)
 
 
-def _is_complete(f: Fan) -> bool:
-    # Facet pairing; only valid for simplicial full-dimensional fans.
+def _walls(f: Fan) -> list[list[int]] | None:
+    """The indices of the maximal cones owning each facet, or None if a maximal
+    cone is not full-dimensional.
+
+    A simplicial fan of full-dimensional cones is complete iff every facet
+    has exactly two owners; each such pair lies across a wall.
+    """
     if any(len(cone) != f.dim for cone in f.max_cones):
-        return False
-    facet_count: dict[frozenset[int], int] = {}
-    for cone in f.max_cones:
+        return None
+    owners: dict[frozenset[int], list[int]] = {}
+    for k, cone in enumerate(f.max_cones):
         for facet in itertools.combinations(cone, f.dim - 1):
-            key = frozenset(facet)
-            facet_count[key] = facet_count.get(key, 0) + 1
-    return all(count == 2 for count in facet_count.values())
+            owners.setdefault(frozenset(facet), []).append(k)
+    return list(owners.values())
+
+
+def _wall_form(f: Fan, charts: tuple[IntegerMatrix, ...], s: int, t: int) -> Vector:
+    """The form on divisors that is positive iff the support function is
+    strictly convex across the wall between maximal cones s and t.
+
+    With rho the ray of t outside s, the form is ``a_rho - <c, a_s>``, where
+    ``c = R_s^T v_rho`` are the coordinates of v_rho on the rays of s.  The
+    wall relation ``v_rho + v_rho' = sum b_i v_i`` gives the same form from
+    the side of t; convexity across every wall is convexity
+    (Cox-Little-Schenck, sections 6.1, 6.4).
+    """
+    (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
+    c = dict(zip(f.max_cones[s], charts[s].transpose().mat_vec(f.rays[rho])))
+    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,7 +228,8 @@ def validate_fan(f: Fan) -> FanReport:
     cone.  A fan is smooth when every maximal cone has a chart, which the
     report carries.  Completeness is decided by facet pairing, which is
     sound for the simplicial full-dimensional fans this package supports;
-    non-simplicial input is reported as neither smooth nor complete.
+    non-simplicial input is reported as neither smooth nor complete.  On a
+    smooth complete fan the report carries one wall form per facet.
     """
     _check_structure(f)
     simplicial = _is_simplicial(f)
@@ -216,11 +237,14 @@ def validate_fan(f: Fan) -> FanReport:
         return FanReport(simplicial=False, smooth=False, complete=False)
     _check_face_intersections(f)
     charts = _charts(f)
+    walls = _walls(f)
+    complete = walls is not None and all(len(owners) == 2 for owners in walls)
     return FanReport(
         simplicial=True,
         smooth=charts is not None,
-        complete=_is_complete(f),
+        complete=complete,
         charts=charts or (),
+        wall_forms=tuple(_wall_form(f, charts, s, t) for s, t in walls) if charts and complete else (),
     )
 
 
@@ -319,18 +343,13 @@ def cech_transitions(f: Fan, divisor: TorusInvariantDivisor) -> CechCocycle:
 
 
 def is_ample(f: Fan, divisor: TorusInvariantDivisor) -> bool:
-    """Strict convexity of the support function on a smooth complete fan."""
-    require_smooth_complete(f)
-    data = cartier_data(f, divisor)
-    for k, cone in enumerate(f.max_cones):
-        inside = set(cone)
-        m = data.characters[k]
-        for rho in range(f.n_rays):
-            if rho in inside:
-                continue
-            if sum(a * b for a, b in zip(m, f.rays[rho])) <= -divisor.coefficients[rho]:
-                return False
-    return True
+    """Strict convexity of the support function on a smooth complete fan:
+    every wall form of the fan's validation report is positive on the divisor."""
+    report = require_smooth_complete(f)
+    a = divisor.coefficients
+    if len(a) != f.n_rays:
+        raise ValueError("divisor has the wrong number of coefficients")
+    return all(sum(x * y for x, y in zip(form, a)) > 0 for form in report.wall_forms)
 
 
 def anticanonical(f: Fan) -> TorusInvariantDivisor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
 from .errors import (
@@ -92,13 +91,6 @@ def gale_dual_rays(gi: GradingInput) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows)
 
 
-def _row_multiplier(row: Vector) -> int:
-    g = 0
-    for x in row:
-        g = gcd(g, x)
-    return g
-
-
 def _reconstruct_from_kernel(
     q: IntegerMatrix,
     ample_class: Vector,
@@ -111,7 +103,7 @@ def _reconstruct_from_kernel(
         row = kernel.row(i)
         if not any(row):
             raise DegenerateRay(f"kernel row {i} is zero")
-        if _row_multiplier(row) != 1:
+        if primitive_vector(row) != row:
             raise NotSmooth(f"kernel row {i} is not primitive; grading is not smooth toric data")
         rays.append(row)
     effective = cone_from_generators(q.columns(), q.rows)

@@ -176,32 +176,14 @@ def _first_ample_divisor(fan: Fan, max_coeff: int = 2) -> TorusInvariantDivisor 
     return None
 
 
-def _wall_forms(fan: Fan) -> list[list[int]]:
-    """One form on divisors per wall of a smooth complete fan: ample iff all are positive.
-
-    Across the wall from cone s to the ray rho of its neighbour, the support
-    function is strictly convex iff ``a_rho - <c, a_s> > 0``, with
-    ``c = R_s^T v_rho`` the coordinates of v_rho on the rays of s; convexity
-    across every wall is convexity (Cox-Little-Schenck, sections 6.1, 6.4).
-    """
-    charts = validate_fan(fan).charts
-    forms = []
-    for s, t in itertools.combinations(range(len(fan.max_cones)), 2):
-        outside = set(fan.max_cones[t]) - set(fan.max_cones[s])
-        if len(outside) == 1:
-            (rho,) = outside
-            c = dict(zip(fan.max_cones[s], charts[s].transpose().mat_vec(fan.rays[rho])))
-            forms.append([int(i == rho) - c.get(i, 0) for i in range(fan.n_rays)])
-    return forms
-
-
 def _nef_cone_divisor(fan: Fan) -> TorusInvariantDivisor:
-    """The sum of the generators of the nef cone, cut out by the wall forms in divisor space.
+    """The sum of the generators of the nef cone, cut out in divisor space by
+    the wall forms of the fan's validation report.
 
     Its lineality pairs (principal divisors) cancel and its extreme rays sum
     into its interior, the ample cone, whenever that is not empty.
     """
-    nef = cone_from_inequalities(_wall_forms(fan), fan.n_rays)
+    nef = cone_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays)
     return TorusInvariantDivisor(tuple(map(sum, zip(*nef.generators))))
 
 

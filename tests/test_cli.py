@@ -108,7 +108,7 @@ class TestReconstruct:
         grading.write_text('{"Q": [[1, 2]], "w": [1]}')
         code, out = run(capsys, "reconstruct", str(grading))
         assert code == 1
-        assert "error(NotSmooth)" in out
+        assert "error(NotSmooth): kernel row 0 is not primitive" in out
 
     def test_boundary_class(self, capsys, tmp_path):
         grading = tmp_path / "boundary.json"

@@ -7,6 +7,7 @@ import pytest
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
+from toric_cox.corpus import NON_EXAMPLES, load_fan
 from toric_cox.errors import MalformedFan, NotComplete, RaysDontSpan
 from toric_cox.fans import (
     Fan,
@@ -52,6 +53,10 @@ class TestValidateFan:
 
     def test_no_charts_without_smoothness(self):
         assert validate_fan(Fan.make(2, [[1, 0], [1, 2]], [[0, 1]])).charts == ()
+
+    @pytest.mark.parametrize("name", NON_EXAMPLES)
+    def test_no_wall_forms_unless_smooth_and_complete(self, name):
+        assert validate_fan(load_fan(name)).wall_forms == ()
 
     def test_affine_plane_incomplete(self):
         fan = Fan.make(2, [[1, 0], [0, 1]], [[0, 1]])
@@ -233,6 +238,10 @@ class TestIsAmple:
         fan = Fan.make(2, [[1, 0], [0, 1]], [[0, 1]])
         with pytest.raises(NotComplete):
             is_ample(fan, TorusInvariantDivisor.make([1, 1]))
+
+    def test_wrong_length_rejected(self, p2):
+        with pytest.raises(ValueError, match="wrong number of coefficients"):
+            is_ample(p2, TorusInvariantDivisor.make([1, 0]))
 
     def test_anticanonical_ample_exactly_on_fano_corpus(self, corpus):
         fano = {"p1", "p2", "p1xp1", "hirzebruch_0", "hirzebruch_1", "delpezzo6"}

@@ -35,7 +35,7 @@ from toric_cox.fans import (
 from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form, solve_integer
 from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities, dual_cone
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
-from toric_cox.verify import _first_ample_divisor, _nef_cone_divisor, _roundtrip_check, _wall_forms
+from toric_cox.verify import _first_ample_divisor, _nef_cone_divisor, _roundtrip_check
 
 
 def blow_up(fan: Fan, cone_index: int) -> Fan:
@@ -260,22 +260,58 @@ P1_CUBED = Fan.make(
     [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
     [[a, b, c] for a in (0, 1) for b in (2, 3) for c in (4, 5)],
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    fan=st.sampled_from([blown_up_plane(c) for c in ((), (0, 0, 0), (0, 1, 2, 3), (2, 3, 1, 5))] + [P1_CUBED]),
-    data=st.data(),
+P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], itertools.combinations(range(4), 3))
+# P^2 x P^2: one maximal cone per pair of cones of the two factors.
+P2_SQUARED = Fan.make(
+    4,
+    [[1, 0, 0, 0], [0, 1, 0, 0], [-1, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, -1, -1]],
+    [a + b for a in itertools.combinations(range(3), 2) for b in itertools.combinations(range(3, 6), 2)],
 )
+
+
+@pytest.mark.parametrize(
+    "fan, walls",
+    [(load_fan("delpezzo6"), 6), (P3, 6), (P1_CUBED, 12), (P2_SQUARED, 18)],
+    ids=["delpezzo6", "P3", "P1_cubed", "P2_squared"],
+)
+def test_one_wall_form_per_wall(fan, walls):
+    assert len(validate_fan(fan).wall_forms) == walls == len(fan.max_cones) * fan.dim // 2
+
+
+def ample_by_cones(fan: Fan, divisor: TorusInvariantDivisor) -> bool:
+    """Reference: <m_s, v_rho> > -a_rho for each maximal cone s and each ray rho outside s."""
+    data = cartier_data(fan, divisor)
+    return all(
+        sum(m * v for m, v in zip(data.characters[k], fan.rays[rho])) > -divisor.coefficients[rho]
+        for k, cone in enumerate(fan.max_cones)
+        for rho in range(fan.n_rays)
+        if rho not in cone
+    )
+
+
+AMPLENESS_FANS = (
+    *(load_fan(name) for name in SMOOTH_COMPLETE),
+    *BOX_WITHOUT_AMPLE.values(),
+    *(blown_up_plane(cones) for cones in ((0, 0, 0), (2, 3, 1, 5))),
+    P3,
+    P2_SQUARED,
+    P1_CUBED,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fan=st.sampled_from(AMPLENESS_FANS), data=st.data())
 def test_wall_forms_decide_ampleness(fan, data):
     # combinations of the nef cone's generators, on its boundary and off
-    # it, plus a small perturbation that is often zero
-    generators = cone_from_inequalities(_wall_forms(fan), fan.n_rays).generators
+    # it, plus a small perturbation that is often zero; and a plain draw
+    generators = cone_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays).generators
     weights = data.draw(st.lists(st.integers(-1, 2), min_size=len(generators), max_size=len(generators)))
     noise = data.draw(st.lists(st.sampled_from([0, 0, 0, -1, 1]), min_size=fan.n_rays, max_size=fan.n_rays))
-    coefficients = [sum(w * g[i] for w, g in zip(weights, generators)) + noise[i] for i in range(fan.n_rays)]
-    by_walls = all(sum(f * a for f, a in zip(form, coefficients)) > 0 for form in _wall_forms(fan))
-    assert by_walls == is_ample(fan, TorusInvariantDivisor.make(coefficients))
+    combination = [sum(w * g[i] for w, g in zip(weights, generators)) + noise[i] for i in range(fan.n_rays)]
+    plain = data.draw(st.lists(st.integers(-3, 4), min_size=fan.n_rays, max_size=fan.n_rays))
+    for coefficients in (combination, plain):
+        divisor = TorusInvariantDivisor.make(coefficients)
+        assert is_ample(fan, divisor) == ample_by_cones(fan, divisor)
 
 
 # The corpus, blow-ups, and smooth fans whose maximal cones are not all
