@@ -4,6 +4,17 @@ Structural validation, divisor class group with its degree map, Cartier
 data of invariant divisors, ampleness, the anticanonical divisor and the
 transition exponents of local trivializations.
 
+Validation checks that two simplicial maximal cones s and t meet in the
+cone of their shared rays S by a separation test: that holds iff some
+linear form is 0 on S, > 0 on the rays of s outside S and < 0 on those of
+t outside S.  (If the form exists, a common point is both >= 0 and <= 0
+under it, so it lies in cone(S); if the cones meet in cone(S), that cone is
+a face of both and a form vanishing exactly on it separates them,
+Cox-Little-Schenck, Lemma 1.2.13.)  Scaled, the form is a rational point
+of one small system of inequalities, whose emptiness level 0 of its
+Fourier-Motzkin tables decides, so a pair of cones costs one elimination
+and no double description.
+
 Validation keeps the chart of each maximal cone s: the integer right
 inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
 ``U N_s V = [I | 0]``.  Cartier data is linear in the divisor,
@@ -40,7 +51,7 @@ from .lattice import (
     rational_rank,
     smith_normal_form,
 )
-from .polyhedral import cone_from_generators, cone_intersection
+from .polyhedral import separable
 
 
 @dataclass(frozen=True)
@@ -160,14 +171,17 @@ def _is_simplicial(f: Fan) -> bool:
 
 
 def _check_face_intersections(f: Fan) -> None:
-    cones = [
-        cone_from_generators(f.cone_rays(c), f.dim) for c in f.max_cones
-    ]
+    """Each pair of maximal cones must meet in the cone of its shared rays, by
+    the separation test of :func:`validate_fan`.  Nested cones are rejected
+    before, so neither cone has an empty side outside the shared rays."""
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-        shared = sorted(set(f.max_cones[a]) & set(f.max_cones[b]))
-        expected = cone_from_generators([f.rays[i] for i in shared], f.dim)
-        actual = cone_intersection(cones[a], cones[b])
-        if actual.generators != expected.generators:
+        shared = set(f.max_cones[a]) & set(f.max_cones[b])
+        if not separable(
+            [f.rays[i] for i in f.max_cones[a] if i not in shared],
+            [f.rays[i] for i in f.max_cones[b] if i not in shared],
+            [f.rays[i] for i in shared],
+            f.dim,
+        ):
             raise MalformedFan(
                 f"cones {a} and {b} intersect beyond their shared rays"
             )
@@ -225,7 +239,19 @@ def validate_fan(f: Fan) -> FanReport:
     """Structural validation plus the simplicial / smooth / complete flags.
 
     Structural violations raise MalformedFan naming the offending ray or
-    cone.  A fan is smooth when every maximal cone has a chart, which the
+    cone, or the first pair of maximal cones that meet beyond the cone of
+    their shared rays S.  For simplicial cones s and t that is a separation
+    test: they meet in cone(S) iff some form is 0 on S, > 0 on the rays of s
+    outside S and < 0 on those of t outside S.  Given the form, a common
+    point is >= 0 and <= 0 under it, so its coordinates on the rays of s
+    outside S vanish and it lies in cone(S).  Conversely, cone(S) is a face
+    of both cones (any set of rays of a simplicial cone spans a face), so
+    if they meet in it a form vanishing exactly on it separates them
+    (Cox-Little-Schenck, Lemma 1.2.13), and it is nonzero on the rays
+    outside S, which are independent of S.  The scaled form is decided by
+    :func:`~toric_cox.polyhedral.separable`.
+
+    A fan is smooth when every maximal cone has a chart, which the
     report carries.  Completeness is decided by facet pairing, which is
     sound for the simplicial full-dimensional fans this package supports;
     non-simplicial input is reported as neither smooth nor complete.  On a

@@ -16,6 +16,8 @@ so one dot product per row turns the tables into the exact projections of
 one polytope, whose integer intervals are walked coordinate by coordinate.
 Vertices come from vertex solvers (integer adjugates of the
 dimension-sized subsets of the normals), also tabulated once per family.
+The same elimination, stopped at level 0, decides whether a linear form
+with prescribed signs exists (:func:`separable`).
 """
 
 from __future__ import annotations
@@ -151,10 +153,24 @@ def cone_contains(
     return True
 
 
-def cone_intersection(a: RationalCone, b: RationalCone) -> RationalCone:
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return cone_from_inequalities(list(a.facet_normals) + list(b.facet_normals), a.ambient_dim)
+def separable(
+    positive: Sequence[Vector], negative: Sequence[Vector], vanishing: Sequence[Vector], ambient_dim: int
+) -> bool:
+    """Whether some rational form is > 0 on ``positive``, < 0 on ``negative`` and 0 on ``vanishing``.
+
+    Scaled, such a form is a point of {l : <x, l> >= 1 for x in positive and
+    in -negative, <+-z, l> >= 0 for z in vanishing}.  That system is empty
+    over Q iff level 0 of its Fourier-Motzkin tables holds a row with a
+    negative constant (see :func:`_eliminate`); a level-0 constant is minus
+    the multiplier's weight on the strict rows, so the form exists iff no
+    level-0 multiplier involves a strict row.
+    """
+    rows = [tuple(x) for x in positive] + [tuple(-c for c in x) for x in negative]
+    strict = len(rows)
+    for z in vanishing:
+        rows += [tuple(z), tuple(-c for c in z)]
+    level_zero, _ = _eliminate(rows, ambient_dim)
+    return not any(i < strict for y in level_zero for i, _ in y)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .cox import CoxData, cox_data, graded_dimension
 from .errors import ToricCoxError
@@ -30,9 +31,10 @@ from .fans import (
     anticanonical,
     cech_transitions,
     is_ample,
+    require_smooth_complete,
     validate_fan,
 )
-from .lattice import hermite_basis, kernel_basis
+from .lattice import Vector, hermite_basis, kernel_basis
 from .polyhedral import cone_from_inequalities
 from .reconstruction import roundtrip_check, splitting_certificate
 
@@ -169,11 +171,29 @@ def _cech_check(fan: Fan, pairs: int, seed: int) -> CheckResult:
 
 
 def _first_ample_divisor(fan: Fan, max_coeff: int = 2) -> TorusInvariantDivisor | None:
-    for coeffs in itertools.product(range(max_coeff + 1), repeat=fan.n_rays):
-        divisor = TorusInvariantDivisor(coeffs)
-        if is_ample(fan, divisor):
-            return divisor
-    return None
+    """The lexicographically first divisor with coefficients in {0, ..., max_coeff}
+    on which every wall form is positive, or None.
+
+    A depth-first search assigns the coefficients in ray order, smallest
+    first, and drops a prefix as soon as a wall form whose support it covers
+    is <= 0 on it, so it meets candidates in the order of the full scan.
+    """
+    closing: list[list[Vector]] = [[] for _ in range(fan.n_rays)]
+    for form in require_smooth_complete(fan).wall_forms:
+        closing[max(i for i, x in enumerate(form) if x)].append(form)
+    prefix: list[int] = []
+
+    def search(k: int) -> bool:
+        if k == fan.n_rays:
+            return True
+        for c in range(max_coeff + 1):
+            prefix.append(c)
+            if all(sum(map(mul, form, prefix)) > 0 for form in closing[k]) and search(k + 1):
+                return True
+            prefix.pop()
+        return False
+
+    return TorusInvariantDivisor(tuple(prefix)) if search(0) else None
 
 
 def _nef_cone_divisor(fan: Fan) -> TorusInvariantDivisor:

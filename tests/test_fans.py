@@ -2,8 +2,12 @@
 
 import itertools
 import random
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
@@ -22,7 +26,8 @@ from toric_cox.fans import (
     is_ample,
     validate_fan,
 )
-from toric_cox.lattice import IntegerMatrix, kernel_basis, hermite_basis
+from toric_cox.lattice import IntegerMatrix, kernel_basis, hermite_basis, primitive_vector
+from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities
 
 
 def unimodular_change_of_basis(q_from: IntegerMatrix, q_to: IntegerMatrix):
@@ -93,8 +98,119 @@ class TestValidateFan:
         with pytest.raises(MalformedFan, match="intersect"):
             validate_fan(fan)
 
+    # The reported pair is the first overlapping pair in the order of the
+    # sorted cones, as recorded from the pairwise double description.
+    @pytest.mark.parametrize(
+        "dim, rays, cones, pair",
+        [
+            # a pentagram: the cones wind twice around the origin, each meets
+            # its neighbours in one ray, and cones (0, 2) and (1, 3) overlap
+            (2, [[1, 0], [1, 2], [-1, 1], [-1, -1], [1, -2]], [[0, 2], [2, 4], [4, 1], [1, 3], [3, 0]], (0, 2)),
+            # two 2-cones sharing no ray, the second crossing the first
+            (2, [[1, 0], [1, 2], [2, 1], [-1, 1]], [[0, 1], [2, 3]], (0, 1)),
+            # ray 3 lies in the relative interior of the facet (0, 1) of cone 0
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-1, 0, 0]], [[0, 1, 2], [2, 3, 4]], (0, 1)),
+            # a 1-cone inside a 2-cone
+            (3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1], [2]], (0, 1)),
+        ],
+        ids=["winding_twice", "no_shared_ray", "ray_in_facet", "ray_in_two_cone"],
+    )
+    def test_overlap_names_the_first_pair(self, dim, rays, cones, pair):
+        with pytest.raises(MalformedFan) as excinfo:
+            validate_fan(Fan.make(dim, rays, cones))
+        assert str(excinfo.value) == f"cones {pair[0]} and {pair[1]} intersect beyond their shared rays"
+
+    def test_incomplete_fan_of_mixed_dimensions(self):
+        # a 3-cone, two 2-cones and a 1-cone meeting in shared faces or at 0
+        fan = Fan.make(
+            3,
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [[0, 1, 2], [3, 4], [5], [1, 3]],
+        )
+        assert validate_fan(fan) == FanReport(simplicial=True, smooth=True, complete=False)
+
     def test_json_round_trip(self, p2):
         assert fan_from_json(fan_to_json(p2)) == p2
+
+
+def reference_face_intersections(f: Fan) -> None:
+    """The pairwise double description: each pair of maximal cones, intersected
+    as the cone of both facet-normal lists, against the cone of the shared rays."""
+    cones = [cone_from_generators(f.cone_rays(c), f.dim) for c in f.max_cones]
+    for a, b in itertools.combinations(range(len(f.max_cones)), 2):
+        shared = sorted(set(f.max_cones[a]) & set(f.max_cones[b]))
+        expected = cone_from_generators([f.rays[i] for i in shared], f.dim)
+        actual = cone_from_inequalities(cones[a].facet_normals + cones[b].facet_normals, f.dim)
+        if actual.generators != expected.generators:
+            raise MalformedFan(f"cones {a} and {b} intersect beyond their shared rays")
+
+
+def validation_outcome(validate, fan: Fan):
+    try:
+        report = validate(fan)
+    except MalformedFan as exc:
+        return str(exc)
+    return report, report.charts, report.wall_forms
+
+
+@st.composite
+def small_fans(draw):
+    """Fans in dimension 2-4 on up to d + 4 short rays, with one to five drawn
+    pairwise incomparable cones of at most d rays each; every ray is used.
+
+    The draws go through a seeded generator: direct integer draws start at
+    zero and shrink towards it, which leaves few rays and almost no overlaps.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    dim = rng.randint(2, 4)
+    rays = sorted({
+        primitive_vector(v)
+        for v in ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 4)))
+        if any(v)
+    } | {(1,) + (0,) * (dim - 1)})
+    cones = {
+        frozenset(rng.sample(range(len(rays)), rng.randint(1, min(dim, len(rays)))))
+        for _ in range(rng.randint(1, 5))
+    }
+    cones = [c for c in cones if not any(c < other for other in cones)]
+    used = sorted(set().union(*cones))
+    index = {r: i for i, r in enumerate(used)}
+    return Fan.make(dim, [rays[i] for i in used], [[index[i] for i in c] for c in cones])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fans())
+def test_separation_agrees_with_pairwise_double_description(fan):
+    with mock.patch.object(fans_module, "_check_face_intersections", reference_face_intersections):
+        expected = validation_outcome(validate_fan.__wrapped__, fan)
+    assert validation_outcome(validate_fan, fan) == expected
+
+
+def product_fan(*dims: int) -> Fan:
+    """P^a x P^b x ...: the rays of each factor in its own block of coordinates,
+    one maximal cone per choice of a maximal cone in each factor."""
+    total = sum(dims)
+    rays, cones, offset = [], [()], 0
+    for n in dims:
+        base = len(rays)
+        for ray in [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]:
+            rays.append([0] * offset + ray + [0] * (total - offset - n))
+        cones = [c + f for c in cones for f in itertools.combinations(range(base, base + n + 1), n)]
+        offset += n
+    return Fan.make(total, rays, cones)
+
+
+@pytest.mark.parametrize(
+    "dims, n_cones, walls", [((2, 2, 1), 18, 45), ((1, 1, 1, 1), 16, 32)], ids=["P2xP2xP1", "P1^4"]
+)
+def test_validation_scales_to_products(dims, n_cones, walls):
+    fan = product_fan(*dims)
+    start = time.process_time()
+    report = validate_fan.__wrapped__(fan)
+    elapsed = time.process_time() - start
+    assert report.smooth and report.complete
+    assert len(fan.max_cones) == n_cones and len(report.wall_forms) == walls
+    assert elapsed < 1.0
 
 
 class TestClassGroup:

@@ -247,6 +247,28 @@ def test_verify_passes_where_no_small_divisor_is_ample(capsys, tmp_path, name):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def first_ample_by_scan(fan: Fan, max_coeff: int) -> TorusInvariantDivisor | None:
+    """Reference: the first ample vector of the full scan of {0, ..., max_coeff}^n."""
+    for coeffs in itertools.product(range(max_coeff + 1), repeat=fan.n_rays):
+        if is_ample(fan, TorusInvariantDivisor(coeffs)):
+            return TorusInvariantDivisor(coeffs)
+    return None
+
+
+# the corpus and every P^2 blown up three times (class-group rank 4)
+SEARCH_FANS = (
+    *(load_fan(name) for name in SMOOTH_COMPLETE),
+    *(blown_up_plane(cones) for cones in itertools.product(range(3), range(4), range(5))),
+)
+
+
+@pytest.mark.parametrize("max_coeff", [1, 2])
+def test_depth_first_search_picks_the_scan_divisor(max_coeff):
+    found = [_first_ample_divisor(fan, max_coeff) for fan in SEARCH_FANS]
+    assert found == [first_ample_by_scan(fan, max_coeff) for fan in SEARCH_FANS]
+    assert None in found and any(found)
+
+
 def test_empty_nef_interior_is_reported(monkeypatch):
     fan = BOX_WITHOUT_AMPLE["seed-3"]
     monkeypatch.setattr(verify_module, "_nef_cone_divisor", lambda f: anticanonical(f))

@@ -29,6 +29,7 @@ from toric_cox.polyhedral import (
     polytope_family,
     polytope_lattice_points,
     polytope_vertices,
+    separable,
     strictly_positive_form,
 )
 
@@ -207,6 +208,52 @@ class TestConeContains:
         ray = cone_from_generators([(1, 1)], 2)
         assert cone_contains(ray, (2, 2), "relative_interior")
         assert not cone_contains(ray, (1, 0), "closure")
+
+
+class TestSeparable:
+    @pytest.mark.parametrize(
+        "positive, negative, vanishing, dim, expected",
+        [
+            ([(1, 0)], [(-1, 0)], [], 2, True),
+            ([(1, 0)], [(0, 1)], [], 2, True),
+            # the only forms vanishing on (0, 1) are multiples of x_0
+            ([(1, 0)], [(1, 1)], [(0, 1)], 2, False),
+            ([(1, 0)], [(-1, 1)], [(0, 1)], 2, True),
+            # (1, 1) lies in the cone of the positive side
+            ([(1, 0), (0, 1)], [(1, 1)], [], 2, False),
+            # one vector on both sides
+            ([(1, 2)], [(1, 2)], [], 2, False),
+            ([(1, 0, 0), (0, 1, 0)], [(1, 1, 1)], [(0, 0, 1)], 3, False),
+            ([(1, 0, 0), (0, 1, 0)], [(-1, -1, 1)], [(0, 0, 1)], 3, True),
+            # a strict side inside the span of the vanishing set
+            ([(1, 1, 0)], [(0, 0, 1)], [(1, 0, 0), (0, 1, 0)], 3, False),
+        ],
+    )
+    def test_cases(self, positive, negative, vanishing, dim, expected):
+        assert separable(positive, negative, vanishing, dim) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+        st.just(d),
+        *(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=3) for _ in range(3)),
+    )))
+    def test_against_forms_in_a_box(self, case):
+        # A feasible system <x, l> >= 1, <+-z, l> >= 0 has a solution cut out
+        # by a nonsingular subsystem of at most two rows; by Cramer's rule
+        # |det| times it is integral, with entries at most 4 in absolute
+        # value when d <= 2 and the vectors have entries in [-2, 2].
+        dim, positive, negative, vanishing = case
+
+        def pairing(x, form):
+            return sum(a * b for a, b in zip(x, form))
+
+        found = any(
+            all(pairing(x, form) > 0 for x in positive)
+            and all(pairing(x, form) < 0 for x in negative)
+            and all(pairing(z, form) == 0 for z in vanishing)
+            for form in itertools.product(range(-4, 5), repeat=dim)
+        )
+        assert separable(positive, negative, vanishing, dim) == found
 
 
 def brute_force_points(p: RationalPolytope) -> tuple:
