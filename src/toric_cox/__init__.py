@@ -83,7 +83,6 @@ from .polyhedral import (
     cone_from_generators,
     cone_from_inequalities,
     dual_cone,
-    hilbert_basis,
     polytope_family,
     polytope_lattice_points,
     polytope_vertices,

@@ -95,10 +95,6 @@ def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
     return EulerModuleElement(em, tuple(components))
 
 
-def zero_element(em: EulerModule) -> EulerModuleElement:
-    return EulerModuleElement(em, tuple(em.cox.zero() for _ in range(em.rank)))
-
-
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
     """Dimension of the twisted section space, summed over the splitting."""
     lam = tuple(int(x) for x in class_vector)

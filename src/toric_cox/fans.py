@@ -342,11 +342,12 @@ class CechCocycle:
 
     transitions: tuple[tuple[tuple[int, int], Vector], ...]
 
+    @functools.cached_property
+    def _by_pair(self) -> dict[tuple[int, int], Vector]:
+        return dict(self.transitions)
+
     def exponent(self, s: int, t: int) -> Vector:
-        for key, value in self.transitions:
-            if key == (s, t):
-                return value
-        raise KeyError((s, t))
+        return self._by_pair[s, t]
 
     def __add__(self, other: "CechCocycle") -> "CechCocycle":
         if len(self.transitions) != len(other.transitions):

@@ -1,5 +1,6 @@
 """Fan validation, class groups, Cartier data, transitions and ampleness."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -28,6 +29,7 @@ from toric_cox.fans import (
 )
 from toric_cox.lattice import IntegerMatrix, kernel_basis, hermite_basis, primitive_vector
 from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities
+from toric_cox.verify import run_verification
 
 
 def unimodular_change_of_basis(q_from: IntegerMatrix, q_to: IntegerMatrix):
@@ -211,6 +213,22 @@ def test_validation_scales_to_products(dims, n_cones, walls):
     assert report.smooth and report.complete
     assert len(fan.max_cones) == n_cones and len(report.wall_forms) == walls
     assert elapsed < 1.0
+
+
+def test_verify_on_p2_cubed():
+    # 27 maximal cones: the Cech check looks up 3 transitions per ordered
+    # triple of cones for each of its 5 divisor pairs, 263,250 lookups.
+    # The digest is of the report as pinned when each lookup scanned every
+    # transition (8.7 s).
+    fan = product_fan(2, 2, 2)
+    start = time.process_time()
+    results = run_verification(fan)
+    elapsed = time.process_time() - start
+    text = "\n".join(f"{r.name}: {r.passed}: {r.detail}" for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2c492e94f1f390cde9afc46931385b927dc6cee760d97af40bdb93a50da3ea0e"
+    )
+    assert elapsed < 2.0
 
 
 class TestClassGroup:

@@ -7,6 +7,7 @@ complete, giving a family well beyond the bundled corpus.
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -273,7 +274,82 @@ def test_empty_nef_interior_is_reported(monkeypatch):
     fan = BOX_WITHOUT_AMPLE["seed-3"]
     monkeypatch.setattr(verify_module, "_nef_cone_divisor", lambda f: anticanonical(f))
     result = _roundtrip_check(fan)
-    assert (result.passed, result.detail) == (False, "no ample divisor: the nef cone has empty interior")
+    assert (result.passed, result.detail) == (True, "not applicable: complete but not projective")
+
+
+# Smooth and complete but not projective (class-group rank 4): a twisted
+# triangular prism over e1, e2, e3 and (-1, -1, -1), its side
+# quadrilaterals split cyclically.  By Kleinschmidt-Sturmfels every smooth
+# complete threefold with at most 6 rays is projective.
+NON_PROJECTIVE_THREEFOLD = Fan.make(
+    3,
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1], [-1, 0, -1], [-1, -1, 0], [-1, -1, -1]],
+    [[0, 1, 2], [0, 1, 3], [0, 2, 5], [0, 3, 5], [1, 2, 4], [1, 3, 4], [2, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6]],
+)
+
+
+def test_verify_passes_on_a_non_projective_threefold(capsys, tmp_path):
+    fan = NON_PROJECTIVE_THREEFOLD
+    report = validate_fan(fan)
+    assert report.smooth and report.complete
+    nef = cone_from_inequalities(report.wall_forms, fan.n_rays)
+    assert nef.dim < fan.n_rays and not is_ample(fan, _nef_cone_divisor(fan))
+    path = tmp_path / "threefold.json"
+    path.write_text(fan_to_json(fan))
+    assert main(["verify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "  round trip                          pass: not applicable: complete but not projective\n" in out
+    assert "FAIL" not in out
+
+
+def blown_up_p3(points: int, seed: int) -> Fan:
+    """P^3 blown up at ``points`` torus-fixed points: each step replaces a
+    maximal cone drawn by the seeded rng with its star subdivision at the sum
+    of its rays."""
+    rng = random.Random(seed)
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+    cones = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for _ in range(points):
+        a, b, c = cones.pop(rng.randrange(len(cones)))
+        rays.append(tuple(map(sum, zip(rays[a], rays[b], rays[c]))))
+        new = len(rays) - 1
+        cones += [(a, b, new), (a, c, new), (b, c, new)]
+    return Fan.make(3, rays, cones)
+
+
+def test_nef_cone_round_trip_on_p3_blown_up_at_eight_points():
+    # 12 rays and 30 walls, with neither the anticanonical divisor nor any
+    # divisor of {0, 1, 2}^12 ample.  The divisor was pinned when the nef
+    # cone took a subset enumeration on its dual side (96 s).
+    fan = blown_up_p3(8, 0)
+    assert len(validate_fan(fan).wall_forms) == 30
+    assert not is_ample(fan, anticanonical(fan)) and _first_ample_divisor(fan) is None
+    start = time.process_time()
+    result = _roundtrip_check(fan)
+    elapsed = time.process_time() - start
+    assert result.passed and result.detail == (
+        "rebuilt from grading with divisor "
+        "[32875, 6735, -6700, 36338, 20684, 7735, 6401, 1819, 1026, 15264, -1978, 149]: True"
+    )
+    assert elapsed < 1.0
+
+
+# The benchmark's rank-8 surface, mixed_blowup(0, 8, 0) of bench/gen.py.
+MIXED_RANK_EIGHT = Fan.make(
+    2,
+    [[0, 1], [-1, -1], [1, 0], [-1, 0], [1, 1], [-2, -1], [1, 2], [2, 3], [3, 4], [2, 1]],
+    [[0, 3], [0, 6], [1, 2], [1, 5], [2, 9], [3, 5], [4, 8], [4, 9], [6, 7], [7, 8]],
+)
+
+
+def test_rank_eight_effective_cone_from_its_facet_normals():
+    # 17 facet normals in dimension 8: the subset enumeration this replaced
+    # tried C(17, 7) = 19,448 subsets and took 6 s
+    eff = cox_data(MIXED_RANK_EIGHT).effective_cone
+    assert (len(eff.generators), len(eff.facet_normals)) == (10, 17)
+    start = time.process_time()
+    assert cone_from_inequalities(eff.facet_normals, 8) == eff
+    assert time.process_time() - start < 0.5
 
 
 # (P^1)^3: rays +-e_i, one maximal cone per choice of sign in each coordinate.

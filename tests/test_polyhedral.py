@@ -25,7 +25,6 @@ from toric_cox.polyhedral import (
     cone_from_generators,
     cone_from_inequalities,
     dual_cone,
-    hilbert_basis,
     polytope_family,
     polytope_lattice_points,
     polytope_vertices,
@@ -101,7 +100,7 @@ def reference_dual_generators(vectors, dim):
 
     Every (rank - 1)-subset of the vectors is tried, so canonicalising one
     side of a cone this way takes two full subset enumerations; the
-    constructors under test take one.
+    constructors under test take none.
     """
     rows = sorted({primitive_vector(v) for v in vectors if any(v)})
     if not rows:
@@ -146,6 +145,15 @@ def vector_lists(draw):
     return dim, vectors
 
 
+@st.composite
+def five_dimensional_vectors(draw):
+    """Up to 9 vectors in dimension 5, up to two of them the negatives of
+    others, so that the cone has lineality."""
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 5), max_size=7))
+    lines = draw(st.integers(0, min(2, len(vectors))))
+    return vectors + [tuple(-x for x in v) for v in vectors[:lines]]
+
+
 # Explicit cases: the empty list, including in dimension 0, a zero vector, a
 # line and a lower-dimensional span.
 EDGE_CASES = [(0, []), (2, []), (3, [(0, 0, 0)]), (2, [(1, 1), (-1, -1)]), (3, [(1, 0, 0), (0, 1, 0)])]
@@ -175,6 +183,23 @@ class TestAgainstTwoPassReference:
         generators = reference_dual_generators(vectors, dim)
         expected = RationalCone(dim, generators, reference_dual_generators(generators, dim))
         assert cone_from_inequalities(vectors, dim) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(five_dimensional_vectors())
+    def test_dimension_five_with_lines(self, vectors):
+        normals = reference_dual_generators(vectors, 5)
+        generators = reference_dual_generators(normals, 5)
+        assert cone_from_generators(vectors, 5) == RationalCone(5, generators, normals)
+        assert cone_from_inequalities(vectors, 5) == RationalCone(5, normals, generators)
+
+    def test_no_subset_enumeration_and_no_kernel_for_pointed_full_cones(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polyhedral_module, "kernel_basis", lambda a: calls.append(a))
+        monkeypatch.setattr(polyhedral_module, "itertools", None)
+        c = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
+        assert c.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1))
+        assert dual_cone(c) == cone_from_inequalities(c.generators, 3)
+        assert calls == []
 
     @pytest.mark.parametrize("construct", [cone_from_generators, cone_from_inequalities])
     @pytest.mark.parametrize("vectors", [[(1, 0, 0)], [(1, 0), (0, 1, 1)], [()]])
@@ -518,39 +543,3 @@ class TestStrictlyPositiveForm:
         for point in itertools.product(range(-10, 11), repeat=2):
             if any(point) and cone_contains(eff, point):
                 assert form(point) >= 1
-
-
-class TestHilbertBasis:
-    def test_quadrant(self):
-        c = cone_from_generators([(1, 0), (0, 1)], 2)
-        assert hilbert_basis(c) == ((0, 1), (1, 0))
-
-    def test_obtuse_cone_has_reducible_interior_ray(self):
-        c = cone_from_generators([(1, 0), (-1, 1)], 2)
-        basis = hilbert_basis(c)
-        assert basis == ((-1, 1), (1, 0))
-        assert (0, 1) not in basis  # (0,1) = (1,0) + (-1,1)
-
-    def test_non_simplicial_weighted_cone(self):
-        # cone over (1,0) and (1,2): the interior point (1,1) is irreducible
-        c = cone_from_generators([(1, 0), (1, 2)], 2)
-        assert hilbert_basis(c) == ((1, 0), (1, 1), (1, 2))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4)
-    )
-    def test_basis_generates_small_points(self, gens):
-        gens = [g for g in gens if any(g)]
-        if not gens:
-            return
-        c = cone_from_generators(gens, 2)
-        basis = hilbert_basis(c)
-        reachable = {(0, 0)}
-        for _ in range(8):
-            reachable |= {
-                (a + h[0], b + h[1]) for a, b in reachable for h in basis
-            }
-        for point in itertools.product(range(0, 5), repeat=2):
-            if cone_contains(c, point) and max(point) <= 4:
-                assert point in reachable
