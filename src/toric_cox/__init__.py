@@ -75,6 +75,7 @@ from .lattice import (
     solve_integer,
 )
 from .polyhedral import (
+    LinearTables,
     PolytopeFamily,
     RationalCone,
     RationalPolytope,
@@ -83,6 +84,7 @@ from .polyhedral import (
     cone_from_generators,
     cone_from_inequalities,
     dual_cone,
+    generators_from_inequalities,
     polytope_family,
     polytope_lattice_points,
     polytope_vertices,

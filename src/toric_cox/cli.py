@@ -292,6 +292,8 @@ def main(argv: list[str] | None = None) -> int:
         report, code = _error_report(command, digest, "malformed", str(exc)), 3
     except ToricCoxError as exc:
         report, code = _error_report(command, digest, type(exc).__name__, str(exc)), 1
+    except MemoryError as exc:
+        report, code = _error_report(command, digest, "MemoryError", str(exc) or "out of memory"), 1
     print(report.to_json() if args.json else report.to_text())
     return code
 

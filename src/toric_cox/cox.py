@@ -5,6 +5,13 @@ map.  Graded pieces are never materialized globally; each piece is
 enumerated on demand, and its dimension is always computed by two
 independent oracles (exponent-fiber counting against section-polytope
 counting) which must agree.
+
+The section polytope of a class lam is that of its lifted divisor
+``class_section(lam)``; the lift is linear in lam, so the polytope tables
+are composed with it once per fan and the count runs in class
+coordinates: one rank-length dot product per table row, no lift per
+class, and no lattice point listed.  The lift itself is computed only to
+report an :class:`OracleMismatch`.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .errors import OracleMismatch, TorsionClassGroup
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
 from .lattice import IntegerMatrix, LatticeMap, Vector, solve_integer
 from .polyhedral import (
+    LinearTables,
     PolytopeFamily,
     RationalCone,
     RationalPolytope,
@@ -103,11 +111,22 @@ class CoxData:
     def section_polytopes(self) -> PolytopeFamily:
         """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets.
 
-        Its Fourier-Motzkin tables are built on the first lattice-point
-        query and serve every class of the fan.  No boundedness check: the
-        rays of a complete fan positively span.
+        Its Fourier-Motzkin tables are built on first use, when
+        :attr:`section_tables` composes them, and serve every class of the
+        fan.  No boundedness check: the rays of a complete fan positively
+        span.
         """
         return PolytopeFamily(self.fan.dim, self.fan.rays)
+
+    @functools.cached_property
+    def section_tables(self) -> LinearTables:
+        """The tables of :attr:`section_polytopes` in class coordinates.
+
+        The class lam has offsets ``class_section(lam)``, linear in lam, so the
+        rows are composed with the section once per fan, on the first query,
+        and a class then costs one rank-length dot product per row: no lift.
+        """
+        return self.section_polytopes.linear_tables(self.class_section.matrix)
 
     @functools.cached_property
     def fiber_levels(self) -> tuple[list[dict[Vector, int]], ...]:
@@ -311,7 +330,9 @@ def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariant
 
 
 def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
-    return len(cd.section_polytopes.lattice_points(cd.class_section(class_vector)))
+    """Number of lattice points of the section polytope of a lift of the class,
+    counted in class coordinates (see :attr:`CoxData.section_tables`)."""
+    return cd.section_tables.count_lattice_points(class_vector)
 
 
 def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:

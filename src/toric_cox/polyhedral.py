@@ -13,6 +13,11 @@ once per family: each derived inequality is a normal over the leading
 coordinates paired with an integer multiplier over the original offsets,
 so one dot product per row turns the tables into the exact projections of
 one polytope, whose integer intervals are walked coordinate by coordinate.
+When the offsets are linear in some parameters, a = S p, each multiplier y
+is composed once into the form S^T y (:class:`LinearTables`), so a
+parameter vector costs one dot product of its own length per row; the
+count adds the length of the last coordinate's interval and lists no
+point.  Listing and counting share the one walk (:func:`_walk`).
 Vertices come from vertex solvers (integer adjugates of the
 dimension-sized subsets of the normals), also tabulated once per family.
 The same elimination, stopped at level 0, decides whether a linear form
@@ -75,10 +80,11 @@ def _dual_generators(rows: Sequence[Vector], dim: int) -> tuple[Vector, ...]:
     sizes, not the result.  Measured (Python 3.11, one core): the nef cone
     of P^3 blown up at 8 torus-fixed points (30 wall forms in dimension 12)
     peaks at 19 rays and takes 3 ms; at 12 points (42 forms in dimension
-    16) it peaks at 139 rays, and inserting its 145 generators back to get
-    the 17 facet normals peaks at 450 rays and takes 1.4 s; the rank-8
-    effective cone from its 21 facet normals peaks at 21 rays and takes
-    2 ms.
+    16) it peaks at 139 rays and takes 0.02 s, while inserting its 145
+    generators back to get the 17 facet normals peaks at 450 rays and takes
+    0.9 s, which is why the nef divisor of ``verify`` reads the generators
+    alone (:func:`generators_from_inequalities`); the rank-8 effective cone
+    from its 21 facet normals peaks at 21 rays and takes 2 ms.
     """
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays: list[tuple[Vector, int]] = []  # each ray with the bit set of its vanishing rows
@@ -131,14 +137,21 @@ def _dual_generators(rows: Sequence[Vector], dim: int) -> tuple[Vector, ...]:
     return tuple(sorted(out))
 
 
+def generators_from_inequalities(normals: Sequence[Sequence[int]], ambient_dim: int) -> tuple[Vector, ...]:
+    """Canonical minimal generators of {y : <n, y> >= 0 for every n in normals}:
+    the generators of :func:`cone_from_inequalities`, without the second
+    insertion that finds its facet normals."""
+    vecs = [tuple(int(x) for x in v) for v in normals]
+    if any(len(v) != ambient_dim for v in vecs):
+        raise ValueError("vector dimension mismatch")
+    return _dual_generators(sorted({primitive_vector(v) for v in vecs if any(v)}), ambient_dim)
+
+
 def _double_description(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """Canonical generators of cone(vectors) and of its dual: the dual generators
     are those of the inequalities <v, y> >= 0, and cone(vectors) is in turn the
     dual of those (:func:`_dual_generators` on each side)."""
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    if any(len(v) != dim for v in vecs):
-        raise ValueError("vector dimension mismatch")
-    dual = _dual_generators(sorted({primitive_vector(v) for v in vecs if any(v)}), dim)
+    dual = generators_from_inequalities(vectors, dim)
     return _dual_generators(dual, dim), dual
 
 
@@ -349,7 +362,9 @@ class PolytopeFamily:
     tables that serve every offset vector are computed on first use and
     cached on the instance: Fourier-Motzkin elimination tables for lattice
     points and vertex solvers for vertices, so each offset vector costs
-    integer arithmetic only.
+    integer arithmetic only.  :meth:`linear_tables` composes the tables with
+    a linear map from parameters to offsets, for counting the points of the
+    polytope of each parameter vector without forming its offsets.
     """
 
     ambient_dim: int
@@ -377,12 +392,7 @@ class PolytopeFamily:
         """All integer points for these offsets, sorted lexicographically.
 
         Each table row's multiplier dotted with the offsets gives its
-        constant.  The offset-only rows (level 0) decide emptiness; given a
-        prefix x_0..x_{k-1} of a point of the polytope's projection, the rows
-        of level k + 1 bound x_k below (coefficient > 0) and above
-        (coefficient < 0), and the projection being exact, every x_k in that
-        integer interval extends the prefix within the next projection.
-        Boundedness puts rows on both sides at every level.
+        constant, and :func:`_walk` lists the points.
         """
         self._check_offsets(offsets)
         level_zero, levels = self.tables
@@ -395,27 +405,108 @@ class PolytopeFamily:
         lower = [[(head, c, constant(y)) for head, c, y in level if c > 0] for level in levels]
         upper = [[(head, -c, constant(y)) for head, c, y in level if c < 0] for level in levels]
         points: list[Vector] = []
-
-        def extend(prefix: Vector) -> None:
-            k = len(prefix)
-            if k == self.ambient_dim:
-                points.append(prefix)
-                return
-            # with slack = <head, prefix> + <y, a>: c * x + slack >= 0 bounds x
-            # below, and -c * x + slack >= 0 (c stored positive) above
-            lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
-            hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
-            for x in range(lo, hi + 1):
-                extend(prefix + (x,))
-
-        extend(())
+        _walk(lower, upper, points)
         return tuple(points)
+
+    def linear_tables(self, section: IntegerMatrix) -> "LinearTables":
+        """The tables for the offsets a = section . p, as linear forms on the parameters p.
+
+        ``section`` has one row per normal.  A row's constant <y, a> is
+        <section^T y, p>, so each multiplier y is composed with the section
+        once, here, and a parameter vector then costs one dot product of its
+        length per row, whatever the number of normals.
+        """
+        if section.rows != len(self.normals):
+            raise ValueError(f"section has {section.rows} rows for {len(self.normals)} normals")
+        level_zero, levels = self.tables
+        rows, width = section.entries, section.cols
+
+        def form(y: Multiplier) -> Vector:
+            return tuple(sum(v * rows[i][j] for i, v in y) for j in range(width))
+
+        return LinearTables(
+            width,
+            tuple(form(y) for y in level_zero),
+            tuple(tuple((head, c, form(y)) for head, c, y in level if c > 0) for level in levels),
+            tuple(tuple((head, -c, form(y)) for head, c, y in level if c < 0) for level in levels),
+        )
+
+
+# A bound on x_k for a prefix x_0..x_{k-1}: the head, c > 0 and the constant
+# b, standing for c * x_k + <head, prefix> + b >= 0 (a lower bound) or
+# -c * x_k + <head, prefix> + b >= 0 (an upper bound).
+Bound = tuple[Vector, int, int]
+
+
+def _walk(lower: Sequence[Sequence[Bound]], upper: Sequence[Sequence[Bound]], points: list[Vector] | None) -> int:
+    """Number of integer points of a polytope whose tables have passed level 0;
+    with a list, its points are also appended to it, lexicographically.
+
+    Given a prefix x_0..x_{k-1} of a point of the polytope's projection,
+    ``lower[k]`` and ``upper[k]`` (the rows of level k + 1) bound x_k, and
+    the projection being exact, every x_k in that integer interval extends
+    the prefix within the next projection.  Boundedness puts rows on both
+    sides at every level.  Counting and listing differ only at the last
+    coordinate: its interval adds its length, and is listed only on request.
+    """
+    last = len(lower) - 1
+    if last < 0:  # dimension 0: the polytope is the origin
+        if points is not None:
+            points.append(())
+        return 1
+
+    def extend(prefix: Vector) -> int:
+        k = len(prefix)
+        # with slack = <head, prefix> + b: c * x + slack >= 0 bounds x below,
+        # and -c * x + slack >= 0 (c stored positive) above
+        lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
+        hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
+        if k < last:
+            return sum(extend(prefix + (x,)) for x in range(lo, hi + 1))
+        if points is not None:
+            points.extend(prefix + (x,) for x in range(lo, hi + 1))
+        # the prefix lies in the exact projection, so the rational interval
+        # is non-empty and its integer points number hi - lo + 1 >= 0
+        return hi - lo + 1
+
+    return extend(())
+
+
+# A table row over parameters: the head and c as in an EliminationRow, and
+# the linear form f on the parameters giving its constant.
+LinearRow = tuple[Vector, int, Vector]
+
+
+@dataclass(frozen=True)
+class LinearTables:
+    """The Fourier-Motzkin tables of a :class:`PolytopeFamily` for offsets linear
+    in some parameters, built by :meth:`PolytopeFamily.linear_tables`.
+
+    ``level_zero`` holds one form per offset-only row; ``lower[k]`` and
+    ``upper[k]`` hold the rows of level k + 1 bounding x_k, each with its
+    coefficient stored positive.
+    """
+
+    parameters: int
+    level_zero: tuple[Vector, ...]
+    lower: tuple[tuple[LinearRow, ...], ...]
+    upper: tuple[tuple[LinearRow, ...], ...]
+
+    def count_lattice_points(self, params: Sequence[int]) -> int:
+        """Number of integer points of the polytope of these parameters; lists none."""
+        if len(params) != self.parameters:
+            raise ValueError(f"{len(params)} parameters for {self.parameters}")
+        if any(sum(map(mul, f, params)) < 0 for f in self.level_zero):
+            return 0
+        lower = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower]
+        upper = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper]
+        return _walk(lower, upper, None)
 
 
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:
     """The family of fixed normals; UnboundedPolytope unless their recession cone is {0}."""
     norm = tuple(tuple(int(x) for x in h) for h in normals)
-    if cone_from_inequalities(norm, ambient_dim).generators:
+    if generators_from_inequalities(norm, ambient_dim):
         raise UnboundedPolytope("polytope has a recession direction")
     return PolytopeFamily(ambient_dim, norm)
 

@@ -35,7 +35,7 @@ from .fans import (
     validate_fan,
 )
 from .lattice import Vector, hermite_basis, kernel_basis
-from .polyhedral import cone_from_inequalities
+from .polyhedral import generators_from_inequalities
 from .reconstruction import roundtrip_check, splitting_certificate
 
 
@@ -201,10 +201,11 @@ def _nef_cone_divisor(fan: Fan) -> TorusInvariantDivisor:
     the wall forms of the fan's validation report.
 
     Its lineality pairs (principal divisors) cancel and its extreme rays sum
-    into its interior, the ample cone, whenever that is not empty.
+    into its interior, the ample cone, whenever that is not empty.  Only the
+    generators are read, so the nef cone's facet normals are never computed.
     """
-    nef = cone_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays)
-    return TorusInvariantDivisor(tuple(map(sum, zip(*nef.generators))))
+    nef = generators_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays)
+    return TorusInvariantDivisor(tuple(map(sum, zip(*nef))))
 
 
 def _roundtrip_check(fan: Fan) -> CheckResult:

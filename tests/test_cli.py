@@ -191,6 +191,24 @@ class TestInputBoundary:
         assert "Traceback" not in captured.out + captured.err
 
 
+    @pytest.mark.parametrize("command", ["validate", "cox", "euler", "reconstruct", "verify"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_memory_error_is_a_structured_error(self, capsys, monkeypatch, command, as_json):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+        argv = [command, str(corpus_path("p2"))] + (["--json"] if as_json else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if as_json:
+            status = json.loads(captured.out)["status"]
+            assert status == {"ok": False, "code": "MemoryError", "message": "out of memory"}
+        else:
+            assert captured.out.endswith("status: error(MemoryError): out of memory\n")
+
+
 class TestSingleRead:
     @pytest.mark.parametrize("command", ["validate", "cox", "euler", "verify"])
     def test_each_command_reads_its_input_once(self, capsys, monkeypatch, command):

@@ -153,6 +153,7 @@ class TestOracleIndependence:
 
         monkeypatch.setattr(polyhedral_module, "_eliminate", refuse)
         monkeypatch.setattr(polyhedral_module.PolytopeFamily, "lattice_points", refuse)
+        monkeypatch.setattr(polyhedral_module.LinearTables, "count_lattice_points", refuse)
         for name, fan, dims in expected:
             cd = cox_data(fan)
             with pytest.raises(AssertionError):
@@ -171,6 +172,31 @@ class TestOracleIndependence:
             with pytest.raises(AssertionError):
                 graded_dimension(cd, (0,) * cd.cl_rank)
             assert {lam: cox_module._polytope_dimension(cd, lam) for lam in dims} == dims, name
+
+
+class TestPolytopeCount:
+    """The polytope oracle counts in class coordinates, with tables composed once per fan."""
+
+    def test_count_equals_the_listed_points_of_the_lift(self):
+        for rank in range(2, 6):
+            for index in range(2):
+                cd = cox_data(mixed_blowup(rank, index))
+                radius = 2 if rank <= 4 else 1
+                for lam in itertools.product(range(-radius, radius + 1), repeat=rank):
+                    listed = len(cd.section_polytopes.lattice_points(cd.class_section(lam)))
+                    assert cox_module._polytope_dimension(cd, lam) == listed, (rank, index, lam)
+
+    def test_no_lift_and_no_point_list_after_the_first_query(self, monkeypatch):
+        cd = cox_data(mixed_blowup(4, 0))
+        window = list(itertools.product(range(-2, 3), repeat=4))
+        expected = [graded_dimension(cd, lam) for lam in window]
+
+        def refuse(*args):
+            raise AssertionError("lift or point list used")
+
+        monkeypatch.setattr(cox_module.LatticeMap, "__call__", refuse)
+        monkeypatch.setattr(polyhedral_module.PolytopeFamily, "lattice_points", refuse)
+        assert [cox_module._polytope_dimension(cd, lam) for lam in window] == expected
 
 
 class TestMonomialBasis:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_cox import polyhedral as polyhedral_module
 from toric_cox import verify as verify_module
 from toric_cox.cli import main
 from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
@@ -332,6 +333,25 @@ def test_nef_cone_round_trip_on_p3_blown_up_at_eight_points():
         "[32875, 6735, -6700, 36338, 20684, 7735, 6401, 1819, 1026, 15264, -1978, 149]: True"
     )
     assert elapsed < 1.0
+
+
+def test_nef_cone_divisor_reads_the_generators_alone(monkeypatch):
+    # 16 rays and 42 walls: the nef cone has 145 generators, and inserting
+    # them back for its 17 facet normals took 0.9 s.  The divisor was
+    # pinned when it was read off the whole cone.
+    fan = blown_up_p3(12, 0)
+    assert len(validate_fan(fan).wall_forms) == 42
+    calls = []
+    original = polyhedral_module._dual_generators
+    monkeypatch.setattr(polyhedral_module, "_dual_generators", lambda *args: calls.append(1) or original(*args))
+    start = time.process_time()
+    divisor = _nef_cone_divisor(fan)
+    elapsed = time.process_time() - start
+    assert divisor.coefficients == (
+        26867185, 5623590, -2662004, 12217847, 12187840, 12827274, 4195985, 14730903,
+        -2231116, 17899732, -4648094, 24362159, -12562546, 37826474, -19015105, 22810744,
+    )
+    assert len(calls) == 1 and elapsed < 0.3
 
 
 # The benchmark's rank-8 surface, mixed_blowup(0, 8, 0) of bench/gen.py.

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -505,6 +506,48 @@ class TestPolytopeLatticePoints:
         assert family.lattice_points((0, 0, 2)) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
         family.vertices((0, 0, 1))
         assert "solvers" in vars(family)
+
+
+def with_linear_edge_cases(test):
+    for case in POLYTOPE_EDGE_CASES:
+        for rank in (0, 2):
+            test = example(case, rank, 0)(test)
+    return test
+
+
+class TestLinearTables:
+    """Counting in parameter coordinates against listing at the composed offsets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxed_polytopes(), st.integers(0, 3), st.integers(0, 2**16))
+    @with_linear_edge_cases
+    def test_count_equals_the_number_of_listed_points(self, p, rank, seed):
+        # offsets a + S q for a seeded S and q: the section [S | a] applied
+        # to the parameters (q, 1), which often empties the polytope
+        family = polytope_family([normal for normal, _ in p.inequalities], p.ambient_dim)
+        rng = random.Random(seed)
+        sections = [tuple(rng.randint(-1, 1) for _ in range(rank)) + (a,) for _, a in p.inequalities]
+        q = tuple(rng.randint(-2, 2) for _ in range(rank))
+        offsets = [sum(map(mul, row, q + (1,))) for row in sections]
+        tables = family.linear_tables(IntegerMatrix(tuple(sections), zero_width=0 if sections else rank + 1))
+        assert tables.count_lattice_points(q + (1,)) == len(family.lattice_points(offsets))
+
+    def test_zero_dimensional_family_counts_the_origin(self):
+        tables = polytope_family([], 0).linear_tables(IntegerMatrix.zero(0, 2))
+        assert tables.count_lattice_points((3, -5)) == 1 == len(polytope_family([], 0).lattice_points(()))
+
+    def test_triangle_in_its_scale(self):
+        # the triangle of family_serves_every_offset_vector, with offsets (0, 0, t) = S t
+        family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
+        tables = family.linear_tables(IntegerMatrix.from_rows([(0,), (0,), (1,)]))
+        assert [tables.count_lattice_points((t,)) for t in range(-2, 5)] == [0, 0, 1, 3, 6, 10, 15]
+
+    def test_section_and_parameters_must_fit(self):
+        family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
+        with pytest.raises(ValueError):
+            family.linear_tables(IntegerMatrix.from_rows([(0,), (1,)]))
+        with pytest.raises(ValueError):
+            family.linear_tables(IntegerMatrix.from_rows([(0,), (0,), (1,)])).count_lattice_points((1, 2))
 
 
 class TestStrictlyPositiveForm:
