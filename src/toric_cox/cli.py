@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .cox import cox_data, irrelevant_ideal, monomial_basis
+from .cox import cox_data, graded_dimension, irrelevant_ideal
 from .errors import MalformedFan, ToricCoxError
 from .euler import (
     build_euler_module,
@@ -183,7 +183,7 @@ def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[R
             (
                 ("degree", _vector_str(degree)),
                 ("dimension", str(dim)),
-                ("ring piece dimension", str(len(monomial_basis(cd, degree)))),
+                ("ring piece dimension", str(graded_dimension(cd, degree))),
             ),
         ),
         (

@@ -12,6 +12,14 @@ are composed with it once per fan and the count runs in class
 coordinates: one rank-length dot product per table row, no lift per
 class, and no lattice point listed.  The lift itself is computed only to
 report an :class:`OracleMismatch`.
+
+The fiber side keys its tables by one packed integer per class,
+``key(mu) = sum_j mu_j * M**j``, so a step of its dynamic program is one
+integer addition and a lookup hashes one int instead of a tuple.  The
+radix M exceeds ``2**64 * D``, where D bounds the entries of the variable
+degrees, which makes the key injective on every weight level that can be
+built; a class outside the box of its weight level has no monomial and is
+answered 0 before it is packed (see :attr:`CoxData.fiber_levels`).
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add
+from operator import index, mul
 from typing import Mapping, Sequence
 
 from .errors import OracleMismatch, TorsionClassGroup
@@ -129,14 +137,50 @@ class CoxData:
         return self.section_polytopes.linear_tables(self.class_section.matrix)
 
     @functools.cached_property
-    def fiber_levels(self) -> tuple[list[dict[Vector, int]], ...]:
-        """Per variable i, level L maps a class to its number of monomials of weight L in x_0..x_i.
+    def fiber_levels(self) -> tuple[list[dict[int, int]], ...]:
+        """Per variable i, level L maps the key of a class to its number of monomials of weight L in x_0..x_i.
 
-        Only level 0 (the constant monomial) exists at first; :func:`_fiber_level`
-        appends heavier levels on demand and never rebuilds one.
+        The key of a class mu is ``sum_j mu_j * M**j`` with the place values
+        of :attr:`fiber_places`.  Only level 0 (the constant monomial, key 0)
+        exists at first; :func:`_fiber_level` appends heavier levels on
+        demand and never rebuilds one.
+
+        Why the key is exact.  Every variable weight is >= 1, so a monomial
+        of weight L has total degree <= L and its class mu satisfies
+        ``|mu_j| <= L * D``, with D the largest absolute entry of a variable
+        degree (:attr:`fiber_box`).  Two classes of that box differ by at
+        most ``2 * L * D`` per coordinate.  If their keys agree, the
+        difference delta has ``sum_j delta_j * M**j = 0``; reading this mod
+        M gives ``delta_0 = 0`` because ``|delta_0| < M``, and dividing by M
+        repeats the argument, so delta = 0.  This needs ``L * D < M / 2``,
+        which ``M >= 2**64 * D + 1`` gives for every L <= 2**63: a table
+        that finishes building stores L + 1 levels per variable, so it never
+        gets near.  Hence each level holds one key per class, and a query
+        of weight L inside the box reads its own count.  A query outside the
+        box has no monomial and is answered 0 before it is packed.
+
+        Why M is not a power of two.  CPython hashes an int by reducing it
+        mod 2**61 - 1, and 2**64 is 8 there, so the radix 2**64 would hash mu
+        to ``sum_j mu_j * 8**j`` and small classes would collide in the
+        dicts.  The odd constant added to ``2**64 * D`` spreads the hashes.
         """
-        zero = (0,) * self.cl_rank
-        return tuple([{zero: 1}] for _ in range(self.num_vars))
+        return tuple([{0: 1}] for _ in range(self.num_vars))
+
+    @functools.cached_property
+    def fiber_box(self) -> int:
+        """D, the largest absolute entry of a variable degree: level L lies in ``[-L*D, L*D]**rank``."""
+        return max(abs(x) for d in self.variable_degrees() for x in d)
+
+    @functools.cached_property
+    def fiber_places(self) -> tuple[int, ...]:
+        """The place values ``M**j`` of the fiber keys, ``M = 2**64 * D + 0x9E3779B97F4A7C15``."""
+        radix = (self.fiber_box << 64) + 0x9E3779B97F4A7C15
+        return tuple(radix**j for j in range(self.cl_rank))
+
+    @functools.cached_property
+    def fiber_shifts(self) -> tuple[int, ...]:
+        """The key of each variable degree: multiplying by x_i adds it to a key."""
+        return tuple(sum(map(mul, d, self.fiber_places)) for d in self.variable_degrees())
 
 
 def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
@@ -283,26 +327,29 @@ def effective_weight_form(cd: CoxData) -> WeightForm:
     return cd.weight_form
 
 
-def _fiber_level(cd: CoxData, weight: int) -> dict[Vector, int]:
-    """Number of monomials per class, for the classes of weight exactly ``weight`` >= 0.
+def _fiber_level(cd: CoxData, weight: int) -> dict[int, int]:
+    """Number of monomials per class key, for the classes of weight exactly ``weight`` >= 0.
 
     Dynamic program over the variables and weight levels: the monomials in
     x_0..x_i of weight L either avoid x_i or are x_i times one of weight
     L - w_i, so ``levels_i[L] = levels_(i-1)[L] + shift_{d_i}(levels_i[L - w_i])``.
-    A weight beyond the top level appends the missing levels to each
-    variable in turn; lighter weights are a lookup.  Independent of any
-    polytope geometry, so it can serve as one side of the dual-oracle check.
+    The key is linear in the class, so the shift by d_i adds ``key(d_i)``
+    to each key (:attr:`CoxData.fiber_shifts`), and it is injective on each
+    level (:attr:`CoxData.fiber_levels`).  A weight beyond the top level
+    appends the missing levels to each variable in turn; lighter weights
+    are a lookup.  Independent of any polytope geometry, so it can serve as
+    one side of the dual-oracle check.
     """
     levels = cd.fiber_levels
     top = len(levels[-1]) - 1
     if weight > top:
         previous = None
-        for degree, w, own in zip(cd.variable_degrees(), cd.variable_weights, levels):
+        for shift, w, own in zip(cd.fiber_shifts, cd.variable_weights, levels):
             for level in range(top + 1, weight + 1):
                 counts = dict(previous[level]) if previous is not None else {}
                 if level >= w:
                     for mu, count in own[level - w].items():
-                        nu = tuple(map(add, mu, degree))
+                        nu = mu + shift
                         counts[nu] = counts.get(nu, 0) + count
                 own.append(counts)
             previous = own
@@ -310,10 +357,11 @@ def _fiber_level(cd: CoxData, weight: int) -> dict[Vector, int]:
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
+    """Monomials of the class: 0 outside the box of its weight level, else a lookup by key."""
     weight = cd.weight_form(class_vector)
-    if weight < 0:
+    if weight < 0 or max(map(abs, class_vector)) > weight * cd.fiber_box:
         return 0
-    return _fiber_level(cd, weight).get(class_vector, 0)
+    return _fiber_level(cd, weight).get(sum(map(mul, class_vector, cd.fiber_places)), 0)
 
 
 def section_polytope(cd: CoxData, divisor: TorusInvariantDivisor) -> RationalPolytope:
@@ -335,11 +383,20 @@ def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
     return cd.section_tables.count_lattice_points(class_vector)
 
 
-def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
-    """Dimension of the graded piece, checked against two independent oracles."""
-    lam = tuple(int(x) for x in class_vector)
+def integral_class(cd: CoxData, class_vector: Sequence[int]) -> Vector:
+    """The class as a tuple of ints; ValueError on a wrong length or an entry that is not an integer."""
+    try:
+        lam = tuple(map(index, class_vector))
+    except TypeError:
+        raise ValueError(f"class vector {class_vector!r} has an entry that is not an integer") from None
     if len(lam) != cd.cl_rank:
         raise ValueError(f"class vector length {len(lam)} != rank {cd.cl_rank}")
+    return lam
+
+
+def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
+    """Dimension of the graded piece, checked against two independent oracles."""
+    lam = integral_class(cd, class_vector)
     by_fiber = _fiber_dimension(cd, lam)
     by_polytope = _polytope_dimension(cd, lam)
     if by_fiber != by_polytope:
@@ -380,7 +437,7 @@ def _exponents_up_to_weight(
 
 def monomial_basis(cd: CoxData, class_vector: Sequence[int]) -> tuple[Vector, ...]:
     """Exponent vectors of the monomials of one class, lexicographically sorted."""
-    lam = tuple(int(x) for x in class_vector)
+    lam = integral_class(cd, class_vector)
     # Every monomial of class lam has weight exactly w(lam).
     candidates = _exponents_up_to_weight(cd.variable_weights, cd.weight_form(lam), exact=True)
     return tuple(e for e in candidates if cd.degree_of_exponent(e) == lam)

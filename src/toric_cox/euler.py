@@ -22,6 +22,7 @@ from .cox import (
     GradedPolynomial,
     _exponents_up_to_weight,
     graded_dimension,
+    integral_class,
     make_polynomial,
     monomial_basis,
 )
@@ -97,7 +98,7 @@ def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
 
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
     """Dimension of the twisted section space, summed over the splitting."""
-    lam = tuple(int(x) for x in class_vector)
+    lam = integral_class(em.cox, class_vector)
     return sum(
         graded_dimension(em.cox, tuple(a - b for a, b in zip(lam, degree)))
         for degree in em.basis_degrees

@@ -541,7 +541,7 @@ class WeightForm:
     def __call__(self, v: Sequence[int]) -> int:
         if len(v) != len(self.coefficients):
             raise ValueError("length mismatch")
-        return sum(a * b for a, b in zip(self.coefficients, v))
+        return sum(map(mul, self.coefficients, v))
 
 
 def strictly_positive_form(eff: RationalCone, lattice_rank: int) -> WeightForm:

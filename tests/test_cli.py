@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -93,6 +94,16 @@ class TestEuler:
         code, out = run(capsys, "euler", str(corpus_path("hirzebruch_1")), "--degree", "1,1")
         assert code == 0
         assert "dimension             5" in out
+
+    def test_ring_piece_is_counted_not_listed(self, capsys):
+        # the ring piece of (10, 10, 10, 10) has 121 monomials among about
+        # 1.2 million exponent vectors of its weight; listing them took ~10 s
+        start = time.process_time()
+        code, out = run(capsys, "euler", str(corpus_path("delpezzo6")), "--degree", "10,10,10,10")
+        elapsed = time.process_time() - start
+        assert code == 0
+        assert "ring piece dimension  121" in out
+        assert elapsed < 3.0
 
 
 class TestReconstruct:

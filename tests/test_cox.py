@@ -4,12 +4,13 @@ form, irrelevant ideal and the shift identity."""
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_cox.corpus import SMOOTH_COMPLETE
+from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import (
     cox_data,
     divisor_in_class,
@@ -24,7 +25,13 @@ from toric_cox.cox import (
 )
 from toric_cox import cox as cox_module
 from toric_cox import polyhedral as polyhedral_module
-from toric_cox.euler import EulerModuleElement, build_euler_module, derivation, euler_contract
+from toric_cox.euler import (
+    EulerModuleElement,
+    build_euler_module,
+    derivation,
+    euler_contract,
+    graded_piece_dim,
+)
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
 from toric_cox.polyhedral import WeightForm, cone_contains, polytope_lattice_points
@@ -250,6 +257,62 @@ class TestMonomialBasis:
             assert monomial_basis(cd, lam) == expected, lam
 
 
+KEYED_FANS = dict({name: load_fan(name) for name in SMOOTH_COMPLETE}, blowup_r4=BLOWUP_R4)
+
+
+@st.composite
+def fan_and_classes(draw):
+    """A fan and a few small classes of it, in the order they will be queried."""
+    name = draw(st.sampled_from(sorted(KEYED_FANS)))
+    rank = len(KEYED_FANS[name].rays) - KEYED_FANS[name].dim
+    coordinate = st.integers(-2, 3) if rank <= 2 else st.integers(-1, 2)
+    classes = draw(st.lists(st.tuples(*[coordinate] * rank), min_size=1, max_size=6))
+    return name, classes
+
+
+class TestFiberKeys:
+    """The fiber tables key each class by one packed integer."""
+
+    @pytest.mark.parametrize("entry", [1.5, 2.7, 2.0, Fraction(3, 2), Fraction(4, 2)])
+    def test_an_entry_that_is_not_an_integer_raises(self, corpus_cox, entry):
+        cd = corpus_cox["p2"]
+        em = build_euler_module(cd)
+        for query in (graded_dimension, monomial_basis):
+            with pytest.raises(ValueError, match="not an integer"):
+                query(cd, (entry,))
+        with pytest.raises(ValueError, match="not an integer"):
+            graded_piece_dim(em, (entry,))
+        cd = corpus_cox["hirzebruch_1"]
+        with pytest.raises(ValueError, match="not an integer"):
+            graded_dimension(cd, (1, entry))
+
+    def test_a_class_sharing_a_key_and_a_weight_has_no_monomials(self):
+        cd = cox_data(BLOWUP_R4)
+        assert cd.cl_rank >= 3
+        mu = cd.degree_of_exponent((1,) * cd.num_vars)
+        assert graded_dimension(cd, mu) > 0
+        # (M, -1, 0, ...) and (0, M, -1, ...) have key 0; combine them to weight 0
+        radix = cd.fiber_places[1]
+        a = (radix, -1) + (0,) * (cd.cl_rank - 2)
+        b = (0, radix, -1) + (0,) * (cd.cl_rank - 3)
+        wa, wb = cd.weight_form(a), cd.weight_form(b)
+        delta = tuple(wb * x - wa * y for x, y in zip(a, b))
+        assert any(delta) and cd.weight_form(delta) == 0
+        lam = tuple(x + y for x, y in zip(mu, delta))
+        assert sum(map(mul, lam, cd.fiber_places)) == sum(map(mul, mu, cd.fiber_places))
+        assert graded_dimension(cd, lam) == 0
+        assert monomial_basis(cd, lam) == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fan_and_classes())
+    def test_fiber_dimension_counts_the_enumerated_monomials(self, drawn):
+        # monomial_basis enumerates exponents directly, without the fiber tables
+        name, classes = drawn
+        cd = cox_data(KEYED_FANS[name])
+        for lam in classes:
+            assert cox_module._fiber_dimension(cd, lam) == len(monomial_basis(cd, lam)), (name, lam)
+
+
 class TestFanContext:
     """Derived data of a fan is computed once and lives on its CoxData."""
 
@@ -273,10 +336,10 @@ class TestFanContext:
         cd = cox_data(p2)
         levels = cd.fiber_levels
         # a fresh instance holds level 0 only: the constant monomial, per variable
-        assert levels == ([{(0,): 1}],) * 3
+        assert levels == ([{0: 1}],) * 3
         graded_dimension(cd, (3,))
         assert cd.fiber_levels is levels
-        assert [len(own) for own in levels] == [4, 4, 4] and levels[-1][3] == {(3,): 10}
+        assert [len(own) for own in levels] == [4, 4, 4] and levels[-1][3] == {3: 10}
         kept = [list(own) for own in levels]
         contents = [[dict(level) for level in own] for own in levels]
 
@@ -287,7 +350,7 @@ class TestFanContext:
 
         # a heavier class appends levels and keeps the existing level dicts
         graded_dimension(cd, (5,))
-        assert [len(own) for own in levels] == [6, 6, 6] and levels[-1][5] == {(5,): 21}
+        assert [len(own) for own in levels] == [6, 6, 6] and levels[-1][5] == {5: 21}
         assert all(a is b for own, old in zip(levels, kept) for a, b in zip(own, old))
         assert [[dict(level) for level in own[:4]] for own in levels] == contents
         assert [len(own) for own in cox_data(p2).fiber_levels] == [1, 1, 1]
