@@ -259,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--degree",
                 type=_parse_degree,
                 default=None,
-                help="class vector, comma separated (e.g. 2 or 1,1)",
+                help="class vector, comma separated (e.g. 2 or 1,1); "
+                "one whose first entry is negative is written --degree=-1,1",
             )
     return parser
 

@@ -300,10 +300,14 @@ class GradedPolynomial:
 
 
 def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction]) -> GradedPolynomial:
-    """The validating entry for outside input: ValueError on a wrong-length or negative exponent."""
+    """The validating entry for outside input: ValueError on a wrong-length or negative
+    exponent or on an entry that is not an integer (ints and bools pass, by ``operator.index``)."""
     checked: dict[Vector, Fraction] = {}
     for e, c in terms.items():
-        key = tuple(int(x) for x in e)
+        try:
+            key = tuple(map(index, e))
+        except TypeError:
+            raise ValueError(f"exponent vector {e!r} has an entry that is not an integer") from None
         if len(key) != cox.num_vars or any(x < 0 for x in key):
             raise ValueError(f"bad exponent vector {key}")
         checked[key] = Fraction(c)

@@ -368,39 +368,6 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
     return rank
 
 
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("square matrix expected")
-    sign, previous = 1, 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // previous
-        previous = m[k][k]
-    return sign * previous
-
-
-def adjugate(rows: Sequence[Sequence[int]]) -> tuple[tuple[Vector, ...], int]:
-    """Integer adjugate and determinant of a square matrix, so adj * A = det * I."""
-    n = len(rows)
-    det = determinant(rows)
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [row[:j] + row[j + 1 :] for k, row in enumerate(map(tuple, rows)) if k != i]
-        return (-1) ** (i + j) * determinant(minor)
-
-    return tuple(tuple(cofactor(j, i) for j in range(n)) for i in range(n)), det
-
-
 def primitive_vector(v: Sequence[int]) -> Vector:
     """Divide by the gcd of the coordinates, keeping orientation."""
     g = 0

@@ -18,16 +18,16 @@ is composed once into the form S^T y (:class:`LinearTables`), so a
 parameter vector costs one dot product of its own length per row; the
 count adds the length of the last coordinate's interval and lists no
 point.  Listing and counting share the one walk (:func:`_walk`).
-Vertices come from vertex solvers (integer adjugates of the
-dimension-sized subsets of the normals), also tabulated once per family.
-The same elimination, stopped at level 0, decides whether a linear form
-with prescribed signs exists (:func:`separable`).
+Vertices are the generators of positive height of the homogenized cone
+{(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
+(:func:`_homogenized_generators`).  The same elimination, stopped at
+level 0, decides whether a linear form with prescribed signs exists
+(:func:`separable`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -38,7 +38,6 @@ from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
     IntegerMatrix,
     Vector,
-    adjugate,
     kernel_basis,
     primitive_vector,
     rational_rank,
@@ -261,43 +260,6 @@ class RationalPolytope:
         )
 
 
-# One entry per nonsingular d-subset S of the normals: the indices of S, the
-# rows of -sign(det) * adj(N_S), and |det(N_S)|.  The vertex cut out by S is
-# then (solver . a_S) / |det| for any offsets a.
-VertexSolver = tuple[tuple[int, ...], tuple[Vector, ...], int]
-
-
-def _vertex_solvers(normals: Sequence[Vector], ambient_dim: int) -> tuple[VertexSolver, ...]:
-    out = []
-    for subset in itertools.combinations(range(len(normals)), ambient_dim):
-        adj, det = adjugate([normals[i] for i in subset])
-        if det:
-            sign = -1 if det > 0 else 1
-            out.append((subset, tuple(tuple(sign * x for x in row) for row in adj), abs(det)))
-    return tuple(out)
-
-
-def _vertices(
-    normals: Sequence[Vector], solvers: Sequence[VertexSolver], offsets: Sequence[int]
-) -> list[tuple[Vector, int]]:
-    """Feasible vertices as pairs (numerator, det > 0), tested in integers.
-
-    A candidate m = num / det satisfies <n, m> >= -a exactly when
-    <n, num> + a * det >= 0.  The same vertex may appear once per subset
-    that cuts it out.
-    """
-    out = []
-    for subset, solver, det in solvers:
-        local = [offsets[i] for i in subset]
-        num = tuple(sum(s * a for s, a in zip(row, local)) for row in solver)
-        if all(
-            sum(n * x for n, x in zip(normal, num)) + a * det >= 0
-            for normal, a in zip(normals, offsets)
-        ):
-            out.append((num, det))
-    return out
-
-
 # A multiplier over the original inequalities, as sorted pairs (index, value > 0).
 Multiplier = tuple[tuple[int, int], ...]
 # One derived inequality of level k + 1: the normal's coefficients on
@@ -359,12 +321,12 @@ class PolytopeFamily:
 
     Built by :func:`polytope_family`, which checks boundedness, or directly
     where it holds by construction (the rays of a complete fan).  The
-    tables that serve every offset vector are computed on first use and
-    cached on the instance: Fourier-Motzkin elimination tables for lattice
-    points and vertex solvers for vertices, so each offset vector costs
-    integer arithmetic only.  :meth:`linear_tables` composes the tables with
-    a linear map from parameters to offsets, for counting the points of the
-    polytope of each parameter vector without forming its offsets.
+    Fourier-Motzkin elimination tables that serve every offset vector are
+    computed on first use and cached on the instance, so the lattice points
+    of each offset vector cost integer arithmetic only.
+    :meth:`linear_tables` composes the tables with a linear map from
+    parameters to offsets, for counting the points of the polytope of each
+    parameter vector without forming its offsets.
     """
 
     ambient_dim: int
@@ -375,26 +337,14 @@ class PolytopeFamily:
         """The Fourier-Motzkin tables of the normals (see :func:`_eliminate`)."""
         return _eliminate(self.normals, self.ambient_dim)
 
-    @functools.cached_property
-    def solvers(self) -> tuple[VertexSolver, ...]:
-        return _vertex_solvers(self.normals, self.ambient_dim)
-
-    def _check_offsets(self, offsets: Sequence[int]) -> None:
-        if len(offsets) != len(self.normals):
-            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
-
-    def vertices(self, offsets: Sequence[int]) -> list[tuple[Vector, int]]:
-        """Vertices for these offsets as integer pairs (numerator, det > 0), possibly repeated."""
-        self._check_offsets(offsets)
-        return _vertices(self.normals, self.solvers, offsets)
-
     def lattice_points(self, offsets: Sequence[int]) -> tuple[Vector, ...]:
         """All integer points for these offsets, sorted lexicographically.
 
         Each table row's multiplier dotted with the offsets gives its
         constant, and :func:`_walk` lists the points.
         """
-        self._check_offsets(offsets)
+        if len(offsets) != len(self.normals):
+            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
         level_zero, levels = self.tables
 
         def constant(y: Multiplier) -> int:
@@ -511,14 +461,35 @@ def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> Polyt
     return PolytopeFamily(ambient_dim, norm)
 
 
+def _homogenized_generators(
+    normals: Sequence[Vector], offsets: Sequence[int], ambient_dim: int
+) -> tuple[tuple[Vector, int], ...]:
+    """Canonical generators of the cone over {m : <n_i, m> >= -a_i}, as pairs (num, height).
+
+    The cone is {(m, t) : <n_i, m> + a_i * t >= 0, t >= 0} in dimension
+    d + 1 (:func:`generators_from_inequalities`).  Its slice at height 0 is
+    the recession cone times 0, a face, so a generator at height 0 exists
+    iff the recession cone is nonzero; the lineality lies there too, as
+    plus/minus pairs.  Without lineality the generators at height t > 0 are
+    the vertices num / t, each once, primitive so that t is the exact
+    denominator; an empty polyhedron has none.
+    """
+    rows = [(*normal, a) for normal, a in zip(normals, offsets, strict=True)]
+    rows.append((0,) * ambient_dim + (1,))
+    return tuple((g[:-1], g[-1]) for g in generators_from_inequalities(rows, ambient_dim + 1))
+
+
 def polytope_vertices(p: RationalPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices as exact fractions, from the integer adjugates of dimension-sized subsets."""
-    normals = [normal for normal, _ in p.inequalities]
-    offsets = [offset for _, offset in p.inequalities]
-    solvers = _vertex_solvers(normals, p.ambient_dim)
-    return tuple(sorted({
-        tuple(Fraction(x, det) for x in num) for num, det in _vertices(normals, solvers, offsets)
-    }))
+    """All vertices as exact fractions, sorted: the generators of positive height
+    of the homogenized cone (:func:`_homogenized_generators`), and none when the
+    polyhedron contains a line."""
+    generators = _homogenized_generators(
+        [normal for normal, _ in p.inequalities], [offset for _, offset in p.inequalities], p.ambient_dim
+    )
+    recession = {num for num, t in generators if not t}
+    if any(tuple(-x for x in num) in recession for num in recession):
+        return ()
+    return tuple(sorted(tuple(Fraction(x, t) for x in num) for num, t in generators if t))
 
 
 def polytope_lattice_points(p: RationalPolytope) -> tuple[Vector, ...]:

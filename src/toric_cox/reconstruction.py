@@ -19,7 +19,6 @@ from .errors import (
     NotAmpleLift,
     NotSmooth,
     NotSurjective,
-    UnboundedPolytope,
 )
 from .fans import (
     Fan,
@@ -39,7 +38,7 @@ from .lattice import (
     primitive_vector,
     solve_integer,
 )
-from .polyhedral import cone_contains, cone_from_generators, polytope_family
+from .polyhedral import _homogenized_generators, cone_contains, cone_from_generators
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,13 @@ def _reconstruct_from_kernel(
     else:
         if q.mat_vec(lift) != tuple(ample_class):
             raise ValueError("provided lift has the wrong class")
-    try:
-        family = polytope_family(rays, n)
-    except UnboundedPolytope as exc:
-        raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span") from exc
-    # Vertices as integer pairs (num, det): the point num / det, possibly repeated.
-    # They exist and span n: the polytope is q's fiber over an interior class cut by the orthant.
-    vertices = family.vertices(lift)
+    # Generators (num, det) of the cone over the lifted polyhedron: one at
+    # det = 0 is a recession direction, and without one each is the vertex
+    # num / det.  The vertices exist and span n: the polytope is q's fiber
+    # over an interior class cut by the orthant.
+    vertices = _homogenized_generators(rays, lift, n)
+    if any(not det for _, det in vertices):
+        raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span")
     max_cones = {
         tuple(
             i

@@ -1,6 +1,7 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import json
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -94,6 +95,18 @@ class TestEuler:
         code, out = run(capsys, "euler", str(corpus_path("hirzebruch_1")), "--degree", "1,1")
         assert code == 0
         assert "dimension             5" in out
+
+    def test_negative_first_entry_needs_the_equals_form(self, capsys):
+        code, out = run(capsys, "euler", str(corpus_path("p1xp1")), "--degree=-1,1")
+        assert code == 0
+        assert "degree                (-1, 1)" in out
+        # written apart, argparse takes -1,1 for an option: a usage error, not a crash
+        result = subprocess.run(
+            [sys.executable, "-m", "toric_cox.cli", "euler", str(corpus_path("p1xp1")), "--degree", "-1,1"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert "expected one argument" in result.stderr and "Traceback" not in result.stderr
 
     def test_ring_piece_is_counted_not_listed(self, capsys):
         # the ring piece of (10, 10, 10, 10) has 121 monomials among about

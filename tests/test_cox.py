@@ -514,7 +514,8 @@ class TestGradedPolynomialArithmetic:
         assert p.partial(1) == cd.monomial((1, 1, 0), 2)
         assert p.partial(2).is_zero()
 
-    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), (1, -1, 0)])
+    # non-integral entries used to be truncated: (1.5, 0, 0) read as x0
+    @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), (1, -1, 0), (1.5, 0, 0), (True, 0, 0.9)])
     def test_boundary_rejects_bad_exponent_vectors(self, corpus_cox, bad):
         cd = corpus_cox["p2"]
         with pytest.raises(ValueError):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from toric_cox.lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
-    adjugate,
     cokernel,
-    determinant,
     hermite_basis,
     kernel_basis,
     smith_normal_form,
@@ -169,34 +167,6 @@ class TestCokernel:
             unit = [0] * pres.projection.rows
             unit[i] = 1
             assert preimage_exists(pres, unit)
-
-
-square_matrices = st.integers(0, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
-
-
-class TestDeterminantAndAdjugate:
-    def test_swap_needed_for_a_pivot(self):
-        rows = [[0, 1, 2], [3, 0, 1], [1, 1, 0]]
-        assert determinant(rows) == brute_determinant(IntegerMatrix.from_rows(rows)) == 7
-
-    def test_singular(self):
-        adj, det = adjugate([[1, 2], [2, 4]])
-        assert det == 0 and adj == ((4, -2), (-2, 1))
-
-    @settings(max_examples=80, deadline=None)
-    @given(square_matrices)
-    def test_against_permutation_expansion(self, rows):
-        n = len(rows)
-        adj, det = adjugate(rows)
-        assert det == brute_determinant(IntegerMatrix.from_rows(rows))
-        product = IntegerMatrix(adj).mul(IntegerMatrix.from_rows(rows))
-        assert product.entries == tuple(
-            tuple(det if i == j else 0 for j in range(n)) for i in range(n)
-        )
 
 
 class TestSolveInteger:

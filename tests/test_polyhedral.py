@@ -22,6 +22,7 @@ from toric_cox.lattice import (
 from toric_cox.polyhedral import (
     RationalCone,
     RationalPolytope,
+    _homogenized_generators,
     cone_contains,
     cone_from_generators,
     cone_from_inequalities,
@@ -196,7 +197,7 @@ class TestAgainstTwoPassReference:
     def test_no_subset_enumeration_and_no_kernel_for_pointed_full_cones(self, monkeypatch):
         calls = []
         monkeypatch.setattr(polyhedral_module, "kernel_basis", lambda a: calls.append(a))
-        monkeypatch.setattr(polyhedral_module, "itertools", None)
+        monkeypatch.setattr(polyhedral_module, "itertools", None, raising=False)
         c = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
         assert c.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1))
         assert dual_cone(c) == cone_from_inequalities(c.generators, 3)
@@ -324,7 +325,7 @@ def vertex_box_points(family, offsets) -> tuple:
     """Reference lattice points through the vertices, the enumerator the elimination
     tables replaced: scan the integer bounding box of the vertices and keep the
     points that satisfy every inequality."""
-    vertices = family.vertices(offsets)
+    vertices = _homogenized_generators(family.normals, offsets, family.ambient_dim)
     if not vertices:
         return ()
     box = [
@@ -434,7 +435,7 @@ class TestPolytopeLatticePoints:
 
     def test_vertices_are_integer_pairs(self):
         family = polytope_family([(2, 0), (0, 2), (-2, -1)], 2)
-        pairs = family.vertices((1, 1, 2))
+        pairs = _homogenized_generators(family.normals, (1, 1, 2), 2)
         assert all(det > 0 for _, det in pairs)
         half = Fraction(-1, 2)
         assert {tuple(Fraction(x, det) for x in num) for num, det in pairs} == {
@@ -462,6 +463,35 @@ class TestPolytopeLatticePoints:
         assert polytope_lattice_points(p) == brute_force_points(p)
         if p.ambient_dim <= 3:  # the Fraction reference takes C(rows, 4) solves at d = 4
             assert polytope_vertices(p) == rational_vertices(p)
+
+    @pytest.mark.parametrize(
+        "rows, vertices",
+        [
+            ([((1, 0), 0), ((0, 1), 0)], ((0, 0),)),  # orthant: pointed, unbounded
+            ([((1, 0), 0)], ()),  # half plane
+            ([((1, 0), 0), ((-1, 0), 1)], ()),  # strip 0 <= x <= 1
+            ([((1, 1), 0), ((1, -1), 0)], ((0, 0),)),  # wedge x >= |y|
+        ],
+    )
+    def test_unbounded_polyhedra_have_a_vertex_only_without_a_line(self, rows, vertices):
+        assert polytope_vertices(RationalPolytope.from_inequalities(rows, 2)) == vertices
+
+    # the rays of P^2 and of P^1; a product's rays are its factors' rays, each
+    # padded with zeros on the other factors' coordinates
+    P2, P1 = ((1, 0), (0, 1), (-1, -1)), ((1,), (-1,))
+
+    @pytest.mark.parametrize("factors", [(P2, P2), (P2, P2, P1), (P2, P2, P2)], ids=["4", "5", "6"])
+    def test_anticanonical_products_against_the_fraction_reference(self, factors):
+        dim = sum(len(f[0]) for f in factors)
+        rays, before = [], 0
+        for factor in factors:
+            width = len(factor[0])
+            rays += [(0,) * before + ray + (0,) * (dim - before - width) for ray in factor]
+            before += width
+        p = RationalPolytope.from_inequalities([(ray, 1) for ray in rays], dim)
+        vertices = polytope_vertices(p)
+        assert len(vertices) == 3 ** factors.count(self.P2) * 2 ** factors.count(self.P1)
+        assert vertices == rational_vertices(p)
 
     # (dim, n): rows of level 0 and, per coordinate k, the rows of level k + 1
     # that bound x_k, pinned at their first computation.  Without Chernikov's
@@ -494,18 +524,16 @@ class TestPolytopeLatticePoints:
         level_zero, _ = family.tables
         for offsets, feasible in [((-1, 1, 1, 1), True), ((-1, 0, 1, 1), False), ((0, 0, 0, -1), False)]:
             assert all(sum(v * offsets[i] for i, v in y) >= 0 for y in level_zero) == feasible
-            assert bool(family.vertices(offsets)) == feasible
+            assert bool(_homogenized_generators(family.normals, offsets, 2)) == feasible
             assert family.lattice_points(offsets) == ()
 
-    def test_tables_and_solvers_are_built_on_first_use(self, monkeypatch):
+    def test_tables_are_built_on_first_use(self, monkeypatch):
         family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
-        assert "tables" not in vars(family) and "solvers" not in vars(family)
+        assert "tables" not in vars(family)
         family.lattice_points((0, 0, 1))
-        assert "tables" in vars(family) and "solvers" not in vars(family)
+        assert "tables" in vars(family)
         monkeypatch.setattr(polyhedral_module, "_eliminate", None)
         assert family.lattice_points((0, 0, 2)) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
-        family.vertices((0, 0, 1))
-        assert "solvers" in vars(family)
 
 
 def with_linear_edge_cases(test):

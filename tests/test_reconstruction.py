@@ -20,7 +20,7 @@ from toric_cox.fans import (
     is_ample,
 )
 from toric_cox.lattice import IntegerMatrix, rational_rank, solve_integer
-from toric_cox.polyhedral import polytope_family
+from toric_cox.polyhedral import _homogenized_generators, polytope_family
 from toric_cox.reconstruction import (
     GradingInput,
     _reconstruct_from_kernel,
@@ -160,7 +160,7 @@ class TestReconstructFan:
             except (NotSurjective, UnboundedPolytope):
                 continue
             interior_class = q.mat_vec([rng.randint(1, 3) for _ in range(rank + n)])
-            vertices = family.vertices(solve_integer(q, interior_class))
+            vertices = _homogenized_generators(family.normals, solve_integer(q, interior_class), n)
             assert vertices
             base, base_det = vertices[0]
             diffs = [
