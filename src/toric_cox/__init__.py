@@ -75,7 +75,6 @@ from .lattice import (
     solve_integer,
 )
 from .polyhedral import (
-    LinearTables,
     PolytopeFamily,
     RationalCone,
     RationalPolytope,

@@ -7,11 +7,12 @@ independent oracles (exponent-fiber counting against section-polytope
 counting) which must agree.
 
 The section polytope of a class lam is that of its lifted divisor
-``class_section(lam)``; the lift is linear in lam, so the polytope tables
-are composed with it once per fan and the count runs in class
-coordinates: one rank-length dot product per table row, no lift per
-class, and no lattice point listed.  The lift itself is computed only to
-report an :class:`OracleMismatch`.
+``class_section(lam)``; the lift is linear in lam, so the Fourier-Motzkin
+tables of the rays are composed with it once per fan, into one
+:class:`PolytopeFamily` over class coordinates, and the count costs one
+rank-length dot product per table row, no lift per class, and no lattice
+point listed.  The lift itself is computed only to report an
+:class:`OracleMismatch`.
 
 The fiber side keys its tables by one packed integer per class,
 ``key(mu) = sum_j mu_j * M**j``, so a step of its dynamic program is one
@@ -34,11 +35,11 @@ from .errors import OracleMismatch, TorsionClassGroup
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
 from .lattice import IntegerMatrix, LatticeMap, Vector, solve_integer
 from .polyhedral import (
-    LinearTables,
     PolytopeFamily,
     RationalCone,
     RationalPolytope,
     WeightForm,
+    _unchecked_family,
     cone_from_generators,
     strictly_positive_form,
 )
@@ -116,25 +117,18 @@ class CoxData:
         return LatticeMap(IntegerMatrix.from_rows(zip(*lifts)))
 
     @functools.cached_property
-    def section_polytopes(self) -> PolytopeFamily:
-        """Section polytopes of all invariant divisors: rays as normals, coefficients as offsets.
+    def section_tables(self) -> PolytopeFamily:
+        """The section polytopes of all classes, as one family over class coordinates.
 
-        Its Fourier-Motzkin tables are built on first use, when
-        :attr:`section_tables` composes them, and serve every class of the
-        fan.  No boundedness check: the rays of a complete fan positively
-        span.
+        The section polytope of an invariant divisor has the rays as normals
+        and its coefficients as offsets, and the class lam has the offsets
+        ``class_section(lam)``, linear in lam.  So the Fourier-Motzkin tables
+        of the rays are built and composed with the section once per fan,
+        on the first query, and a class then costs one rank-length dot
+        product per row: no lift.  No boundedness check: the rays of a
+        complete fan positively span.
         """
-        return PolytopeFamily(self.fan.dim, self.fan.rays)
-
-    @functools.cached_property
-    def section_tables(self) -> LinearTables:
-        """The tables of :attr:`section_polytopes` in class coordinates.
-
-        The class lam has offsets ``class_section(lam)``, linear in lam, so the
-        rows are composed with the section once per fan, on the first query,
-        and a class then costs one rank-length dot product per row: no lift.
-        """
-        return self.section_polytopes.linear_tables(self.class_section.matrix)
+        return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section.matrix)
 
     @functools.cached_property
     def fiber_levels(self) -> tuple[list[dict[int, int]], ...]:

@@ -47,6 +47,7 @@ from .lattice import (
     LatticeMap,
     Vector,
     cokernel,
+    integer_vector,
     primitive_vector,
     rational_rank,
     smith_normal_form,
@@ -67,8 +68,8 @@ class Fan:
         """Canonical form: each cone sorted, cones sorted; rays keep their order."""
         return Fan(
             dim=dim,
-            rays=tuple(tuple(int(x) for x in r) for r in rays),
-            max_cones=tuple(sorted(tuple(sorted(int(i) for i in cone)) for cone in max_cones)),
+            rays=tuple(integer_vector(r, "ray") for r in rays),
+            max_cones=tuple(sorted(tuple(sorted(integer_vector(cone, "max cone"))) for cone in max_cones)),
         )
 
     @property
@@ -291,7 +292,7 @@ class TorusInvariantDivisor:
 
     @staticmethod
     def make(coefficients: Sequence[int]) -> "TorusInvariantDivisor":
-        return TorusInvariantDivisor(tuple(int(x) for x in coefficients))
+        return TorusInvariantDivisor(integer_vector(coefficients, "divisor"))
 
     def __add__(self, other: "TorusInvariantDivisor") -> "TorusInvariantDivisor":
         return TorusInvariantDivisor(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))

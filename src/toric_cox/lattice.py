@@ -12,9 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
+
+
+def integer_vector(entries: Iterable[int], name: str) -> Vector:
+    """The entries as a tuple of ints, read by ``operator.index`` so that bools
+    pass and nothing is truncated; ValueError, naming the vector as ``name``,
+    on an entry that is not an integer."""
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise ValueError(f"{name} {entries!r} has an entry that is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntegerMatrix":
-        return IntegerMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+        return IntegerMatrix(tuple(integer_vector(row, "matrix row") for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntegerMatrix":
@@ -292,23 +303,20 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows(hnf_rows).transpose()
 
 
-def left_kernel_basis(a: IntegerMatrix) -> tuple[Vector, ...]:
-    """Canonical (HNF) basis of the saturated lattice {y : y^T A = 0}."""
-    k = kernel_basis(a.transpose())
-    return hermite_basis(k.columns(), a.rows)
-
-
 def cokernel(a: IntegerMatrix) -> AbelianGroupPresentation:
     """Present the quotient Z^rows / im(A).
 
-    The free part of the projection is the Hermite basis of the saturated
-    left kernel of A (canonical, so test fixtures are stable); torsion
-    coordinates come from the Smith transform, one row per invariant
+    Both parts come from the Smith transform U A V = D.  The rows of U past
+    the rank of D span the saturated left kernel {y : y^T A = 0} (U A has
+    zero rows there, and U is unimodular), and the free part of the
+    projection is their Hermite basis (canonical, so test fixtures are
+    stable); torsion coordinates are the rows of U, one per invariant
     factor > 1.
     """
     u, d, _ = smith_normal_form(a)
     diag = _diagonal(d)
-    free_rows = list(left_kernel_basis(a))
+    rank = sum(1 for x in diag if x)
+    free_rows = list(hermite_basis(u.entries[rank:], a.rows))
     torsion: list[tuple[int, Vector]] = []
     for i, di in enumerate(diag):
         if di >= 2:

@@ -7,17 +7,16 @@ cone costs two incremental double descriptions and no subset enumeration:
 inserting the input vectors one at a time as half spaces gives the dual
 generators, and inserting those gives the input side's minimal generators.
 
-Polytopes {m : <n_i, m> >= -a_i} with fixed normals form a family served
-for any offsets a.  Lattice points come from Fourier-Motzkin tables built
-once per family: each derived inequality is a normal over the leading
-coordinates paired with an integer multiplier over the original offsets,
-so one dot product per row turns the tables into the exact projections of
-one polytope, whose integer intervals are walked coordinate by coordinate.
-When the offsets are linear in some parameters, a = S p, each multiplier y
-is composed once into the form S^T y (:class:`LinearTables`), so a
+Polytopes {m : <n_i, m> >= -a_i} with fixed normals and offsets linear in
+some parameters, a = S p, form one :class:`PolytopeFamily`: Fourier-Motzkin
+tables built once, whose rows are split by the sign of the eliminated
+coordinate as they are derived, each row's constant being a linear form in
+p.  For plain offsets the forms are the rows' multipliers, and
+:meth:`PolytopeFamily.linear_tables` composes them with S once, so a
 parameter vector costs one dot product of its own length per row; the
-count adds the length of the last coordinate's interval and lists no
-point.  Listing and counting share the one walk (:func:`_walk`).
+integer intervals of the exact projections are then walked coordinate by
+coordinate.  Counting adds the length of the last coordinate's interval
+and lists no point; it shares the one walk with listing.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -27,7 +26,6 @@ level 0, decides whether a linear form with prescribed signs exists
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -38,6 +36,7 @@ from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
     IntegerMatrix,
     Vector,
+    integer_vector,
     kernel_basis,
     primitive_vector,
     rational_rank,
@@ -140,7 +139,7 @@ def generators_from_inequalities(normals: Sequence[Sequence[int]], ambient_dim: 
     """Canonical minimal generators of {y : <n, y> >= 0 for every n in normals}:
     the generators of :func:`cone_from_inequalities`, without the second
     insertion that finds its facet normals."""
-    vecs = [tuple(int(x) for x in v) for v in normals]
+    vecs = [integer_vector(v, "normal") for v in normals]
     if any(len(v) != ambient_dim for v in vecs):
         raise ValueError("vector dimension mismatch")
     return _dual_generators(sorted({primitive_vector(v) for v in vecs if any(v)}), ambient_dim)
@@ -235,8 +234,8 @@ def separable(
     strict = len(rows)
     for z in vanishing:
         rows += [tuple(z), tuple(-c for c in z)]
-    level_zero, _ = _eliminate(rows, ambient_dim)
-    return not any(i < strict for y in level_zero for i, _ in y)
+    level_zero, _, _ = _eliminate(rows, ambient_dim)
+    return not any(any(y[:strict]) for y in level_zero)
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,8 @@ class RationalPolytope:
 
     @staticmethod
     def from_inequalities(items: Sequence[tuple[Sequence[int], int]], ambient_dim: int) -> "RationalPolytope":
-        ineqs = tuple((tuple(int(x) for x in normal), int(offset)) for normal, offset in items)
+        rows = [integer_vector((*normal, offset), "inequality") for normal, offset in items]
+        ineqs = tuple((row[:-1], row[-1]) for row in rows)
         if any(len(n) != ambient_dim for n, _ in ineqs):
             raise ValueError("inequality dimension mismatch")
         return RationalPolytope(ambient_dim, ineqs)
@@ -260,19 +260,20 @@ class RationalPolytope:
         )
 
 
-# A multiplier over the original inequalities, as sorted pairs (index, value > 0).
-Multiplier = tuple[tuple[int, int], ...]
-# One derived inequality of level k + 1: the normal's coefficients on
-# x_0..x_{k-1}, its nonzero coefficient c on x_k and its multiplier y, standing
-# for <head, x[:k]> + c * x_k + <y, a> >= 0 for any offsets a.
-EliminationRow = tuple[Vector, int, Multiplier]
+# A table row bounding x_k: the coefficients of its normal on x_0..x_{k-1}
+# (the head), its coefficient c on x_k, stored positive, and a linear form f
+# on the parameters p, standing for c * x_k + <head, x[:k]> + <f, p> >= 0 as
+# a lower bound and -c * x_k + <head, x[:k]> + <f, p> >= 0 as an upper bound.
+TableRow = tuple[Vector, int, Vector]
 
 
 def _eliminate(
     normals: Sequence[Vector], ambient_dim: int
-) -> tuple[tuple[Multiplier, ...], tuple[tuple[EliminationRow, ...], ...]]:
+) -> tuple[tuple[Vector, ...], tuple[tuple[TableRow, ...], ...], tuple[tuple[TableRow, ...], ...]]:
     """Fourier-Motzkin tables of {x : <n_i, x> + a_i >= 0}, independent of the offsets a.
 
+    Each derived row carries its multiplier y >= 0 over the original rows,
+    one entry per row, and stands for <normal, x[:k]> + <y, a> >= 0.
     Coordinates are eliminated last to first.  Eliminating x_k combines each
     row with a positive coefficient on x_k with each row with a negative one
     and keeps the rows without x_k; the rows left after eliminating
@@ -289,176 +290,150 @@ def _eliminate(
     15,899 rows and level 0 would combine 31.6 million pairs.
 
     Returns the multipliers of the offset-only rows (level 0) and, for each
-    k, the rows of level k + 1 with a nonzero coefficient on x_k; its rows
-    without x_k are already in level k.
+    k, the rows of level k + 1 with a positive coefficient on x_k (``lower``)
+    and with a negative one (``upper``), as :data:`TableRow` with the
+    multiplier as the form; the rows without x_k are already in level k.
     """
-    rows: dict[Multiplier, Vector] = {((i, 1),): tuple(n) for i, n in enumerate(normals)}
-    bounds = []
+    n = len(normals)
+    rows: dict[Vector, Vector] = {tuple(int(i == j) for j in range(n)): tuple(v) for i, v in enumerate(normals)}
+    lower, upper = [], []
     for k in reversed(range(ambient_dim)):
-        bounds.append(tuple((normal[:k], normal[k], y) for y, normal in rows.items() if normal[k]))
         positive = [(y, normal) for y, normal in rows.items() if normal[k] > 0]
         negative = [(y, normal) for y, normal in rows.items() if normal[k] < 0]
+        lower.append(tuple((normal[:k], normal[k], y) for y, normal in positive))
+        upper.append(tuple((normal[:k], -normal[k], y) for y, normal in negative))
         derived = {y: normal[:k] for y, normal in rows.items() if not normal[k]}
         support_bound = ambient_dim - k + 1
         for p_mult, p_normal in positive:
             for q_mult, q_normal in negative:
-                p, q = dict(p_mult), dict(q_mult)
-                support = sorted(p.keys() | q.keys())
-                if len(support) > support_bound:
+                if sum(1 for a, b in zip(p_mult, q_mult) if a or b) > support_bound:
                     continue
                 s, t = -q_normal[k], p_normal[k]
-                y = [s * p.get(i, 0) + t * q.get(i, 0) for i in support]
+                y = [s * a + t * b for a, b in zip(p_mult, q_mult)]
                 normal = [s * a + t * b for a, b in zip(p_normal[:k], q_normal[:k])]
                 g = gcd(*y, *normal)
-                derived[tuple((i, v // g) for i, v in zip(support, y))] = tuple(x // g for x in normal)
+                derived[tuple(v // g for v in y)] = tuple(x // g for x in normal)
         rows = derived
-    return tuple(rows), tuple(reversed(bounds))
+    return tuple(rows), tuple(reversed(lower)), tuple(reversed(upper))
 
 
 @dataclass(frozen=True)
 class PolytopeFamily:
-    """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i and any offsets a.
+    """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i, with
+    the offsets a linear in some parameters p, as Fourier-Motzkin tables.
 
-    Built by :func:`polytope_family`, which checks boundedness, or directly
-    where it holds by construction (the rays of a complete fan).  The
-    Fourier-Motzkin elimination tables that serve every offset vector are
-    computed on first use and cached on the instance, so the lattice points
-    of each offset vector cost integer arithmetic only.
-    :meth:`linear_tables` composes the tables with a linear map from
-    parameters to offsets, for counting the points of the polytope of each
-    parameter vector without forming its offsets.
+    Each table row's constant is a linear form in p, so the tables, built
+    once with the family, serve every parameter vector with integer
+    arithmetic only: one dot product of the parameters' length per row.
+    :func:`polytope_family` checks boundedness and takes the offsets
+    themselves as the parameters, each form being a row's multiplier;
+    :meth:`linear_tables` composes the forms with a linear map a = S p.
+    ``level_zero`` holds one form per offset-only row; ``lower[k]`` and
+    ``upper[k]`` hold the rows of level k + 1 bounding x_k (see
+    :data:`TableRow` and :func:`_eliminate`).
     """
 
     ambient_dim: int
-    normals: tuple[Vector, ...]
-
-    @functools.cached_property
-    def tables(self) -> tuple[tuple[Multiplier, ...], tuple[tuple[EliminationRow, ...], ...]]:
-        """The Fourier-Motzkin tables of the normals (see :func:`_eliminate`)."""
-        return _eliminate(self.normals, self.ambient_dim)
-
-    def lattice_points(self, offsets: Sequence[int]) -> tuple[Vector, ...]:
-        """All integer points for these offsets, sorted lexicographically.
-
-        Each table row's multiplier dotted with the offsets gives its
-        constant, and :func:`_walk` lists the points.
-        """
-        if len(offsets) != len(self.normals):
-            raise ValueError(f"{len(offsets)} offsets for {len(self.normals)} normals")
-        level_zero, levels = self.tables
-
-        def constant(y: Multiplier) -> int:
-            return sum(v * offsets[i] for i, v in y)
-
-        if any(constant(y) < 0 for y in level_zero):
-            return ()
-        lower = [[(head, c, constant(y)) for head, c, y in level if c > 0] for level in levels]
-        upper = [[(head, -c, constant(y)) for head, c, y in level if c < 0] for level in levels]
-        points: list[Vector] = []
-        _walk(lower, upper, points)
-        return tuple(points)
-
-    def linear_tables(self, section: IntegerMatrix) -> "LinearTables":
-        """The tables for the offsets a = section . p, as linear forms on the parameters p.
-
-        ``section`` has one row per normal.  A row's constant <y, a> is
-        <section^T y, p>, so each multiplier y is composed with the section
-        once, here, and a parameter vector then costs one dot product of its
-        length per row, whatever the number of normals.
-        """
-        if section.rows != len(self.normals):
-            raise ValueError(f"section has {section.rows} rows for {len(self.normals)} normals")
-        level_zero, levels = self.tables
-        rows, width = section.entries, section.cols
-
-        def form(y: Multiplier) -> Vector:
-            return tuple(sum(v * rows[i][j] for i, v in y) for j in range(width))
-
-        return LinearTables(
-            width,
-            tuple(form(y) for y in level_zero),
-            tuple(tuple((head, c, form(y)) for head, c, y in level if c > 0) for level in levels),
-            tuple(tuple((head, -c, form(y)) for head, c, y in level if c < 0) for level in levels),
-        )
-
-
-# A bound on x_k for a prefix x_0..x_{k-1}: the head, c > 0 and the constant
-# b, standing for c * x_k + <head, prefix> + b >= 0 (a lower bound) or
-# -c * x_k + <head, prefix> + b >= 0 (an upper bound).
-Bound = tuple[Vector, int, int]
-
-
-def _walk(lower: Sequence[Sequence[Bound]], upper: Sequence[Sequence[Bound]], points: list[Vector] | None) -> int:
-    """Number of integer points of a polytope whose tables have passed level 0;
-    with a list, its points are also appended to it, lexicographically.
-
-    Given a prefix x_0..x_{k-1} of a point of the polytope's projection,
-    ``lower[k]`` and ``upper[k]`` (the rows of level k + 1) bound x_k, and
-    the projection being exact, every x_k in that integer interval extends
-    the prefix within the next projection.  Boundedness puts rows on both
-    sides at every level.  Counting and listing differ only at the last
-    coordinate: its interval adds its length, and is listed only on request.
-    """
-    last = len(lower) - 1
-    if last < 0:  # dimension 0: the polytope is the origin
-        if points is not None:
-            points.append(())
-        return 1
-
-    def extend(prefix: Vector) -> int:
-        k = len(prefix)
-        # with slack = <head, prefix> + b: c * x + slack >= 0 bounds x below,
-        # and -c * x + slack >= 0 (c stored positive) above
-        lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
-        hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
-        if k < last:
-            return sum(extend(prefix + (x,)) for x in range(lo, hi + 1))
-        if points is not None:
-            points.extend(prefix + (x,) for x in range(lo, hi + 1))
-        # the prefix lies in the exact projection, so the rational interval
-        # is non-empty and its integer points number hi - lo + 1 >= 0
-        return hi - lo + 1
-
-    return extend(())
-
-
-# A table row over parameters: the head and c as in an EliminationRow, and
-# the linear form f on the parameters giving its constant.
-LinearRow = tuple[Vector, int, Vector]
-
-
-@dataclass(frozen=True)
-class LinearTables:
-    """The Fourier-Motzkin tables of a :class:`PolytopeFamily` for offsets linear
-    in some parameters, built by :meth:`PolytopeFamily.linear_tables`.
-
-    ``level_zero`` holds one form per offset-only row; ``lower[k]`` and
-    ``upper[k]`` hold the rows of level k + 1 bounding x_k, each with its
-    coefficient stored positive.
-    """
-
     parameters: int
     level_zero: tuple[Vector, ...]
-    lower: tuple[tuple[LinearRow, ...], ...]
-    upper: tuple[tuple[LinearRow, ...], ...]
+    lower: tuple[tuple[TableRow, ...], ...]
+    upper: tuple[tuple[TableRow, ...], ...]
+
+    def lattice_points(self, params: Sequence[int]) -> tuple[Vector, ...]:
+        """All integer points of the polytope of these parameters, sorted lexicographically."""
+        if len(params) != self.parameters:
+            raise ValueError(f"{len(params)} parameters for {self.parameters}")
+        points: list[Vector] = []
+        if all(sum(map(mul, f, params)) >= 0 for f in self.level_zero):
+            self._walk(params, points)
+        return tuple(points)
 
     def count_lattice_points(self, params: Sequence[int]) -> int:
-        """Number of integer points of the polytope of these parameters; lists none."""
+        """Number of integer points of the polytope of these parameters; lists none.
+
+        Level 0 is checked here, not in :meth:`_walk`, so that an empty
+        polytope, the common case of a class outside the effective cone,
+        costs no further call.
+        """
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
         if any(sum(map(mul, f, params)) < 0 for f in self.level_zero):
             return 0
+        return self._walk(params, None)
+
+    def linear_tables(self, section: IntegerMatrix) -> "PolytopeFamily":
+        """The family over the parameters q of this family's parameters p = section . q.
+
+        ``section`` has one row per parameter.  A row's constant <f, p> is
+        <section^T f, q>, so each form is composed with the section once,
+        here, and a vector q then costs one dot product of its length per
+        row, whatever the number of normals.
+        """
+        if section.rows != self.parameters:
+            raise ValueError(f"section has {section.rows} rows for {self.parameters} parameters")
+        columns = section.columns()
+
+        def compose(f: Vector) -> Vector:
+            return tuple(sum(map(mul, f, column)) for column in columns)
+
+        def rows(levels: tuple[tuple[TableRow, ...], ...]) -> tuple[tuple[TableRow, ...], ...]:
+            return tuple(tuple((head, c, compose(f)) for head, c, f in level) for level in levels)
+
+        return PolytopeFamily(
+            self.ambient_dim, section.cols, tuple(map(compose, self.level_zero)), rows(self.lower), rows(self.upper)
+        )
+
+    def _walk(self, params: Sequence[int], points: list[Vector] | None) -> int:
+        """Number of integer points of the polytope of these parameters, whose
+        level-0 constants are nonnegative; with a list, its points are also
+        appended to it, lexicographically.
+
+        Each row's form dotted with the parameters gives its constant b.
+        Given a prefix x_0..x_{k-1} of a point of the polytope's projection,
+        ``lower[k]`` and ``upper[k]`` bound x_k, and the projection being
+        exact, every x_k in that integer interval extends the prefix within
+        the next projection.  Boundedness puts rows on both sides at every
+        level.  Counting and listing differ only at the last coordinate: its
+        interval adds its length, and is listed only on request.
+        """
         lower = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower]
         upper = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper]
-        return _walk(lower, upper, None)
+        last = self.ambient_dim - 1
+        if last < 0:  # dimension 0: the polytope is the origin
+            if points is not None:
+                points.append(())
+            return 1
+
+        def extend(prefix: Vector) -> int:
+            k = len(prefix)
+            # with slack = <head, prefix> + b: c * x + slack >= 0 bounds x below,
+            # and -c * x + slack >= 0 (c stored positive) above
+            lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
+            hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
+            if k < last:
+                return sum(extend(prefix + (x,)) for x in range(lo, hi + 1))
+            if points is not None:
+                points.extend(prefix + (x,) for x in range(lo, hi + 1))
+            # the prefix lies in the exact projection, so the rational interval
+            # is non-empty and its integer points number hi - lo + 1 >= 0
+            return hi - lo + 1
+
+        return extend(())
 
 
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:
-    """The family of fixed normals; UnboundedPolytope unless their recession cone is {0}."""
-    norm = tuple(tuple(int(x) for x in h) for h in normals)
+    """The family of fixed normals, with the offsets as its parameters;
+    UnboundedPolytope unless their recession cone is {0}."""
+    norm = tuple(integer_vector(h, "normal") for h in normals)
     if generators_from_inequalities(norm, ambient_dim):
         raise UnboundedPolytope("polytope has a recession direction")
-    return PolytopeFamily(ambient_dim, norm)
+    return _unchecked_family(norm, ambient_dim)
+
+
+def _unchecked_family(normals: Sequence[Vector], ambient_dim: int) -> PolytopeFamily:
+    """:func:`polytope_family` without the boundedness check, for normals that
+    positively span by construction (the rays of a complete fan)."""
+    return PolytopeFamily(ambient_dim, len(normals), *_eliminate(normals, ambient_dim))
 
 
 def _homogenized_generators(

@@ -38,6 +38,10 @@ from .lattice import Vector, hermite_basis, kernel_basis
 from .polyhedral import generators_from_inequalities
 from .reconstruction import roundtrip_check, splitting_certificate
 
+# The Cech check draws this many random pairs of divisors, from this seed.
+CECH_PAIRS = 5
+CECH_SEED = 2024
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -141,12 +145,12 @@ def _generation_checks(
     return transfer, spanning
 
 
-def _cech_check(fan: Fan, pairs: int, seed: int) -> CheckResult:
-    rng = random.Random(seed)
+def _cech_check(fan: Fan) -> CheckResult:
+    rng = random.Random(CECH_SEED)
     cocycle_ok = True
     additive_ok = True
     n_cones = len(fan.max_cones)
-    for _ in range(pairs):
+    for _ in range(CECH_PAIRS):
         coeffs_a = [rng.randint(-3, 3) for _ in range(fan.n_rays)]
         coeffs_b = [rng.randint(-3, 3) for _ in range(fan.n_rays)]
         div_a = TorusInvariantDivisor.make(coeffs_a)
@@ -166,7 +170,7 @@ def _cech_check(fan: Fan, pairs: int, seed: int) -> CheckResult:
     return CheckResult(
         "cech cocycle",
         passed,
-        f"cocycle identity on all triples: {cocycle_ok}; additivity on {pairs} random pairs: {additive_ok}",
+        f"cocycle identity on all triples: {cocycle_ok}; additivity on {CECH_PAIRS} random pairs: {additive_ok}",
     )
 
 
@@ -248,8 +252,6 @@ def run_verification(
     fan: Fan,
     euler_weight_bound: int = 4,
     window_radius: int = 2,
-    cech_pairs: int = 5,
-    seed: int = 2024,
 ) -> tuple[CheckResult, ...]:
     """All invariant checks on one smooth complete fan, deterministically."""
     report = validate_fan(fan)
@@ -268,7 +270,7 @@ def run_verification(
     results.append(_dual_oracle_check(cd, window_radius))
     results.extend(_euler_identity_check(cd, em, euler_weight_bound))
     results.extend(_generation_checks(cd, em, euler_weight_bound))
-    results.append(_cech_check(fan, cech_pairs, seed))
+    results.append(_cech_check(fan))
     results.append(_roundtrip_check(fan))
     results.append(_certificate_check(fan))
     return tuple(results)

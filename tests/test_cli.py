@@ -34,6 +34,19 @@ class TestValidate:
         assert code == 1
         assert "smooth      False" in out
 
+    @pytest.mark.parametrize("command", ["validate", "verify"])
+    def test_non_simplicial_fan_exits_one(self, capsys, tmp_path, command):
+        square = tmp_path / "square.json"
+        square.write_text('{"dim": 3, "rays": [[1,0,1],[0,1,1],[-1,0,1],[0,-1,1]], "max_cones": [[0,1,2,3]]}')
+        assert main([command, str(square)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        if command == "validate":
+            assert "simplicial  False" in captured.out
+        else:
+            fails = [line.strip() for line in captured.out.splitlines() if "FAIL" in line]
+            assert fails == ["fan validation  FAIL: simplicial: False; smooth: False; complete: False"]
+
     def test_truncated_json_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"dim": 2, "rays": [[1, 0]')

@@ -58,6 +58,20 @@ class TestValidateFan:
         assert report == FanReport(True, True, True)
         assert repr(report) == "FanReport(simplicial=True, smooth=True, complete=True)"
 
+    def test_cone_over_a_square_is_not_simplicial(self):
+        # four rays in dimension 3: the one validation that sees simplicial=False
+        fan = Fan.make(3, [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]], [[0, 1, 2, 3]])
+        assert validate_fan(fan) == FanReport(False, False, False)
+
+    def test_make_rejects_entries_that_are_not_integers(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            Fan.make(2, [[1, 0], [0.5, 1]], [[0, 1]])
+        with pytest.raises(ValueError, match="not an integer"):
+            Fan.make(2, [[1, 0], [0, 1]], [[0, 1.0]])
+        with pytest.raises(ValueError, match="not an integer"):
+            TorusInvariantDivisor.make([1, 0.5])
+        assert Fan.make(1, [[True], [-1]], [[False], [1]]) == Fan.make(1, [[1], [-1]], [[0], [1]])
+
     def test_no_charts_without_smoothness(self):
         assert validate_fan(Fan.make(2, [[1, 0], [1, 2]], [[0, 1]])).charts == ()
 

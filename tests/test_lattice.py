@@ -1,6 +1,9 @@
 """Smith normal form, kernels and cokernels, checked against brute-force oracles."""
 
 import itertools
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +67,13 @@ small_matrices = st.integers(1, 4).flatmap(
         )
     )
 ).map(IntegerMatrix.from_rows)
+
+
+class TestIntegerMatrix:
+    def test_from_rows_reads_integers_only(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntegerMatrix.from_rows([[1, 2.5]])
+        assert IntegerMatrix.from_rows([[True, 0]]).entries == ((1, 0),)
 
 
 class TestSmithNormalForm:
@@ -150,6 +160,18 @@ class TestCokernel:
         pres = cokernel(a)
         assert pres.free_rank == 2
         assert pres.invariant_factors == ()
+
+    def test_free_rows_match_the_left_kernel_reference(self):
+        # the construction cokernel used before reading the free rows off its
+        # own Smith transform: a second Smith form, on the transpose, for the
+        # kernel of A^T, then the Hermite basis of that kernel
+        rng = random.Random(0)
+        for _ in range(1000):
+            m, n = rng.randint(1, 7), rng.randint(1, 5)
+            a = IntegerMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+            reference = hermite_basis(kernel_basis(a.transpose()).columns(), a.rows)
+            pres = cokernel(a)
+            assert pres.projection.entries[: pres.free_rank] == reference, a
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)

@@ -209,6 +209,13 @@ class TestAgainstTwoPassReference:
         with pytest.raises(ValueError):
             construct(vectors, 2)
 
+    @pytest.mark.parametrize("construct", [cone_from_generators, cone_from_inequalities])
+    def test_entries_must_be_integers(self, construct):
+        # a float entry raises instead of being truncated; bools read as 0 and 1
+        with pytest.raises(ValueError, match="not an integer"):
+            construct([(1.5, 0), (0, 1)], 2)
+        assert construct([(True, False), (0, 1)], 2) == construct([(1, 0), (0, 1)], 2)
+
 
 class TestConeContains:
     def test_interior_point_of_obtuse_cone(self):
@@ -321,21 +328,21 @@ def rational_vertices(p: RationalPolytope) -> tuple:
     return tuple(sorted(seen))
 
 
-def vertex_box_points(family, offsets) -> tuple:
+def vertex_box_points(normals, offsets, dim) -> tuple:
     """Reference lattice points through the vertices, the enumerator the elimination
     tables replaced: scan the integer bounding box of the vertices and keep the
     points that satisfy every inequality."""
-    vertices = _homogenized_generators(family.normals, offsets, family.ambient_dim)
+    vertices = _homogenized_generators(normals, offsets, dim)
     if not vertices:
         return ()
     box = [
         range(min(-(-num[c] // det) for num, det in vertices), max(num[c] // det for num, det in vertices) + 1)
-        for c in range(family.ambient_dim)
+        for c in range(dim)
     ]
     return tuple(
         pt
         for pt in itertools.product(*box)
-        if all(sum(n * x for n, x in zip(normal, pt)) + a >= 0 for normal, a in zip(family.normals, offsets))
+        if all(sum(n * x for n, x in zip(normal, pt)) + a >= 0 for normal, a in zip(normals, offsets))
     )
 
 
@@ -385,13 +392,14 @@ def with_polytope_edge_cases(test):
     return test
 
 
-def generic_family(seed: str, dim: int, n: int):
-    """Bounded family of ``n`` seeded random normals in dimension ``dim``."""
+def generic_normals(seed: str, dim: int, n: int):
+    """``n`` seeded random normals in dimension ``dim`` with a bounded family."""
     rng = random.Random(seed)
     while True:
         normals = [tuple(rng.randint(-9, 9) for _ in range(dim)) for _ in range(n)]
         try:
-            return polytope_family(normals, dim)
+            polytope_family(normals, dim)
+            return normals
         except UnboundedPolytope:
             continue
 
@@ -434,8 +442,7 @@ class TestPolytopeLatticePoints:
             family.lattice_points((0, 0))
 
     def test_vertices_are_integer_pairs(self):
-        family = polytope_family([(2, 0), (0, 2), (-2, -1)], 2)
-        pairs = _homogenized_generators(family.normals, (1, 1, 2), 2)
+        pairs = _homogenized_generators([(2, 0), (0, 2), (-2, -1)], (1, 1, 2), 2)
         assert all(det > 0 for _, det in pairs)
         half = Fraction(-1, 2)
         assert {tuple(Fraction(x, det) for x in num) for num, det in pairs} == {
@@ -447,6 +454,14 @@ class TestPolytopeLatticePoints:
     def test_zero_dimensional_polytope(self):
         family = polytope_family([], 0)
         assert family.lattice_points(()) == ((),)
+
+    def test_entries_must_be_integers(self):
+        # truncating 2.9 would give 0 <= x <= 2, with the vertices 0 and 2
+        with pytest.raises(ValueError, match="not an integer"):
+            polytope_vertices(RationalPolytope.from_inequalities([((1,), 0), ((-1,), 2.9)], 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            polytope_family([(1,), (-1.0,)], 1)
+        assert RationalPolytope.from_inequalities([((True,), False)], 1).inequalities == (((1,), 0),)
 
     def test_vertices_are_rational(self):
         p = RationalPolytope.from_inequalities(
@@ -494,8 +509,8 @@ class TestPolytopeLatticePoints:
         assert vertices == rational_vertices(p)
 
     # (dim, n): rows of level 0 and, per coordinate k, the rows of level k + 1
-    # that bound x_k, pinned at their first computation.  Without Chernikov's
-    # rule level 1 of the first family holds 15,899 rows.
+    # that bound x_k from either side, pinned at their first computation.
+    # Without Chernikov's rule level 1 of the first family holds 15,899 rows.
     PRUNED_TABLE_SIZES = {
         (4, 14): (129, [99, 89, 36, 13]),
         (5, 16): (248, [310, 222, 130, 62, 16]),
@@ -503,37 +518,38 @@ class TestPolytopeLatticePoints:
 
     @pytest.mark.parametrize("dim, n", sorted(PRUNED_TABLE_SIZES))
     def test_elimination_tables_stay_small(self, dim, n):
-        family = generic_family(f"fm-{dim}-{n}-0", dim, n)
+        normals = generic_normals(f"fm-{dim}-{n}-0", dim, n)
         start = time.process_time()
-        level_zero, levels = family.tables
+        family = polytope_family(normals, dim)
         assert time.process_time() - start < 2.0
-        assert (len(level_zero), [len(level) for level in levels]) == self.PRUNED_TABLE_SIZES[dim, n]
+        sizes = [len(lower) + len(upper) for lower, upper in zip(family.lower, family.upper)]
+        assert (len(family.level_zero), sizes) == self.PRUNED_TABLE_SIZES[dim, n]
+        # the coefficient on x_k is stored positive on both sides
+        assert all(c > 0 for side in (family.lower, family.upper) for level in side for _, c, _ in level)
         # rows are divided by their content, which keeps the integers small
-        assert all(gcd(*(v for _, v in y)) == 1 for y in level_zero)
+        assert all(gcd(*y) == 1 for y in family.level_zero)
         rng = random.Random(f"offsets-{dim}-{n}")
         for _ in range(4):
             # nonnegative offsets keep the origin inside
             offsets = [rng.randint(0, 12) for _ in range(n)]
             points = family.lattice_points(offsets)
             assert (0,) * dim in points
-            assert points == vertex_box_points(family, offsets)
+            assert points == vertex_box_points(normals, offsets, dim)
 
     def test_level_zero_decides_rational_emptiness(self):
         # the line 2x = 1 is non-empty over Q and holds no lattice point
-        family = polytope_family([(2, 0), (-2, 0), (0, 1), (0, -1)], 2)
-        level_zero, _ = family.tables
+        normals = [(2, 0), (-2, 0), (0, 1), (0, -1)]
+        family = polytope_family(normals, 2)
         for offsets, feasible in [((-1, 1, 1, 1), True), ((-1, 0, 1, 1), False), ((0, 0, 0, -1), False)]:
-            assert all(sum(v * offsets[i] for i, v in y) >= 0 for y in level_zero) == feasible
-            assert bool(_homogenized_generators(family.normals, offsets, 2)) == feasible
+            assert all(sum(map(mul, f, offsets)) >= 0 for f in family.level_zero) == feasible
+            assert bool(_homogenized_generators(normals, offsets, 2)) == feasible
             assert family.lattice_points(offsets) == ()
 
-    def test_tables_are_built_on_first_use(self, monkeypatch):
+    def test_tables_are_built_once(self, monkeypatch):
         family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
-        assert "tables" not in vars(family)
-        family.lattice_points((0, 0, 1))
-        assert "tables" in vars(family)
         monkeypatch.setattr(polyhedral_module, "_eliminate", None)
         assert family.lattice_points((0, 0, 2)) == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+        assert family.linear_tables(IntegerMatrix.from_rows([(0,), (0,), (1,)])).count_lattice_points((2,)) == 6
 
 
 def with_linear_edge_cases(test):
@@ -557,8 +573,9 @@ class TestLinearTables:
         sections = [tuple(rng.randint(-1, 1) for _ in range(rank)) + (a,) for _, a in p.inequalities]
         q = tuple(rng.randint(-2, 2) for _ in range(rank))
         offsets = [sum(map(mul, row, q + (1,))) for row in sections]
-        tables = family.linear_tables(IntegerMatrix(tuple(sections), zero_width=0 if sections else rank + 1))
-        assert tables.count_lattice_points(q + (1,)) == len(family.lattice_points(offsets))
+        composed = family.linear_tables(IntegerMatrix(tuple(sections), zero_width=0 if sections else rank + 1))
+        assert composed.count_lattice_points(q + (1,)) == len(family.lattice_points(offsets))
+        assert composed.lattice_points(q + (1,)) == family.lattice_points(offsets)
 
     def test_zero_dimensional_family_counts_the_origin(self):
         tables = polytope_family([], 0).linear_tables(IntegerMatrix.zero(0, 2))

@@ -156,11 +156,12 @@ class TestReconstructFan:
             )
             try:
                 kernel = _surjective_kernel(q)
-                family = polytope_family([kernel.row(i) for i in range(kernel.rows)], n)
+                normals = [kernel.row(i) for i in range(kernel.rows)]
+                polytope_family(normals, n)  # the boundedness check
             except (NotSurjective, UnboundedPolytope):
                 continue
             interior_class = q.mat_vec([rng.randint(1, 3) for _ in range(rank + n)])
-            vertices = _homogenized_generators(family.normals, solve_integer(q, interior_class), n)
+            vertices = _homogenized_generators(normals, solve_integer(q, interior_class), n)
             assert vertices
             base, base_det = vertices[0]
             diffs = [
