@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
-from toric_cox.cox import cox_data, effective_weight_form, graded_dimension
+from toric_cox.cox import cox_data, graded_dimension
 from toric_cox.euler import build_euler_module, graded_piece_dim
 from toric_cox.fans import fan_from_json
 
@@ -31,7 +31,7 @@ def main() -> int:
 
     cd = cox_data(fan)
     em = build_euler_module(cd)
-    form = effective_weight_form(cd)
+    form = cd.weight_form
     print(f"rays: {fan.n_rays}, class rank: {cd.cl_rank}, weight form: {form.coefficients}")
     print(f"{'class':<20} {'weight':>6} {'ring dim':>8} {'module dim':>10}")
     nonzero = 0

@@ -8,17 +8,13 @@ point anywhere in the package.
 from .cox import (
     CoxData,
     GradedPolynomial,
-    MonomialIdeal,
     cox_data,
     divisor_in_class,
-    effective_cone,
     effective_weight_form,
     graded_dimension,
     irrelevant_ideal,
     make_polynomial,
     monomial_basis,
-    section_polytope,
-    shift_module_degree,
 )
 from .errors import (
     DegenerateRay,
@@ -50,7 +46,6 @@ from .euler import (
     section_dimension_report,
 )
 from .fans import (
-    CartierData,
     CechCocycle,
     Fan,
     FanReport,

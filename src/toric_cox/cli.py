@@ -118,10 +118,7 @@ def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
     cd = cox_data(fan)
     form = cd.weight_form
     eff = cd.effective_cone
-    ideal = irrelevant_ideal(cd)
-    ideal_monomials = ", ".join(
-        str(cd.monomial(e)) for e in ideal.generators
-    )
+    ideal_monomials = ", ".join(str(cd.monomial(e)) for e in irrelevant_ideal(cd))
     sections: tuple[Section, ...] = (
         (
             "class group",

@@ -37,7 +37,6 @@ from .lattice import IntegerMatrix, LatticeMap, Vector, solve_integer
 from .polyhedral import (
     PolytopeFamily,
     RationalCone,
-    RationalPolytope,
     WeightForm,
     _unchecked_family,
     cone_from_generators,
@@ -140,7 +139,7 @@ class CoxData:
         demand and never rebuilds one.
 
         Why the key is exact.  Every variable weight is >= 1, so a monomial
-        of weight L has total degree <= L and its class mu satisfies
+        of weight L has total degree <= L and its class mu has
         ``|mu_j| <= L * D``, with D the largest absolute entry of a variable
         degree (:attr:`fiber_box`).  Two classes of that box differ by at
         most ``2 * L * D`` per coordinate.  If their keys agree, the
@@ -308,20 +307,8 @@ def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction])
     return GradedPolynomial(cox, checked)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
-    """Monomial ideal by its minimal generating exponents (pairwise incomparable)."""
-
-    generators: tuple[Vector, ...]
-
-
-def effective_cone(cd: CoxData) -> RationalCone:
-    """Cone spanned by the variable degrees (cached on ``cd``)."""
-    return cd.effective_cone
-
-
 def effective_weight_form(cd: CoxData) -> WeightForm:
-    """Integral form positive on all nonzero effective classes (cached on ``cd``)."""
+    """``cd.weight_form``; kept as a function because the benchmark harness calls it by name."""
     return cd.weight_form
 
 
@@ -360,14 +347,6 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
     if weight < 0 or max(map(abs, class_vector)) > weight * cd.fiber_box:
         return 0
     return _fiber_level(cd, weight).get(sum(map(mul, class_vector, cd.fiber_places)), 0)
-
-
-def section_polytope(cd: CoxData, divisor: TorusInvariantDivisor) -> RationalPolytope:
-    """Characters m with div(m) + D >= 0; its lattice points give the sections of O(D)."""
-    return RationalPolytope.from_inequalities(
-        [(ray, a) for ray, a in zip(cd.fan.rays, divisor.coefficients)],
-        cd.fan.dim,
-    )
 
 
 def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariantDivisor:
@@ -441,8 +420,9 @@ def monomial_basis(cd: CoxData, class_vector: Sequence[int]) -> tuple[Vector, ..
     return tuple(e for e in candidates if cd.degree_of_exponent(e) == lam)
 
 
-def irrelevant_ideal(cd: CoxData) -> MonomialIdeal:
-    """Generated by the products of the variables outside each maximal cone.
+def irrelevant_ideal(cd: CoxData) -> tuple[Vector, ...]:
+    """The sorted exponents of the generators: the products of the variables
+    outside each maximal cone.
 
     These generators are minimal by construction: validation rejects nested
     maximal cones, so their complements are distinct and pairwise
@@ -452,11 +432,4 @@ def irrelevant_ideal(cd: CoxData) -> MonomialIdeal:
     for cone in cd.fan.max_cones:
         outside = set(range(cd.num_vars)) - set(cone)
         raw.append(tuple(1 if i in outside else 0 for i in range(cd.num_vars)))
-    return MonomialIdeal(tuple(sorted(raw)))
-
-
-def shift_module_degree(cd: CoxData, divisor: TorusInvariantDivisor) -> Vector:
-    """Class shift identifying the section module of O(D) with the shifted ring."""
-    if len(divisor.coefficients) != cd.num_vars:
-        raise ValueError("divisor has the wrong number of coefficients")
-    return cd.degree_map(divisor.coefficients)
+    return tuple(sorted(raw))

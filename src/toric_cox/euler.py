@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from .cox import (
@@ -27,7 +28,7 @@ from .cox import (
     monomial_basis,
 )
 from .errors import InhomogeneousInput
-from .lattice import Vector, rational_rank
+from .lattice import Vector, integer_vector, rational_rank
 from .polyhedral import WeightForm
 
 
@@ -169,10 +170,15 @@ def check_euler_identity(
 
     Runs over random homogeneous polynomials of bounded weight (random
     rational combinations of the monomials of a random effective class).
+    The classes are drawn from the nonconstant monomials of weight at most
+    ``max(max_weight, w_min)``, with w_min the lightest variable weight: so
+    the pool is never empty, and it is the same wherever ``max_weight``
+    already reaches a variable.
     """
     rng = rng or random.Random(20240)
     cd = em.cox
-    pool = [e for e in monomials_of_weight_at_most(cd, max_weight) if any(e)]
+    bound = max(max_weight, min(cd.variable_weights))
+    pool = [e for e in monomials_of_weight_at_most(cd, bound) if any(e)]
     classes = sorted({cd.degree_of_exponent(e) for e in pool})
     failures: list[str] = []
     checked = 0
@@ -197,11 +203,13 @@ def graded_generation_check(
     The ambient algebra is a polynomial ring whose variables carry the
     given positive weights.  Degree-by-degree the reachable products of
     candidates are compared with the full monomial basis of that weight.
+    A weight or exponent that is not an integer raises ValueError.
     """
-    weights = [int(w) for w in weights]
+    weights = integer_vector(weights, "weights")
     if any(w < 1 for w in weights):
         raise ValueError("variable weights must be positive")
-    candidates = [tuple(int(x) for x in e) for e in candidate_exponents]
+    candidates = [integer_vector(e, "candidate exponent") for e in candidate_exponents]
+    bound = index(bound)
     n = len(weights)
     if any(len(e) != n for e in candidates):
         raise ValueError("candidate exponent length mismatch")
@@ -264,7 +272,7 @@ def section_dimension_report(
         window = [v for v in itertools.product(range(-2, 3), repeat=r)]
     records = []
     for raw in window:
-        lam = tuple(int(x) for x in raw)
+        lam = integral_class(cd, raw)
         module_dim = graded_piece_dim(em, lam)
         ring_basis = monomial_basis(cd, lam)
         ring_dim = len(ring_basis)

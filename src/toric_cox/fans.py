@@ -317,24 +317,18 @@ def class_group(f: Fan) -> tuple[AbelianGroupPresentation, LatticeMap]:
     return presentation, LatticeMap(presentation.projection)
 
 
-@dataclass(frozen=True)
-class CartierData:
-    """Per maximal cone, the character m_s with <m_s, v_ray> = -a_ray on the cone."""
-
-    characters: tuple[Vector, ...]
-
-
-def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> CartierData:
-    """``m_s = -R_s a_s`` per maximal cone s; no check, as on a smooth fan every divisor is Cartier."""
+def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> tuple[Vector, ...]:
+    """Per maximal cone s, the character m_s with <m_s, v_ray> = -a_ray on the cone:
+    ``m_s = -R_s a_s``; no check, as on a smooth fan every divisor is Cartier."""
     report = validate_fan(f)
     if not report.smooth:
         raise NotSmooth("Cartier data computed only on smooth fans")
     if len(divisor.coefficients) != f.n_rays:
         raise ValueError("divisor has the wrong number of coefficients")
     a = divisor.coefficients
-    return CartierData(tuple(
+    return tuple(
         chart.mat_vec([-a[i] for i in cone]) for chart, cone in zip(report.charts, f.max_cones)
-    ))
+    )
 
 
 @dataclass(frozen=True)
@@ -362,10 +356,10 @@ class CechCocycle:
 
 
 def cech_transitions(f: Fan, divisor: TorusInvariantDivisor) -> CechCocycle:
-    data = cartier_data(f, divisor)
+    characters = cartier_data(f, divisor)
     pairs = []
     for s, t in itertools.permutations(range(len(f.max_cones)), 2):
-        diff = tuple(a - b for a, b in zip(data.characters[s], data.characters[t]))
+        diff = tuple(a - b for a, b in zip(characters[s], characters[t]))
         pairs.append(((s, t), diff))
     return CechCocycle(tuple(pairs))
 

@@ -166,9 +166,6 @@ class RationalCone:
     generators: tuple[Vector, ...]
     facet_normals: tuple[Vector, ...]
 
-    def contains(self, point: Sequence[int], mode: Literal["closure", "relative_interior"] = "closure") -> bool:
-        return cone_contains(self, point, mode)
-
     @property
     def dim(self) -> int:
         return rational_rank(self.generators) if self.generators else 0
@@ -252,12 +249,6 @@ class RationalPolytope:
         if any(len(n) != ambient_dim for n, _ in ineqs):
             raise ValueError("inequality dimension mismatch")
         return RationalPolytope(ambient_dim, ineqs)
-
-    def satisfies(self, point: Sequence[int | Fraction]) -> bool:
-        return all(
-            sum(a * b for a, b in zip(normal, point)) >= -offset
-            for normal, offset in self.inequalities
-        )
 
 
 # A table row bounding x_k: the coefficients of its normal on x_0..x_{k-1}

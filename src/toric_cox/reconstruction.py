@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     DegenerateRay,
@@ -90,12 +89,7 @@ def gale_dual_rays(gi: GradingInput) -> IntegerMatrix:
     return IntegerMatrix.from_rows(rows)
 
 
-def _reconstruct_from_kernel(
-    q: IntegerMatrix,
-    ample_class: Vector,
-    kernel: IntegerMatrix,
-    lift: Sequence[int] | None = None,
-) -> Fan:
+def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: IntegerMatrix) -> Fan:
     n = kernel.cols
     rays = []
     for i in range(kernel.rows):
@@ -108,13 +102,9 @@ def _reconstruct_from_kernel(
     effective = cone_from_generators(q.columns(), q.rows)
     if not cone_contains(effective, ample_class, "relative_interior"):
         raise NotAmpleLift("class is not interior to the effective cone")
+    lift = solve_integer(q, ample_class)
     if lift is None:
-        lift = solve_integer(q, ample_class)
-        if lift is None:
-            raise NotAmpleLift("class does not lift to an integral divisor")
-    else:
-        if q.mat_vec(lift) != tuple(ample_class):
-            raise ValueError("provided lift has the wrong class")
+        raise NotAmpleLift("class does not lift to an integral divisor")
     # Generators (num, det) of the cone over the lifted polyhedron: one at
     # det = 0 is a recession direction, and without one each is the vertex
     # num / det.  The vertices exist and span n: the polytope is q's fiber

@@ -121,6 +121,20 @@ class TestEuler:
         assert result.returncode == 2
         assert "expected one argument" in result.stderr and "Traceback" not in result.stderr
 
+    def test_every_variable_heavier_than_the_sample_bound(self, capsys, tmp_path):
+        # P^2 blown up seven times: its lightest variable has weight 5, above
+        # the identity check's bound of 4, which left no class to draw from
+        blowup = tmp_path / "blowup_rank8.json"
+        blowup.write_text(
+            '{"dim": 2, "rays": [[1,0],[0,1],[-1,-1],[-1,0],[1,1],[1,2],[-2,-1],[2,3],[-3,-2],[0,-1]],'
+            ' "max_cones": [[0,4],[0,9],[1,3],[1,5],[2,8],[2,9],[3,6],[4,7],[5,7],[6,8]]}'
+        )
+        assert main(["euler", str(blowup)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "samples          20" in captured.out
+        assert "counterexamples  0" in captured.out
+
     def test_ring_piece_is_counted_not_listed(self, capsys):
         # the ring piece of (10, 10, 10, 10) has 121 monomials among about
         # 1.2 million exponent vectors of its weight; listing them took ~10 s

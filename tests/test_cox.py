@@ -1,7 +1,9 @@
 """Graded dimensions (dual oracle), monomial bases, effective cone, weight
 form, irrelevant ideal and the shift identity."""
 
+import importlib
 import itertools
+import pkgutil
 import random
 from fractions import Fraction
 from operator import mul
@@ -14,16 +16,15 @@ from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import (
     cox_data,
     divisor_in_class,
-    effective_cone,
     effective_weight_form,
     graded_dimension,
     irrelevant_ideal,
     make_polynomial,
     monomial_basis,
-    section_polytope,
-    shift_module_degree,
 )
+import toric_cox
 from toric_cox import cox as cox_module
+from toric_cox import fans as fans_module
 from toric_cox import polyhedral as polyhedral_module
 from toric_cox.euler import (
     EulerModuleElement,
@@ -34,7 +35,13 @@ from toric_cox.euler import (
 )
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
-from toric_cox.polyhedral import WeightForm, cone_contains, polytope_family, polytope_lattice_points
+from toric_cox.polyhedral import (
+    RationalPolytope,
+    WeightForm,
+    cone_contains,
+    polytope_family,
+    polytope_lattice_points,
+)
 
 # P^2 blown up three and four times (the surfaces of test_pipeline's pinned blow-ups)
 BLOWUP_R4 = Fan.make(
@@ -142,7 +149,7 @@ class TestOracleIndependence:
             radius = 2 if cd.cl_rank <= 4 else 1
             for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
                 feasible = all(sum(map(mul, f, lam)) >= 0 for f in level_zero)
-                assert feasible == cd.effective_cone.contains(lam), (name, lam)
+                assert feasible == cone_contains(cd.effective_cone, lam), (name, lam)
 
     def windows(self, corpus):
         for name, fan in self.fans(corpus).items():
@@ -328,7 +335,6 @@ class TestFanContext:
         assert first == second
         for cd in (first, first, second):
             assert effective_weight_form(cd) is cd.weight_form
-            assert effective_cone(cd) is cd.effective_cone
             graded_dimension(cd, (2,))
         assert len(calls) == 2
 
@@ -375,27 +381,35 @@ class TestFanContext:
                 assert cox_module._fiber_dimension(cd, lam) == expected, (name, lam)
 
     def test_no_module_level_caches(self):
+        # derived data lives on CoxData; the one module-level cache left is
+        # validate_fan's, whose hits the benchmark harness counts
         assert not hasattr(cox_module, "_FIBER_TABLES")
-        assert not any(hasattr(value, "cache_info") for value in vars(cox_module).values())
+        modules = [toric_cox] + [
+            importlib.import_module(f"toric_cox.{info.name}") for info in pkgutil.iter_modules(toric_cox.__path__)
+        ]
+        for module in modules:
+            for name, value in vars(module).items():
+                if hasattr(value, "cache_info"):
+                    assert value is fans_module.validate_fan, (module.__name__, name)
 
 
 class TestEffectiveCone:
     def test_p2(self, corpus_cox):
-        assert effective_cone(corpus_cox["p2"]).generators == ((1,),)
+        assert corpus_cox["p2"].effective_cone.generators == ((1,),)
 
     def test_hirzebruch_one(self, corpus_cox):
         # quadrant in the (fiber, section) basis; the interior degree (1,1)
         # of the fourth variable is not extremal
-        eff = effective_cone(corpus_cox["hirzebruch_1"])
+        eff = corpus_cox["hirzebruch_1"].effective_cone
         assert eff.generators == ((0, 1), (1, 0))
 
     def test_p1xp1_quadrant(self, corpus_cox):
-        assert effective_cone(corpus_cox["p1xp1"]).generators == ((0, 1), (1, 0))
+        assert corpus_cox["p1xp1"].effective_cone.generators == ((0, 1), (1, 0))
 
     def test_positive_dimensions_only_inside(self, corpus_cox):
         for name in ("p2", "p1xp1", "hirzebruch_3"):
             cd = corpus_cox[name]
-            eff = effective_cone(cd)
+            eff = cd.effective_cone
             for lam in itertools.product(range(-3, 4), repeat=cd.cl_rank):
                 if graded_dimension(cd, lam) > 0:
                     assert cone_contains(eff, lam)
@@ -403,7 +417,7 @@ class TestEffectiveCone:
     def test_lattice_points_of_cone_are_realized_on_corpus(self, corpus_cox):
         # the converse direction, checked empirically on a bounded window
         for name, cd in corpus_cox.items():
-            eff = effective_cone(cd)
+            eff = cd.effective_cone
             radius = 2 if cd.cl_rank <= 2 else 1
             for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
                 if cone_contains(eff, lam):
@@ -442,17 +456,15 @@ class TestWeightForm:
 class TestIrrelevantIdeal:
     def test_p2_is_the_maximal_ideal(self, corpus_cox):
         # complements of the three maximal cones are the single rays
-        ideal = irrelevant_ideal(corpus_cox["p2"])
-        assert ideal.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert irrelevant_ideal(corpus_cox["p2"]) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
     def test_p1(self, corpus_cox):
-        assert irrelevant_ideal(corpus_cox["p1"]).generators == ((0, 1), (1, 0))
+        assert irrelevant_ideal(corpus_cox["p1"]) == ((0, 1), (1, 0))
 
     def test_p1xp1_quadratic_monomials(self, corpus_cox):
-        ideal = irrelevant_ideal(corpus_cox["p1xp1"])
         # one product x_i * x_j per maximal cone complement: exactly the
         # pairs mixing the two rulings
-        assert ideal.generators == (
+        assert irrelevant_ideal(corpus_cox["p1xp1"]) == (
             (0, 1, 0, 1),
             (0, 1, 1, 0),
             (1, 0, 0, 1),
@@ -461,7 +473,7 @@ class TestIrrelevantIdeal:
 
     def test_generators_pairwise_incomparable(self, corpus_cox):
         for cd in corpus_cox.values():
-            gens = irrelevant_ideal(cd).generators
+            gens = irrelevant_ideal(cd)
             for a, b in itertools.permutations(gens, 2):
                 assert not all(x >= y for x, y in zip(a, b))
 
@@ -469,26 +481,27 @@ class TestIrrelevantIdeal:
 class TestShiftModuleDegree:
     def test_zero_divisor(self, corpus_cox):
         cd = corpus_cox["p2"]
-        assert shift_module_degree(cd, TorusInvariantDivisor.make([0, 0, 0])) == (0,)
+        assert cd.degree_map(TorusInvariantDivisor.make([0, 0, 0]).coefficients) == (0,)
 
     def test_p2_two_lines(self, corpus_cox):
         cd = corpus_cox["p2"]
-        assert shift_module_degree(cd, TorusInvariantDivisor.make([1, 1, 0])) == (2,)
+        assert cd.degree_map(TorusInvariantDivisor.make([1, 1, 0]).coefficients) == (2,)
 
     def test_hirzebruch_one_section_ray(self, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
         divisor = TorusInvariantDivisor.make([0, 1, 0, 0])
-        assert shift_module_degree(cd, divisor) == (0, 1)
+        assert cd.degree_map(divisor.coefficients) == (0, 1)
 
     def test_sections_match_shifted_ring_pieces(self, corpus_cox):
         # dim H^0(O(D + D_mu)) computed from the translated polytope equals
         # the ring piece in class mu + shift, for a window of mu
         cd = corpus_cox["hirzebruch_1"]
         divisor = TorusInvariantDivisor.make([1, 0, 2, 1])
-        shift = shift_module_degree(cd, divisor)
+        shift = cd.degree_map(divisor.coefficients)
         for mu in itertools.product(range(-2, 3), repeat=2):
-            twist = divisor_in_class(cd, mu)
-            polytope = section_polytope(cd, divisor + twist)
+            twisted = divisor + divisor_in_class(cd, mu)
+            # the characters m with div(m) + D >= 0
+            polytope = RationalPolytope.from_inequalities(zip(cd.fan.rays, twisted.coefficients), cd.fan.dim)
             sections = len(polytope_lattice_points(polytope))
             target = tuple(a + b for a, b in zip(mu, shift))
             assert sections == graded_dimension(cd, target)

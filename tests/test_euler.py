@@ -203,6 +203,13 @@ class TestEulerContraction:
         report = check_euler_identity(modules["p1xp1"], form, trials=30)
         assert report.ok and report.checked == 30
 
+    def test_bound_below_every_variable_weight(self, modules, corpus_cox):
+        # no nonconstant monomial has weight 0, so the classes come from the
+        # lightest variables instead
+        form = effective_weight_form(corpus_cox["p2"])
+        report = check_euler_identity(modules["p2"], form, trials=5, max_weight=0)
+        assert report.ok and report.checked == 5
+
     def test_rejects_inhomogeneous_element(self, modules, corpus_cox):
         cd = corpus_cox["p2"]
         em = modules["p2"]
@@ -263,6 +270,16 @@ class TestGradedGenerationCheck:
         with pytest.raises(ValueError):
             graded_generation_check([1, 1], [(0, 0)], 2)
 
+    @pytest.mark.parametrize("weights, candidates", [([1.9], [(1,)]), ([1], [(1.7,)])])
+    def test_rejects_entries_that_are_not_integers(self, weights, candidates):
+        # read with int(), each would be truncated to the generating [1], [(1,)]
+        with pytest.raises(ValueError, match="not an integer"):
+            graded_generation_check(weights, candidates, 3)
+
+    def test_bools_are_integers(self):
+        assert graded_generation_check([True], [(True,)], 3)
+        assert graded_generation_check([1], [(1,)], True)
+
 
 class TestWeightFormFreedom:
     def test_conclusions_invariant_under_rescaled_form(self, modules, corpus_cox):
@@ -305,6 +322,15 @@ class TestSectionDimensionReport:
         assert by_class[(1,)].right_exact
         # twist by two: 9 = 3 + 6
         assert by_class[(2,)].differential_sections == 3
+
+    def test_rejects_a_class_that_is_not_integral(self, modules):
+        # read with int(), (0.5,) would be the class (0,)
+        with pytest.raises(ValueError, match="not an integer"):
+            section_dimension_report(modules["p2"], window=[(0.5,)])
+
+    def test_bool_class_is_the_integer_class(self, modules):
+        by_bool = section_dimension_report(modules["p2"], window=[(True,)])
+        assert by_bool == section_dimension_report(modules["p2"], window=[(1,)])
 
     def test_p1_twist_two(self, modules):
         report = section_dimension_report(modules["p1"], window=[(2,)])

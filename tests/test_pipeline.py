@@ -398,9 +398,9 @@ def test_one_wall_form_per_wall(fan, walls):
 
 def ample_by_cones(fan: Fan, divisor: TorusInvariantDivisor) -> bool:
     """Reference: <m_s, v_rho> > -a_rho for each maximal cone s and each ray rho outside s."""
-    data = cartier_data(fan, divisor)
+    characters = cartier_data(fan, divisor)
     return all(
-        sum(m * v for m, v in zip(data.characters[k], fan.rays[rho])) > -divisor.coefficients[rho]
+        sum(m * v for m, v in zip(characters[k], fan.rays[rho])) > -divisor.coefficients[rho]
         for k, cone in enumerate(fan.max_cones)
         for rho in range(fan.n_rays)
         if rho not in cone
@@ -452,4 +452,4 @@ def test_cartier_data_is_the_smith_solution(fan, data):
         solve_integer(IntegerMatrix.from_rows(fan.cone_rays(cone)), [-coefficients[i] for i in cone])
         for cone in fan.max_cones
     )
-    assert cartier_data(fan, divisor).characters == expected
+    assert cartier_data(fan, divisor) == expected

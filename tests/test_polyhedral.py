@@ -290,13 +290,18 @@ class TestSeparable:
         assert separable(positive, negative, vanishing, dim) == found
 
 
+def satisfies(p: RationalPolytope, point) -> bool:
+    """Whether the point meets every inequality of p; the reference membership test."""
+    return all(sum(a * b for a, b in zip(normal, point)) >= -offset for normal, offset in p.inequalities)
+
+
 def brute_force_points(p: RationalPolytope) -> tuple:
     """Independent oracle: test every point of the fixed box [-2, 2]^d.
 
     Every polytope passed here lies inside that box, and the scan shares no
     code with the vertex or lattice-point machinery under test.
     """
-    return tuple(pt for pt in itertools.product(range(-2, 3), repeat=p.ambient_dim) if p.satisfies(pt))
+    return tuple(pt for pt in itertools.product(range(-2, 3), repeat=p.ambient_dim) if satisfies(p, pt))
 
 
 def solve_rational(rows, rhs) -> tuple | None:
@@ -323,7 +328,7 @@ def rational_vertices(p: RationalPolytope) -> tuple:
     seen = set()
     for subset in itertools.combinations(p.inequalities, p.ambient_dim):
         solution = solve_rational([n for n, _ in subset], [-a for _, a in subset])
-        if solution is not None and p.satisfies(solution):
+        if solution is not None and satisfies(p, solution):
             seen.add(solution)
     return tuple(sorted(seen))
 
@@ -469,7 +474,7 @@ class TestPolytopeLatticePoints:
         )
         for v in polytope_vertices(p):
             assert all(isinstance(x, Fraction) for x in v)
-            assert p.satisfies(v)
+            assert satisfies(p, v)
 
     @settings(max_examples=200, deadline=None)
     @given(boxed_polytopes())

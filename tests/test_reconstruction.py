@@ -20,6 +20,7 @@ from toric_cox.fans import (
     is_ample,
 )
 from toric_cox.lattice import IntegerMatrix, rational_rank, solve_integer
+from toric_cox import reconstruction as reconstruction_module
 from toric_cox.polyhedral import _homogenized_generators, polytope_family
 from toric_cox.reconstruction import (
     GradingInput,
@@ -131,12 +132,18 @@ class TestReconstructFan:
         with pytest.raises(error, match=f"^{message}$"):
             reconstruct_fan(GradingInput(q, class_vector))
 
-    def test_lift_translation_invariance(self, p2):
+    def test_lift_translation_invariance(self, p2, monkeypatch):
         _, q = class_group(p2)
         kernel = p2.ray_matrix()
-        base = _reconstruct_from_kernel(q.matrix, (3,), kernel, lift=(1, 1, 1))
-        shifted = _reconstruct_from_kernel(q.matrix, (3,), kernel, lift=(3, 0, 0))
-        assert base == shifted == p2
+        # two lifts of the class 3 that differ by a principal divisor
+        fans, asked = [], []
+        for lift in ((1, 1, 1), (3, 0, 0)):
+            monkeypatch.setattr(
+                reconstruction_module, "solve_integer", lambda matrix, rhs: asked.append(tuple(rhs)) or lift
+            )
+            fans.append(_reconstruct_from_kernel(q.matrix, (3,), kernel))
+        assert asked == [(3,), (3,)]
+        assert fans == [p2, p2]
 
     def test_grading_json(self):
         gi = grading_from_json('{"Q": [[1, 1, 1]], "w": [2]}')
