@@ -119,14 +119,18 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     Sends a homogeneous element of twist d to a polynomial of class d whose
     constant term always vanishes.
     """
-    if not element.is_homogeneous():
-        raise InhomogeneousInput("contraction requires a homogeneous element")
     total: dict[Vector, Fraction] = {}
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
+        if component.is_zero():
+            continue
         weight = form(degree)
         for e, c in component.terms.items():
             raised = _raise_exponent(e, i)
             total[raised] = total.get(raised, 0) + weight * c
+    # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
+    # when the raised exponents, zero sums included, share one class.
+    if len({em.cox.degree_of_exponent(e) for e in total}) > 1:
+        raise InhomogeneousInput("contraction requires a homogeneous element")
     return GradedPolynomial(em.cox, total)
 
 
@@ -178,13 +182,18 @@ def check_euler_identity(
     rng = rng or random.Random(20240)
     cd = em.cox
     bound = max(max_weight, min(cd.variable_weights))
-    pool = [e for e in monomials_of_weight_at_most(cd, bound) if any(e)]
-    classes = sorted({cd.degree_of_exponent(e) for e in pool})
+    # The pool bar the constant, which comes first, grouped by class.  A class
+    # lam in it weighs w(lam) <= bound, so the pool holds all its monomials, in
+    # lexicographic order: its list is monomial_basis(cd, lam).
+    basis: dict[Vector, list[Vector]] = {}
+    for e in monomials_of_weight_at_most(cd, bound)[1:]:
+        basis.setdefault(cd.degree_of_exponent(e), []).append(e)
+    classes = sorted(basis)
     failures: list[str] = []
     checked = 0
     for _ in range(trials):
         lam = classes[rng.randrange(len(classes))]
-        s = make_polynomial(cd, {e: rng.randint(-3, 3) for e in monomial_basis(cd, lam)})
+        s = make_polynomial(cd, {e: rng.randint(-3, 3) for e in basis[lam]})
         expected = form(lam) * s
         actual = euler_contract(em, derivation(em, s), form)
         checked += 1

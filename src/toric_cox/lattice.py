@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import index, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
@@ -83,7 +83,7 @@ class IntegerMatrix:
     def mat_vec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != {self.cols} columns")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:

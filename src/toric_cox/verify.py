@@ -97,13 +97,14 @@ def _euler_identity_check(
     for e in monomials_of_weight_at_most(cd, bound):
         s = cd.monomial(e)
         lam = cd.degree_of_exponent(e)
-        image = euler_contract(em, derivation(em, s), form)
+        ds = derivation(em, s)
+        image = euler_contract(em, ds, form)
         if image != form(lam) * s:
             identity_failures += 1
         if image.constant_term() != 0:
             image_failures += 1
         if any(e):
-            witness = euler_contract(em, derivation(em, s) * Fraction(1, form(lam)), form)
+            witness = euler_contract(em, ds * Fraction(1, form(lam)), form)
             if witness != s:
                 image_failures += 1
         checked += 1
@@ -268,8 +269,10 @@ def run_verification(
     em = build_euler_module(cd)
     results.append(_exactness_check(cd))
     results.append(_dual_oracle_check(cd, window_radius))
-    results.extend(_euler_identity_check(cd, em, euler_weight_bound))
-    results.extend(_generation_checks(cd, em, euler_weight_bound))
+    # Raised to the lightest variable weight, so that both checks reach a variable.
+    bound = max(euler_weight_bound, min(cd.variable_weights))
+    results.extend(_euler_identity_check(cd, em, bound))
+    results.extend(_generation_checks(cd, em, bound))
     results.append(_cech_check(fan))
     results.append(_roundtrip_check(fan))
     results.append(_certificate_check(fan))

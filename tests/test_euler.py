@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_cox.cox import effective_weight_form, monomial_basis
+from toric_cox import euler as euler_module
+from toric_cox.cox import GradedPolynomial, effective_weight_form, make_polynomial, monomial_basis
 from toric_cox.errors import InhomogeneousInput
 from toric_cox.euler import (
     EulerModuleElement,
@@ -126,6 +127,30 @@ class TestDerivation:
         assert lhs == rhs
 
 
+def reference_contract(em, element, form):
+    """The contraction that tests homogeneity component by component first."""
+    if not element.is_homogeneous():
+        raise InhomogeneousInput("contraction requires a homogeneous element")
+    total = {}
+    for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
+        for e, c in component.terms.items():
+            raised = e[:i] + (e[i] + 1,) + e[i + 1:]
+            total[raised] = total.get(raised, 0) + form(degree) * c
+    return GradedPolynomial(em.cox, total)
+
+
+def reference_samples(cd, trials, max_weight, rng):
+    """The spot check's random polynomials, each class's monomials listed by monomial_basis."""
+    bound = max(max_weight, min(cd.variable_weights))
+    pool = [e for e in monomials_of_weight_at_most(cd, bound) if any(e)]
+    classes = sorted({cd.degree_of_exponent(e) for e in pool})
+    samples = []
+    for _ in range(trials):
+        lam = classes[rng.randrange(len(classes))]
+        samples.append({e: rng.randint(-3, 3) for e in monomial_basis(cd, lam)})
+    return samples
+
+
 class TestEulerContraction:
     def test_weighted_euler_identity_p2(self, modules, corpus_cox):
         cd = corpus_cox["p2"]
@@ -217,6 +242,84 @@ class TestEulerContraction:
         mixed = basis_element(em, 0) + cd.variable(0) * basis_element(em, 1)
         with pytest.raises(InhomogeneousInput):
             euler_contract(em, mixed, form)
+
+    def test_terms_that_cancel_still_count_for_homogeneity(self, modules, corpus_cox):
+        # x1 e0 - x0 e1 contracts to x0 x1 - x0 x1 = 0, but its twist 2 differs
+        # from the twist 1 of e0, so the element is not homogeneous
+        cd = corpus_cox["p2"]
+        em = modules["p2"]
+        form = effective_weight_form(cd)
+        cancelling = cd.variable(1) * basis_element(em, 0) - cd.variable(0) * basis_element(em, 1)
+        assert euler_contract(em, cancelling, form).is_zero()
+        with pytest.raises(InhomogeneousInput):
+            euler_contract(em, cancelling + basis_element(em, 0), form)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_homogeneity_on_products_matches_the_componentwise_rule(
+        self, modules, corpus_cox, data
+    ):
+        name = data.draw(st.sampled_from(sorted(corpus_cox)))
+        cd = corpus_cox[name]
+        em = modules[name]
+        form = effective_weight_form(cd)
+        pool = monomials_of_weight_at_most(cd, 3)
+        summands = data.draw(st.integers(0, 4))
+        element = EulerModuleElement(em, tuple(cd.zero() for _ in range(em.rank)))
+        if data.draw(st.booleans()):
+            # homogeneous: every summand x^e b_i with x_i x^e of the class of f
+            f = data.draw(st.sampled_from([e for e in pool if any(e)]))
+            lam = cd.degree_of_exponent(f)
+            for _ in range(summands):
+                i = data.draw(st.sampled_from([i for i, a in enumerate(f) if a]))
+                shifted = tuple(a - b for a, b in zip(lam, em.basis_degrees[i]))
+                e = data.draw(st.sampled_from(monomial_basis(cd, shifted)))
+                c = data.draw(st.integers(-2, 2))
+                element = element + cd.monomial(e, c) * basis_element(em, i)
+        else:
+            for _ in range(summands):
+                i = data.draw(st.integers(0, em.rank - 1))
+                e = data.draw(st.sampled_from(pool))
+                c = data.draw(st.integers(-2, 2))
+                element = element + cd.monomial(e, c) * basis_element(em, i)
+        if element.is_homogeneous():
+            assert euler_contract(em, element, form) == reference_contract(em, element, form)
+        else:
+            with pytest.raises(InhomogeneousInput):
+                euler_contract(em, element, form)
+
+
+class TestIdentitySpotCheckPool:
+    @pytest.mark.parametrize("bound", range(7))
+    def test_pool_grouped_by_class_is_the_monomial_basis(self, corpus_cox, bound):
+        for name, cd in corpus_cox.items():
+            grouped = {}
+            for e in monomials_of_weight_at_most(cd, bound):
+                grouped.setdefault(cd.degree_of_exponent(e), []).append(e)
+            for lam, monomials in grouped.items():
+                assert tuple(monomials) == monomial_basis(cd, lam), (name, lam)
+
+    @pytest.mark.parametrize("max_weight", [0, 2, 4])
+    def test_draws_match_the_monomial_basis_loop(
+        self, modules, corpus_cox, monkeypatch, max_weight
+    ):
+        samples = []
+
+        def recording_make_polynomial(cd, terms):
+            samples.append(dict(terms))
+            return make_polynomial(cd, terms)
+
+        monkeypatch.setattr(euler_module, "make_polynomial", recording_make_polynomial)
+        for name, em in modules.items():
+            cd = corpus_cox[name]
+            rng, reference = random.Random(name), random.Random(name)
+            samples.clear()
+            report = check_euler_identity(
+                em, effective_weight_form(cd), trials=20, max_weight=max_weight, rng=rng
+            )
+            assert report.ok and report.checked == 20
+            assert samples == reference_samples(cd, 20, max_weight, reference), name
+            assert rng.getstate() == reference.getstate(), name
 
 
 class TestGenerationTransfer:

@@ -75,6 +75,27 @@ class TestIntegerMatrix:
             IntegerMatrix.from_rows([[1, 2.5]])
         assert IntegerMatrix.from_rows([[True, 0]]).entries == ((1, 0),)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
+    def test_mat_vec_is_the_row_dot_products(self, data, rows, cols):
+        big = st.integers(-(10**30), 10**30)
+        row = st.lists(big, min_size=cols, max_size=cols)
+        entries = data.draw(st.lists(row, min_size=rows, max_size=rows))
+        m = IntegerMatrix(tuple(map(tuple, entries)), zero_width=cols if rows == 0 else 0)
+        length = data.draw(st.integers(0, 5))
+        v = data.draw(st.lists(big, min_size=length, max_size=length))
+        if length != m.cols:
+            with pytest.raises(ValueError, match=f"vector length {length} != {cols} columns"):
+                m.mat_vec(v)
+        else:
+            assert m.mat_vec(v) == tuple(sum(a * b for a, b in zip(row, v)) for row in entries)
+
+    def test_mat_vec_without_rows_is_empty(self):
+        m = IntegerMatrix.zero(0, 3)
+        assert m.mat_vec((1, 2, 3)) == ()
+        with pytest.raises(ValueError):
+            m.mat_vec((1, 2))
+
 
 class TestSmithNormalForm:
     def test_projective_plane_ray_matrix(self):

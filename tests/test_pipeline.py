@@ -37,7 +37,12 @@ from toric_cox.fans import (
 from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form, solve_integer
 from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities, dual_cone
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
-from toric_cox.verify import _first_ample_divisor, _nef_cone_divisor, _roundtrip_check
+from toric_cox.verify import (
+    _first_ample_divisor,
+    _nef_cone_divisor,
+    _roundtrip_check,
+    run_verification,
+)
 
 
 def blow_up(fan: Fan, cone_index: int) -> Fan:
@@ -453,3 +458,19 @@ def test_cartier_data_is_the_smith_solution(fan, data):
         for cone in fan.max_cones
     )
     assert cartier_data(fan, divisor) == expected
+
+
+def test_verify_identity_checks_reach_the_lightest_variable():
+    # P^2 blown up seven times: every variable weighs at least 5, above the
+    # default bound of 4, at which only the constant monomial was checked
+    fan = Fan.make(
+        2,
+        [[1, 0], [0, 1], [-1, -1], [-1, 0], [1, 1], [1, 2], [-2, -1], [2, 3], [-3, -2], [0, -1]],
+        [[0, 4], [0, 9], [1, 3], [1, 5], [2, 8], [2, 9], [3, 6], [4, 7], [5, 7], [6, 8]],
+    )
+    results = {r.name: r for r in run_verification(fan, window_radius=0)}
+    assert results["euler identity"].detail == "3 monomials of weight <= 5; failures: 0"
+    assert results["graded generation"].detail == (
+        "candidates span all weighted pieces up to weight 5: True"
+    )
+    assert all(r.passed for r in results.values())
