@@ -207,16 +207,23 @@ class GradedPolynomial:
     """Polynomial with exact rational coefficients in the Cox variables.
 
     ``terms`` maps exponent vectors (length ``num_vars``, entries >= 0) to
-    nonzero ``Fraction``s.  :func:`make_polynomial` validates outside input;
-    arithmetic builds valid exponents from valid ones, so construction only
-    drops zero coefficients.
+    nonzero coefficients in one canonical form: an ``int`` when integral, a
+    ``Fraction`` only when its denominator exceeds 1, so integer input never
+    pays for ``Fraction`` arithmetic.  :func:`make_polynomial` validates
+    outside input; arithmetic builds valid exponents from valid ones, so
+    construction only drops zero coefficients and normalises the rest.
     """
 
     cox: CoxData
-    terms: dict[Vector, Fraction] = field(default_factory=dict)
+    terms: dict[Vector, int | Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.terms = {e: c for e, c in self.terms.items() if c}
+        # An int stays; a bool or an integral Fraction becomes its numerator, an int.
+        self.terms = {
+            e: c if type(c) is int or c.denominator > 1 else c.numerator
+            for e, c in self.terms.items()
+            if c
+        }
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -230,10 +237,11 @@ class GradedPolynomial:
         return None
 
     def is_homogeneous(self) -> bool:
-        return self.is_zero() or self.degree is not None
+        # Zero and a single term are homogeneous without finding any class.
+        return len(self.terms) < 2 or self.degree is not None
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.cox.num_vars, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.cox.num_vars, 0)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         merged = dict(self.terms)
@@ -252,7 +260,7 @@ class GradedPolynomial:
             return GradedPolynomial(self.cox, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
-        out: dict[Vector, Fraction] = {}
+        out: dict[Vector, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -263,7 +271,7 @@ class GradedPolynomial:
 
     def partial(self, index: int) -> "GradedPolynomial":
         """Formal partial derivative with respect to one variable."""
-        out: dict[Vector, Fraction] = {}
+        out: dict[Vector, int | Fraction] = {}
         for e, c in self.terms.items():
             if e[index]:
                 out[e[:index] + (e[index] - 1,) + e[index + 1:]] = c * e[index]
@@ -294,8 +302,12 @@ class GradedPolynomial:
 
 def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction]) -> GradedPolynomial:
     """The validating entry for outside input: ValueError on a wrong-length or negative
-    exponent or on an entry that is not an integer (ints and bools pass, by ``operator.index``)."""
-    checked: dict[Vector, Fraction] = {}
+    exponent or on an entry that is not an integer (ints and bools pass, by ``operator.index``).
+
+    A coefficient is kept exactly: an ``int`` as it is, anything else (a bool,
+    a float, a ``Fraction``) through ``Fraction``, and the polynomial stores
+    it as an ``int`` when it is integral."""
+    checked: dict[Vector, int | Fraction] = {}
     for e, c in terms.items():
         try:
             key = tuple(map(index, e))
@@ -303,7 +315,7 @@ def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction])
             raise ValueError(f"exponent vector {e!r} has an entry that is not an integer") from None
         if len(key) != cox.num_vars or any(x < 0 for x in key):
             raise ValueError(f"bad exponent vector {key}")
-        checked[key] = Fraction(c)
+        checked[key] = c if type(c) is int else Fraction(c)
     return GradedPolynomial(cox, checked)
 
 

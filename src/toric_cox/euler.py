@@ -119,7 +119,7 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     Sends a homogeneous element of twist d to a polynomial of class d whose
     constant term always vanishes.
     """
-    total: dict[Vector, Fraction] = {}
+    total: dict[Vector, int | Fraction] = {}
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
         if component.is_zero():
             continue
@@ -173,7 +173,7 @@ def check_euler_identity(
     """Check contraction-after-derivation equals weight-of-degree times identity.
 
     Runs over random homogeneous polynomials of bounded weight (random
-    rational combinations of the monomials of a random effective class).
+    integer combinations of the monomials of a random effective class).
     The classes are drawn from the nonconstant monomials of weight at most
     ``max(max_weight, w_min)``, with w_min the lightest variable weight: so
     the pool is never empty, and it is the same wherever ``max_weight``

@@ -10,7 +10,6 @@ rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -356,8 +355,15 @@ def solve_integer(a: IntegerMatrix, b: Sequence[int]) -> Vector | None:
 
 
 def rational_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of the given row vectors."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals of the given integer row vectors.
+
+    Fraction-free elimination: below the pivot p of a column, a row whose
+    entry there is q becomes ``p * row - q * pivot_row``, divided by the gcd
+    of its entries.  As p is nonzero the step keeps the row space over the
+    rationals, and every entry stays an ``int``.  Entries are read by
+    ``operator.index``: ValueError on one that is not an integer.
+    """
+    mat = [integer_vector(row, "row") for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     for c in range(ncols):
@@ -365,11 +371,14 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][c]
+        top = mat[rank]
+        p = top[c]
         for i in range(rank + 1, len(mat)):
-            if mat[i][c]:
-                f = mat[i][c] / inv
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+            q = mat[i][c]
+            if q:
+                row = [p * x - q * y for x, y in zip(mat[i], top)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == len(mat):
             break

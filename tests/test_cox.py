@@ -552,11 +552,35 @@ class TestGradedPolynomialArithmetic:
         form = cd.weight_form
         assert euler_contract(em, derivation(em, t), form) == form(t.degree) * t
 
+    def test_coefficients_enter_in_canonical_form(self, corpus_cox):
+        cd = corpus_cox["p2"]
+        cases = [(Fraction(4, 2), 2), (True, 1), (0.5, Fraction(1, 2)), (7, 7), (Fraction(-2, 6), Fraction(-1, 3))]
+        for given_coefficient, stored in cases:
+            (c,) = make_polynomial(cd, {(1, 0, 0): given_coefficient}).terms.values()
+            assert c == stored and type(c) is type(stored)
+
+    def test_products_with_a_fraction_return_to_ints(self, corpus_cox):
+        cd = corpus_cox["hirzebruch_1"]
+        p = cd.monomial((1, 2, 0, 1), 3) + cd.monomial((0, 1, 1, 0), -4)
+        half = p * Fraction(1, 2)
+        assert type(half.terms[(1, 2, 0, 1)]) is Fraction and type(half.terms[(0, 1, 1, 0)]) is int
+        doubled = half * 2
+        assert doubled == p and all(type(c) is int for c in doubled.terms.values())
+
+    def test_integral_fraction_and_int_build_the_same_monomial(self, corpus_cox):
+        cd = corpus_cox["p2"]
+        e = (1, 0, 2)
+        assert cd.monomial(e, Fraction(2)) == cd.monomial(e, 2)
+        assert cd.monomial(e, Fraction(2)).terms == cd.monomial(e, 2).terms == {e: 2}
+        assert cd.monomial(e).constant_term() == 0 and type(cd.one().constant_term()) is int
+
 
 def _valid(p) -> bool:
-    """The term invariant: valid exponent vectors with nonzero Fraction coefficients."""
+    """The term invariant: valid exponent vectors with nonzero coefficients in canonical
+    form, an ``int`` when integral and a ``Fraction`` only with a denominator above 1."""
     return all(
-        len(e) == p.cox.num_vars and min(e) >= 0 and type(c) is Fraction and c
+        len(e) == p.cox.num_vars and min(e) >= 0 and c
+        and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
         for e, c in p.terms.items()
     )
 
@@ -581,6 +605,21 @@ class TestPolynomialProperties:
         assert p * (q + r) == p * q + p * r
         for result in (p + q, p - q, p * q, -p, p * Fraction(2, 3), 0 * p, p.partial(0)):
             assert _valid(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_homogeneity_matches_the_classes_of_the_terms(self, corpus_cox, name, data):
+        cd = corpus_cox[name]
+        if data.draw(st.booleans()):
+            # terms of one class, so homogeneous by construction
+            lam = cd.degree_of_exponent(data.draw(st.tuples(*[st.integers(0, 2)] * cd.num_vars)))
+            basis = monomial_basis(cd, lam)
+            chosen = data.draw(st.lists(st.sampled_from(basis), max_size=4))
+            p = make_polynomial(cd, {e: data.draw(st.integers(-2, 2)) for e in chosen})
+        else:
+            p = _polynomial(data, cd)
+        reference = len({cd.degree_of_exponent(e) for e in p.terms}) <= 1
+        assert p.is_homogeneous() == reference
 
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())

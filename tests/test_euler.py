@@ -101,6 +101,14 @@ class TestDerivation:
         with pytest.raises(InhomogeneousInput):
             derivation(modules["p2"], cd.one() + cd.variable(0))
 
+    def test_rejects_two_terms_of_different_classes(self, modules, corpus_cox):
+        # x0 + x0*x1 on P^2 blown up once: one term per class, two classes
+        cd = corpus_cox["hirzebruch_1"]
+        s = cd.variable(0) + cd.monomial((1, 1, 0, 0))
+        assert len(s.terms) == 2
+        with pytest.raises(InhomogeneousInput):
+            derivation(modules["hirzebruch_1"], s)
+
     def test_degree_of_image(self, modules, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
         s = cd.monomial((0, 1, 0, 1))

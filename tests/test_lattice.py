@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from toric_cox.lattice import (
     cokernel,
     hermite_basis,
     kernel_basis,
+    rational_rank,
     smith_normal_form,
     solve_integer,
 )
@@ -249,3 +251,54 @@ class TestHermiteBasis:
     def test_pivots_positive_and_reduced(self):
         rows = hermite_basis([(0, 1, 0, 1), (1, -2, 1, 0)], 4)
         assert rows == ((1, 0, 1, 2), (0, 1, 0, 1))
+
+
+def reference_rational_rank(rows) -> int:
+    """Reference rank: Gaussian elimination over Fractions, the method the
+    fraction-free elimination replaced."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][c]
+        for i in range(rank + 1, len(mat)):
+            if mat[i][c]:
+                f = mat[i][c] / inv
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+class TestRationalRank:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 6), cols=st.integers(1, 6))
+    def test_matches_the_fraction_elimination(self, data, rows, cols):
+        entry = st.integers(-(10**30), 10**30) | st.integers(-3, 3)
+        matrix: list[list[int]] = []
+        for _ in range(rows):
+            kind = data.draw(st.sampled_from(["free", "zero", "sum"]))
+            if kind == "zero":
+                matrix.append([0] * cols)
+            elif kind == "sum" and matrix:
+                # an integer combination of earlier rows, so the rank does not grow
+                factors = data.draw(st.lists(st.integers(-3, 3), min_size=len(matrix), max_size=len(matrix)))
+                matrix.append([sum(f * r[j] for f, r in zip(factors, matrix)) for j in range(cols)])
+            else:
+                matrix.append(data.draw(st.lists(entry, min_size=cols, max_size=cols)))
+        rank = rational_rank(matrix)
+        assert rank == reference_rational_rank(matrix)
+        assert rank <= min(rows, cols)
+
+    def test_bools_read_as_integers(self):
+        assert rational_rank([(True, 0), (0, 1)]) == 2
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2), Fraction(4, 2)])
+    def test_an_entry_that_is_not_an_integer_raises(self, entry):
+        with pytest.raises(ValueError, match="not an integer"):
+            rational_rank([[1, 0], [0, entry]])
