@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cox import cox_data, graded_dimension, irrelevant_ideal
 from .errors import MalformedFan, ToricCoxError
@@ -29,8 +29,7 @@ from .verify import run_verification
 Section = tuple[str, tuple[tuple[str, str], ...]]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     input_digest: str
     sections: tuple[Section, ...]

@@ -26,7 +26,6 @@ answered 0 before it is packed (see :attr:`CoxData.fiber_levels`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, mul
 from typing import Mapping, Sequence
@@ -44,18 +43,28 @@ from .polyhedral import (
 )
 
 
-@dataclass(frozen=True)
 class CoxData:
     """Variables-to-rays correspondence with the class-group grading.
 
     The per-fan context: everything derived from the grading is computed
     on first use and cached on the instance, so it lives as long as it.
+    Two instances are equal when their four defining fields are.
     """
 
-    fan: Fan
-    cl_rank: int
-    degree_map: LatticeMap
-    variable_names: tuple[str, ...]
+    def __init__(
+        self, fan: Fan, cl_rank: int, degree_map: LatticeMap, variable_names: tuple[str, ...]
+    ) -> None:
+        self.fan = fan
+        self.cl_rank = cl_rank
+        self.degree_map = degree_map
+        self.variable_names = variable_names
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CoxData:
+            return NotImplemented
+        return (self.fan, self.cl_rank, self.degree_map, self.variable_names) == (
+            other.fan, other.cl_rank, other.degree_map, other.variable_names
+        )
 
     @property
     def num_vars(self) -> int:
@@ -202,7 +211,6 @@ def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
     )
 
 
-@dataclass(eq=True)
 class GradedPolynomial:
     """Polynomial with exact rational coefficients in the Cox variables.
 
@@ -212,18 +220,24 @@ class GradedPolynomial:
     pays for ``Fraction`` arithmetic.  :func:`make_polynomial` validates
     outside input; arithmetic builds valid exponents from valid ones, so
     construction only drops zero coefficients and normalises the rest.
+    Polynomials compare by value and, holding a dict, are unhashable.
     """
 
-    cox: CoxData
-    terms: dict[Vector, int | Fraction] = field(default_factory=dict)
+    __slots__ = ("cox", "terms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cox: CoxData, terms: Mapping[Vector, int | Fraction]) -> None:
+        self.cox = cox
         # An int stays; a bool or an integral Fraction becomes its numerator, an int.
         self.terms = {
             e: c if type(c) is int or c.denominator > 1 else c.numerator
-            for e, c in self.terms.items()
+            for e, c in terms.items()
             if c
         }
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GradedPolynomial:
+            return NotImplemented
+        return (self.cox, self.terms) == (other.cox, other.terms)
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cox import (
     CoxData,
@@ -32,8 +31,7 @@ from .lattice import Vector, integer_vector, rational_rank
 from .polyhedral import WeightForm
 
 
-@dataclass(frozen=True)
-class EulerModule:
+class EulerModule(NamedTuple):
     """Free graded module with basis degrees the variable degrees."""
 
     cox: CoxData
@@ -48,12 +46,20 @@ def build_euler_module(cd: CoxData) -> EulerModule:
     return EulerModule(cox=cd, basis_degrees=cd.variable_degrees())
 
 
-@dataclass(eq=True)
 class EulerModuleElement:
-    """Element as one polynomial component per basis index."""
+    """Element as one polynomial component per basis index; compared by value,
+    and unhashable, like its components."""
 
-    module: EulerModule
-    components: tuple[GradedPolynomial, ...]
+    __slots__ = ("module", "components")
+
+    def __init__(self, module: EulerModule, components: tuple[GradedPolynomial, ...]) -> None:
+        self.module = module
+        self.components = components
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not EulerModuleElement:
+            return NotImplemented
+        return (self.module, self.components) == (other.module, other.components)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
@@ -153,8 +159,7 @@ def monomials_of_weight_at_most(cd: CoxData, bound: int) -> tuple[Vector, ...]:
     return tuple(_exponents_up_to_weight(cd.variable_weights, bound))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checked: int
     counterexamples: tuple[str, ...]
 
@@ -243,8 +248,7 @@ def graded_generation_check(
     return True
 
 
-@dataclass(frozen=True)
-class SectionDimensionRecord:
+class SectionDimensionRecord(NamedTuple):
     class_vector: Vector
     module_dim: int
     ring_dim: int
@@ -253,8 +257,7 @@ class SectionDimensionRecord:
     right_exact: bool
 
 
-@dataclass(frozen=True)
-class SectionDimensionReport:
+class SectionDimensionReport(NamedTuple):
     rank_identity: bool
     records: tuple[SectionDimensionRecord, ...]
 

@@ -37,8 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from .lattice import (
@@ -55,8 +54,7 @@ from .lattice import (
 from .polyhedral import separable
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     """Rays (primitive vectors in the cocharacter lattice) plus maximal cones as ray-index sets."""
 
     dim: int
@@ -122,16 +120,36 @@ def fan_to_json(f: Fan) -> str:
     return json.dumps(payload, separators=(", ", ": "))
 
 
-@dataclass(frozen=True)
 class FanReport:
     """Validation flags; on a smooth fan also the chart of each maximal cone, and
     on a smooth complete one the form of each wall (neither compared nor shown)."""
 
-    simplicial: bool
-    smooth: bool
-    complete: bool
-    charts: tuple[IntegerMatrix, ...] = field(default=(), compare=False, repr=False)
-    wall_forms: tuple[Vector, ...] = field(default=(), compare=False, repr=False)
+    __slots__ = ("simplicial", "smooth", "complete", "charts", "wall_forms")
+
+    def __init__(
+        self,
+        simplicial: bool,
+        smooth: bool,
+        complete: bool,
+        charts: tuple[IntegerMatrix, ...] = (),
+        wall_forms: tuple[Vector, ...] = (),
+    ) -> None:
+        self.simplicial = simplicial
+        self.smooth = smooth
+        self.complete = complete
+        self.charts = charts
+        self.wall_forms = wall_forms
+
+    def _flags(self) -> tuple[bool, bool, bool]:
+        return self.simplicial, self.smooth, self.complete
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FanReport:
+            return NotImplemented
+        return self._flags() == other._flags()
+
+    def __repr__(self) -> str:
+        return "FanReport(simplicial={!r}, smooth={!r}, complete={!r})".format(*self._flags())
 
 
 def _check_structure(f: Fan) -> None:
@@ -284,11 +302,19 @@ def require_smooth_complete(f: Fan) -> FanReport:
     return report
 
 
-@dataclass(frozen=True)
 class TorusInvariantDivisor:
-    """An invariant divisor as its coefficient vector, one integer per ray."""
+    """An invariant divisor as its coefficient vector, one integer per ray;
+    compared by value.  Not a tuple: ``+`` adds divisors, ``3 * D`` is an error."""
 
-    coefficients: Vector
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Vector) -> None:
+        self.coefficients = coefficients
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TorusInvariantDivisor:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     @staticmethod
     def make(coefficients: Sequence[int]) -> "TorusInvariantDivisor":
@@ -331,11 +357,17 @@ def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> tuple[Vector, ...]:
     )
 
 
-@dataclass(frozen=True)
 class CechCocycle:
-    """Transition exponents g[s, t] = m_s - m_t for ordered pairs of maximal cones."""
+    """Transition exponents g[s, t] = m_s - m_t for ordered pairs of maximal cones;
+    compared by value."""
 
-    transitions: tuple[tuple[tuple[int, int], Vector], ...]
+    def __init__(self, transitions: tuple[tuple[tuple[int, int], Vector], ...]) -> None:
+        self.transitions = transitions
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CechCocycle:
+            return NotImplemented
+        return self.transitions == other.transitions
 
     @functools.cached_property
     def _by_pair(self) -> dict[tuple[int, int], Vector]:

@@ -9,10 +9,9 @@ rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import index, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
 
@@ -27,25 +26,34 @@ def integer_vector(entries: Iterable[int], name: str) -> Vector:
         raise ValueError(f"{name} {entries!r} has an entry that is not an integer") from None
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable integer matrix with row-major entries.
+    """Integer matrix with row-major entries, compared by value and never
+    modified after construction.
 
     ``zero_width`` records the column count of a matrix without rows, so a
     trivial cokernel projection still knows its source rank.
     """
 
-    entries: tuple[Vector, ...]
-    zero_width: int = 0
+    __slots__ = ("entries", "zero_width")
 
-    def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
+    def __init__(self, entries: tuple[Vector, ...], zero_width: int = 0) -> None:
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("ragged rows in matrix")
-        for row in self.entries:
+        for row in entries:
             for x in row:
                 if not isinstance(x, int):
                     raise ValueError(f"non-integer entry {x!r}")
+        self.entries = entries
+        self.zero_width = zero_width
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IntegerMatrix:
+            return NotImplemented
+        return self.entries == other.entries and self.zero_width == other.zero_width
+
+    def __repr__(self) -> str:
+        return f"IntegerMatrix(entries={self.entries!r}, zero_width={self.zero_width!r})"
 
     @property
     def rows(self) -> int:
@@ -99,8 +107,7 @@ class IntegerMatrix:
         return all(all(x == 0 for x in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class LatticeMap:
+class LatticeMap(NamedTuple):
     """A homomorphism of free lattices given by its matrix (columns = images of basis vectors)."""
 
     matrix: IntegerMatrix
@@ -109,7 +116,6 @@ class LatticeMap:
         return self.matrix.mat_vec(v)
 
 
-@dataclass(frozen=True)
 class AbelianGroupPresentation:
     """Cokernel data: quotient of an ambient lattice presented as Z^free + torsion.
 
@@ -118,19 +124,20 @@ class AbelianGroupPresentation:
     (understood modulo that factor).
     """
 
-    free_rank: int
-    invariant_factors: tuple[int, ...]
-    projection: IntegerMatrix
+    __slots__ = ("free_rank", "invariant_factors", "projection")
 
-    def __post_init__(self) -> None:
-        for d in self.invariant_factors:
+    def __init__(self, free_rank: int, invariant_factors: tuple[int, ...], projection: IntegerMatrix) -> None:
+        for d in invariant_factors:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
-        if self.projection.rows != self.free_rank + len(self.invariant_factors):
+        if projection.rows != free_rank + len(invariant_factors):
             raise ValueError("projection has the wrong number of rows")
+        self.free_rank = free_rank
+        self.invariant_factors = invariant_factors
+        self.projection = projection
 
     @property
     def is_free(self) -> bool:

@@ -26,11 +26,10 @@ level 0, decides whether a linear form with prescribed signs exists
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
@@ -153,8 +152,7 @@ def _double_description(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tup
     return _dual_generators(dual, dim), dual
 
 
-@dataclass(frozen=True)
-class RationalCone:
+class RationalCone(NamedTuple):
     """Polyhedral cone in canonical form: minimal primitive generators and facet normals.
 
     The cone is exactly {x : <normal, x> >= 0 for every facet normal}; a
@@ -235,8 +233,7 @@ def separable(
     return not any(any(y[:strict]) for y in level_zero)
 
 
-@dataclass(frozen=True)
-class RationalPolytope:
+class RationalPolytope(NamedTuple):
     """Intersection of half spaces <normal, m> >= -offset."""
 
     ambient_dim: int
@@ -308,8 +305,7 @@ def _eliminate(
     return tuple(rows), tuple(reversed(lower)), tuple(reversed(upper))
 
 
-@dataclass(frozen=True)
-class PolytopeFamily:
+class PolytopeFamily(NamedTuple):
     """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i, with
     the offsets a linear in some parameters p, as Fourier-Motzkin tables.
 
@@ -468,8 +464,7 @@ def polytope_lattice_points(p: RationalPolytope) -> tuple[Vector, ...]:
     return family.lattice_points([offset for _, offset in p.inequalities])
 
 
-@dataclass(frozen=True)
-class WeightForm:
+class WeightForm(NamedTuple):
     """Integral linear form, nonnegative on a fixed effective cone and >= 1 on its
     nonzero lattice points."""
 

@@ -10,7 +10,7 @@ structured errors, never partial fans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DegenerateRay,
@@ -40,16 +40,16 @@ from .lattice import (
 from .polyhedral import _homogenized_generators, cone_contains, cone_from_generators
 
 
-@dataclass(frozen=True)
 class GradingInput:
     """Degree matrix (rows = class lattice) plus a distinguished ample class."""
 
-    degree_matrix: IntegerMatrix
-    ample_class: Vector
+    __slots__ = ("degree_matrix", "ample_class")
 
-    def __post_init__(self) -> None:
-        if len(self.ample_class) != self.degree_matrix.rows:
+    def __init__(self, degree_matrix: IntegerMatrix, ample_class: Vector) -> None:
+        if len(ample_class) != degree_matrix.rows:
             raise ValueError("class vector length must match the matrix row count")
+        self.degree_matrix = degree_matrix
+        self.ample_class = ample_class
 
 
 def grading_from_json(text: str) -> GradingInput:
@@ -163,8 +163,7 @@ def roundtrip_check(f: Fan, ample_divisor: TorusInvariantDivisor) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SplittingCertificate:
+class SplittingCertificate(NamedTuple):
     """Witness that the section module splits with one line-bundle twist per ray."""
 
     rank: int

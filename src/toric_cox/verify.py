@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from .cox import CoxData, cox_data, graded_dimension
 from .errors import ToricCoxError
@@ -43,8 +43,7 @@ CECH_PAIRS = 5
 CECH_SEED = 2024
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -1,16 +1,20 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from toric_cox import cli
 from toric_cox.cli import main
 from toric_cox.corpus import corpus_path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -287,3 +291,19 @@ class TestSingleRead:
         assert main(["verify", str(corpus_path("delpezzo6"))]) == 0
         # cox_data's own class group, then roundtrip_check and splitting_certificate.
         assert calls == Counter(cox_data=1, class_group=3)
+
+
+class TestColdStart:
+    """A CLI run is mostly interpreter start and import, so the import stays lean."""
+
+    @pytest.mark.parametrize("module", ["toric_cox", "toric_cox.cli"])
+    def test_import_loads_neither_dataclasses_nor_inspect(self, module):
+        probe = f"import sys, {module}; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert result.stdout == "[]\n", result.stdout

@@ -574,6 +574,15 @@ class TestGradedPolynomialArithmetic:
         assert cd.monomial(e, Fraction(2)).terms == cd.monomial(e, 2).terms == {e: 2}
         assert cd.monomial(e).constant_term() == 0 and type(cd.one().constant_term()) is int
 
+    def test_equality_is_by_value_and_polynomials_are_unhashable(self, p2):
+        first, second = cox_data(p2), cox_data(p2)
+        e = (1, 0, 2)
+        p = first.monomial(e, 3) + first.variable(1)
+        assert p == second.variable(1) + second.monomial(e, 3)
+        assert p != first.monomial(e, 3) and p != first.zero()
+        with pytest.raises(TypeError):
+            hash(p)
+
 
 def _valid(p) -> bool:
     """The term invariant: valid exponent vectors with nonzero coefficients in canonical

@@ -109,6 +109,15 @@ class TestDerivation:
         with pytest.raises(InhomogeneousInput):
             derivation(modules["hirzebruch_1"], s)
 
+    def test_elements_compare_by_value_and_are_unhashable(self, modules, corpus_cox):
+        em, cd = modules["p2"], corpus_cox["p2"]
+        s = cd.monomial((1, 2, 0))
+        assert derivation(em, s) == derivation(em, cd.monomial((1, 2, 0)))
+        assert derivation(em, s) != derivation(em, cd.monomial((2, 1, 0)))
+        assert basis_element(em, 0) == EulerModuleElement(em, (cd.one(), cd.zero(), cd.zero()))
+        with pytest.raises(TypeError):
+            hash(derivation(em, s))
+
     def test_degree_of_image(self, modules, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
         s = cd.monomial((0, 1, 0, 1))

@@ -149,6 +149,32 @@ class TestValidateFan:
         assert fan_from_json(fan_to_json(p2)) == p2
 
 
+class TestFanValue:
+    """A fan is an immutable value: equal fields make equal, equally hashed fans."""
+
+    def test_equality_and_hash_are_by_value(self):
+        rays, cones = [[1, 0], [0, 1], [-1, -1]], [[1, 0], [2, 1], [0, 2]]
+        a, b = Fan.make(2, rays, cones), Fan.make(2, rays, cones)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != Fan.make(2, rays, cones[:2])
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("field", ["dim", "rays", "max_cones"])
+    def test_fields_cannot_be_assigned(self, p2, field):
+        with pytest.raises(AttributeError):
+            setattr(p2, field, getattr(p2, field))
+
+    def test_equal_fans_share_one_validation(self):
+        rays, cones = [[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [1, 2], [2, 3], [3, 0]]
+        first = validate_fan(Fan.make(2, rays, cones))
+        before = validate_fan.cache_info()
+        second = validate_fan(Fan.make(2, rays, cones))
+        after = validate_fan.cache_info()
+        assert second is first
+        assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+
+
 def reference_face_intersections(f: Fan) -> None:
     """The pairwise double description: each pair of maximal cones, intersected
     as the cone of both facet-normal lists, against the cone of the shared rays."""

@@ -98,6 +98,20 @@ class TestIntegerMatrix:
         with pytest.raises(ValueError):
             m.mat_vec((1, 2))
 
+    def test_construction_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            IntegerMatrix(((1, 2), (3,)))
+
+    @pytest.mark.parametrize("entry", [2.5, 2.0, Fraction(1, 2), "1", None])
+    def test_construction_rejects_entries_that_are_not_ints(self, entry):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            IntegerMatrix(((1, 0), (0, entry)))
+
+    def test_equality_is_by_value(self):
+        assert IntegerMatrix(((1, 2), (3, 4))) == IntegerMatrix.from_rows([[1, 2], [3, 4]])
+        assert IntegerMatrix(((1, 2),)) != IntegerMatrix(((2, 1),))
+        assert IntegerMatrix.zero(0, 2) != IntegerMatrix.zero(0, 3)
+
 
 class TestSmithNormalForm:
     def test_projective_plane_ray_matrix(self):
@@ -212,6 +226,26 @@ class TestCokernel:
             unit = [0] * pres.projection.rows
             unit[i] = 1
             assert preimage_exists(pres, unit)
+
+
+class TestAbelianGroupPresentation:
+    def test_invariant_factors_must_be_at_least_two(self):
+        with pytest.raises(ValueError, match=">= 2"):
+            AbelianGroupPresentation(0, (1,), IntegerMatrix.from_rows([[1]]))
+
+    def test_invariant_factors_must_form_a_divisibility_chain(self):
+        with pytest.raises(ValueError, match="divisibility chain"):
+            AbelianGroupPresentation(0, (2, 3), IntegerMatrix.from_rows([[1, 0], [0, 1]]))
+
+    def test_projection_needs_one_row_per_coordinate(self):
+        with pytest.raises(ValueError, match="wrong number of rows"):
+            AbelianGroupPresentation(1, (2,), IntegerMatrix.from_rows([[1, 0]]))
+
+    def test_a_valid_presentation_keeps_its_fields(self):
+        projection = IntegerMatrix.from_rows([[1, 0], [0, 1]])
+        pres = AbelianGroupPresentation(free_rank=1, invariant_factors=(2,), projection=projection)
+        assert (pres.free_rank, pres.invariant_factors, pres.projection) == (1, (2,), projection)
+        assert not pres.is_free
 
 
 class TestSolveInteger:

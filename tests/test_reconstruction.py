@@ -52,6 +52,10 @@ class TestGaleDualRays:
         # reconstruct_fan, gale_dual_rays only reports the directions
         assert rays.entries == ((1,), (-1,))
 
+    def test_class_vector_length_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="must match the matrix row count"):
+            GradingInput(IntegerMatrix.from_rows([[1, 1, 1]]), (1, 1))
+
     def test_non_surjective_grading_rejected(self):
         gi = GradingInput(IntegerMatrix.from_rows([[2, 4]]), (2,))
         with pytest.raises(NotSurjective):
