@@ -78,7 +78,8 @@ class CoxData:
         return self.degree_map.matrix.columns()
 
     def degree_of_exponent(self, exponents: Sequence[int]) -> Vector:
-        return self.degree_map(exponents)
+        """The class of the monomial x^exponents; ValueError on a wrong length."""
+        return self.degree_map.matrix.mat_vec(exponents)
 
     def monomial(self, exponents: Sequence[int], coefficient: int | Fraction = 1) -> "GradedPolynomial":
         return make_polynomial(self, {tuple(exponents): coefficient})
@@ -221,9 +222,13 @@ class GradedPolynomial:
     outside input; arithmetic builds valid exponents from valid ones, so
     construction only drops zero coefficients and normalises the rest.
     Polynomials compare by value and, holding a dict, are unhashable.
+
+    ``_degree`` is the class of every term when package code built the
+    polynomial inside one known class, and None otherwise; arithmetic never
+    carries it, and it takes no part in equality.
     """
 
-    __slots__ = ("cox", "terms")
+    __slots__ = ("cox", "terms", "_degree")
 
     def __init__(self, cox: CoxData, terms: Mapping[Vector, int | Fraction]) -> None:
         self.cox = cox
@@ -233,6 +238,7 @@ class GradedPolynomial:
             for e, c in terms.items()
             if c
         }
+        self._degree: Vector | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not GradedPolynomial:
@@ -312,6 +318,28 @@ class GradedPolynomial:
             else:
                 parts.append(f"{c}*{body}")
         return " + ".join(parts)
+
+
+def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
+    """``p.partial(i)`` for every variable i, built in one pass over the terms of p.
+
+    A stored coefficient times a positive exponent is nonzero, and it is
+    stored as an int when integral, so each partial owns its terms as
+    built, with no check.
+    """
+    parts: list[dict[Vector, int | Fraction]] = [{} for _ in range(p.cox.num_vars)]
+    for e, c in p.terms.items():
+        integral = type(c) is int
+        for i, a in enumerate(e):
+            if a:
+                d = c * a
+                parts[i][e[:i] + (a - 1,) + e[i + 1:]] = d if integral or d.denominator > 1 else d.numerator
+    out = []
+    for terms in parts:
+        q = object.__new__(GradedPolynomial)
+        q.cox, q.terms, q._degree = p.cox, terms, None
+        out.append(q)
+    return tuple(out)
 
 
 def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction]) -> GradedPolynomial:

@@ -21,6 +21,7 @@ from .cox import (
     CoxData,
     GradedPolynomial,
     _exponents_up_to_weight,
+    _partials,
     graded_dimension,
     integral_class,
     make_polynomial,
@@ -48,13 +49,23 @@ def build_euler_module(cd: CoxData) -> EulerModule:
 
 class EulerModuleElement:
     """Element as one polynomial component per basis index; compared by value,
-    and unhashable, like its components."""
+    and unhashable, like its components.
 
-    __slots__ = ("module", "components")
+    ``_twist`` is the twist of the element when it is known by construction,
+    and None otherwise.  Only package code sets it: :func:`derivation`
+    records the class of an argument of two or more terms or of known
+    class, and a multiple by an ``int`` or a ``Fraction`` keeps it.  A sum,
+    a difference, a product with a polynomial and an element a caller
+    builds have no known twist, so :func:`euler_contract` checks them in
+    full.  The twist takes no part in equality.
+    """
+
+    __slots__ = ("module", "components", "_twist")
 
     def __init__(self, module: EulerModule, components: tuple[GradedPolynomial, ...]) -> None:
         self.module = module
         self.components = components
+        self._twist: Vector | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not EulerModuleElement:
@@ -66,7 +77,7 @@ class EulerModuleElement:
 
     @property
     def degree(self) -> Vector | None:
-        """Twist in which the element is homogeneous, or None."""
+        """Twist in which the element is homogeneous, or None; found from the components."""
         degrees = set()
         for component, basis_degree in zip(self.components, self.module.basis_degrees):
             if component.is_zero():
@@ -92,7 +103,11 @@ class EulerModuleElement:
         return self + (-1) * other
 
     def __mul__(self, factor: "GradedPolynomial | int | Fraction") -> "EulerModuleElement":
-        return EulerModuleElement(self.module, tuple(c * factor for c in self.components))
+        product = EulerModuleElement(self.module, tuple(c * factor for c in self.components))
+        if isinstance(factor, (int, Fraction)):
+            # A scalar multiple lies in the same twist.
+            product._twist = self._twist
+        return product
 
     __rmul__ = __mul__
 
@@ -113,17 +128,37 @@ def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
 
 
 def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:
-    """Universal derivation: component per ray is the formal partial derivative."""
-    if not s.is_homogeneous():
-        raise InhomogeneousInput("derivation requires a homogeneous argument")
-    return EulerModuleElement(em, tuple(s.partial(i) for i in range(em.rank)))
+    """Universal derivation: component per ray is the formal partial derivative.
+
+    It is a map of degree 0: for s of class lam, component i has class
+    ``lam - deg x_i``, so the element lies in twist lam.  It records lam as
+    its known twist when package code built s inside a known class, and
+    when s has two or more terms, whose classes it finds once each; that is
+    also the homogeneity check (InhomogeneousInput if two differ).  Zero
+    and a single term need no check and get no twist: every partial of a
+    monomial raises back to it, so the contraction has one key there.
+    """
+    twist = s._degree
+    if twist is None and len(s.terms) > 1:
+        classes = {em.cox.degree_of_exponent(e) for e in s.terms}
+        if len(classes) > 1:
+            raise InhomogeneousInput("derivation requires a homogeneous argument")
+        (twist,) = classes
+    element = EulerModuleElement(em, _partials(s))
+    element._twist = twist
+    return element
 
 
 def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightForm) -> GradedPolynomial:
     """Contraction with the weighted Euler vector field sum_i w(deg x_i) x_i d/dx_i.
 
     Sends a homogeneous element of twist d to a polynomial of class d whose
-    constant term always vanishes.
+    constant term always vanishes.  No class is looked up when the element's
+    twist is known (set by :func:`derivation` and kept by multiples by
+    scalars) or when the sum has at most one distinct raised exponent, which
+    has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
+    checked in full: one class per distinct raised exponent, and
+    InhomogeneousInput if two differ.
     """
     total: dict[Vector, int | Fraction] = {}
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
@@ -135,8 +170,10 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
             total[raised] = total.get(raised, 0) + weight * c
     # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
     # when the raised exponents, zero sums included, share one class.
-    if len({em.cox.degree_of_exponent(e) for e in total}) > 1:
-        raise InhomogeneousInput("contraction requires a homogeneous element")
+    # A known twist says so by construction, and a single exponent has one class.
+    if element._twist is None and len(total) > 1:
+        if len({em.cox.degree_of_exponent(e) for e in total}) > 1:
+            raise InhomogeneousInput("contraction requires a homogeneous element")
     return GradedPolynomial(em.cox, total)
 
 
@@ -199,6 +236,8 @@ def check_euler_identity(
     for _ in range(trials):
         lam = classes[rng.randrange(len(classes))]
         s = make_polynomial(cd, {e: rng.randint(-3, 3) for e in basis[lam]})
+        # every monomial of basis[lam] has class lam, so derivation finds none
+        s._degree = lam
         expected = form(lam) * s
         actual = euler_contract(em, derivation(em, s), form)
         checked += 1

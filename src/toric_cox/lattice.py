@@ -90,7 +90,7 @@ class IntegerMatrix:
     def mat_vec(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != {self.cols} columns")
-        return tuple(sum(map(mul, row, v)) for row in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:

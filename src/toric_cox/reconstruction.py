@@ -172,7 +172,12 @@ class SplittingCertificate(NamedTuple):
 
 
 def splitting_certificate(f: Fan) -> SplittingCertificate:
-    """Rank and twist classes of the canonical splitting, with the degree-sum check."""
+    """Rank and twist classes of the canonical splitting, with the degree-sum check.
+
+    The check cannot fail: the anticanonical divisor is (1, ..., 1), so its
+    class is the sum of the degree columns by linearity.  It is kept because
+    the ``verify`` report prints it.
+    """
     require_smooth_complete(f)
     _, degree_map = class_group(f)
     degrees = sorted(degree_map.matrix.columns())

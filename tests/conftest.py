@@ -5,17 +5,28 @@ import pytest
 from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import cox_data
 
-# Hypothesis's pytest plugin imports this module to report a failing example.
-# Through libcst it imports mypy_extensions, whose TypedDict raises a
-# DeprecationWarning at import; under ``-W error`` that would end the session
-# with INTERNALERROR at the first failure.  Importing it once here, with only
-# that category ignored, makes the plugin's later import a cache hit.
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    try:
-        import hypothesis.extra._patching  # noqa: F401
-    except ImportError:
-        pass
+PATCHING = "hypothesis.extra._patching"
+
+
+def pytest_runtest_makereport(item, call):
+    """When a test fails, import the module Hypothesis reports failures with.
+
+    Hypothesis's plugin imports ``hypothesis.extra._patching`` in its own
+    makereport hook, after this one, on the teardown report of a failing
+    test.  Through libcst it imports mypy_extensions, whose TypedDict raises
+    a DeprecationWarning at import; under ``-W error`` that would end the
+    session with INTERNALERROR.  Importing it here first, with only that
+    category ignored, makes the plugin's import a cache hit, and a session
+    in which nothing fails never imports libcst.
+    """
+    if call.excinfo is None or call.excinfo.errisinstance(pytest.skip.Exception):
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            __import__(PATCHING)
+        except ImportError:
+            pass
 
 
 @pytest.fixture(scope="session")

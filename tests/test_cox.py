@@ -660,3 +660,28 @@ class TestPolynomialProperties:
             expected = expected + form(degree) * cd.variable(i) * component
         actual = euler_contract(em, element, form)
         assert actual == expected and _valid(actual)
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_derivation_is_the_formal_partials(self, corpus_cox, name, data):
+        # derivation builds every partial in one pass; partial is the reference
+        cd = corpus_cox[name]
+        em = build_euler_module(cd)
+        if data.draw(st.booleans()):
+            lam = cd.degree_of_exponent(data.draw(st.tuples(*[st.integers(0, 2)] * cd.num_vars)))
+            chosen = data.draw(st.lists(st.sampled_from(monomial_basis(cd, lam)), max_size=4))
+            coefficient = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+            p = make_polynomial(cd, {e: data.draw(coefficient) for e in chosen})
+        else:
+            p = _polynomial(data, cd)
+        if not p.is_homogeneous():
+            return
+        components = derivation(em, p).components
+        assert components == tuple(p.partial(i) for i in range(cd.num_vars))
+        assert all(_valid(c) for c in components)
+
+    def test_an_integral_partial_of_a_fraction_is_an_int(self, corpus_cox):
+        cd = corpus_cox["p2"]
+        p = cd.monomial((2, 0, 0), Fraction(1, 2))
+        for d in (p.partial(0), derivation(build_euler_module(cd), p).components[0]):
+            assert d.terms == {(1, 0, 0): 1} and type(d.terms[(1, 0, 0)]) is int

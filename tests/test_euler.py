@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_cox import euler as euler_module
+from toric_cox.corpus import SMOOTH_COMPLETE
 from toric_cox.cox import GradedPolynomial, effective_weight_form, make_polynomial, monomial_basis
 from toric_cox.errors import InhomogeneousInput
 from toric_cox.euler import (
@@ -304,6 +305,161 @@ class TestEulerContraction:
         else:
             with pytest.raises(InhomogeneousInput):
                 euler_contract(em, element, form)
+
+
+COEFFICIENTS = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+
+
+def _pool(cd):
+    return monomials_of_weight_at_most(cd, 3)
+
+
+def _homogeneous(data, cd):
+    """Some monomials of one class, with int or Fraction coefficients (possibly all 0)."""
+    lam = cd.degree_of_exponent(data.draw(st.sampled_from(_pool(cd))))
+    chosen = data.draw(st.lists(st.sampled_from(monomial_basis(cd, lam)), min_size=1, max_size=4))
+    return make_polynomial(cd, {e: data.draw(COEFFICIENTS) for e in chosen})
+
+
+def _any_polynomial(data, cd):
+    """A sum of up to four monomials of the pool, homogeneous or not."""
+    chosen = data.draw(st.lists(st.sampled_from(_pool(cd)), max_size=4))
+    return make_polynomial(cd, {e: data.draw(COEFFICIENTS) for e in chosen})
+
+
+def _element(data, em, depth=2):
+    """An element built by one of the ways the package and its callers build them."""
+    cd = em.cox
+    kinds = ["derivation", "direct"] + (["scalar", "sum", "product"] if depth else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "derivation":
+        return derivation(em, _homogeneous(data, cd))
+    if kind == "direct":
+        if data.draw(st.booleans()):
+            return EulerModuleElement(em, tuple(_any_polynomial(data, cd) for _ in range(em.rank)))
+        # homogeneous by construction: component i from the monomials of class twist - deg x_i
+        twist = cd.degree_of_exponent(data.draw(st.sampled_from(_pool(cd))))
+        components = []
+        for degree in em.basis_degrees:
+            basis = monomial_basis(cd, tuple(a - b for a, b in zip(twist, degree)))
+            chosen = data.draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
+            components.append(make_polynomial(cd, {e: data.draw(COEFFICIENTS) for e in chosen}))
+        return EulerModuleElement(em, tuple(components))
+    inner = _element(data, em, depth - 1)
+    if kind == "scalar":
+        factor = data.draw(st.sampled_from([0, Fraction(0)]) | COEFFICIENTS)
+        return factor * inner if data.draw(st.booleans()) else inner * factor
+    if kind == "sum":
+        other = _element(data, em, depth - 1)
+        return inner + other if data.draw(st.booleans()) else inner - other
+    f = _homogeneous(data, cd) if data.draw(st.booleans()) else _any_polynomial(data, cd)
+    return f * inner if data.draw(st.booleans()) else inner * f
+
+
+def _count_classes(monkeypatch, cd):
+    """Count the calls of ``cd.degree_of_exponent`` from now on."""
+    calls = []
+    original = cd.degree_of_exponent
+
+    def counted(e):
+        calls.append(e)
+        return original(e)
+
+    monkeypatch.setattr(cd, "degree_of_exponent", counted)
+    return calls
+
+
+class TestKnownTwist:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_derivation_raises_exactly_on_two_classes(self, modules, corpus_cox, name, data):
+        cd, em = corpus_cox[name], modules[name]
+        s = _homogeneous(data, cd) if data.draw(st.booleans()) else _any_polynomial(data, cd)
+        if len({cd.degree_of_exponent(e) for e in s.terms}) > 1:
+            with pytest.raises(InhomogeneousInput):
+                derivation(em, s)
+            return
+        ds = derivation(em, s)
+        # a twist is recorded from two or more terms; zero and one term get none
+        assert ds._twist == (s.degree if len(s.terms) > 1 else None)
+        if not ds.is_zero() and ds._twist is not None:
+            assert ds._twist == ds.degree
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_contraction_matches_the_reference_on_every_kind_of_element(
+        self, modules, corpus_cox, name, data
+    ):
+        cd, em = corpus_cox[name], modules[name]
+        form = effective_weight_form(cd)
+        element = _element(data, em)
+        if element._twist is not None and not element.is_zero():
+            assert element._twist == element.degree
+        if element.is_homogeneous():
+            assert euler_contract(em, element, form) == reference_contract(em, element, form)
+        else:
+            with pytest.raises(InhomogeneousInput):
+                euler_contract(em, element, form)
+
+    def test_sums_and_polynomial_products_forget_the_twist(self, modules, corpus_cox):
+        cd, em = corpus_cox["hirzebruch_1"], modules["hirzebruch_1"]
+        form = effective_weight_form(cd)
+        x = [cd.variable(i) for i in range(cd.num_vars)]
+        # x0 + x2 has class (1, 0) and x1 x2 + x3 has class (1, 1)
+        ds, dt = derivation(em, x[0] + x[2]), derivation(em, x[1] * x[2] + x[3])
+        assert ds._twist == (1, 0) and dt._twist == (1, 1)
+        assert derivation(em, x[0])._twist is None
+        for scaled in (3 * ds, ds * Fraction(1, 2), 0 * ds, ds * Fraction(0)):
+            assert scaled._twist == (1, 0)
+        for mixed in (ds + dt, ds - dt, ds * (cd.one() + x[0])):
+            assert mixed._twist is None and not mixed.is_homogeneous()
+            with pytest.raises(InhomogeneousInput):
+                euler_contract(em, mixed, form)
+        for unknown in (x[1] * ds, ds + ds, EulerModuleElement(em, ds.components)):
+            assert unknown._twist is None and unknown.is_homogeneous()
+            assert euler_contract(em, unknown, form) == reference_contract(em, unknown, form)
+
+    @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+    def test_two_raised_exponents_of_two_classes_are_rejected(self, modules, corpus_cox, name):
+        # b_0 + x_0 b_0 sums to two exponents, x_0 and x_0^2, of different classes
+        cd, em = corpus_cox[name], modules[name]
+        element = basis_element(em, 0) + cd.variable(0) * basis_element(em, 0)
+        with pytest.raises(InhomogeneousInput):
+            euler_contract(em, element, effective_weight_form(cd))
+
+    def test_one_key_case_on_every_monomial_of_weight_at_most_four(self, modules, corpus_cox):
+        for name, cd in corpus_cox.items():
+            em, form = modules[name], effective_weight_form(cd)
+            for e in monomials_of_weight_at_most(cd, 4):
+                s, lam = cd.monomial(e), cd.degree_of_exponent(e)
+                ds = derivation(em, s)
+                assert ds._twist is None, (name, e)
+                # every partial raises back to x^e: one key, and no class is needed
+                assert euler_contract(em, ds, form) == form(lam) * s, (name, e)
+
+    def test_each_class_is_found_at_most_once(self, modules, corpus_cox, monkeypatch):
+        cd, em = corpus_cox["delpezzo6"], modules["delpezzo6"]
+        form = effective_weight_form(cd)
+        s = make_polynomial(cd, {e: 1 for e in monomial_basis(cd, (1, 1, 1, 1))})
+        assert len(s.terms) > 2
+        calls = _count_classes(monkeypatch, cd)
+        ds = derivation(em, s)
+        assert len(calls) == len(s.terms)
+        euler_contract(em, ds, form)
+        euler_contract(em, ds * Fraction(1, 3), form)
+        assert len(calls) == len(s.terms)
+        monomial = cd.monomial((1, 0, 2, 0, 0, 1))
+        euler_contract(em, derivation(em, monomial) * 2, form)
+        assert len(calls) == len(s.terms)
+
+    def test_the_identity_check_finds_no_class_per_sample(self, modules, corpus_cox, monkeypatch):
+        cd, em = corpus_cox["delpezzo6"], modules["delpezzo6"]
+        form = effective_weight_form(cd)
+        calls = _count_classes(monkeypatch, cd)
+        check_euler_identity(em, form, trials=0)
+        pool = len(calls)
+        assert check_euler_identity(em, form, trials=30).ok
+        assert len(calls) == 2 * pool
 
 
 class TestIdentitySpotCheckPool:
