@@ -6,21 +6,11 @@ enumerated on demand, and its dimension is always computed by two
 independent oracles (exponent-fiber counting against section-polytope
 counting) which must agree.
 
-The section polytope of a class lam is that of its lifted divisor
-``class_section(lam)``; the lift is linear in lam, so the Fourier-Motzkin
-tables of the rays are composed with it once per fan, into one
-:class:`PolytopeFamily` over class coordinates, and the count costs one
-rank-length dot product per table row, no lift per class, and no lattice
-point listed.  The lift itself is computed only to report an
-:class:`OracleMismatch`.
-
-The fiber side keys its tables by one packed integer per class,
-``key(mu) = sum_j mu_j * M**j``, so a step of its dynamic program is one
-integer addition and a lookup hashes one int instead of a tuple.  The
-radix M exceeds ``2**64 * D``, where D bounds the entries of the variable
-degrees, which makes the key injective on every weight level that can be
-built; a class outside the box of its weight level has no monomial and is
-answered 0 before it is packed (see :attr:`CoxData.fiber_levels`).
+The polytope side counts in class coordinates, through one family of
+Fourier-Motzkin tables per fan (:attr:`CoxData.section_tables`); a class
+is lifted to a divisor only to report an :class:`OracleMismatch`.  The
+fiber side keys its tables by one packed integer per class, so a step of
+its dynamic program is one integer addition (:attr:`CoxData.fiber_levels`).
 """
 
 from __future__ import annotations
@@ -32,13 +22,14 @@ from typing import Mapping, Sequence
 
 from .errors import OracleMismatch, TorsionClassGroup
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
-from .lattice import IntegerMatrix, LatticeMap, Vector, solve_integer
+from .lattice import IntegerMatrix, LatticeMap, Vector, smith_normal_form, solve_integer
 from .polyhedral import (
     PolytopeFamily,
     RationalCone,
     WeightForm,
     _unchecked_family,
     cone_from_generators,
+    generators_from_inequalities,
     strictly_positive_form,
 )
 
@@ -104,9 +95,13 @@ class CoxData:
     def weight_form(self) -> WeightForm:
         """Integral form positive on all nonzero effective classes, so >= 1 on variable degrees.
 
-        No check: integral and positive on the effective cone's generators suffices.
+        The form reads only the effective cone's facet normals, the dual
+        generators of the variable degrees, so the cone's own generators (a
+        second double description) are left out.  No check: integral and
+        positive on the effective cone's generators suffices.
         """
-        return strictly_positive_form(self.effective_cone, self.cl_rank)
+        normals = generators_from_inequalities(self.variable_degrees(), self.cl_rank)
+        return strictly_positive_form(RationalCone(self.cl_rank, (), normals), self.cl_rank)
 
     @functools.cached_property
     def variable_weights(self) -> tuple[int, ...]:
@@ -117,13 +112,13 @@ class CoxData:
     def class_section(self) -> LatticeMap:
         """Integer section of the degree map: column i is ``divisor_in_class(self, e_i)``.
 
-        ``solve_integer`` is linear in the class for a surjective map, so
-        this section lifts every class to the same divisor as
-        :func:`divisor_in_class`.
+        It is ``V[:, :r] U`` from one Smith form ``U Q V = [I | 0]`` of the
+        onto degree matrix Q: what ``solve_integer`` returns on each unit
+        class, and linear in the class, so it lifts every class as
+        :func:`divisor_in_class` does.
         """
-        units = IntegerMatrix.identity(self.cl_rank).columns()
-        lifts = [divisor_in_class(self, e).coefficients for e in units]
-        return LatticeMap(IntegerMatrix.from_rows(zip(*lifts)))
+        u, _, v = smith_normal_form(self.degree_map.matrix)
+        return LatticeMap(IntegerMatrix._unchecked(tuple(row[: self.cl_rank] for row in v.entries)) @ u)
 
     @functools.cached_property
     def section_tables(self) -> PolytopeFamily:

@@ -158,13 +158,16 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     scalars) or when the sum has at most one distinct raised exponent, which
     has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
     checked in full: one class per distinct raised exponent, and
-    InhomogeneousInput if two differ.
+    InhomogeneousInput if two differ.  With the fan's own weight form, the
+    weights are read from ``variable_weights``.
     """
+    cd = em.cox
+    weights = cd.variable_weights if form is cd.weight_form else None
     total: dict[Vector, int | Fraction] = {}
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
         if component.is_zero():
             continue
-        weight = form(degree)
+        weight = form(degree) if weights is None else weights[i]
         for e, c in component.terms.items():
             raised = _raise_exponent(e, i)
             total[raised] = total.get(raised, 0) + weight * c
@@ -172,9 +175,9 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     # when the raised exponents, zero sums included, share one class.
     # A known twist says so by construction, and a single exponent has one class.
     if element._twist is None and len(total) > 1:
-        if len({em.cox.degree_of_exponent(e) for e in total}) > 1:
+        if len({cd.degree_of_exponent(e) for e in total}) > 1:
             raise InhomogeneousInput("contraction requires a homogeneous element")
-    return GradedPolynomial(em.cox, total)
+    return GradedPolynomial(cd, total)
 
 
 def _raise_exponent(e: Vector, index: int) -> Vector:

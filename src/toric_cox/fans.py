@@ -4,24 +4,17 @@ Structural validation, divisor class group with its degree map, Cartier
 data of invariant divisors, ampleness, the anticanonical divisor and the
 transition exponents of local trivializations.
 
-Validation checks that two simplicial maximal cones s and t meet in the
-cone of their shared rays S by a separation test: that holds iff some
-linear form is 0 on S, > 0 on the rays of s outside S and < 0 on those of
-t outside S.  (If the form exists, a common point is both >= 0 and <= 0
-under it, so it lies in cone(S); if the cones meet in cone(S), that cone is
-a face of both and a form vanishing exactly on it separates them,
-Cox-Little-Schenck, Lemma 1.2.13.)  Scaled, the form is a rational point
-of one small system of inequalities, whose emptiness level 0 of its
-Fourier-Motzkin tables decides, so a pair of cones costs one elimination
-and no double description.
+Validation checks that two simplicial maximal cones meet in the cone of
+their shared rays by a separation test (see :func:`validate_fan`): a pair
+costs one Fourier-Motzkin elimination and no double description.
 
 Validation keeps the chart of each maximal cone s: the integer right
 inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
-``U N_s V = [I | 0]``.  Cartier data is linear in the divisor,
-``m_s = -R_s a_s``, so transitions cost no solve.  Validation also pairs
-the maximal cones across each facet; on a smooth complete fan it keeps one
-integer form per wall, and a divisor is ample iff every wall form is
-positive on it.
+``U N_s V = [I | 0]`` that also shows the cone simplicial.  Cartier data
+is linear in the divisor, ``m_s = -R_s a_s``, so transitions cost no
+solve.  Validation also pairs the maximal cones across each facet; on a
+smooth complete fan it keeps one integer form per wall, and a divisor is
+ample iff every wall form is positive on it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -48,7 +41,6 @@ from .lattice import (
     cokernel,
     integer_vector,
     primitive_vector,
-    rational_rank,
     smith_normal_form,
 )
 from .polyhedral import separable
@@ -183,12 +175,6 @@ def _check_structure(f: Fan) -> None:
             raise MalformedFan(f"cones {a} and {b} are nested; maximal cones must be incomparable")
 
 
-def _is_simplicial(f: Fan) -> bool:
-    return all(
-        rational_rank(f.cone_rays(cone)) == len(cone) for cone in f.max_cones
-    )
-
-
 def _check_face_intersections(f: Fan) -> None:
     """Each pair of maximal cones must meet in the cone of its shared rays, by
     the separation test of :func:`validate_fan`.  Nested cones are rejected
@@ -206,20 +192,27 @@ def _check_face_intersections(f: Fan) -> None:
             )
 
 
-def _charts(f: Fan) -> tuple[IntegerMatrix, ...] | None:
-    """The chart of each maximal cone of a simplicial fan, or None if one is not unimodular.
+def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
+    """Whether every maximal cone is simplicial, and then the chart of each,
+    or None if one is not unimodular.
 
-    The rays of a cone extend to a lattice basis exactly when the Smith form
-    of its k x d ray matrix N is U N V = [I_k | 0]; then R = V[:, :k] U has N R = I_k.
+    The Smith form ``U N V = D`` of a cone's k x d ray matrix N has its
+    nonzero invariants first, each dividing the next, so the k-th decides
+    both: nonzero iff the rays are independent, 1 iff ``D = [I_k | 0]``, when
+    the rays extend to a lattice basis and ``R = V[:, :k] U`` has N R = I_k.
     """
-    charts = []
+    charts: list[IntegerMatrix] | None = []
     for cone in f.max_cones:
         u, d, v = smith_normal_form(IntegerMatrix.from_rows(f.cone_rays(cone)))
         k = len(cone)
-        if any(d.entries[i][i] != 1 for i in range(k)):
-            return None
-        charts.append(IntegerMatrix.from_rows(row[:k] for row in v.entries) @ u)
-    return tuple(charts)
+        last = d.entries[k - 1][k - 1] if k <= f.dim else 0
+        if not last:
+            return False, None
+        if last != 1:
+            charts = None
+        elif charts is not None:
+            charts.append(IntegerMatrix._unchecked(tuple(row[:k] for row in v.entries)) @ u)
+    return True, None if charts is None else tuple(charts)
 
 
 def _walls(f: Fan) -> list[list[int]] | None:
@@ -270,18 +263,19 @@ def validate_fan(f: Fan) -> FanReport:
     outside S, which are independent of S.  The scaled form is decided by
     :func:`~toric_cox.polyhedral.separable`.
 
-    A fan is smooth when every maximal cone has a chart, which the
-    report carries.  Completeness is decided by facet pairing, which is
-    sound for the simplicial full-dimensional fans this package supports;
-    non-simplicial input is reported as neither smooth nor complete.  On a
-    smooth complete fan the report carries one wall form per facet.
+    One Smith form per maximal cone shows it simplicial and gives its chart
+    when it is unimodular (:func:`_charts`).  A fan is smooth when every
+    maximal cone has a chart, which the report carries.  Completeness is
+    decided by facet pairing, which is sound for the simplicial
+    full-dimensional fans this package supports; non-simplicial input is
+    reported as neither smooth nor complete.  On a smooth complete fan the
+    report carries one wall form per facet.
     """
     _check_structure(f)
-    simplicial = _is_simplicial(f)
+    simplicial, charts = _charts(f)
     if not simplicial:
         return FanReport(simplicial=False, smooth=False, complete=False)
     _check_face_intersections(f)
-    charts = _charts(f)
     walls = _walls(f)
     complete = walls is not None and all(len(owners) == 2 for owners in walls)
     return FanReport(
@@ -334,12 +328,14 @@ def class_group(f: Fan) -> tuple[AbelianGroupPresentation, LatticeMap]:
     divisor map, so the degree matrix is canonical.  Exactness holds by
     construction: the free rows span the left kernel of the divisor map, so
     they kill the divisor image and their own kernel is its saturation,
-    which is the image itself when the group is free.
+    which is the image itself when the group is free.  The free rank is
+    rays minus the rank of the divisor map, so the rays span iff it is
+    rays minus dimension.
     """
     validate_fan(f)
-    if rational_rank(f.rays) != f.dim:
-        raise RaysDontSpan("rays do not span the ambient space")
     presentation = cokernel(f.ray_matrix())
+    if presentation.free_rank != f.n_rays - f.dim:
+        raise RaysDontSpan("rays do not span the ambient space")
     return presentation, LatticeMap(presentation.projection)
 
 

@@ -64,6 +64,13 @@ class IntegerMatrix:
         return len(self.entries[0]) if self.entries else self.zero_width
 
     @staticmethod
+    def _unchecked(entries: tuple[Vector, ...]) -> "IntegerMatrix":
+        """A matrix of rows of ints of one width, built by package code: no check."""
+        m = object.__new__(IntegerMatrix)
+        m.entries, m.zero_width = entries, 0
+        return m
+
+    @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntegerMatrix":
         return IntegerMatrix(tuple(integer_vector(row, "matrix row") for row in rows))
 
@@ -96,8 +103,8 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         cols = other.columns()
-        return IntegerMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.entries)
+        return IntegerMatrix._unchecked(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         )
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -241,11 +248,8 @@ def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
             _add_row(d, t, offender, 1)
             _add_row(u, t, offender, 1)
 
-    return (
-        IntegerMatrix.from_rows(u),
-        IntegerMatrix.from_rows(d),
-        IntegerMatrix.from_rows(v),
-    )
+    u_out, d_out, v_out = (IntegerMatrix._unchecked(tuple(map(tuple, m))) for m in (u, d, v))
+    return u_out, d_out, v_out
 
 
 def _diagonal(d: IntegerMatrix) -> list[int]:

@@ -168,10 +168,6 @@ class RationalCone(NamedTuple):
     def dim(self) -> int:
         return rational_rank(self.generators) if self.generators else 0
 
-    def is_pointed(self) -> bool:
-        gens = set(self.generators)
-        return not any(tuple(-x for x in g) in gens for g in gens)
-
 
 def cone_from_generators(generators: Sequence[Sequence[int]], ambient_dim: int) -> RationalCone:
     canonical, normals = _double_description(generators, ambient_dim)
@@ -281,26 +277,29 @@ def _eliminate(
     k, the rows of level k + 1 with a positive coefficient on x_k (``lower``)
     and with a negative one (``upper``), as :data:`TableRow` with the
     multiplier as the form; the rows without x_k are already in level k.
+    A row keeps its multiplier's support as a bit set: combined with positive
+    factors, the support of a derived row is the union of its parents'.
     """
-    n = len(normals)
-    rows: dict[Vector, Vector] = {tuple(int(i == j) for j in range(n)): tuple(v) for i, v in enumerate(normals)}
+    zero = (0,) * len(normals)
+    rows = {zero[:i] + (1,) + zero[i + 1:]: (tuple(v), 1 << i) for i, v in enumerate(normals)}
     lower, upper = [], []
     for k in reversed(range(ambient_dim)):
-        positive = [(y, normal) for y, normal in rows.items() if normal[k] > 0]
-        negative = [(y, normal) for y, normal in rows.items() if normal[k] < 0]
-        lower.append(tuple((normal[:k], normal[k], y) for y, normal in positive))
-        upper.append(tuple((normal[:k], -normal[k], y) for y, normal in negative))
-        derived = {y: normal[:k] for y, normal in rows.items() if not normal[k]}
+        positive = [(y, normal, support) for y, (normal, support) in rows.items() if normal[k] > 0]
+        negative = [(y, normal, support) for y, (normal, support) in rows.items() if normal[k] < 0]
+        lower.append(tuple((normal[:k], normal[k], y) for y, normal, _ in positive))
+        upper.append(tuple((normal[:k], -normal[k], y) for y, normal, _ in negative))
+        derived = {y: (normal[:k], support) for y, (normal, support) in rows.items() if not normal[k]}
         support_bound = ambient_dim - k + 1
-        for p_mult, p_normal in positive:
-            for q_mult, q_normal in negative:
-                if sum(1 for a, b in zip(p_mult, q_mult) if a or b) > support_bound:
+        for p_mult, p_normal, p_support in positive:
+            for q_mult, q_normal, q_support in negative:
+                support = p_support | q_support
+                if support.bit_count() > support_bound:
                     continue
                 s, t = -q_normal[k], p_normal[k]
                 y = [s * a + t * b for a, b in zip(p_mult, q_mult)]
                 normal = [s * a + t * b for a, b in zip(p_normal[:k], q_normal[:k])]
                 g = gcd(*y, *normal)
-                derived[tuple(v // g for v in y)] = tuple(x // g for x in normal)
+                derived[tuple(v // g for v in y)] = (tuple(x // g for x in normal), support)
         rows = derived
     return tuple(rows), tuple(reversed(lower)), tuple(reversed(upper))
 
@@ -485,10 +484,11 @@ def strictly_positive_form(eff: RationalCone, lattice_rank: int) -> WeightForm:
     is full-dimensional), so they cannot all vanish on x.  The sum is thus
     positive on ``eff`` minus the origin, and being integral it is >= 1 on
     every nonzero lattice point.  In positive dimension there is at least
-    one normal, so the sum has one coordinate per dimension.
+    one normal, so the sum has one coordinate per dimension.  Only the facet
+    normals are read: the cone is pointed iff they have full rank.
     """
     if eff.ambient_dim != lattice_rank:
         raise ValueError("cone does not live in the stated lattice")
-    if not eff.is_pointed():
+    if rational_rank(eff.facet_normals) != lattice_rank:
         raise NotPointed("effective cone contains a line")
     return WeightForm(tuple(map(sum, zip(*eff.facet_normals))))

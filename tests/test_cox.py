@@ -103,6 +103,19 @@ class TestGradedDimension:
             for lam in itertools.product(range(-2, 3), repeat=cd.cl_rank):
                 assert cd.class_section(lam) == divisor_in_class(cd, lam).coefficients, (name, lam)
 
+    @pytest.mark.parametrize("rank, index", [(r, i) for r in range(2, 7) for i in range(2)] + [(8, 0)])
+    def test_class_section_columns_are_the_unit_lifts(self, rank, index):
+        # blow-ups of P^2 up to rank 8 (seven blow-ups): the section read off one
+        # Smith form has exactly the columns solve_integer gives the unit classes,
+        # so the lift an OracleMismatch reports is unchanged
+        cd = cox_data(mixed_blowup(rank, index))
+        units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        assert cd.class_section.matrix.columns() == tuple(divisor_in_class(cd, e).coefficients for e in units)
+        rng = random.Random(f"section-{rank}-{index}")
+        for _ in range(20):
+            lam = tuple(rng.randint(-9, 9) for _ in range(rank))
+            assert cd.class_section(lam) == divisor_in_class(cd, lam).coefficients, lam
+
     def test_mismatch_is_caught_and_reports_the_lift(self, corpus_cox, monkeypatch):
         cd = corpus_cox["hirzebruch_1"]
         real = cox_module._fiber_dimension

@@ -193,6 +193,24 @@ class TestEulerContraction:
         assert form(s.degree) == 3
         assert euler_contract(em, derivation(em, s), form) == 3 * s
 
+    def test_own_form_reads_the_cached_weights(self, modules, corpus_cox, monkeypatch):
+        # the fan's own form is never called; an equal copy of it takes the
+        # general path, one call per nonzero component, and gives the same image
+        cd = corpus_cox["hirzebruch_1"]
+        em = modules["hirzebruch_1"]
+        assert min(cd.variable_weights) >= 1  # cached before calls are counted
+        copy = WeightForm(cd.weight_form.coefficients)
+        real = WeightForm.__call__
+        calls = []
+        monkeypatch.setattr(WeightForm, "__call__", lambda form, v: calls.append(form) or real(form, v))
+        for e in monomials_of_weight_at_most(cd, 4):
+            element = derivation(em, cd.monomial(e))
+            own = euler_contract(em, element, cd.weight_form)
+            assert calls == []
+            assert euler_contract(em, element, copy) == own
+            assert len(calls) == sum(not c.is_zero() for c in element.components)
+            calls.clear()
+
     def test_zero_element(self, modules, corpus_cox):
         form = effective_weight_form(corpus_cox["p2"])
         em = modules["p2"]

@@ -27,7 +27,14 @@ from toric_cox.fans import (
     is_ample,
     validate_fan,
 )
-from toric_cox.lattice import IntegerMatrix, kernel_basis, hermite_basis, primitive_vector
+from toric_cox.lattice import (
+    IntegerMatrix,
+    hermite_basis,
+    kernel_basis,
+    primitive_vector,
+    rational_rank,
+    smith_normal_form,
+)
 from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities
 from toric_cox.verify import run_verification
 
@@ -226,6 +233,43 @@ def test_separation_agrees_with_pairwise_double_description(fan):
     with mock.patch.object(fans_module, "_check_face_intersections", reference_face_intersections):
         expected = validation_outcome(validate_fan.__wrapped__, fan)
     assert validation_outcome(validate_fan, fan) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fans())
+def test_smith_form_decides_simplicial_and_charts(fan):
+    # per cone, and for the fan: the Smith-derived flag is the rank test, a
+    # chart exists iff every invariant is 1, and it is a right inverse
+    flags, unimodular = [], []
+    for cone in fan.max_cones:
+        rays = fan.cone_rays(cone)
+        simplicial, charts = fans_module._charts(fan._replace(max_cones=(cone,)))
+        flags.append(rational_rank(rays) == len(cone))
+        assert simplicial == flags[-1], cone
+        if simplicial:
+            _, d, _ = smith_normal_form(IntegerMatrix.from_rows(rays))
+            unimodular.append(all(d.entries[i][i] == 1 for i in range(len(cone))))
+            assert (charts is not None) == unimodular[-1]
+            if charts is not None:
+                assert IntegerMatrix.from_rows(rays) @ charts[0] == IntegerMatrix.identity(len(cone))
+    simplicial, charts = fans_module._charts(fan)
+    assert simplicial == all(flags)
+    assert (charts is not None) == (simplicial and all(unimodular))
+    try:
+        report = validate_fan.__wrapped__(fan)
+    except MalformedFan:
+        return
+    assert report.simplicial == all(flags)
+
+
+def test_validation_takes_one_smith_form_per_maximal_cone(corpus, monkeypatch):
+    real = fans_module.smith_normal_form
+    calls = []
+    monkeypatch.setattr(fans_module, "smith_normal_form", lambda m: calls.append(m) or real(m))
+    for fan in [*corpus.values(), *map(load_fan, NON_EXAMPLES)]:
+        calls.clear()
+        validate_fan.__wrapped__(fan)
+        assert len(calls) == len(fan.max_cones)
 
 
 def product_fan(*dims: int) -> Fan:

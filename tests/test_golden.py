@@ -2,8 +2,9 @@
 
 The determinism tests compare two runs of the same code; these hashes
 compare against reports recorded before a change, so a refactor that
-alters any byte of a ``verify``, ``cox``, ``euler`` or ``reconstruct``
-report fails here.  Regenerate them only for an intended report change.
+alters any byte of a ``validate``, ``verify``, ``cox``, ``euler`` or
+``reconstruct`` report fails here.  Regenerate them only for an intended
+report change.
 """
 
 import hashlib
@@ -11,7 +12,7 @@ import hashlib
 import pytest
 
 from toric_cox.cli import main
-from toric_cox.corpus import SMOOTH_COMPLETE, corpus_path
+from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path
 
 VERIFY = {
     "p1": "483af52a749c8b544ed0df2ce7ca614c4aedd605b6baee51ef2f17bcbebb0811",
@@ -40,6 +41,31 @@ EULER = {
     ("hirzebruch_1", "1,1"): "a7f74a8e9b184556befae96fc684af2b8892d4f6ca27b4def219fc592336aef8",
 }
 
+# (text, --json) digests of ``validate`` on every corpus file, with its exit
+# code: the two non-examples are reported, not rejected, and exit 1
+VALIDATE = {
+    "p1": ("264d64ac0aa0422c276d6679950b540c4a4dcc413b8cd20b6fe1d946357aa677",
+           "9a8e489a29fc03eeab64c7c059267e3e2ec86f971aca1cf13340af31148776dc", 0),
+    "p2": ("0862cf0e04ea36bb46c39ddde205952b90b07e076d9e38542d9dd506c32f117e",
+           "a8d91015f5f346e2958b971576adc817219cf7ba30bef87bed2c15625deecc47", 0),
+    "p1xp1": ("f975a009cffaa01830e9baed838f6caa850ef830728ba45c79d23972aa626438",
+              "f06f3ca996140119ebf9bc0f7d628d0cda6bd6dbb0b9c6b76c9e337e6ff0673e", 0),
+    "hirzebruch_0": ("9652830cf0631a977430760262491eae5157614dcaa244a4e11b930d6dfbc731",
+                     "c9a0625f020714c7b42b143ad940e73c2a5f66718fce4b91768f4162348957c3", 0),
+    "hirzebruch_1": ("be5bbce99476aa1add46a1578077e33ebb1a3e977154628668a1e4be445e324a",
+                     "4c2823873f7859c9e0a07b71ead0e8e94f41b51fb3e8182ad1477426790353b4", 0),
+    "hirzebruch_2": ("23b3077ca44d6a81821cce55258ecbcc571221ca985bbccf791758b587a6d384",
+                     "cbed1674cdf7d2211ae4667941738ed8ea0a80fe2bc6c6039c578ce1b55d8450", 0),
+    "hirzebruch_3": ("a1dd5d424c6e4aef2ffb2e5f3ccf3bf3c9e0949385a8444b63aac05c7e2156ab",
+                     "1ee6d67be1528de8100b3119625d94b90ce90bbb115ead5f24a2209287a72cc5", 0),
+    "delpezzo6": ("b9f06247ac31dcdb8e09d342b25cd59c3b7547eb07030d3b2751f88e657a5af0",
+                  "13fe32aa6d1a0738cb5e3fbf8649860dc01481913b359df1c2b0309fc676b157", 0),
+    "singular_cone": ("d60afd57857925a9f8c340e95c8a0feb3642c138c51b630944a08a73a7a12df5",
+                      "17235a3437a67bfcc12c0843d4426ed25a7f8ac68da1d3bf99aedc928e1af53e", 1),
+    "incomplete_a2": ("a76405301f06ed13bf78e94f3c68a5c1c15f0608bd52dfa55648e968f6339cee",
+                      "4c1bf5241bda54be6b655a9855dec4ade374a7b4dae8ef274871b92da16ae332", 1),
+}
+
 RECONSTRUCT_P2 = "43311a4477c538c557387d7a9d78fa538766a3e003fe06e5c0e2a76a24c13e0d"
 
 
@@ -50,6 +76,19 @@ def report_hash(capsys, *argv: str) -> str:
 
 def test_every_smooth_complete_corpus_fan_is_pinned():
     assert set(VERIFY) == set(COX) == set(SMOOTH_COMPLETE)
+
+
+def test_every_corpus_file_is_pinned_for_validate():
+    assert set(VALIDATE) == set(SMOOTH_COMPLETE) | set(NON_EXAMPLES)
+
+
+@pytest.mark.parametrize("name", SMOOTH_COMPLETE + NON_EXAMPLES)
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_validate(capsys, name, form):
+    text, json_digest, code = VALIDATE[name]
+    assert main(["validate", str(corpus_path(name))] + (["--json"] if form == "json" else [])) == code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == (json_digest if form == "json" else text)
 
 
 @pytest.mark.parametrize("name", SMOOTH_COMPLETE)

@@ -409,6 +409,45 @@ def generic_normals(seed: str, dim: int, n: int):
             continue
 
 
+def reference_eliminate(normals, ambient_dim):
+    """``polyhedral._eliminate`` as it was before multiplier supports were kept as
+    bit sets, verbatim: Chernikov's count walks both multipliers."""
+    n = len(normals)
+    rows = {tuple(int(i == j) for j in range(n)): tuple(v) for i, v in enumerate(normals)}
+    lower, upper = [], []
+    for k in reversed(range(ambient_dim)):
+        positive = [(y, normal) for y, normal in rows.items() if normal[k] > 0]
+        negative = [(y, normal) for y, normal in rows.items() if normal[k] < 0]
+        lower.append(tuple((normal[:k], normal[k], y) for y, normal in positive))
+        upper.append(tuple((normal[:k], -normal[k], y) for y, normal in negative))
+        derived = {y: normal[:k] for y, normal in rows.items() if not normal[k]}
+        support_bound = ambient_dim - k + 1
+        for p_mult, p_normal in positive:
+            for q_mult, q_normal in negative:
+                if sum(1 for a, b in zip(p_mult, q_mult) if a or b) > support_bound:
+                    continue
+                s, t = -q_normal[k], p_normal[k]
+                y = [s * a + t * b for a, b in zip(p_mult, q_mult)]
+                normal = [s * a + t * b for a, b in zip(p_normal[:k], q_normal[:k])]
+                g = gcd(*y, *normal)
+                derived[tuple(v // g for v in y)] = tuple(x // g for x in normal)
+        rows = derived
+    return tuple(rows), tuple(reversed(lower)), tuple(reversed(upper))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_elimination_tables_match_the_reference(dim):
+    # level 0 and every lower/upper row, in the same order, on seeded bounded
+    # normals and on raw ones (zero entries, unbounded systems)
+    rng = random.Random(f"bitset-{dim}")
+    for trial in range(12):
+        n = rng.randint(dim + 1, 2 * dim + 3)
+        bounded = generic_normals(f"bitset-{dim}-{trial}", dim, n)
+        raw = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(n)]
+        for normals in (bounded, raw):
+            assert polyhedral_module._eliminate(normals, dim) == reference_eliminate(normals, dim), normals
+
+
 class TestPolytopeLatticePoints:
     def test_twice_standard_simplex(self):
         p = RationalPolytope.from_inequalities(
