@@ -4,9 +4,11 @@ Structural validation, divisor class group with its degree map, Cartier
 data of invariant divisors, ampleness, the anticanonical divisor and the
 transition exponents of local trivializations.
 
-Validation checks that two simplicial maximal cones meet in the cone of
-their shared rays by a separation test (see :func:`validate_fan`): a pair
-costs one Fourier-Motzkin elimination and no double description.
+Validation certifies a smooth fan whose facets each have two owners from
+its walls (see :func:`validate_fan`): one sign per wall and one point in
+no maximal cone but the first, both read off the charts.  Other fans, and
+one whose certificate fails, have each pair of maximal cones checked by a
+separation test: one Fourier-Motzkin elimination per pair.
 
 Validation keeps the chart of each maximal cone s: the integer right
 inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
@@ -231,19 +234,40 @@ def _walls(f: Fan) -> list[list[int]] | None:
     return list(owners.values())
 
 
-def _wall_form(f: Fan, charts: tuple[IntegerMatrix, ...], s: int, t: int) -> Vector:
+def _wall_form(f: Fan, dual: tuple[Vector, ...], s: int, t: int) -> Vector:
     """The form on divisors that is positive iff the support function is
     strictly convex across the wall between maximal cones s and t.
 
     With rho the ray of t outside s, the form is ``a_rho - <c, a_s>``, where
-    ``c = R_s^T v_rho`` are the coordinates of v_rho on the rays of s.  The
-    wall relation ``v_rho + v_rho' = sum b_i v_i`` gives the same form from
-    the side of t; convexity across every wall is convexity
-    (Cox-Little-Schenck, sections 6.1, 6.4).
+    ``c = R_s^T v_rho`` are the coordinates of v_rho on the rays of s, read
+    from ``dual``, the rows of ``R_s^T``.  The wall relation
+    ``v_rho + v_rho' = sum b_i v_i`` gives the same form from the side of t;
+    convexity across every wall is convexity (Cox-Little-Schenck, sections
+    6.1, 6.4).
     """
     (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
-    c = dict(zip(f.max_cones[s], charts[s].transpose().mat_vec(f.rays[rho])))
+    v = f.rays[rho]
+    c = {i: sum(map(mul, row, v)) for i, row in zip(f.max_cones[s], dual)}
     return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
+
+
+def _certified(
+    f: Fan, duals: list[tuple[Vector, ...]], walls: list[list[int]], forms: tuple[Vector, ...]
+) -> bool:
+    """Whether the wall certificate of :func:`validate_fan` shows a smooth
+    fan whose facets all have two owners to be a fan.
+
+    (i) Across each wall (s, t), v_rho has a negative coordinate on the ray
+    of s outside t: that is minus the form's entry there.  (ii) The sum p
+    of the rays of cone 0 has a negative coordinate ``R_t^T p`` in every
+    other maximal cone t, so it lies in none of them.
+    """
+    for (s, t), form in zip(walls, forms):
+        (out,) = set(f.max_cones[s]) - set(f.max_cones[t])
+        if form[out] <= 0:
+            return False
+    p = [sum(column) for column in zip(*f.cone_rays(f.max_cones[0]))]
+    return all(any(sum(map(mul, row, p)) < 0 for row in dual) for dual in duals[1:])
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,16 +276,7 @@ def validate_fan(f: Fan) -> FanReport:
 
     Structural violations raise MalformedFan naming the offending ray or
     cone, or the first pair of maximal cones that meet beyond the cone of
-    their shared rays S.  For simplicial cones s and t that is a separation
-    test: they meet in cone(S) iff some form is 0 on S, > 0 on the rays of s
-    outside S and < 0 on those of t outside S.  Given the form, a common
-    point is >= 0 and <= 0 under it, so its coordinates on the rays of s
-    outside S vanish and it lies in cone(S).  Conversely, cone(S) is a face
-    of both cones (any set of rays of a simplicial cone spans a face), so
-    if they meet in it a form vanishing exactly on it separates them
-    (Cox-Little-Schenck, Lemma 1.2.13), and it is nonzero on the rays
-    outside S, which are independent of S.  The scaled form is decided by
-    :func:`~toric_cox.polyhedral.separable`.
+    their shared rays S.
 
     One Smith form per maximal cone shows it simplicial and gives its chart
     when it is unimodular (:func:`_charts`).  A fan is smooth when every
@@ -270,20 +285,64 @@ def validate_fan(f: Fan) -> FanReport:
     full-dimensional fans this package supports; non-simplicial input is
     reported as neither smooth nor complete.  On a smooth complete fan the
     report carries one wall form per facet.
+
+    When every maximal cone has a chart and every facet two owners, the
+    cones form a fan iff the wall certificate of :func:`_certified` holds:
+    (i) across each wall the two cones lie on opposite sides, and (ii) the
+    point p, the sum of the rays of cone 0, lies in no other maximal cone.
+    Both are necessary: a fan's cones meet only in faces, and p is interior
+    to cone 0.  Conversely, call a point generic if it lies on at most one
+    facet hyperplane and in no face of dimension d - 2; the others lie in
+    finitely many subspaces of codimension 2, so for d >= 2 the generic
+    points are connected (for d = 1 the two cones are the rays +-1).  A
+    generic point y on a hyperplane H lies in the relative interior of each
+    facet through it, each in H and owned by two cones, one on each side of
+    H by (i), and no cone owns two facets in H.  So N(y), the number of
+    maximal cones containing y, is the same on both sides of H: N is
+    constant off the walls.  By (ii) the generic points near p lie in cone
+    0 alone, so N = 1 (a complete simplicial multi-fan of degree one,
+    Hattori-Masuda, Osaka J. Math. 40, 2003).  The same count in
+    R^d / span(tau), for the cones containing a face tau, has degree >= 1,
+    so they cover a neighbourhood of each point of its relative interior.
+    Now let x lie in s and t, in the relative interiors of faces tau_s of
+    s and tau_t of t.  A generic y near x lies in a cone containing tau_s
+    and in one containing tau_t; as N(y) = 1 they are one simplicial cone,
+    in which x lies in the relative interiors of two faces, so tau_s =
+    tau_t and x lies in cone(S).
+
+    Every other simplicial fan, and one whose certificate fails, has each
+    pair of maximal cones checked by a separation test
+    (:func:`_check_face_intersections`): s and t meet in cone(S) iff some
+    form is 0 on S, > 0 on the rays of s outside S and < 0 on those of t
+    outside S.  Given the form, a common point is >= 0 and <= 0 under it,
+    so its coordinates on the rays of s outside S vanish and it lies in
+    cone(S).  Conversely, cone(S) is a face of both cones (any set of rays
+    of a simplicial cone spans a face), so if they meet in it a form
+    vanishing exactly on it separates them (Cox-Little-Schenck, Lemma
+    1.2.13), and it is nonzero on the rays outside S, which are independent
+    of S.  The scaled form is decided by
+    :func:`~toric_cox.polyhedral.separable`.  A failed certificate shows a
+    pair that meets beyond its shared rays, and the separation names the
+    first, so a message does not depend on which path ran.
     """
     _check_structure(f)
     simplicial, charts = _charts(f)
     if not simplicial:
         return FanReport(simplicial=False, smooth=False, complete=False)
-    _check_face_intersections(f)
     walls = _walls(f)
     complete = walls is not None and all(len(owners) == 2 for owners in walls)
+    wall_forms: tuple[Vector, ...] = ()
+    if charts and complete:
+        duals = [tuple(zip(*chart.entries)) for chart in charts]
+        wall_forms = tuple(_wall_form(f, duals[s], s, t) for s, t in walls)
+    if not (wall_forms and _certified(f, duals, walls, wall_forms)):
+        _check_face_intersections(f)
     return FanReport(
         simplicial=True,
         smooth=charts is not None,
         complete=complete,
         charts=charts or (),
-        wall_forms=tuple(_wall_form(f, charts, s, t) for s, t in walls) if charts and complete else (),
+        wall_forms=wall_forms,
     )
 
 

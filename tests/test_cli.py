@@ -1,5 +1,7 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from fan_strategies import small_fans, smooth_cycles
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cox import cli
 from toric_cox.cli import main
@@ -262,6 +267,35 @@ class TestInputBoundary:
             assert status == {"ok": False, "code": "MemoryError", "message": "out of memory"}
         else:
             assert captured.out.endswith("status: error(MemoryError): out of memory\n")
+
+
+@st.composite
+def fan_documents(draw):
+    """The JSON of a drawn fan, or of one malformed by a single mutation: a
+    dim that is not an integer, a cone index out of range or an empty cone."""
+    fan = draw(small_fans() | smooth_cycles())
+    doc = {"dim": fan.dim, "rays": [list(r) for r in fan.rays], "max_cones": [list(c) for c in fan.max_cones]}
+    mutation = draw(st.sampled_from(["dim", "index", "empty_cone"])) if draw(st.booleans()) else None
+    if mutation == "dim":
+        doc["dim"] = draw(st.sampled_from([True, False, 2.0, 1.5, "2", None]))
+    elif mutation == "index":
+        cone = draw(st.sampled_from(doc["max_cones"]))
+        cone[draw(st.integers(0, len(cone) - 1))] = draw(st.sampled_from([-1, fan.n_rays, fan.n_rays + 3]))
+    elif mutation == "empty_cone":
+        doc["max_cones"].insert(draw(st.integers(0, len(doc["max_cones"]))), [])
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=fan_documents(), command=st.sampled_from(["validate", "cox"]))
+def test_fuzzed_fans_end_in_a_documented_exit_code(tmp_path_factory, document, command):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_fan.json"
+    path.write_text(document)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 class TestSingleRead:

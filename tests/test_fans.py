@@ -7,8 +7,8 @@ import time
 from unittest import mock
 
 import pytest
+from fan_strategies import product_fan, small_fans, smooth_cycles, smooth_projective_fans
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
@@ -31,7 +31,6 @@ from toric_cox.lattice import (
     IntegerMatrix,
     hermite_basis,
     kernel_basis,
-    primitive_vector,
     rational_rank,
     smith_normal_form,
 )
@@ -56,6 +55,13 @@ def unimodular_change_of_basis(q_from: IntegerMatrix, q_to: IntegerMatrix):
     if all(d.entries[i][i] == 1 for i in range(t.rows)):
         return t
     return None
+
+
+# A smooth closed walk of 13 rays around the origin, turning one way twice.
+CYCLE_13 = [
+    [1, 0], [-3, 1], [-1, 0], [-3, -1], [-2, -1], [-3, -2], [-1, -1],
+    [-2, -3], [-1, -2], [1, 1], [0, 1], [-1, -3], [0, -1],
+]
 
 
 class TestValidateFan:
@@ -135,8 +141,21 @@ class TestValidateFan:
             (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [-1, 0, 0]], [[0, 1, 2], [2, 3, 4]], (0, 1)),
             # a 1-cone inside a 2-cone
             (3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]], [[0, 1], [2]], (0, 1)),
+            # smooth, every facet owned twice, but (1, 2) folds back over
+            # (0, 1): the wall certificate fails both checks
+            (2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [0, 2]], (0, 1)),
+            # a smooth 4-cycle folding back away from cone 0: only the side
+            # check of the wall certificate fails
+            (2, [[1, 0], [-1, 1], [1, -2], [0, -1]], [[0, 1], [0, 3], [1, 2], [2, 3]], (1, 2)),
+            # smooth, every facet owned twice and every consecutive
+            # determinant 1, winding twice around the origin: only the
+            # degree check of the wall certificate fails
+            (2, CYCLE_13, [[i, (i + 1) % 13] for i in range(13)], (0, 9)),
         ],
-        ids=["winding_twice", "no_shared_ray", "ray_in_facet", "ray_in_two_cone"],
+        ids=[
+            "winding_twice", "no_shared_ray", "ray_in_facet", "ray_in_two_cone",
+            "smooth_fold", "smooth_fold_away_from_p", "smooth_cycle_13",
+        ],
     )
     def test_overlap_names_the_first_pair(self, dim, rays, cones, pair):
         with pytest.raises(MalformedFan) as excinfo:
@@ -202,37 +221,28 @@ def validation_outcome(validate, fan: Fan):
     return report, report.charts, report.wall_forms
 
 
-@st.composite
-def small_fans(draw):
-    """Fans in dimension 2-4 on up to d + 4 short rays, with one to five drawn
-    pairwise incomparable cones of at most d rays each; every ray is used.
-
-    The draws go through a seeded generator: direct integer draws start at
-    zero and shrink towards it, which leaves few rays and almost no overlaps.
-    """
-    rng = draw(st.randoms(use_true_random=False))
-    dim = rng.randint(2, 4)
-    rays = sorted({
-        primitive_vector(v)
-        for v in ([rng.randint(-2, 2) for _ in range(dim)] for _ in range(rng.randint(dim, dim + 4)))
-        if any(v)
-    } | {(1,) + (0,) * (dim - 1)})
-    cones = {
-        frozenset(rng.sample(range(len(rays)), rng.randint(1, min(dim, len(rays)))))
-        for _ in range(rng.randint(1, 5))
-    }
-    cones = [c for c in cones if not any(c < other for other in cones)]
-    used = sorted(set().union(*cones))
-    index = {r: i for i, r in enumerate(used)}
-    return Fan.make(dim, [rays[i] for i in used], [[index[i] for i in c] for c in cones])
-
-
 @settings(max_examples=150, deadline=None)
 @given(small_fans())
 def test_separation_agrees_with_pairwise_double_description(fan):
     with mock.patch.object(fans_module, "_check_face_intersections", reference_face_intersections):
         expected = validation_outcome(validate_fan.__wrapped__, fan)
     assert validation_outcome(validate_fan, fan) == expected
+
+
+def reference_validation(fan: Fan):
+    """Validation with the pairwise double description run on every
+    simplicial fan, certified or not, before the flags are read."""
+    fans_module._check_structure(fan)
+    if fans_module._charts(fan)[0]:
+        reference_face_intersections(fan)
+    with mock.patch.object(fans_module, "_check_face_intersections", lambda f: None):
+        return validate_fan.__wrapped__(fan)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fans() | smooth_cycles() | smooth_projective_fans())
+def test_wall_certificate_agrees_with_pairwise_double_description(fan):
+    assert validation_outcome(validate_fan, fan) == validation_outcome(reference_validation, fan)
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,22 +282,10 @@ def test_validation_takes_one_smith_form_per_maximal_cone(corpus, monkeypatch):
         assert len(calls) == len(fan.max_cones)
 
 
-def product_fan(*dims: int) -> Fan:
-    """P^a x P^b x ...: the rays of each factor in its own block of coordinates,
-    one maximal cone per choice of a maximal cone in each factor."""
-    total = sum(dims)
-    rays, cones, offset = [], [()], 0
-    for n in dims:
-        base = len(rays)
-        for ray in [[int(i == j) for j in range(n)] for i in range(n)] + [[-1] * n]:
-            rays.append([0] * offset + ray + [0] * (total - offset - n))
-        cones = [c + f for c in cones for f in itertools.combinations(range(base, base + n + 1), n)]
-        offset += n
-    return Fan.make(total, rays, cones)
-
-
 @pytest.mark.parametrize(
-    "dims, n_cones, walls", [((2, 2, 1), 18, 45), ((1, 1, 1, 1), 16, 32)], ids=["P2xP2xP1", "P1^4"]
+    "dims, n_cones, walls",
+    [((2, 2, 1), 18, 45), ((1, 1, 1, 1), 16, 32), ((2, 2, 2), 27, 81)],
+    ids=["P2xP2xP1", "P1^4", "P2^3"],
 )
 def test_validation_scales_to_products(dims, n_cones, walls):
     fan = product_fan(*dims)
@@ -297,6 +295,59 @@ def test_validation_scales_to_products(dims, n_cones, walls):
     assert report.smooth and report.complete
     assert len(fan.max_cones) == n_cones and len(report.wall_forms) == walls
     assert elapsed < 1.0
+
+
+def count_separations(monkeypatch) -> list:
+    real = fans_module.separable
+    calls = []
+    monkeypatch.setattr(fans_module, "separable", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_certified_fans_take_no_separation(corpus, monkeypatch):
+    calls = count_separations(monkeypatch)
+    products = [product_fan(*dims) for dims in [(3,), (2, 2), (1, 1, 1), (2, 2, 1), (2, 2, 2), (1, 1, 1, 1)]]
+    for fan in [*corpus.values(), *products]:
+        report = validate_fan.__wrapped__(fan)
+        assert report.smooth and report.complete
+    assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(smooth_projective_fans())
+def test_smooth_projective_fans_take_no_separation(fan):
+    with mock.patch.object(fans_module, "separable", side_effect=AssertionError("separation ran")):
+        report = validate_fan.__wrapped__(fan)
+    assert report.smooth and report.complete
+
+
+UNCERTIFIED = {
+    # smooth but incomplete: all six pairs are separated
+    "mixed_dimensions": (
+        Fan.make(
+            3,
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+            [[0, 1, 2], [3, 4], [5], [1, 3]],
+        ),
+        6,
+    ),
+    # complete but not smooth, the weighted plane P(1, 1, 2): three pairs
+    "weighted_plane": (Fan.make(2, [[1, 0], [0, 1], [-1, -2]], [[0, 1], [1, 2], [0, 2]]), 3),
+    # the smooth fold fails its certificate and stops at the first pair
+    "smooth_fold": (Fan.make(2, [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 2], [0, 2]]), 1),
+}
+
+
+@pytest.mark.parametrize("name", [*NON_EXAMPLES, *UNCERTIFIED])
+def test_uncertified_fans_take_the_pairwise_separation(name, monkeypatch):
+    # the non-examples have one maximal cone each, so no pair to separate
+    fan, separations = UNCERTIFIED.get(name, (None, 0))
+    calls = count_separations(monkeypatch)
+    try:
+        validate_fan.__wrapped__(fan or load_fan(name))
+    except MalformedFan:
+        pass
+    assert len(calls) == separations
 
 
 def test_verify_on_p2_cubed():
