@@ -28,7 +28,6 @@ from .errors import (
     OracleMismatch,
     RaysDontSpan,
     ToricCoxError,
-    TorsionClassGroup,
     UnboundedPolytope,
 )
 from .euler import (

@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import index, mul
 from typing import Mapping, Sequence
 
-from .errors import OracleMismatch, TorsionClassGroup
+from .errors import OracleMismatch
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
 from .lattice import IntegerMatrix, LatticeMap, Vector, smith_normal_form, solve_integer
 from .polyhedral import (
@@ -184,15 +184,12 @@ class CoxData:
 def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
     """Build the graded-ring data of a smooth complete fan.
 
-    Rejects fans whose class group has torsion: the grading lattice must
-    be free for everything downstream.
+    The class group is free, of rank rays minus dimension, with no check:
+    the rays of a smooth maximal cone form a lattice basis, so the image
+    of the divisor map is saturated.
     """
     require_smooth_complete(fan)
     presentation, degree_map = class_group(fan)
-    if not presentation.is_free:
-        raise TorsionClassGroup(
-            f"class group has invariant factors {presentation.invariant_factors}"
-        )
     if variable_names is None:
         variable_names = tuple(f"x{i}" for i in range(fan.n_rays))
     else:
@@ -217,13 +214,9 @@ class GradedPolynomial:
     outside input; arithmetic builds valid exponents from valid ones, so
     construction only drops zero coefficients and normalises the rest.
     Polynomials compare by value and, holding a dict, are unhashable.
-
-    ``_degree`` is the class of every term when package code built the
-    polynomial inside one known class, and None otherwise; arithmetic never
-    carries it, and it takes no part in equality.
     """
 
-    __slots__ = ("cox", "terms", "_degree")
+    __slots__ = ("cox", "terms")
 
     def __init__(self, cox: CoxData, terms: Mapping[Vector, int | Fraction]) -> None:
         self.cox = cox
@@ -233,7 +226,6 @@ class GradedPolynomial:
             for e, c in terms.items()
             if c
         }
-        self._degree: Vector | None = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not GradedPolynomial:
@@ -332,7 +324,7 @@ def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
     out = []
     for terms in parts:
         q = object.__new__(GradedPolynomial)
-        q.cox, q.terms, q._degree = p.cox, terms, None
+        q.cox, q.terms = p.cox, terms
         out.append(q)
     return tuple(out)
 

@@ -26,10 +26,6 @@ class NotSmooth(ToricCoxError):
     """Operation requires smooth data (unimodular cones / primitive kernel rows)."""
 
 
-class TorsionClassGroup(ToricCoxError):
-    """Divisor class group has torsion; the graded machinery only supports free gradings."""
-
-
 class UnboundedPolytope(ToricCoxError):
     """Lattice point enumeration requested on a polyhedron with a recession direction."""
 

@@ -24,7 +24,6 @@ from .cox import (
     _partials,
     graded_dimension,
     integral_class,
-    make_polynomial,
     monomial_basis,
 )
 from .errors import InhomogeneousInput
@@ -53,11 +52,12 @@ class EulerModuleElement:
 
     ``_twist`` is the twist of the element when it is known by construction,
     and None otherwise.  Only package code sets it: :func:`derivation`
-    records the class of an argument of two or more terms or of known
-    class, and a multiple by an ``int`` or a ``Fraction`` keeps it.  A sum,
-    a difference, a product with a polynomial and an element a caller
-    builds have no known twist, so :func:`euler_contract` checks them in
-    full.  The twist takes no part in equality.
+    records the class of an argument of two or more terms, ``_derivation``
+    the class its caller knows, and a multiple by an ``int`` or a
+    ``Fraction`` keeps it.  A sum, a difference, a product with a
+    polynomial and an element a caller builds have no known twist, so
+    :func:`euler_contract` checks them in full.  The twist takes no part in
+    equality.
     """
 
     __slots__ = ("module", "components", "_twist")
@@ -132,18 +132,23 @@ def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:
 
     It is a map of degree 0: for s of class lam, component i has class
     ``lam - deg x_i``, so the element lies in twist lam.  It records lam as
-    its known twist when package code built s inside a known class, and
-    when s has two or more terms, whose classes it finds once each; that is
-    also the homogeneity check (InhomogeneousInput if two differ).  Zero
-    and a single term need no check and get no twist: every partial of a
-    monomial raises back to it, so the contraction has one key there.
+    its known twist when s has two or more terms, whose classes it finds
+    once each; that is also the homogeneity check (InhomogeneousInput if
+    two differ).  Zero and a single term need no check and get no twist:
+    every partial of a monomial raises back to it, so the contraction has
+    one key there.
     """
-    twist = s._degree
-    if twist is None and len(s.terms) > 1:
+    twist = None
+    if len(s.terms) > 1:
         classes = {em.cox.degree_of_exponent(e) for e in s.terms}
         if len(classes) > 1:
             raise InhomogeneousInput("derivation requires a homogeneous argument")
         (twist,) = classes
+    return _derivation(em, s, twist)
+
+
+def _derivation(em: EulerModule, s: GradedPolynomial, twist: Vector | None) -> EulerModuleElement:
+    """The derivation of s with known twist ``twist``, the class of s or None; no check."""
     element = EulerModuleElement(em, _partials(s))
     element._twist = twist
     return element
@@ -238,11 +243,10 @@ def check_euler_identity(
     checked = 0
     for _ in range(trials):
         lam = classes[rng.randrange(len(classes))]
-        s = make_polynomial(cd, {e: rng.randint(-3, 3) for e in basis[lam]})
-        # every monomial of basis[lam] has class lam, so derivation finds none
-        s._degree = lam
+        # the pool's own monomials need no validation, and all have class lam
+        s = GradedPolynomial(cd, {e: rng.randint(-3, 3) for e in basis[lam]})
         expected = form(lam) * s
-        actual = euler_contract(em, derivation(em, s), form)
+        actual = euler_contract(em, _derivation(em, s, lam), form)
         checked += 1
         if actual != expected:
             failures.append(f"class {lam}: got {actual}, expected {expected}")

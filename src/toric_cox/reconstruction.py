@@ -90,6 +90,7 @@ def gale_dual_rays(gi: GradingInput) -> IntegerMatrix:
 
 
 def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: IntegerMatrix) -> Fan:
+    """Normal fan of the lifted polytope; the class lifts with no check, as both callers pass an onto q."""
     n = kernel.cols
     rays = []
     for i in range(kernel.rows):
@@ -103,8 +104,6 @@ def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: Inte
     if not cone_contains(effective, ample_class, "relative_interior"):
         raise NotAmpleLift("class is not interior to the effective cone")
     lift = solve_integer(q, ample_class)
-    if lift is None:
-        raise NotAmpleLift("class does not lift to an integral divisor")
     # Generators (num, det) of the cone over the lifted polyhedron: one at
     # det = 0 is a recession direction, and without one each is the vertex
     # num / det.  The vertices exist and span n: the polytope is q's fiber

@@ -240,6 +240,14 @@ class TestInputBoundary:
                          3, id="bool-ray-entry"),
             pytest.param("cox", b'{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
                          3, id="bool-cone-index"),
+            pytest.param("validate", b'[1, 2]', 3, id="fan-not-an-object"),
+            pytest.param("cox", b'{"rays": [[1], [-1]], "max_cones": [[0], [1]]}', 3, id="missing-dim"),
+            pytest.param("verify", b'{"dim": 2, "rays": [[1, 0], [0, 1, 0], [-1, -1]], '
+                         b'"max_cones": [[0, 1], [1, 2], [0, 2]]}', 3, id="ray-of-wrong-length"),
+            pytest.param("euler", b'{"dim": 2, "rays": [[1, 0], [0, 0], [-1, -1]], '
+                         b'"max_cones": [[0, 1], [1, 2], [0, 2]]}', 3, id="zero-ray"),
+            pytest.param("validate", b'{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": []}',
+                         3, id="no-maximal-cones"),
         ],
     )
     def test_exit_code_and_no_traceback(self, capsys, tmp_path, command, content, code):
@@ -250,6 +258,34 @@ class TestInputBoundary:
         assert ("error(parse)" if code == 2 else "error(malformed)") in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+
+    @pytest.mark.parametrize(
+        "argv, content, code, status",
+        [
+            pytest.param(["euler", "--degree", "1,1"],
+                         b'{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+                         3, "error(malformed): degree must have 1 coordinates", id="degree-of-wrong-length"),
+            # the kernel of this onto grading has a zero first row
+            pytest.param(["reconstruct"], b'{"Q": [[1, 0, 0], [0, 1, 1]], "w": [1, 1]}', 1,
+                         "error(DegenerateRay): kernel row 0 is zero", id="zero-kernel-row"),
+        ],
+    )
+    def test_status_line_and_no_traceback(self, capsys, tmp_path, argv, content, code, status):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        captured = capsys.readouterr()
+        assert captured.out.endswith(f"status: {status}\n")
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("option", ["--degree=", "--degree=x"])
+    def test_unparsable_degree_is_a_usage_error(self, capsys, option):
+        with pytest.raises(SystemExit) as exited:
+            main(["euler", str(corpus_path("p2")), option])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert "error: argument --degree" in captured.err
+        assert "Traceback" not in captured.out + captured.err
 
     @pytest.mark.parametrize("command", ["validate", "cox", "euler", "reconstruct", "verify"])
     @pytest.mark.parametrize("as_json", [False, True])

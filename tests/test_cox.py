@@ -73,6 +73,18 @@ class TestCoxData:
         cd = cox_data(p2, variable_names=("x", "y", "z"))
         assert str(cd.monomial((1, 2, 0))) == "x*y^2"
 
+    def test_str_of_zero_constants_and_coefficients(self, p2):
+        cd = cox_data(p2, variable_names=("x", "y", "z"))
+        assert str(cd.zero()) == "0"
+        assert str(cd.one() * 3) == "3"
+        assert str(-cd.variable(0)) == "-x"
+        assert str(cd.monomial((1, 2, 0), Fraction(1, 2))) == "1/2*x*y^2"
+        assert str(cd.one() - cd.variable(2)) == "1 + -z"
+
+    def test_one_name_per_ray(self, p2):
+        with pytest.raises(ValueError, match="one variable name per ray"):
+            cox_data(p2, variable_names=("x", "y"))
+
 
 class TestGradedDimension:
     def test_p2_degree_two(self, corpus_cox):

@@ -495,12 +495,13 @@ class TestIdentitySpotCheckPool:
         self, modules, corpus_cox, monkeypatch, max_weight
     ):
         samples = []
+        original = euler_module._derivation
 
-        def recording_make_polynomial(cd, terms):
-            samples.append(dict(terms))
-            return make_polynomial(cd, terms)
+        def recording_derivation(em, s, twist):
+            samples.append((twist, dict(s.terms)))
+            return original(em, s, twist)
 
-        monkeypatch.setattr(euler_module, "make_polynomial", recording_make_polynomial)
+        monkeypatch.setattr(euler_module, "_derivation", recording_derivation)
         for name, em in modules.items():
             cd = corpus_cox[name]
             rng, reference = random.Random(name), random.Random(name)
@@ -509,7 +510,13 @@ class TestIdentitySpotCheckPool:
                 em, effective_weight_form(cd), trials=20, max_weight=max_weight, rng=rng
             )
             assert report.ok and report.checked == 20
-            assert samples == reference_samples(cd, 20, max_weight, reference), name
+            # a reference draw lists all of basis[lam], so its first monomial gives the class;
+            # the sample drops the zero coefficients
+            expected = [
+                (cd.degree_of_exponent(next(iter(draw))), {e: c for e, c in draw.items() if c})
+                for draw in reference_samples(cd, 20, max_weight, reference)
+            ]
+            assert samples == expected, name
             assert rng.getstate() == reference.getstate(), name
 
 

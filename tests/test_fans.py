@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
 from toric_cox.corpus import NON_EXAMPLES, load_fan
-from toric_cox.errors import MalformedFan, NotComplete, RaysDontSpan
+from toric_cox.errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from toric_cox.fans import (
+    CechCocycle,
     Fan,
     FanReport,
     TorusInvariantDivisor,
@@ -446,6 +447,12 @@ class TestCartierData:
     def test_p1_anticanonical(self, p1):
         assert cartier_data(p1, TorusInvariantDivisor.make([1, 1])) == ((-1,), (1,))
 
+    def test_rejects_a_singular_fan_and_a_divisor_of_the_wrong_length(self, p2):
+        with pytest.raises(NotSmooth):
+            cartier_data(load_fan("singular_cone"), TorusInvariantDivisor.make([1, 1]))
+        with pytest.raises(ValueError, match="wrong number of coefficients"):
+            cartier_data(p2, TorusInvariantDivisor.make([1, 1]))
+
     def test_defining_equations_hold_on_corpus(self, corpus):
         for fan in corpus.values():
             divisor = TorusInvariantDivisor.make(range(fan.n_rays))
@@ -473,6 +480,14 @@ class TestCechTransitions:
         lhs = cech_transitions(hirzebruch_1, d1 + d2)
         rhs = cech_transitions(hirzebruch_1, d1) + cech_transitions(hirzebruch_1, d2)
         assert lhs == rhs
+
+    def test_sum_over_different_covers_raises(self, p1, p2):
+        cocycle = cech_transitions(p2, TorusInvariantDivisor.make([1, 0, 0]))
+        fewer_pairs = cech_transitions(p1, TorusInvariantDivisor.make([1, 0]))
+        reversed_pairs = CechCocycle(tuple(((t, s), g) for (s, t), g in cocycle.transitions))
+        for other in (fewer_pairs, reversed_pairs):
+            with pytest.raises(ValueError, match="different covers"):
+                cocycle + other
 
     def test_cocycle_identity_on_corpus(self, corpus):
         for fan in corpus.values():

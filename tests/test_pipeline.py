@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fan_strategies import smooth_projective_fans
 from toric_cox import polyhedral as polyhedral_module
 from toric_cox import verify as verify_module
 from toric_cox.cli import main
@@ -20,6 +21,7 @@ from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import cox_data, effective_weight_form, graded_dimension
 from toric_cox.euler import (
     build_euler_module,
+    check_euler_identity,
     derivation,
     euler_contract,
     monomials_of_weight_at_most,
@@ -474,3 +476,15 @@ def test_verify_identity_checks_reach_the_lightest_variable():
         "candidates span all weighted pieces up to weight 5: True"
     )
     assert all(r.passed for r in results.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(smooth_projective_fans())
+def test_smooth_projective_fans_pass_every_check(fan):
+    # the facts that let cox_data, reconstruction and verify skip their own checks
+    presentation, _ = class_group(fan)
+    assert presentation.is_free and presentation.free_rank == fan.n_rays - fan.dim
+    results = run_verification(fan, window_radius=1)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    cd = cox_data(fan)
+    assert check_euler_identity(build_euler_module(cd), cd.weight_form).ok

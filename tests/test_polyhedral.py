@@ -243,6 +243,11 @@ class TestConeContains:
         assert cone_contains(ray, (2, 2), "relative_interior")
         assert not cone_contains(ray, (1, 0), "closure")
 
+    def test_relative_interior_needs_every_equation(self):
+        ray = cone_from_generators([(1, 1)], 2)
+        # positive on the facet normal (1, 1), but off the line x = y
+        assert not cone_contains(ray, (1, 2), "relative_interior")
+
 
 class TestSeparable:
     @pytest.mark.parametrize(
