@@ -304,7 +304,8 @@ class GradedPolynomial:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{c}*{body}")
-        return " + ".join(parts)
+        # a negative term after the first reads "- 3*y", not "+ -3*y"
+        return "".join(parts[:1] + [f" - {part[1:]}" if part[0] == "-" else f" + {part}" for part in parts[1:]])
 
 
 def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
@@ -383,8 +384,12 @@ def _fiber_level(cd: CoxData, weight: int) -> dict[int, int]:
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
-    """Monomials of the class: 0 outside the box of its weight level, else a lookup by key."""
-    weight = cd.weight_form(class_vector)
+    """Monomials of the class: 0 outside the box of its weight level, else a lookup by key.
+
+    The class has the rank's length (:func:`graded_dimension` checks it), so
+    its weight is read off the form's coefficients, with no second check.
+    """
+    weight = sum(map(mul, cd.weight_form.coefficients, class_vector))
     if weight < 0 or max(map(abs, class_vector)) > weight * cd.fiber_box:
         return 0
     return _fiber_level(cd, weight).get(sum(map(mul, class_vector, cd.fiber_places)), 0)

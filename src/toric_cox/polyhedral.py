@@ -15,8 +15,10 @@ p.  For plain offsets the forms are the rows' multipliers, and
 :meth:`PolytopeFamily.linear_tables` composes them with S once, so a
 parameter vector costs one dot product of its own length per row; the
 integer intervals of the exact projections are then walked coordinate by
-coordinate.  Counting adds the length of the last coordinate's interval
-and lists no point; it shares the one walk with listing.
+coordinate to list the points.  Counting lists none: it walks all but the
+last two coordinates, and sums the last coordinate's interval lengths over
+the one before it, one floor sum (:func:`_floor_sum`) for a side bounded
+by one row.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -249,6 +251,9 @@ class RationalPolytope(NamedTuple):
 # on the parameters p, standing for c * x_k + <head, x[:k]> + <f, p> >= 0 as
 # a lower bound and -c * x_k + <head, x[:k]> + <f, p> >= 0 as an upper bound.
 TableRow = tuple[Vector, int, Vector]
+# The same row with its form evaluated at the parameters, (head, c, s) with
+# s = <f, p>; :func:`_count_points` folds each coordinate it fixes into s.
+EvaluatedRow = tuple[Vector, int, int]
 
 
 def _eliminate(
@@ -337,15 +342,21 @@ class PolytopeFamily(NamedTuple):
     def count_lattice_points(self, params: Sequence[int]) -> int:
         """Number of integer points of the polytope of these parameters; lists none.
 
-        Level 0 is checked here, not in :meth:`_walk`, so that an empty
-        polytope, the common case of a class outside the effective cone,
-        costs no further call.
+        Level 0 is checked first, so that an empty polytope, the common case
+        of a class outside the effective cone, costs one dot product per
+        level-0 row and no call.  Then each row's constant is evaluated once,
+        and :func:`_count_points` walks x_0..x_{d-3} only: for each prefix
+        it sums the last coordinate's interval lengths over x_{d-2}, with
+        one :func:`_floor_sum` for a side bounded by one row.
         """
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
-        if any(sum(map(mul, f, params)) < 0 for f in self.level_zero):
-            return 0
-        return self._walk(params, None)
+        for f in self.level_zero:
+            if sum(map(mul, f, params)) < 0:
+                return 0
+        if not self.lower:  # dimension 0: the polytope is the origin
+            return 1
+        return _count_points(*self._evaluated(params), 0)
 
     def linear_tables(self, section: IntegerMatrix) -> "PolytopeFamily":
         """The family over the parameters q of this family's parameters p = section . q.
@@ -369,42 +380,96 @@ class PolytopeFamily(NamedTuple):
             self.ambient_dim, section.cols, tuple(map(compose, self.level_zero)), rows(self.lower), rows(self.upper)
         )
 
-    def _walk(self, params: Sequence[int], points: list[Vector] | None) -> int:
-        """Number of integer points of the polytope of these parameters, whose
-        level-0 constants are nonnegative; with a list, its points are also
-        appended to it, lexicographically.
+    def _evaluated(self, params: Sequence[int]) -> tuple[list[list[EvaluatedRow]], list[list[EvaluatedRow]]]:
+        """``lower`` and ``upper`` with each row's form dotted with the parameters."""
+        return (
+            [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower],
+            [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper],
+        )
 
-        Each row's form dotted with the parameters gives its constant b.
+    def _walk(self, params: Sequence[int], points: list[Vector]) -> None:
+        """Append the integer points of the polytope of these parameters, whose
+        level-0 constants are nonnegative, to ``points``, lexicographically.
+
         Given a prefix x_0..x_{k-1} of a point of the polytope's projection,
         ``lower[k]`` and ``upper[k]`` bound x_k, and the projection being
         exact, every x_k in that integer interval extends the prefix within
         the next projection.  Boundedness puts rows on both sides at every
-        level.  Counting and listing differ only at the last coordinate: its
-        interval adds its length, and is listed only on request.
+        level.  Listing only: :meth:`count_lattice_points` has its own walk.
         """
-        lower = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower]
-        upper = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper]
+        lower, upper = self._evaluated(params)
         last = self.ambient_dim - 1
         if last < 0:  # dimension 0: the polytope is the origin
-            if points is not None:
-                points.append(())
-            return 1
+            points.append(())
+            return
 
-        def extend(prefix: Vector) -> int:
+        def extend(prefix: Vector) -> None:
             k = len(prefix)
             # with slack = <head, prefix> + b: c * x + slack >= 0 bounds x below,
             # and -c * x + slack >= 0 (c stored positive) above
             lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
             hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
             if k < last:
-                return sum(extend(prefix + (x,)) for x in range(lo, hi + 1))
-            if points is not None:
+                for x in range(lo, hi + 1):
+                    extend(prefix + (x,))
+            else:
                 points.extend(prefix + (x,) for x in range(lo, hi + 1))
-            # the prefix lies in the exact projection, so the rational interval
-            # is non-empty and its integer points number hi - lo + 1 >= 0
-            return hi - lo + 1
 
-        return extend(())
+        extend(())
+
+
+def _count_points(lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], k: int) -> int:
+    """Integer points over a prefix x_0..x_{k-1} of a point of the exact
+    projection, with ``lower[0]`` and ``upper[0]`` bounding x_k and each
+    constant s already holding the prefix's part <head[:k], prefix>.
+
+    x_k lies in [-min floor(s / c) over the lower rows, min floor(s / c) over
+    the upper rows], rationally non-empty, so n = hi - lo + 1 >= 0.  Before
+    x_{d-2}, each x_k there is folded into the deeper constants and walked.
+    At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U and L being the upper
+    and lower rows' minima of floor((head[-1] x + s) / c), so the prefix
+    holds n plus the sums of U and L over x's interval (:func:`_side_sum`).
+    """
+    lo = -min([s // c for _, c, s in lower[0]])
+    hi = min([s // c for _, c, s in upper[0]])
+    n = hi - lo + 1
+    if len(lower) == 1:
+        return n
+    if len(lower) == 2:
+        return n + _side_sum(upper[1], lo, n) + _side_sum(lower[1], lo, n)
+    total = 0
+    for x in range(lo, hi + 1):
+        fold_lower = [[(head, c, s + head[k] * x) for head, c, s in level] for level in lower[1:]]
+        fold_upper = [[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]]
+        total += _count_points(fold_lower, fold_upper, k + 1)
+    return total
+
+
+def _side_sum(rows: list[EvaluatedRow], lo: int, n: int) -> int:
+    """The sum over lo <= x < lo + n of the minimum of floor((head[-1] x + s) / c)
+    over the rows: one :func:`_floor_sum` for one row, else the minimum at each x."""
+    if len(rows) == 1:
+        head, c, s = rows[0]
+        return _floor_sum(n, c, head[-1], head[-1] * lo + s)
+    return sum(min([(head[-1] * x + s) // c for head, c, s in rows]) for x in range(lo, lo + n))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a * i + b) / m) over 0 <= i < n, for n >= 0 and m >= 1, in O(log) steps.
+
+    Graham-Knuth-Patashnik, *Concrete Mathematics*, 3.5: the whole parts q
+    of a / m and r of b / m add q n(n-1)/2 + r n; with 0 <= a, b < m the rest
+    counts the lattice points under a line, which is the same sum with a and
+    m exchanged over floor((a n + b) / m) terms, as in Euclid's algorithm.
+    """
+    total = 0
+    while n:
+        q, a = divmod(a, m)
+        r, b = divmod(b, m)
+        total += n * (n - 1) // 2 * q + n * r
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
 
 
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:

@@ -6,6 +6,7 @@ import itertools
 import pkgutil
 import random
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 import pytest
@@ -79,7 +80,9 @@ class TestCoxData:
         assert str(cd.one() * 3) == "3"
         assert str(-cd.variable(0)) == "-x"
         assert str(cd.monomial((1, 2, 0), Fraction(1, 2))) == "1/2*x*y^2"
-        assert str(cd.one() - cd.variable(2)) == "1 + -z"
+        assert str(cd.one() - cd.variable(2)) == "1 - z"
+        assert str(cd.variable(1) - cd.monomial((1, 0, 0), 3)) == "y - 3*x"
+        assert str(cd.monomial((0, 1, 0), -3) + cd.variable(0)) == "-3*y + x"
 
     def test_one_name_per_ray(self, p2):
         with pytest.raises(ValueError, match="one variable name per ray"):
@@ -237,6 +240,12 @@ class TestPolytopeCount:
         monkeypatch.setattr(polyhedral_module.PolytopeFamily, "lattice_points", refuse)
         assert [cox_module._polytope_dimension(cd, lam) for lam in window] == expected
 
+    def test_huge_degrees_on_surfaces_are_exact(self, corpus_cox):
+        # a surface's count has no walk: its last level sums in O(log) steps
+        for k in (200000, 10**40):
+            assert cox_module._polytope_dimension(corpus_cox["p2"], (k,)) == comb(k + 2, 2)
+            assert cox_module._polytope_dimension(corpus_cox["p1xp1"], (k, k + 1)) == (k + 1) * (k + 2)
+
 
 class TestMonomialBasis:
     def test_p2_linear_forms(self, corpus_cox):
@@ -317,6 +326,15 @@ class TestFiberKeys:
         cd = corpus_cox["hirzebruch_1"]
         with pytest.raises(ValueError, match="not an integer"):
             graded_dimension(cd, (1, entry))
+
+    def test_a_class_of_the_wrong_length_raises(self, corpus_cox):
+        # checked once, in graded_dimension: the fiber side reads the weight
+        # form's coefficients without a length check of its own
+        cd = corpus_cox["hirzebruch_1"]
+        with pytest.raises(ValueError, match=r"^class vector length 3 != rank 2$"):
+            graded_dimension(cd, (1, 0, 0))
+        with pytest.raises(ValueError, match=r"^class vector length 1 != rank 2$"):
+            graded_dimension(cd, (1,))
 
     def test_a_class_sharing_a_key_and_a_weight_has_no_monomials(self):
         cd = cox_data(BLOWUP_R4)

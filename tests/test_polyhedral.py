@@ -4,10 +4,11 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, prod
 from operator import mul
 
 import pytest
+from fan_strategies import product_fan
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from toric_cox.lattice import (
 from toric_cox.polyhedral import (
     RationalCone,
     RationalPolytope,
+    _floor_sum,
     _homogenized_generators,
     cone_contains,
     cone_from_generators,
@@ -642,6 +644,96 @@ class TestLinearTables:
             family.linear_tables(IntegerMatrix.from_rows([(0,), (1,)]))
         with pytest.raises(ValueError):
             family.linear_tables(IntegerMatrix.from_rows([(0,), (0,), (1,)])).count_lattice_points((1, 2))
+
+
+@st.composite
+def wide_planar_polytopes(draw):
+    """A 2-dimensional polytope of width up to 401 in x_0 whose rows bounding x_1
+    (the last level) number one on one side and two to four on the other.
+
+    The one-row side is the line x_1 = (s x_0 + t) / c; each row of the other
+    side, x_1 = (s_i x_0 + t_i) / c_i, has c_i >= 20, a slope within 2.5 / c_i
+    of s / c and, mostly, a lower intercept, so each x_0 holds a few dozen
+    points at most and the listing stays cheap.  Tied slopes, empty polytopes
+    and single columns all occur.  Changing the sign of x_1 swaps the sides.
+    """
+    c, s, t = draw(st.integers(1, 60)), draw(st.integers(-100, 100)), draw(st.integers(-100, 100))
+    rows = [((1, 0), draw(st.integers(0, 200))), ((-1, 0), draw(st.integers(0, 200))), ((s, -c), t)]
+    for _ in range(draw(st.integers(2, 4))):
+        ci = draw(st.integers(20, 60))
+        si = round(s * ci / c) + draw(st.integers(-2, 2))
+        ti = round(t * ci / c) - draw(st.integers(-20, 200))
+        rows.append(((-si, ci), -ti))
+    if draw(st.booleans()):
+        rows = [((a, -b), offset) for (a, b), offset in rows]
+    return RationalPolytope.from_inequalities(rows, 2)
+
+
+class TestFloorSumCount:
+    """The count sums the last level by floor sums, against listing and closed forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 200), st.integers(1, 10**3), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+    @example(0, 1, 5, 7)
+    @example(1, 1000, -10**6, -10**6)
+    @example(200, 1, 0, 0)
+    def test_floor_sum_against_the_plain_sum(self, n, m, a, b):
+        assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_planar_polytopes())
+    def test_count_equals_the_number_of_listed_points(self, p):
+        family = polytope_family([normal for normal, _ in p.inequalities], 2)
+        sides = sorted(map(len, (family.lower[1], family.upper[1])))
+        assert sides[0] == 1 and sides[1] >= 2
+        offsets = [offset for _, offset in p.inequalities]
+        assert family.count_lattice_points(offsets) == len(family.lattice_points(offsets))
+
+    @pytest.mark.parametrize("n, ks", [(1, (0, 7, 10**40)), (2, (0, 7, 200000, 10**40)), (3, (0, 7, 40)), (4, (0, 7, 12))])
+    def test_simplex_counts_binomials(self, n, ks):
+        # the section polytopes of O(k) on P^n: k times the standard simplex
+        family = polytope_family(product_fan(n).rays, n)
+        for k in (*ks, -1):
+            assert family.count_lattice_points((0,) * n + (k,)) == comb(k + n, n)
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [((1, 10**40), (1, 10**40)), ((1, 9), (2, 10**40)), ((2, 5), (2, 6)), ((1, 3), (1, 4), (1, 5)), ((2, 3), (1, -1))],
+    )
+    def test_products_count_products_of_binomials(self, degrees):
+        # the walk runs over every coordinate but the last two, so each huge
+        # degree sits on a factor that holds the last two coordinates
+        dims = [n for n, _ in degrees]
+        family = polytope_family(product_fan(*dims).rays, sum(dims))
+        offsets = [x for n, k in degrees for x in (0,) * n + (k,)]
+        assert family.count_lattice_points(offsets) == prod(comb(k + n, n) for n, k in degrees)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("degrees", [((2, 3), (2, 4)), ((1, 2), (1, 3), (1, 1), (1, 2)), ((1, 4), (3, 2))])
+    def test_unimodular_images_of_products_count_the_same(self, degrees, seed):
+        # normals n M for a seeded product M of shears cut out M^-1 of the
+        # product polytope, with as many lattice points; the shears make every
+        # head entry differ, so the walk's fold of each coordinate is exercised
+        dims = [n for n, _ in degrees]
+        dim = sum(dims)
+        rng = random.Random(seed)
+        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for _ in range(3 * dim):
+            i, j = rng.sample(range(dim), 2)
+            t = rng.choice((-2, -1, 1, 2))
+            m[i] = [a + t * b for a, b in zip(m[i], m[j])]
+        normals = [tuple(sum(x * row[c] for x, row in zip(n, m)) for c in range(dim)) for n in product_fan(*dims).rays]
+        family = polytope_family(normals, dim)
+        offsets = [x for n, k in degrees for x in (0,) * n + (k,)]
+        expected = prod(comb(k + n, n) for n, k in degrees)
+        assert family.count_lattice_points(offsets) == expected == len(family.lattice_points(offsets))
+
+    def test_the_wrong_number_of_parameters_raises(self):
+        family = polytope_family([(1, 0), (0, 1), (-1, -1)], 2)
+        with pytest.raises(ValueError, match=r"^2 parameters for 3$"):
+            family.count_lattice_points((0, 1))
+        with pytest.raises(ValueError, match=r"^4 parameters for 3$"):
+            family.count_lattice_points((0, 0, 1, 0))
 
 
 class TestStrictlyPositiveForm:
