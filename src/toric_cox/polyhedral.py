@@ -17,8 +17,7 @@ parameter vector costs one dot product of its own length per row; the
 integer intervals of the exact projections are then walked coordinate by
 coordinate to list the points.  Counting lists none: it walks all but the
 last two coordinates, and sums the last coordinate's interval lengths over
-the one before it, one floor sum (:func:`_floor_sum`) for a side bounded
-by one row.
+the one before it.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -346,8 +345,7 @@ class PolytopeFamily(NamedTuple):
         of a class outside the effective cone, costs one dot product per
         level-0 row and no call.  Then each row's constant is evaluated once,
         and :func:`_count_points` walks x_0..x_{d-3} only: for each prefix
-        it sums the last coordinate's interval lengths over x_{d-2}, with
-        one :func:`_floor_sum` for a side bounded by one row.
+        it sums the last coordinate's interval lengths over x_{d-2}.
         """
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
@@ -424,51 +422,28 @@ def _count_points(lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow
     constant s already holding the prefix's part <head[:k], prefix>.
 
     x_k lies in [-min floor(s / c) over the lower rows, min floor(s / c) over
-    the upper rows], rationally non-empty, so n = hi - lo + 1 >= 0.  Before
-    x_{d-2}, each x_k there is folded into the deeper constants and walked.
-    At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U and L being the upper
-    and lower rows' minima of floor((head[-1] x + s) / c), so the prefix
-    holds n plus the sums of U and L over x's interval (:func:`_side_sum`).
+    the upper rows], rationally non-empty, so it holds hi - lo + 1 >= 0
+    integers.  Before x_{d-2}, each x_k there is folded into the deeper
+    constants and walked.  At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U
+    and L being the upper and lower rows' minima of floor((head[-1] x + s) / c),
+    so the prefix holds the sum of U(x) + L(x) + 1 over x's interval.
     """
     lo = -min([s // c for _, c, s in lower[0]])
     hi = min([s // c for _, c, s in upper[0]])
-    n = hi - lo + 1
     if len(lower) == 1:
-        return n
+        return hi - lo + 1
     if len(lower) == 2:
-        return n + _side_sum(upper[1], lo, n) + _side_sum(lower[1], lo, n)
+        return sum(
+            min([(head[-1] * x + s) // c for head, c, s in upper[1]])
+            + min([(head[-1] * x + s) // c for head, c, s in lower[1]])
+            + 1
+            for x in range(lo, hi + 1)
+        )
     total = 0
     for x in range(lo, hi + 1):
         fold_lower = [[(head, c, s + head[k] * x) for head, c, s in level] for level in lower[1:]]
         fold_upper = [[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]]
         total += _count_points(fold_lower, fold_upper, k + 1)
-    return total
-
-
-def _side_sum(rows: list[EvaluatedRow], lo: int, n: int) -> int:
-    """The sum over lo <= x < lo + n of the minimum of floor((head[-1] x + s) / c)
-    over the rows: one :func:`_floor_sum` for one row, else the minimum at each x."""
-    if len(rows) == 1:
-        head, c, s = rows[0]
-        return _floor_sum(n, c, head[-1], head[-1] * lo + s)
-    return sum(min([(head[-1] * x + s) // c for head, c, s in rows]) for x in range(lo, lo + n))
-
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """The sum of floor((a * i + b) / m) over 0 <= i < n, for n >= 0 and m >= 1, in O(log) steps.
-
-    Graham-Knuth-Patashnik, *Concrete Mathematics*, 3.5: the whole parts q
-    of a / m and r of b / m add q n(n-1)/2 + r n; with 0 <= a, b < m the rest
-    counts the lattice points under a line, which is the same sum with a and
-    m exchanged over floor((a n + b) / m) terms, as in Euclid's algorithm.
-    """
-    total = 0
-    while n:
-        q, a = divmod(a, m)
-        r, b = divmod(b, m)
-        total += n * (n - 1) // 2 * q + n * r
-        n, b = divmod(a * n + b, m)
-        m, a = a, m
     return total
 
 
