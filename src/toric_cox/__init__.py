@@ -61,7 +61,6 @@ from .fans import (
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
-    LatticeMap,
     cokernel,
     hermite_basis,
     kernel_basis,

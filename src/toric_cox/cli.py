@@ -124,7 +124,7 @@ def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
             (
                 ("rank", str(cd.cl_rank)),
                 ("torsion", "none"),
-                ("degree matrix rows", "; ".join(_vector_str(r) for r in cd.degree_map.matrix.entries)),
+                ("degree matrix rows", "; ".join(_vector_str(r) for r in cd.degree_matrix.entries)),
             ),
         ),
         (
@@ -150,7 +150,7 @@ def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
             "anticanonical",
             (
                 ("coefficients", _vector_str(anticanonical(fan).coefficients)),
-                ("class", _vector_str(cd.degree_map(anticanonical(fan).coefficients))),
+                ("class", _vector_str(cd.degree_of_exponent(anticanonical(fan).coefficients))),
             ),
         ),
     )

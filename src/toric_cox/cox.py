@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import OracleMismatch
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
-from .lattice import IntegerMatrix, LatticeMap, Vector, smith_normal_form, solve_integer
+from .lattice import IntegerMatrix, Vector, smith_normal_form, solve_integer
 from .polyhedral import (
     PolytopeFamily,
     RationalCone,
@@ -37,25 +37,22 @@ from .polyhedral import (
 class CoxData:
     """Variables-to-rays correspondence with the class-group grading.
 
-    The per-fan context: everything derived from the grading is computed
-    on first use and cached on the instance, so it lives as long as it.
-    Two instances are equal when their four defining fields are.
+    The per-fan context and the one holder of the grading: the degree
+    matrix of Z^rays -> Cl, whose column i is the class of x_i.  Everything
+    derived from it is computed on first use and cached on the instance, so
+    it lives as long as it.  Two instances are equal when their fans are,
+    since the degree matrix is a function of the fan.
     """
 
-    def __init__(
-        self, fan: Fan, cl_rank: int, degree_map: LatticeMap, variable_names: tuple[str, ...]
-    ) -> None:
+    def __init__(self, fan: Fan, degree_matrix: IntegerMatrix) -> None:
         self.fan = fan
-        self.cl_rank = cl_rank
-        self.degree_map = degree_map
-        self.variable_names = variable_names
+        self.degree_matrix = degree_matrix
+        self.cl_rank = degree_matrix.rows
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CoxData:
             return NotImplemented
-        return (self.fan, self.cl_rank, self.degree_map, self.variable_names) == (
-            other.fan, other.cl_rank, other.degree_map, other.variable_names
-        )
+        return self.fan == other.fan
 
     @property
     def num_vars(self) -> int:
@@ -66,11 +63,11 @@ class CoxData:
 
     @functools.cached_property
     def _variable_degrees(self) -> tuple[Vector, ...]:
-        return self.degree_map.matrix.columns()
+        return self.degree_matrix.columns()
 
     def degree_of_exponent(self, exponents: Sequence[int]) -> Vector:
         """The class of the monomial x^exponents; ValueError on a wrong length."""
-        return self.degree_map.matrix.mat_vec(exponents)
+        return self.degree_matrix.mat_vec(exponents)
 
     def monomial(self, exponents: Sequence[int], coefficient: int | Fraction = 1) -> "GradedPolynomial":
         return make_polynomial(self, {tuple(exponents): coefficient})
@@ -109,7 +106,7 @@ class CoxData:
         return tuple(self.weight_form(d) for d in self.variable_degrees())
 
     @functools.cached_property
-    def class_section(self) -> LatticeMap:
+    def class_section(self) -> IntegerMatrix:
         """Integer section of the degree map: column i is ``divisor_in_class(self, e_i)``.
 
         It is ``V[:, :r] U`` from one Smith form ``U Q V = [I | 0]`` of the
@@ -117,8 +114,8 @@ class CoxData:
         class, and linear in the class, so it lifts every class as
         :func:`divisor_in_class` does.
         """
-        u, _, v = smith_normal_form(self.degree_map.matrix)
-        return LatticeMap(IntegerMatrix._unchecked(tuple(row[: self.cl_rank] for row in v.entries)) @ u)
+        u, _, v = smith_normal_form(self.degree_matrix)
+        return IntegerMatrix._unchecked(tuple(row[: self.cl_rank] for row in v.entries)) @ u
 
     @functools.cached_property
     def section_tables(self) -> PolytopeFamily:
@@ -126,13 +123,13 @@ class CoxData:
 
         The section polytope of an invariant divisor has the rays as normals
         and its coefficients as offsets, and the class lam has the offsets
-        ``class_section(lam)``, linear in lam.  So the Fourier-Motzkin tables
+        ``class_section.mat_vec(lam)``, linear in lam.  So the Fourier-Motzkin tables
         of the rays are built and composed with the section once per fan,
         on the first query, and a class then costs one rank-length dot
         product per row: no lift.  No boundedness check: the rays of a
         complete fan positively span.
         """
-        return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section.matrix)
+        return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section)
 
     @functools.cached_property
     def fiber_levels(self) -> tuple[list[dict[int, int]], ...]:
@@ -181,27 +178,16 @@ class CoxData:
         return tuple(sum(map(mul, d, self.fiber_places)) for d in self.variable_degrees())
 
 
-def cox_data(fan: Fan, variable_names: Sequence[str] | None = None) -> CoxData:
+def cox_data(fan: Fan) -> CoxData:
     """Build the graded-ring data of a smooth complete fan.
 
     The class group is free, of rank rays minus dimension, with no check:
     the rays of a smooth maximal cone form a lattice basis, so the image
-    of the divisor map is saturated.
+    of the divisor map is saturated and the degree matrix has no torsion
+    rows.
     """
     require_smooth_complete(fan)
-    presentation, degree_map = class_group(fan)
-    if variable_names is None:
-        variable_names = tuple(f"x{i}" for i in range(fan.n_rays))
-    else:
-        variable_names = tuple(variable_names)
-        if len(variable_names) != fan.n_rays:
-            raise ValueError("need one variable name per ray")
-    return CoxData(
-        fan=fan,
-        cl_rank=presentation.free_rank,
-        degree_map=degree_map,
-        variable_names=variable_names,
-    )
+    return CoxData(fan, class_group(fan).projection)
 
 
 class GradedPolynomial:
@@ -251,6 +237,8 @@ class GradedPolynomial:
         return self.terms.get((0,) * self.cox.num_vars, 0)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        if other.cox is not self.cox and other.cox != self.cox:
+            raise ValueError("cannot add polynomials of two different Cox rings")
         merged = dict(self.terms)
         for e, c in other.terms.items():
             merged[e] = merged.get(e, 0) + c
@@ -267,6 +255,8 @@ class GradedPolynomial:
             return GradedPolynomial(self.cox, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
+        if other.cox is not self.cox and other.cox != self.cox:
+            raise ValueError("cannot multiply polynomials of two different Cox rings")
         out: dict[Vector, int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -277,7 +267,10 @@ class GradedPolynomial:
     __rmul__ = __mul__
 
     def partial(self, index: int) -> "GradedPolynomial":
-        """Formal partial derivative with respect to one variable."""
+        """Formal partial derivative with respect to one variable; IndexError
+        unless ``0 <= index < num_vars``."""
+        if not 0 <= index < self.cox.num_vars:
+            raise IndexError(f"variable index {index} out of range for {self.cox.num_vars} variables")
         out: dict[Vector, int | Fraction] = {}
         for e, c in self.terms.items():
             if e[index]:
@@ -290,11 +283,7 @@ class GradedPolynomial:
         parts = []
         for e in sorted(self.terms):
             c = self.terms[e]
-            factors = [
-                name if power == 1 else f"{name}^{power}"
-                for name, power in zip(self.cox.variable_names, e)
-                if power
-            ]
+            factors = [f"x{i}" if power == 1 else f"x{i}^{power}" for i, power in enumerate(e) if power]
             body = "*".join(factors)
             if not body:
                 parts.append(str(c))
@@ -397,7 +386,7 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
 
 def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariantDivisor:
     """A deterministic invariant divisor with the given class; no check, as the grading is surjective."""
-    return TorusInvariantDivisor(solve_integer(cd.degree_map.matrix, class_vector))
+    return TorusInvariantDivisor(solve_integer(cd.degree_matrix, class_vector))
 
 
 def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
@@ -423,7 +412,7 @@ def graded_dimension(cd: CoxData, class_vector: Sequence[int]) -> int:
     by_fiber = _fiber_dimension(cd, lam)
     by_polytope = _polytope_dimension(cd, lam)
     if by_fiber != by_polytope:
-        raise OracleMismatch(lam, by_fiber, by_polytope, cd.class_section(lam))
+        raise OracleMismatch(lam, by_fiber, by_polytope, cd.class_section.mat_vec(lam))
     return by_fiber
 
 

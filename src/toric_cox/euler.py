@@ -136,8 +136,10 @@ def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:
     once each; that is also the homogeneity check (InhomogeneousInput if
     two differ).  Zero and a single term need no check and get no twist:
     every partial of a monomial raises back to it, so the contraction has
-    one key there.
+    one key there.  ValueError if s belongs to another Cox ring than em.
     """
+    if s.cox is not em.cox and s.cox != em.cox:
+        raise ValueError("derivation of a polynomial of another Cox ring")
     twist = None
     if len(s.terms) > 1:
         classes = {em.cox.degree_of_exponent(e) for e in s.terms}

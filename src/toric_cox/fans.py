@@ -39,7 +39,6 @@ from .errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from .lattice import (
     AbelianGroupPresentation,
     IntegerMatrix,
-    LatticeMap,
     Vector,
     cokernel,
     integer_vector,
@@ -380,8 +379,8 @@ class TorusInvariantDivisor:
         return TorusInvariantDivisor(tuple(-a for a in self.coefficients))
 
 
-def class_group(f: Fan) -> tuple[AbelianGroupPresentation, LatticeMap]:
-    """Divisor class group and the degree map Z^rays -> Cl.
+def class_group(f: Fan) -> AbelianGroupPresentation:
+    """Divisor class group; its ``projection`` is the degree matrix of Z^rays -> Cl.
 
     The class lattice basis is the Hermite basis of the annihilator of the
     divisor map, so the degree matrix is canonical.  Exactness holds by
@@ -395,7 +394,7 @@ def class_group(f: Fan) -> tuple[AbelianGroupPresentation, LatticeMap]:
     presentation = cokernel(f.ray_matrix())
     if presentation.free_rank != f.n_rays - f.dim:
         raise RaysDontSpan("rays do not span the ambient space")
-    return presentation, LatticeMap(presentation.projection)
+    return presentation
 
 
 def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> tuple[Vector, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 from operator import index, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Vector = tuple[int, ...]
 
@@ -112,15 +112,6 @@ class IntegerMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
-
-
-class LatticeMap(NamedTuple):
-    """A homomorphism of free lattices given by its matrix (columns = images of basis vectors)."""
-
-    matrix: IntegerMatrix
-
-    def __call__(self, v: Sequence[int]) -> Vector:
-        return self.matrix.mat_vec(v)
 
 
 class AbelianGroupPresentation:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from typing import NamedTuple
 
+from .cox import CoxData
 from .errors import (
     DegenerateRay,
     MalformedFan,
@@ -23,16 +24,15 @@ from .fans import (
     Fan,
     TorusInvariantDivisor,
     anticanonical,
-    class_group,
     is_ample,
     is_integer_list,
-    require_smooth_complete,
     validate_fan,
 )
 from .lattice import (
     IntegerMatrix,
     Vector,
     cokernel,
+    integer_vector,
     kernel_basis,
     primitive_vector,
     solve_integer,
@@ -46,6 +46,7 @@ class GradingInput:
     __slots__ = ("degree_matrix", "ample_class")
 
     def __init__(self, degree_matrix: IntegerMatrix, ample_class: Vector) -> None:
+        ample_class = integer_vector(ample_class, "class")
         if len(ample_class) != degree_matrix.rows:
             raise ValueError("class vector length must match the matrix row count")
         self.degree_matrix = degree_matrix
@@ -145,18 +146,18 @@ def reconstruct_fan(gi: GradingInput) -> Fan:
     )
 
 
-def roundtrip_check(f: Fan, ample_divisor: TorusInvariantDivisor) -> bool:
+def roundtrip_check(cd: CoxData, ample_divisor: TorusInvariantDivisor) -> bool:
     """Fan -> grading -> fan is the identity, using the fan's own ray matrix as kernel.
 
-    The divisor must be ample; the comparison is literal on the ray matrix
-    (same order) and on the maximal cones as sets.
+    The grading is ``cd.degree_matrix``.  The divisor must be ample on
+    ``cd.fan`` (NotAmpleLift otherwise); the comparison is literal on the ray
+    matrix (same order) and on the maximal cones as sets.
     """
-    require_smooth_complete(f)
+    f = cd.fan
     if not is_ample(f, ample_divisor):
         raise NotAmpleLift("divisor is not ample")
-    _, degree_map = class_group(f)
-    target_class = degree_map(ample_divisor.coefficients)
-    rebuilt = _reconstruct_from_kernel(degree_map.matrix, target_class, f.ray_matrix())
+    target_class = cd.degree_of_exponent(ample_divisor.coefficients)
+    rebuilt = _reconstruct_from_kernel(cd.degree_matrix, target_class, f.ray_matrix())
     return rebuilt.rays == f.rays and set(map(frozenset, rebuilt.max_cones)) == set(
         map(frozenset, f.max_cones)
     )
@@ -170,20 +171,18 @@ class SplittingCertificate(NamedTuple):
     anticanonical_check: bool
 
 
-def splitting_certificate(f: Fan) -> SplittingCertificate:
+def splitting_certificate(cd: CoxData) -> SplittingCertificate:
     """Rank and twist classes of the canonical splitting, with the degree-sum check.
 
     The check cannot fail: the anticanonical divisor is (1, ..., 1), so its
     class is the sum of the degree columns by linearity.  It is kept because
     the ``verify`` report prints it.
     """
-    require_smooth_complete(f)
-    _, degree_map = class_group(f)
-    degrees = sorted(degree_map.matrix.columns())
+    degrees = sorted(cd.variable_degrees())
     total = tuple(sum(col) for col in zip(*degrees))
-    anticanonical_class = degree_map(anticanonical(f).coefficients)
+    anticanonical_class = cd.degree_of_exponent(anticanonical(cd.fan).coefficients)
     return SplittingCertificate(
-        rank=f.n_rays,
+        rank=cd.num_vars,
         degree_multiset=tuple(degrees),
         anticanonical_check=(total == anticanonical_class),
     )

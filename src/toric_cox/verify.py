@@ -51,7 +51,7 @@ class CheckResult(NamedTuple):
 
 def _exactness_check(cd: CoxData) -> CheckResult:
     fan = cd.fan
-    degrees = cd.degree_map.matrix
+    degrees = cd.degree_matrix
     div = fan.ray_matrix()
     composed_zero = degrees.mul(div).is_zero()
     kernel = kernel_basis(degrees)
@@ -212,7 +212,7 @@ def _nef_cone_divisor(fan: Fan) -> TorusInvariantDivisor:
     return TorusInvariantDivisor(tuple(map(sum, zip(*nef))))
 
 
-def _roundtrip_check(fan: Fan) -> CheckResult:
+def _roundtrip_check(cd: CoxData) -> CheckResult:
     """Round trip through the grading with the anticanonical divisor if it is
     ample, else the lexicographically first ample divisor with coefficients
     in {0, 1, 2}, else the sum of the generators of the nef cone.
@@ -222,6 +222,7 @@ def _roundtrip_check(fan: Fan) -> CheckResult:
     has no ample divisor and its variety is not projective.  The round trip
     rebuilds a fan from a polytope, so it does not apply there and passes.
     """
+    fan = cd.fan
     divisor = anticanonical(fan)
     if not is_ample(fan, divisor):
         divisor = _first_ample_divisor(fan)
@@ -229,7 +230,7 @@ def _roundtrip_check(fan: Fan) -> CheckResult:
         divisor = _nef_cone_divisor(fan)
         if not is_ample(fan, divisor):
             return CheckResult("round trip", True, "not applicable: complete but not projective")
-    ok = roundtrip_check(fan, divisor)
+    ok = roundtrip_check(cd, divisor)
     return CheckResult(
         "round trip",
         ok,
@@ -237,8 +238,8 @@ def _roundtrip_check(fan: Fan) -> CheckResult:
     )
 
 
-def _certificate_check(fan: Fan) -> CheckResult:
-    certificate = splitting_certificate(fan)
+def _certificate_check(cd: CoxData) -> CheckResult:
+    certificate = splitting_certificate(cd)
     return CheckResult(
         "splitting certificate",
         certificate.anticanonical_check,
@@ -272,6 +273,6 @@ def run_verification(
     results.extend(_euler_identity_check(cd, em, bound))
     results.extend(_generation_checks(cd, em, bound))
     results.append(_cech_check(fan))
-    results.append(_roundtrip_check(fan))
-    results.append(_certificate_check(fan))
+    results.append(_roundtrip_check(cd))
+    results.append(_certificate_check(cd))
     return tuple(results)

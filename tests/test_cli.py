@@ -17,14 +17,24 @@ from hypothesis import strategies as st
 
 from toric_cox import cli
 from toric_cox.cli import main
-from toric_cox.corpus import corpus_path
+from toric_cox.corpus import SMOOTH_COMPLETE, corpus_path, load_fan
+from toric_cox.fans import anticanonical, fan_to_json, is_ample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# The corpus fans, in corpus order, whose anticanonical divisor is ample.
+FANO_CORPUS = ("p1", "p2", "p1xp1", "hirzebruch_0", "hirzebruch_1", "delpezzo6")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def _vector(text: str) -> list[int]:
+    """The integers of a report vector such as ``(1, -1, 0)``."""
+    return [int(x) for x in text.strip("()").split(", ")]
 
 
 class TestValidate:
@@ -176,6 +186,25 @@ class TestReconstruct:
         code, out = run(capsys, "reconstruct", str(grading))
         assert code == 1
         assert "error(NotAmpleLift)" in out
+
+    def test_fano_corpus_is_the_round_trip_list(self):
+        fano = [name for name in SMOOTH_COMPLETE if is_ample(load_fan(name), anticanonical(load_fan(name)))]
+        assert fano == list(FANO_CORPUS)
+
+    @pytest.mark.parametrize("name", FANO_CORPUS)
+    def test_cox_report_reconstructs_the_fan(self, capsys, tmp_path, name):
+        # the degree matrix and anticanonical class that cox prints, fed back to reconstruct
+        code, out = run(capsys, "cox", str(corpus_path(name)), "--json")
+        assert code == 0
+        sections = {section["title"]: dict(section["entries"]) for section in json.loads(out)["sections"]}
+        q = [_vector(row) for row in sections["class group"]["degree matrix rows"].split("; ")]
+        w = _vector(sections["anticanonical"]["class"])
+        grading = tmp_path / f"{name}_grading.json"
+        grading.write_text(json.dumps({"Q": q, "w": w}))
+        code, out = run(capsys, "reconstruct", str(grading), "--json")
+        assert code == 0
+        (section,) = json.loads(out)["sections"]
+        assert dict(section["entries"])["fan json"] == fan_to_json(load_fan(name))
 
 
 class TestVerify:
@@ -334,6 +363,28 @@ def test_fuzzed_fans_end_in_a_documented_exit_code(tmp_path_factory, document, c
     assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
+@st.composite
+def grading_documents(draw):
+    """Small gradings: rank 1-3, up to rank + 3 columns, Q in [-2, 3] and w in [-1, 4]."""
+    rank = draw(st.integers(1, 3))
+    cols = draw(st.integers(1, rank + 3))
+    q = draw(st.lists(st.lists(st.integers(-2, 3), min_size=cols, max_size=cols), min_size=rank, max_size=rank))
+    w = draw(st.lists(st.integers(-1, 4), min_size=rank, max_size=rank))
+    return json.dumps({"Q": q, "w": w})
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=grading_documents())
+def test_fuzzed_gradings_end_in_a_documented_exit_code(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_grading.json"
+    path.write_text(document)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reconstruct", str(path)])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 class TestSingleRead:
     @pytest.mark.parametrize("command", ["validate", "cox", "euler", "verify"])
     def test_each_command_reads_its_input_once(self, capsys, monkeypatch, command):
@@ -359,8 +410,8 @@ class TestSingleRead:
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         assert main(["verify", str(corpus_path("delpezzo6"))]) == 0
-        # cox_data's own class group, then roundtrip_check and splitting_certificate.
-        assert calls == Counter(cox_data=1, class_group=3)
+        # cox_data's own class group; roundtrip_check and splitting_certificate read its degree matrix.
+        assert calls == Counter(cox_data=1, class_group=1)
 
 
 class TestColdStart:

@@ -56,7 +56,7 @@ class TestBuildEulerModule:
             cd = corpus_cox[name]
             assert em.rank == cd.fan.dim + cd.cl_rank
             total = tuple(sum(col) for col in zip(*em.basis_degrees))
-            assert total == cd.degree_map((1,) * cd.num_vars)
+            assert total == cd.degree_of_exponent((1,) * cd.num_vars)
 
 
 class TestGradedPieceDim:
@@ -92,6 +92,14 @@ class TestDerivation:
         assert ds.components[0] == cd.monomial((0, 2, 0))
         assert ds.components[1] == cd.monomial((1, 1, 0), 2)
         assert ds.components[2].is_zero()
+
+    def test_rejects_a_polynomial_of_another_ring(self, modules, corpus_cox):
+        # a P^1 x P^1 polynomial must not come back as a 3-component element over P^2
+        s = corpus_cox["p1xp1"].monomial((1, 0, 1, 0))
+        with pytest.raises(ValueError, match="another Cox ring"):
+            derivation(modules["p2"], s)
+        with pytest.raises(ValueError, match="another Cox ring"):
+            derivation(modules["p2"], s + corpus_cox["p1xp1"].monomial((0, 1, 0, 1)))
 
     def test_constants_map_to_zero(self, modules, corpus_cox):
         em = modules["p2"]

@@ -83,7 +83,7 @@ def test_blowup_surfaces_full_pipeline(seed):
     report = validate_fan(fan)
     assert report.smooth and report.complete
 
-    presentation, degree_map = class_group(fan)
+    presentation = class_group(fan)
     assert presentation.is_free
     assert presentation.free_rank == fan.n_rays - 2
 
@@ -99,12 +99,12 @@ def test_blowup_surfaces_full_pipeline(seed):
         image = euler_contract(em, derivation(em, s), form)
         assert image == form(cd.degree_of_exponent(e)) * s
 
-    certificate = splitting_certificate(fan)
+    certificate = splitting_certificate(cd)
     assert certificate.rank == fan.n_rays and certificate.anticanonical_check
 
     ample = _first_ample_divisor(fan, 4)
     if ample is not None:
-        assert roundtrip_check(fan, ample)
+        assert roundtrip_check(cd, ample)
 
 
 @pytest.mark.parametrize(
@@ -178,14 +178,13 @@ def test_single_blowup_matches_hirzebruch_one():
     blown = blow_up(fan, 0)
     assert blown.rays == ((1, 0), (0, 1), (-1, -1), (1, 1))
     assert validate_fan(blown).smooth
-    _, q = class_group(blown)
-    assert q.matrix.rows == 2
+    assert class_group(blown).projection.rows == 2
 
 
 def test_roundtrip_accepts_negative_coefficient_ample_divisor(p2):
     divisor = TorusInvariantDivisor.make([-1, 2, 2])
     assert is_ample(p2, divisor)
-    assert roundtrip_check(p2, divisor)
+    assert roundtrip_check(cox_data(p2), divisor)
 
 
 def test_anticanonical_not_ample_after_many_blowups():
@@ -199,10 +198,10 @@ def test_anticanonical_not_ample_after_many_blowups():
 
 def test_class_group_reports_torsion_on_singular_fan():
     fan = Fan.make(2, [[1, 2], [1, -2]], [[0], [1]])
-    presentation, degree_map = class_group(fan)
+    presentation = class_group(fan)
     assert presentation.free_rank == 0
     assert presentation.invariant_factors == (4,)
-    image = degree_map(fan.ray_matrix().mat_vec((1, 0)))
+    image = presentation.projection.mat_vec(fan.ray_matrix().mat_vec((1, 0)))
     assert image[0] % 4 == 0
 
 
@@ -281,7 +280,7 @@ def test_depth_first_search_picks_the_scan_divisor(max_coeff):
 def test_empty_nef_interior_is_reported(monkeypatch):
     fan = BOX_WITHOUT_AMPLE["seed-3"]
     monkeypatch.setattr(verify_module, "_nef_cone_divisor", lambda f: anticanonical(f))
-    result = _roundtrip_check(fan)
+    result = _roundtrip_check(cox_data(fan))
     assert (result.passed, result.detail) == (True, "not applicable: complete but not projective")
 
 
@@ -332,8 +331,9 @@ def test_nef_cone_round_trip_on_p3_blown_up_at_eight_points():
     fan = blown_up_p3(8, 0)
     assert len(validate_fan(fan).wall_forms) == 30
     assert not is_ample(fan, anticanonical(fan)) and _first_ample_divisor(fan) is None
+    cd = cox_data(fan)
     start = time.process_time()
-    result = _roundtrip_check(fan)
+    result = _roundtrip_check(cd)
     elapsed = time.process_time() - start
     assert result.passed and result.detail == (
         "rebuilt from grading with divisor "
@@ -482,7 +482,7 @@ def test_verify_identity_checks_reach_the_lightest_variable():
 @given(smooth_projective_fans())
 def test_smooth_projective_fans_pass_every_check(fan):
     # the facts that let cox_data, reconstruction and verify skip their own checks
-    presentation, _ = class_group(fan)
+    presentation = class_group(fan)
     assert presentation.is_free and presentation.free_rank == fan.n_rays - fan.dim
     results = run_verification(fan, window_radius=1)
     assert all(r.passed for r in results), [r for r in results if not r.passed]

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
+from toric_cox.cox import cox_data
 from toric_cox.errors import (
     DegenerateRay,
     NotAmpleLift,
@@ -72,19 +74,26 @@ class TestGaleDualRays:
 
     def test_recovers_grading_up_to_basis_change(self, corpus):
         for name, fan in corpus.items():
-            _, q = class_group(fan)
-            w = q(anticanonical(fan).coefficients)
-            gi = GradingInput(q.matrix, w)
+            q = class_group(fan).projection
+            w = q.mat_vec(anticanonical(fan).coefficients)
+            gi = GradingInput(q, w)
             rays = gale_dual_rays(gi)
             rebuilt = Fan.make(fan.dim, rays.entries, fan.max_cones)
-            _, q2 = class_group(rebuilt)
-            assert q2.matrix.entries == q.matrix.entries, name
+            q2 = class_group(rebuilt).projection
+            assert q2.entries == q.entries, name
 
 
 class TestReconstructFan:
     def test_projective_plane(self, p2):
         fan = reconstruct_fan(GradingInput(IntegerMatrix.from_rows([[1, 1, 1]]), (1,)))
         assert fan == p2
+
+    @pytest.mark.parametrize("ample_class", [(1.5,), (3.0,)])
+    def test_class_with_an_entry_that_is_not_an_integer(self, ample_class):
+        # the class is read at the boundary, not inside the lift, where (3.0,) would name a normal
+        message = re.escape(f"class {ample_class!r} has an entry that is not an integer")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            reconstruct_fan(GradingInput(IntegerMatrix.from_rows([[1, 1, 1]]), ample_class))
 
     def test_product_square(self, p1xp1):
         q = IntegerMatrix.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
@@ -93,8 +102,8 @@ class TestReconstructFan:
         assert len(fan.max_cones) == 4
 
     def test_hirzebruch_anticanonical_chamber(self, hirzebruch_1):
-        _, q = class_group(hirzebruch_1)
-        fan = reconstruct_fan(GradingInput(q.matrix, (3, 2)))
+        q = class_group(hirzebruch_1).projection
+        fan = reconstruct_fan(GradingInput(q, (3, 2)))
         assert fan == hirzebruch_1
 
     def test_non_primitive_grading_rejected(self):
@@ -137,7 +146,7 @@ class TestReconstructFan:
             reconstruct_fan(GradingInput(q, class_vector))
 
     def test_lift_translation_invariance(self, p2, monkeypatch):
-        _, q = class_group(p2)
+        q = class_group(p2).projection
         kernel = p2.ray_matrix()
         # two lifts of the class 3 that differ by a principal divisor
         fans, asked = [], []
@@ -145,7 +154,7 @@ class TestReconstructFan:
             monkeypatch.setattr(
                 reconstruction_module, "solve_integer", lambda matrix, rhs: asked.append(tuple(rhs)) or lift
             )
-            fans.append(_reconstruct_from_kernel(q.matrix, (3,), kernel))
+            fans.append(_reconstruct_from_kernel(q, (3,), kernel))
         assert asked == [(3,), (3,)]
         assert fans == [p2, p2]
 
@@ -185,49 +194,50 @@ class TestReconstructFan:
 
 class TestRoundTrip:
     def test_p2_coordinate_divisor(self, p2):
-        assert roundtrip_check(p2, TorusInvariantDivisor.make([1, 0, 0]))
+        assert roundtrip_check(cox_data(p2), TorusInvariantDivisor.make([1, 0, 0]))
 
     def test_hirzebruch_anticanonical(self, hirzebruch_1):
-        assert roundtrip_check(hirzebruch_1, anticanonical(hirzebruch_1))
+        assert roundtrip_check(cox_data(hirzebruch_1), anticanonical(hirzebruch_1))
 
     def test_semiample_divisor_rejected(self, p1xp1):
         with pytest.raises(NotAmpleLift):
-            roundtrip_check(p1xp1, TorusInvariantDivisor.make([1, 0, 0, 0]))
+            roundtrip_check(cox_data(p1xp1), TorusInvariantDivisor.make([1, 0, 0, 0]))
 
     def test_all_small_ample_divisors_on_corpus(self, corpus):
         for name, fan in corpus.items():
+            cd = cox_data(fan)
             ample_found = 0
             for coeffs in itertools.product(range(3), repeat=fan.n_rays):
                 divisor = TorusInvariantDivisor(coeffs)
                 if is_ample(fan, divisor):
                     ample_found += 1
-                    assert roundtrip_check(fan, divisor), (name, coeffs)
+                    assert roundtrip_check(cd, divisor), (name, coeffs)
             assert ample_found > 0, name
 
 
 class TestSplittingCertificate:
     def test_p2(self, p2):
-        certificate = splitting_certificate(p2)
+        certificate = splitting_certificate(cox_data(p2))
         assert certificate.rank == 3
         assert certificate.degree_multiset == ((1,), (1,), (1,))
         assert certificate.anticanonical_check
 
     def test_hirzebruch_one(self, hirzebruch_1):
-        certificate = splitting_certificate(hirzebruch_1)
+        certificate = splitting_certificate(cox_data(hirzebruch_1))
         assert certificate.rank == 4
         assert sorted(certificate.degree_multiset) == [(0, 1), (1, 0), (1, 0), (1, 1)]
         assert certificate.anticanonical_check
 
     def test_delpezzo6(self, corpus):
-        certificate = splitting_certificate(corpus["delpezzo6"])
+        certificate = splitting_certificate(cox_data(corpus["delpezzo6"]))
         # six rays in dimension two: rank n + r = 6
         assert certificate.rank == 6
         total = tuple(sum(col) for col in zip(*certificate.degree_multiset))
-        _, q = class_group(corpus["delpezzo6"])
-        assert total == q(anticanonical(corpus["delpezzo6"]).coefficients)
+        q = class_group(corpus["delpezzo6"]).projection
+        assert total == q.mat_vec(anticanonical(corpus["delpezzo6"]).coefficients)
 
     def test_whole_corpus(self, corpus):
         for name, fan in corpus.items():
-            certificate = splitting_certificate(fan)
+            certificate = splitting_certificate(cox_data(fan))
             assert certificate.rank == fan.n_rays, name
             assert certificate.anticanonical_check, name
