@@ -73,6 +73,9 @@ class CoxData:
         return make_polynomial(self, {tuple(exponents): coefficient})
 
     def variable(self, index: int) -> "GradedPolynomial":
+        """The variable x_index; IndexError unless ``0 <= index < num_vars``."""
+        if not 0 <= index < self.num_vars:
+            raise IndexError(f"variable index {index} out of range for {self.num_vars} variables")
         e = [0] * self.num_vars
         e[index] = 1
         return self.monomial(e)
@@ -237,6 +240,8 @@ class GradedPolynomial:
         return self.terms.get((0,) * self.cox.num_vars, 0)
 
     def __add__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        if other.__class__ is not GradedPolynomial:
+            return NotImplemented
         if other.cox is not self.cox and other.cox != self.cox:
             raise ValueError("cannot add polynomials of two different Cox rings")
         merged = dict(self.terms)

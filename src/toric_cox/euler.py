@@ -94,6 +94,8 @@ class EulerModuleElement:
         return self.is_zero() or self.degree is not None
 
     def __add__(self, other: "EulerModuleElement") -> "EulerModuleElement":
+        if other.__class__ is not EulerModuleElement:
+            return NotImplemented
         return EulerModuleElement(
             self.module,
             tuple(a + b for a, b in zip(self.components, other.components)),

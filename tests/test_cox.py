@@ -566,6 +566,18 @@ class TestGradedPolynomialArithmetic:
         with pytest.raises(IndexError, match=f"^variable index {index} out of range for 3 variables$"):
             p.partial(index)
 
+    @pytest.mark.parametrize("index", [-1, 3, -4])
+    def test_variable_rejects_an_index_outside_the_variables(self, corpus_cox, index):
+        # a negative index used to count from the end: variable(-1) was x2 on P^2
+        with pytest.raises(IndexError, match=f"^variable index {index} out of range for 3 variables$"):
+            corpus_cox["p2"].variable(index)
+
+    def test_adding_a_number_is_a_type_error(self, corpus_cox):
+        one = corpus_cox["p2"].one()
+        for bad in (lambda: one + 1, lambda: one - 1, lambda: 1 + one, lambda: one + Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                bad()
+
     def test_polynomials_of_two_rings_do_not_mix(self, corpus_cox, p2):
         x, y = corpus_cox["p2"].variable(0), corpus_cox["p1xp1"].variable(0)
         with pytest.raises(ValueError, match="two different Cox rings"):

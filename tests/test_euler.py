@@ -127,6 +127,12 @@ class TestDerivation:
         with pytest.raises(TypeError):
             hash(derivation(em, s))
 
+    def test_adding_a_number_is_a_type_error(self, modules, corpus_cox):
+        element = derivation(modules["p2"], corpus_cox["p2"].monomial((1, 2, 0)))
+        for bad in (lambda: element + 1, lambda: element - 1, lambda: element + corpus_cox["p2"].one()):
+            with pytest.raises(TypeError):
+                bad()
+
     def test_degree_of_image(self, modules, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
         s = cd.monomial((0, 1, 0, 1))

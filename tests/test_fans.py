@@ -4,11 +4,13 @@ import hashlib
 import itertools
 import random
 import time
+from operator import mul
 from unittest import mock
 
 import pytest
 from fan_strategies import product_fan, small_fans, smooth_cycles, smooth_projective_fans
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
@@ -506,6 +508,22 @@ class TestCechTransitions:
                     for a, b in zip(cocycle.exponent(s, t), cocycle.exponent(t, u))
                 )
                 assert summed == cocycle.exponent(s, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(smooth_projective_fans() | smooth_cycles(), st.data())
+def test_transitions_vanish_on_the_shared_rays(fan, data):
+    # <m_s, v> = -a_v = <m_t, v> on a shared ray v, so the transition m_s - m_t
+    # is a unit on the overlap (Cox-Little-Schenck, section 4.2)
+    try:
+        validate_fan(fan)
+    except MalformedFan:
+        return  # a cycle that winds more than once or folds back
+    coefficients = data.draw(st.lists(st.integers(-3, 3), min_size=fan.n_rays, max_size=fan.n_rays))
+    cocycle = cech_transitions(fan, TorusInvariantDivisor.make(coefficients))
+    for (s, t), g in cocycle.transitions:
+        for i in set(fan.max_cones[s]) & set(fan.max_cones[t]):
+            assert sum(map(mul, g, fan.rays[i])) == 0, (s, t, i)
 
 
 class TestIsAmple:

@@ -10,9 +10,11 @@ report change.
 import hashlib
 
 import pytest
+from fan_strategies import product_fan
 
 from toric_cox.cli import main
 from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path
+from toric_cox.fans import fan_to_json
 
 VERIFY = {
     "p1": "483af52a749c8b544ed0df2ce7ca614c4aedd605b6baee51ef2f17bcbebb0811",
@@ -23,6 +25,16 @@ VERIFY = {
     "hirzebruch_2": "9219262d865ff8f5e693a5506b2d2fdcf9205d34872bb1b1eb38300453b8e239",
     "hirzebruch_3": "e6ab7430b02caffcc2afe82d373a22ba4f935131c415c7f6de40b25b41cd07de",
     "delpezzo6": "fafd8fa3dda8435d18085e730b5f3be8fd0ce615b8c3e3c55a4c5367d66b816c",
+}
+
+# ``verify --json`` on products of projective spaces, written with
+# ``fan_to_json``: the corpus fans have at most 6 maximal cones, these 9 to 27
+PRODUCT_VERIFY = {
+    (3,): "3523b1be50ab537244166b0d80a0cb0605215c190dd5f417e05361422804ee39",
+    (2, 2): "2ce1181408c44140ef1408a1ed4a0ce00d7a36cff937b2d3930031f153c32267",
+    (1, 1, 1): "2ec38385483350a03c9f6d875abfae674cbf7296164ae95f9574a5126507c305",
+    (2, 2, 1): "497a9010f2e3dba06f47bd22716f6c73dcc8e7948f08064b43d53e78a71bcb73",
+    (2, 2, 2): "f1036a7877633f1b5c0964080d81199a349cef2ec36cf8288cc336a6a8911c64",
 }
 
 COX = {
@@ -94,6 +106,13 @@ def test_validate(capsys, name, form):
 @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
 def test_verify(capsys, name):
     assert report_hash(capsys, "verify", str(corpus_path(name))) == VERIFY[name]
+
+
+@pytest.mark.parametrize("dims", sorted(PRODUCT_VERIFY))
+def test_verify_product(capsys, tmp_path, dims):
+    path = tmp_path / "fan.json"
+    path.write_text(fan_to_json(product_fan(*dims)))
+    assert report_hash(capsys, "verify", str(path)) == PRODUCT_VERIFY[dims]
 
 
 @pytest.mark.parametrize("name", SMOOTH_COMPLETE)

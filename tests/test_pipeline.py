@@ -478,6 +478,20 @@ def test_verify_identity_checks_reach_the_lightest_variable():
     assert all(r.passed for r in results.values())
 
 
+def test_verify_counts_a_wrong_contraction_on_both_euler_lines(monkeypatch):
+    # twice the contraction breaks the identity at every nonconstant monomial,
+    # and with it the witness image / w(lam), which no longer recovers s
+    monkeypatch.setattr(verify_module, "euler_contract", lambda em, ds, form: 2 * euler_contract(em, ds, form))
+    results = {r.name: r for r in run_verification(load_fan("p2"), window_radius=0)}
+    assert results["euler identity"].detail == "35 monomials of weight <= 4; failures: 34"
+    assert results["contraction image and surjectivity"].detail == (
+        "constant terms vanish and witnesses recover monomials; failures: 34"
+    )
+    assert [r.name for r in results.values() if not r.passed] == [
+        "euler identity", "contraction image and surjectivity"
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(smooth_projective_fans())
 def test_smooth_projective_fans_pass_every_check(fan):
