@@ -28,7 +28,8 @@ VERIFY = {
 }
 
 # ``verify --json`` on products of projective spaces, written with
-# ``fan_to_json``: the corpus fans have at most 6 maximal cones, these 9 to 27
+# ``fan_to_json``: the corpus holds surfaces of at most 6 maximal cones,
+# these are of dimension 3 to 6 with 4 to 27
 PRODUCT_VERIFY = {
     (3,): "3523b1be50ab537244166b0d80a0cb0605215c190dd5f417e05361422804ee39",
     (2, 2): "2ce1181408c44140ef1408a1ed4a0ce00d7a36cff937b2d3930031f153c32267",
