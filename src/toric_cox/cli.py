@@ -5,26 +5,28 @@
 Exit codes: 0 pass, 1 semantic failure, 2 I/O or parse error, 3 malformed
 input.  Reports are deterministic: identical input and flags give byte
 identical output.
+
+Each ``cmd_*`` imports the functions it calls, so a run loads only the
+modules of its own command.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import NamedTuple
 
-from .cox import cox_data, graded_dimension, irrelevant_ideal
 from .errors import MalformedFan, ToricCoxError
-from .euler import (
-    build_euler_module,
-    check_euler_identity,
-    graded_piece_dim,
-)
-from .fans import anticanonical, fan_from_json, fan_to_json, validate_fan
-from .reconstruction import grading_from_json, reconstruct_fan
-from .verify import run_verification
+
+# The built-in SHA-256 gives hashlib's digest without loading OpenSSL.
+try:
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 Section = tuple[str, tuple[tuple[str, str], ...]]
 
@@ -70,7 +72,7 @@ class Report(NamedTuple):
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return sha256(data).hexdigest()
 
 
 def _read_file(path: str) -> bytes:
@@ -94,6 +96,8 @@ def _vector_str(v) -> str:
 
 
 def cmd_validate(text: str, digest: str) -> tuple[Report, int]:
+    from .fans import fan_from_json, validate_fan
+
     report = validate_fan(fan_from_json(text))
     section: Section = (
         "validation",
@@ -113,6 +117,9 @@ def cmd_validate(text: str, digest: str) -> tuple[Report, int]:
 
 
 def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
+    from .cox import cox_data, irrelevant_ideal
+    from .fans import anticanonical, fan_from_json
+
     fan = fan_from_json(text)
     cd = cox_data(fan)
     form = cd.weight_form
@@ -158,6 +165,10 @@ def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
 
 
 def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[Report, int]:
+    from .cox import cox_data, graded_dimension
+    from .euler import build_euler_module, check_euler_identity, graded_piece_dim
+    from .fans import fan_from_json
+
     cd = cox_data(fan_from_json(text))
     em = build_euler_module(cd)
     if degree is None:
@@ -197,6 +208,9 @@ def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[R
 
 
 def cmd_reconstruct(text: str, digest: str) -> tuple[Report, int]:
+    from .fans import fan_to_json
+    from .reconstruction import grading_from_json, reconstruct_fan
+
     fan = reconstruct_fan(grading_from_json(text))
     sections: tuple[Section, ...] = (
         (
@@ -213,6 +227,9 @@ def cmd_reconstruct(text: str, digest: str) -> tuple[Report, int]:
 
 
 def cmd_verify(text: str, digest: str) -> tuple[Report, int]:
+    from .fans import fan_from_json
+    from .verify import run_verification
+
     results = run_verification(fan_from_json(text))
     entries = tuple(
         (result.name, ("pass: " if result.passed else "FAIL: ") + result.detail)

@@ -250,6 +250,8 @@ class GradedPolynomial:
         return GradedPolynomial(self.cox, merged)
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
+        if other.__class__ is not GradedPolynomial:
+            return NotImplemented
         return self + (-1) * other
 
     def __neg__(self) -> "GradedPolynomial":

@@ -102,6 +102,8 @@ class EulerModuleElement:
         )
 
     def __sub__(self, other: "EulerModuleElement") -> "EulerModuleElement":
+        if other.__class__ is not EulerModuleElement:
+            return NotImplemented
         return self + (-1) * other
 
     def __mul__(self, factor: "GradedPolynomial | int | Fraction") -> "EulerModuleElement":

@@ -10,9 +10,8 @@ structured errors, never partial fans.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .cox import CoxData
 from .errors import (
     DegenerateRay,
     MalformedFan,
@@ -38,6 +37,9 @@ from .lattice import (
     solve_integer,
 )
 from .polyhedral import _homogenized_generators, cone_contains, cone_from_generators
+
+if TYPE_CHECKING:
+    from .cox import CoxData
 
 
 class GradingInput:

@@ -1,6 +1,8 @@
 """Command line behaviour: reports, exit codes, determinism."""
 
 import contextlib
+import hashlib
+import importlib
 import io
 import json
 import os
@@ -15,9 +17,10 @@ from fan_strategies import small_fans, smooth_cycles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toric_cox
 from toric_cox import cli
 from toric_cox.cli import main
-from toric_cox.corpus import SMOOTH_COMPLETE, corpus_path, load_fan
+from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path, load_fan
 from toric_cox.fans import anticanonical, fan_to_json, is_ample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -414,6 +417,41 @@ class TestSingleRead:
         assert calls == Counter(cox_data=1, class_group=1)
 
 
+def _fresh_python(*args: str) -> str:
+    """The standard output of a new interpreter that sees the package source."""
+    result = subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    return result.stdout
+
+
+# Runs toric_cox.cli.main on its arguments, then prints the modules that the
+# import and the command each loaded: the package's, and hashlib's.
+LOADED_MODULES_PROBE = """
+import contextlib, io, json, sys
+watched = lambda names: sorted(n for n in names if n.startswith("toric_cox") or n in ("hashlib", "_hashlib"))
+before = set(sys.modules)
+import toric_cox.cli
+imported = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    toric_cox.cli.main(sys.argv[1:])
+print(json.dumps([watched(imported - before), watched(set(sys.modules) - imported)]))
+"""
+
+# The package modules that each command loads beyond toric_cox.cli's own.
+COMMAND_MODULES = {
+    "validate": ["fans", "lattice", "polyhedral"],
+    "cox": ["cox", "fans", "lattice", "polyhedral"],
+    "euler": ["cox", "euler", "fans", "lattice", "polyhedral"],
+    "reconstruct": ["fans", "lattice", "polyhedral", "reconstruction"],
+    "verify": ["cox", "euler", "fans", "lattice", "polyhedral", "reconstruction", "verify"],
+}
+
+
 class TestColdStart:
     """A CLI run is mostly interpreter start and import, so the import stays lean."""
 
@@ -428,3 +466,77 @@ class TestColdStart:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
         )
         assert result.stdout == "[]\n", result.stdout
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_each_command_loads_only_the_modules_it_runs(self, tmp_path, command):
+        path = corpus_path("delpezzo6")
+        if command == "reconstruct":
+            path = tmp_path / "p2_grading.json"
+            path.write_text('{"Q": [[1, 1, 1]], "w": [1]}')
+        imported, loaded = json.loads(_fresh_python("-c", LOADED_MODULES_PROBE, command, str(path)))
+        # the lists watch hashlib too, which would map OpenSSL for one digest
+        assert imported == ["toric_cox", "toric_cox.cli", "toric_cox.errors"]
+        assert loaded == [f"toric_cox.{name}" for name in COMMAND_MODULES[command]]
+
+
+# toric_cox.__all__, pinned: the 72 exports and the seven submodules they come
+# from, as dir() listed them when __init__ imported every submodule.
+PACKAGE_ALL = [
+    "AbelianGroupPresentation", "CechCocycle", "CoxData", "DegenerateRay", "EulerModule",
+    "EulerModuleElement", "Fan", "FanReport", "GradedPolynomial", "GradingInput",
+    "InhomogeneousInput", "IntegerMatrix", "MalformedFan", "NotAmpleLift", "NotComplete",
+    "NotPointed", "NotSmooth", "NotSurjective", "OracleMismatch", "PolytopeFamily",
+    "RationalCone", "RationalPolytope", "RaysDontSpan", "SplittingCertificate", "ToricCoxError",
+    "TorusInvariantDivisor", "UnboundedPolytope", "WeightForm", "anticanonical", "basis_element",
+    "build_euler_module", "cartier_data", "cech_transitions", "check_euler_identity",
+    "class_group", "cokernel", "cone_contains", "cone_from_generators", "cone_from_inequalities",
+    "cox", "cox_data", "derivation", "divisor_in_class", "dual_cone", "effective_weight_form",
+    "errors", "euler", "euler_contract", "fan_from_json", "fan_to_json", "fans",
+    "gale_dual_rays", "generators_from_inequalities", "graded_dimension",
+    "graded_generation_check", "graded_piece_dim", "grading_from_json", "hermite_basis",
+    "induced_algebra_generators", "irrelevant_ideal", "is_ample", "kernel_basis", "lattice",
+    "make_polynomial", "monomial_basis", "monomials_of_weight_at_most", "polyhedral",
+    "polytope_family", "polytope_lattice_points", "polytope_vertices", "reconstruct_fan",
+    "reconstruction", "roundtrip_check", "section_dimension_report", "smith_normal_form",
+    "solve_integer", "splitting_certificate", "strictly_positive_form", "validate_fan",
+]
+SUBMODULES = ["cox", "errors", "euler", "fans", "lattice", "polyhedral", "reconstruction"]
+
+
+class TestPackageNamespace:
+    """The exports resolve on first use, to the submodules' own objects."""
+
+    def test_all_is_unchanged(self):
+        assert toric_cox.__all__ == PACKAGE_ALL
+
+    def test_every_export_is_the_submodules_own_object(self):
+        for name in PACKAGE_ALL:
+            value = getattr(toric_cox, name)
+            if name in SUBMODULES:
+                assert value is importlib.import_module(f"toric_cox.{name}")
+            else:
+                assert value is getattr(importlib.import_module(value.__module__), name)
+                assert value.__module__.startswith("toric_cox.")
+        assert toric_cox.cox_data is toric_cox.cox.cox_data
+        assert set(PACKAGE_ALL) <= set(dir(toric_cox))
+
+    def test_a_submodule_resolves_without_its_own_import(self):
+        probe = "import sys, toric_cox; print(toric_cox.fans.__name__, 'toric_cox.cox' in sys.modules)"
+        assert _fresh_python("-c", probe) == "toric_cox.fans False\n"
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from toric_cox import *", namespace)
+        assert set(PACKAGE_ALL) <= set(namespace)
+        assert namespace["Fan"] is toric_cox.fans.Fan
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'toric_cox' has no attribute 'no_such_name'$"):
+            toric_cox.no_such_name
+
+
+class TestDigest:
+    @pytest.mark.parametrize("name", ("",) + SMOOTH_COMPLETE + NON_EXAMPLES)
+    def test_matches_hashlib(self, name):
+        data = corpus_path(name).read_bytes() if name else b""
+        assert cli._digest(data) == hashlib.sha256(data).hexdigest()

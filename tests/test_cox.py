@@ -578,6 +578,11 @@ class TestGradedPolynomialArithmetic:
             with pytest.raises(TypeError):
                 bad()
 
+    def test_subtracting_a_number_names_the_minus(self, corpus_cox):
+        one = corpus_cox["p2"].one()
+        with pytest.raises(TypeError, match=r"for -: 'GradedPolynomial' and 'int'$"):
+            one - 1
+
     def test_polynomials_of_two_rings_do_not_mix(self, corpus_cox, p2):
         x, y = corpus_cox["p2"].variable(0), corpus_cox["p1xp1"].variable(0)
         with pytest.raises(ValueError, match="two different Cox rings"):

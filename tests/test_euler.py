@@ -133,6 +133,11 @@ class TestDerivation:
             with pytest.raises(TypeError):
                 bad()
 
+    def test_subtracting_a_number_names_the_minus(self, modules, corpus_cox):
+        element = derivation(modules["p2"], corpus_cox["p2"].monomial((1, 2, 0)))
+        with pytest.raises(TypeError, match=r"for -: 'EulerModuleElement' and 'int'$"):
+            element - 1
+
     def test_degree_of_image(self, modules, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
         s = cd.monomial((0, 1, 0, 1))
