@@ -92,16 +92,21 @@ class CoxData:
         return cone_from_generators(self.variable_degrees(), self.cl_rank)
 
     @functools.cached_property
+    def effective_normals(self) -> tuple[Vector, ...]:
+        """The effective cone's facet normals: the dual generators of the variable
+        degrees, from one double description, without the cone's own generators."""
+        return generators_from_inequalities(self.variable_degrees(), self.cl_rank)
+
+    @functools.cached_property
     def weight_form(self) -> WeightForm:
         """Integral form positive on all nonzero effective classes, so >= 1 on variable degrees.
 
-        The form reads only the effective cone's facet normals, the dual
-        generators of the variable degrees, so the cone's own generators (a
-        second double description) are left out.  No check: integral and
-        positive on the effective cone's generators suffices.
+        The form reads only the effective cone's facet normals
+        (:attr:`effective_normals`), so the cone's own generators (a second
+        double description) are left out.  No check: integral and positive
+        on the effective cone's generators suffices.
         """
-        normals = generators_from_inequalities(self.variable_degrees(), self.cl_rank)
-        return strictly_positive_form(RationalCone(self.cl_rank, (), normals), self.cl_rank)
+        return strictly_positive_form(RationalCone(self.cl_rank, (), self.effective_normals), self.cl_rank)
 
     @functools.cached_property
     def variable_weights(self) -> tuple[int, ...]:
@@ -384,9 +389,16 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
 
     The class has the rank's length (:func:`graded_dimension` checks it), so
     its weight is read off the form's coefficients, with no second check.
+    A class heavier than the built levels is answered 0 when a facet normal
+    of the effective cone is negative on it, as it has no monomial, so the
+    tables grow only for classes that can have one.
     """
     weight = sum(map(mul, cd.weight_form.coefficients, class_vector))
     if weight < 0 or max(map(abs, class_vector)) > weight * cd.fiber_box:
+        return 0
+    if weight >= len(cd.fiber_levels[-1]) and any(
+        sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals
+    ):
         return 0
     return _fiber_level(cd, weight).get(sum(map(mul, class_vector, cd.fiber_places)), 0)
 

@@ -11,12 +11,15 @@ one whose certificate fails, have each pair of maximal cones checked by a
 separation test: one Fourier-Motzkin elimination per pair.
 
 Validation keeps the chart of each maximal cone s: the integer right
-inverse ``R_s = V[:, :k] U`` of its ray matrix, read off the Smith form
-``U N_s V = [I | 0]`` that also shows the cone simplicial.  Cartier data
-is linear in the divisor, ``m_s = -R_s a_s``, so transitions cost no
-solve.  Validation also pairs the maximal cones across each facet; on a
-smooth complete fan it keeps one integer form per wall, and a divisor is
-ample iff every wall form is positive on it.
+inverse ``R_s`` of its ray matrix ``N_s``.  For a full-dimensional cone it
+is the inverse, from one fraction-free elimination whose determinant also
+shows the cone simplicial; a lower-dimensional cone reads it off the
+Smith form ``U N_s V = [I | 0]`` as ``V[:, :k] U``.  Cartier data is
+linear in the divisor, ``m_s = -R_s a_s``, so transitions cost no solve,
+and the class group reads its relations off the chart of cone 0.
+Validation also pairs the maximal cones across each facet; on a smooth
+complete fan it keeps one integer form per wall, and a divisor is ample
+iff every wall form is positive on it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -41,9 +44,11 @@ from .lattice import (
     IntegerMatrix,
     Vector,
     cokernel,
+    hermite_basis,
     integer_vector,
     primitive_vector,
     smith_normal_form,
+    unimodular_inverse,
 )
 from .polyhedral import separable
 
@@ -198,16 +203,35 @@ def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
     """Whether every maximal cone is simplicial, and then the chart of each,
     or None if one is not unimodular.
 
-    The Smith form ``U N V = D`` of a cone's k x d ray matrix N has its
-    nonzero invariants first, each dividing the next, so the k-th decides
-    both: nonzero iff the rays are independent, 1 iff ``D = [I_k | 0]``, when
-    the rays extend to a lattice basis and ``R = V[:, :k] U`` has N R = I_k.
+    A cone of k rays in dimension d is simplicial iff its rays are
+    independent, so never when k > d.  When k = d the chart is the inverse
+    of its ray matrix N, the one solution of N R = I_d: one fraction-free
+    elimination (:func:`~toric_cox.lattice.unimodular_inverse`) gives
+    det N, nonzero iff the cone is simplicial and +-1 iff it is
+    unimodular, and then the inverse.  When k < d the right inverse is not
+    unique, and the chart is read off the Smith form ``U N V = D``: its
+    nonzero invariants come first, each dividing the next, so the k-th
+    decides both, nonzero iff the rays are independent and 1 iff
+    ``D = [I_k | 0]``, when the rays extend to a lattice basis and
+    ``R = V[:, :k] U`` has N R = I_k.
     """
     charts: list[IntegerMatrix] | None = []
     for cone in f.max_cones:
-        u, d, v = smith_normal_form(IntegerMatrix.from_rows(f.cone_rays(cone)))
         k = len(cone)
-        last = d.entries[k - 1][k - 1] if k <= f.dim else 0
+        if k > f.dim:
+            return False, None
+        rays = IntegerMatrix._unchecked(f.cone_rays(cone))
+        if k == f.dim:
+            det, inverse = unimodular_inverse(rays)
+            if not det:
+                return False, None
+            if inverse is None:
+                charts = None
+            elif charts is not None:
+                charts.append(inverse)
+            continue
+        u, d, v = smith_normal_form(rays)
+        last = d.entries[k - 1][k - 1]
         if not last:
             return False, None
         if last != 1:
@@ -277,9 +301,11 @@ def validate_fan(f: Fan) -> FanReport:
     cone, or the first pair of maximal cones that meet beyond the cone of
     their shared rays S.
 
-    One Smith form per maximal cone shows it simplicial and gives its chart
-    when it is unimodular (:func:`_charts`).  A fan is smooth when every
-    maximal cone has a chart, which the report carries.  Completeness is
+    One elimination per full-dimensional maximal cone shows it simplicial
+    and gives its chart when it is unimodular; a cone of more rays than the
+    dimension is not simplicial, and only a lower-dimensional cone takes a
+    Smith form (:func:`_charts`).  A fan is smooth when every maximal cone
+    has a chart, which the report carries.  Completeness is
     decided by facet pairing, which is sound for the simplicial
     full-dimensional fans this package supports; non-simplicial input is
     reported as neither smooth nor complete.  On a smooth complete fan the
@@ -383,14 +409,34 @@ def class_group(f: Fan) -> AbelianGroupPresentation:
     """Divisor class group; its ``projection`` is the degree matrix of Z^rays -> Cl.
 
     The class lattice basis is the Hermite basis of the annihilator of the
-    divisor map, so the degree matrix is canonical.  Exactness holds by
-    construction: the free rows span the left kernel of the divisor map, so
-    they kill the divisor image and their own kernel is its saturation,
-    which is the image itself when the group is free.  The free rank is
-    rays minus the rank of the divisor map, so the rays span iff it is
-    rays minus dimension.
+    divisor map, the saturated left kernel ``{y : y^T N = 0}`` of the ray
+    matrix N, so the degree matrix is canonical.  Exactness holds by
+    construction: these rows kill the divisor image and their own kernel
+    is its saturation, which is the image itself when the group is free.
+
+    When cone 0 of a smooth fan is full-dimensional, with chart R, its
+    rays are a lattice basis, and each ray rho outside it gives the
+    relation ``e_rho - sum_j c_j e_(sigma_j)`` with ``c = v_rho R``.  A
+    kernel vector minus its combination of these relations is supported
+    on cone 0 and so is 0, so they are a basis of the kernel, the group is
+    free of rank rays minus dimension, and no Smith form is taken.  Every
+    other fan takes :func:`~toric_cox.lattice.cokernel`, which also finds
+    torsion; its free rank is rays minus the rank of the divisor map, so
+    the rays span iff it is rays minus dimension.
     """
-    validate_fan(f)
+    report = validate_fan(f)
+    sigma = f.max_cones[0]
+    if report.charts and len(sigma) == f.dim:
+        dual = tuple(zip(*report.charts[0].entries))
+        relations = []
+        for rho in range(f.n_rays):
+            if rho not in sigma:
+                relation = [int(i == rho) for i in range(f.n_rays)]
+                for i, column in zip(sigma, dual):
+                    relation[i] = -sum(map(mul, f.rays[rho], column))
+                relations.append(relation)
+        basis = hermite_basis(relations, f.n_rays)
+        return AbelianGroupPresentation(f.n_rays - f.dim, (), IntegerMatrix(basis, 0 if basis else f.n_rays))
     presentation = cokernel(f.ray_matrix())
     if presentation.free_rank != f.n_rays - f.dim:
         raise RaysDontSpan("rays do not span the ambient space")

@@ -333,6 +333,45 @@ def cokernel(a: IntegerMatrix) -> AbelianGroupPresentation:
     )
 
 
+def unimodular_inverse(a: IntegerMatrix) -> tuple[int, IntegerMatrix | None]:
+    """``det(A)`` of a square matrix, and its integer inverse when
+    ``det(A) = +-1`` (None otherwise).
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+    on ``[A | I]``: with p the pivot and q the previous one (1 at first),
+    every other row becomes ``(p * row - row[c] * pivot_row) / q``, and each
+    division is exact, as every entry is then a minor of ``[A | I]``.  A
+    row whose entry in the pivot column is 0 is left as it is when p = q.
+    A row transform M takes ``[A | I]`` to ``[M A | M]``; after the last
+    pivot p the left block is ``p * I``, so ``M = p * A^-1`` and
+    ``p = +-det(A)``, the sign that of the row swaps.  When ``|p| = 1`` the
+    inverse is p times the right block.
+    """
+    n = a.rows
+    zeros = (0,) * n
+    mat = [[*row, *zeros[:i], 1, *zeros[i + 1 :]] for i, row in enumerate(a.entries)]
+    sign, previous = 1, 1
+    for c in range(n):
+        if not mat[c][c]:
+            for pivot in range(c + 1, n):
+                if mat[pivot][c]:
+                    break
+            else:
+                return 0, None
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            sign = -sign
+        top = mat[c]
+        p = top[c]
+        for i, row in enumerate(mat):
+            q = row[c]
+            if i != c and (q or p != previous):
+                mat[i] = [(p * x - q * y) // previous for x, y in zip(row, top)]
+        previous = p
+    if abs(previous) != 1:
+        return sign * previous, None
+    return sign * previous, IntegerMatrix._unchecked(tuple(tuple(previous * x for x in row[n:]) for row in mat))
+
+
 def solve_integer(a: IntegerMatrix, b: Sequence[int]) -> Vector | None:
     """A particular integer solution of A x = b, or None if none exists.
 

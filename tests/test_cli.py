@@ -6,6 +6,7 @@ import importlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -249,6 +250,41 @@ class TestVerify:
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1]
+
+
+# gen.blowup_surface(2, 8): P^2 blown up seven times, class-group rank 8.
+BLOWUP_SURFACE_R8 = (
+    '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [-1, 0], [1, 1], [1, 2], [-2, -1], [2, 3], [-3, -2], [0, -1]],'
+    ' "max_cones": [[0, 4], [0, 9], [1, 3], [1, 5], [2, 8], [2, 9], [3, 6], [4, 7], [5, 7], [6, 8]]}'
+)
+
+
+def _address_space_of_one_gigabyte() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        ((), "f5817cb7e7cba96ccfc68b6b6efd343f4413d5f090154951862e3393d4591843"),
+        (("--json",), "56edd75e5288cb483721bb58d918308da8deb39d90e3288d1f72c27a354fa31a"),
+    ],
+    ids=["text", "json"],
+)
+def test_verify_at_rank_eight_fits_in_one_gigabyte(tmp_path, flags, digest):
+    # 188,917 classes of the window [-2, 2]^8 pass the fiber count's box
+    # test, but only 2,763 lie in the effective cone: the fiber tables are
+    # built for those alone, so the report (pinned by its digest) fits
+    path = tmp_path / "blowup_surface_r8.json"
+    path.write_text(BLOWUP_SURFACE_R8)
+    result = subprocess.run(
+        [sys.executable, "-m", "toric_cox.cli", "verify", str(path), *flags],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=_address_space_of_one_gigabyte,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 class TestInputBoundary:

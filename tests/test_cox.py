@@ -210,6 +210,19 @@ class TestOracleIndependence:
             assert {lam: cox_module._polytope_dimension(cd, lam) for lam in dims} == dims, name
 
 
+def test_a_class_outside_the_effective_cone_builds_no_level(corpus):
+    # on F_3, (5, -1) has weight 4 and lies in the box of its level
+    # (5 <= 4 * 3), but the facet normal (0, 1) is negative on it
+    cd = cox_data(corpus["hirzebruch_3"])
+    assert cd.weight_form.coefficients == (1, 1) and cd.fiber_box == 3
+    assert (0, 1) in cd.effective_normals
+    assert len(cd.fiber_levels[-1]) == 1
+    assert cox_module._fiber_dimension(cd, (5, -1)) == 0
+    assert len(cd.fiber_levels[-1]) == 1
+    assert cox_module._fiber_dimension(cd, (4, 1)) == len(monomial_basis(cd, (4, 1))) > 0
+    assert len(cd.fiber_levels[-1]) == 6
+
+
 class TestPolytopeCount:
     """The polytope oracle counts in class coordinates, with tables composed once per fan."""
 

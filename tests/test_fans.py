@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
-from toric_cox.corpus import NON_EXAMPLES, load_fan
+from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, load_fan
 from toric_cox.errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from toric_cox.fans import (
     CechCocycle,
@@ -32,6 +32,7 @@ from toric_cox.fans import (
 )
 from toric_cox.lattice import (
     IntegerMatrix,
+    cokernel,
     hermite_basis,
     kernel_basis,
     rational_rank,
@@ -275,14 +276,83 @@ def test_smith_form_decides_simplicial_and_charts(fan):
     assert report.simplicial == all(flags)
 
 
-def test_validation_takes_one_smith_form_per_maximal_cone(corpus, monkeypatch):
-    real = fans_module.smith_normal_form
+def reference_charts(f: Fan):
+    """One Smith form ``U N V = D`` per maximal cone: simplicial iff its k-th
+    invariant is nonzero, unimodular iff it is 1, and then the chart is
+    ``V[:, :k] U``."""
+    charts = []
+    for cone in f.max_cones:
+        u, d, v = smith_normal_form(IntegerMatrix.from_rows(f.cone_rays(cone)))
+        k = len(cone)
+        last = d.entries[k - 1][k - 1] if k <= f.dim else 0
+        if not last:
+            return False, None
+        if last != 1:
+            charts = None
+        elif charts is not None:
+            charts.append(IntegerMatrix.from_rows(row[:k] for row in v.entries) @ u)
+    return True, None if charts is None else tuple(charts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fans() | smooth_cycles() | smooth_projective_fans())
+def test_charts_agree_with_the_smith_form(fan):
+    assert fans_module._charts(fan) == reference_charts(fan)
+
+
+CLASS_GROUP_PRODUCTS = [(3,), (4,), (2, 2), (3, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1, 1, 1)]
+
+
+def same_presentation(fan: Fan) -> bool:
+    ours, reference = class_group(fan), cokernel(fan.ray_matrix())
+    return (ours.free_rank, ours.invariant_factors, ours.projection) == (
+        reference.free_rank,
+        reference.invariant_factors,
+        reference.projection,
+    )
+
+
+@pytest.mark.parametrize("name", [*SMOOTH_COMPLETE, *NON_EXAMPLES])
+def test_class_group_is_the_cokernel(name):
+    assert same_presentation(load_fan(name))
+
+
+@pytest.mark.parametrize("dims", CLASS_GROUP_PRODUCTS, ids=str)
+def test_class_group_of_products_is_the_cokernel(dims):
+    assert same_presentation(product_fan(*dims))
+
+
+@settings(max_examples=60, deadline=None)
+@given(smooth_projective_fans())
+def test_class_group_of_smooth_projective_fans_is_the_cokernel(fan):
+    assert same_presentation(fan)
+
+
+def test_validation_takes_a_smith_form_only_on_lower_dimensional_cones(corpus, monkeypatch):
+    # a full-dimensional cone is inverted by one elimination, a cone of more
+    # rays than the dimension is not simplicial, and only a cone of fewer
+    # takes a Smith form; a smooth complete fan's class group takes none
+    real = lattice_module.smith_normal_form
     calls = []
-    monkeypatch.setattr(fans_module, "smith_normal_form", lambda m: calls.append(m) or real(m))
+
+    def counted(matrix):
+        calls.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
+    monkeypatch.setattr(fans_module, "smith_normal_form", counted)
     for fan in [*corpus.values(), *map(load_fan, NON_EXAMPLES)]:
+        validate_fan.__wrapped__(fan)
+    assert calls == []
+    mixed, _ = UNCERTIFIED["mixed_dimensions"]
+    for fan, lower in [(Fan.make(2, [[1, 0]], [[0]]), 1), (mixed, 3)]:
         calls.clear()
         validate_fan.__wrapped__(fan)
-        assert len(calls) == len(fan.max_cones)
+        assert len(calls) == lower
+    calls.clear()
+    for fan in corpus.values():
+        class_group(fan)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

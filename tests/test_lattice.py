@@ -1,6 +1,7 @@
 """Smith normal form, kernels and cokernels, checked against brute-force oracles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from toric_cox.lattice import (
     rational_rank,
     smith_normal_form,
     solve_integer,
+    unimodular_inverse,
 )
 
 
@@ -138,6 +140,55 @@ class TestSmithNormalForm:
     @given(small_matrices)
     def test_contract_random(self, a):
         assert_smith_contract(a)
+
+
+def random_square(rng: random.Random, n: int) -> IntegerMatrix:
+    """A unimodular matrix (row operations on I), a singular one (the last row
+    made from rows 0 and n - 2) or one with free entries, a third of the time each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i == j or rng.random() < 0.2:
+                rows[i], rows[j] = rows[j], rows[i]
+            else:
+                factor = rng.randint(-2, 2)
+                rows[i] = [x + factor * y for x, y in zip(rows[i], rows[j])]
+    else:
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if kind == 1:
+            b, c = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [b * x + c * y for x, y in zip(rows[0], rows[n - 2])]
+    return IntegerMatrix.from_rows(rows)
+
+
+class TestUnimodularInverse:
+    def test_needs_a_row_swap(self):
+        swap = IntegerMatrix.from_rows([[0, 1], [1, 0]])
+        assert unimodular_inverse(swap) == (-1, swap)
+
+    def test_singular_and_not_unimodular(self):
+        assert unimodular_inverse(IntegerMatrix.from_rows([[1, 2], [2, 4]])) == (0, None)
+        assert unimodular_inverse(IntegerMatrix.from_rows([[1, 1], [-1, 1]])) == (2, None)
+
+    def test_agrees_with_the_smith_form(self):
+        # det is 0 iff the last invariant is and |det| is their product; the
+        # inverse comes exactly when |det| = 1
+        rng = random.Random(5)
+        for n in range(1, 7):
+            for _ in range(40):
+                a = random_square(rng, n)
+                det, inverse = unimodular_inverse(a)
+                invariants = diagonal(smith_normal_form(a)[1])
+                assert (det == 0) == (invariants[-1] == 0), a
+                assert abs(det) == math.prod(invariants), a
+                if n <= 5:
+                    assert det == brute_determinant(a), a
+                if abs(det) == 1:
+                    assert a @ inverse == IntegerMatrix.identity(n) == inverse @ a, a
+                else:
+                    assert inverse is None, a
 
 
 class TestKernelBasis:
