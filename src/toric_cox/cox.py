@@ -27,8 +27,8 @@ from .polyhedral import (
     PolytopeFamily,
     RationalCone,
     WeightForm,
+    _dual_generators,
     _unchecked_family,
-    cone_from_generators,
     generators_from_inequalities,
     strictly_positive_form,
 )
@@ -88,8 +88,14 @@ class CoxData:
 
     @functools.cached_property
     def effective_cone(self) -> RationalCone:
-        """Cone spanned by the variable degrees; every graded piece is spanned by monomials."""
-        return cone_from_generators(self.variable_degrees(), self.cl_rank)
+        """Cone spanned by the variable degrees; every graded piece is spanned by monomials.
+
+        It is ``cone_from_generators(self.variable_degrees(), self.cl_rank)``
+        with the facet normals taken from :attr:`effective_normals`, so only
+        the generators' side of the double description is computed here.
+        """
+        normals = self.effective_normals
+        return RationalCone(self.cl_rank, _dual_generators(normals, self.cl_rank), normals)
 
     @functools.cached_property
     def effective_normals(self) -> tuple[Vector, ...]:
@@ -316,17 +322,20 @@ def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
     stored as an int when integral, so each partial owns its terms as
     built, with no check.
     """
-    parts: list[dict[Vector, int | Fraction]] = [{} for _ in range(p.cox.num_vars)]
+    cox = p.cox
+    parts: list[dict[Vector, int | Fraction]] = [{} for _ in range(cox.num_vars)]
     for e, c in p.terms.items():
         integral = type(c) is int
         for i, a in enumerate(e):
             if a:
                 d = c * a
                 parts[i][e[:i] + (a - 1,) + e[i + 1:]] = d if integral or d.denominator > 1 else d.numerator
+    new, cls = object.__new__, GradedPolynomial
     out = []
     for terms in parts:
-        q = object.__new__(GradedPolynomial)
-        q.cox, q.terms = p.cox, terms
+        q = new(cls)
+        q.cox = cox
+        q.terms = terms
         out.append(q)
     return tuple(out)
 
@@ -344,7 +353,7 @@ def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction])
             key = tuple(map(index, e))
         except TypeError:
             raise ValueError(f"exponent vector {e!r} has an entry that is not an integer") from None
-        if len(key) != cox.num_vars or any(x < 0 for x in key):
+        if len(key) != cox.num_vars or key and min(key) < 0:
             raise ValueError(f"bad exponent vector {key}")
         checked[key] = c if type(c) is int else Fraction(c)
     return GradedPolynomial(cox, checked)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 from .cox import (
@@ -170,18 +170,24 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
     checked in full: one class per distinct raised exponent, and
     InhomogeneousInput if two differ.  With the fan's own weight form, the
-    weights are read from ``variable_weights``.
+    weights are read from ``variable_weights``.  ValueError if the element
+    belongs to another module than em.
     """
+    if element.module is not em and element.module != em:
+        raise ValueError("contraction of an element of another Euler module")
     cd = em.cox
     weights = cd.variable_weights if form is cd.weight_form else None
     total: dict[Vector, int | Fraction] = {}
+    get = total.get
     for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
-        if component.is_zero():
+        terms = component.terms
+        if not terms:
             continue
         weight = form(degree) if weights is None else weights[i]
-        for e, c in component.terms.items():
-            raised = _raise_exponent(e, i)
-            total[raised] = total.get(raised, 0) + weight * c
+        for e, c in terms.items():
+            # the exponent of x_i * x^e
+            raised = e[:i] + (e[i] + 1,) + e[i + 1:]
+            total[raised] = get(raised, 0) + weight * c
     # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
     # when the raised exponents, zero sums included, share one class.
     # A known twist says so by construction, and a single exponent has one class.
@@ -267,9 +273,21 @@ def graded_generation_check(
     """Do the candidate monomials generate every weighted piece up to the bound?
 
     The ambient algebra is a polynomial ring whose variables carry the
-    given positive weights.  Degree-by-degree the reachable products of
-    candidates are compared with the full monomial basis of that weight.
-    A weight or exponent that is not an integer raises ValueError.
+    given positive weights, and every candidate must have positive weight.
+    The question is whether, weight by weight up to the bound, the products
+    of candidates are exactly the monomials.  That holds exactly when
+
+    (a) no candidate of weight at most the bound has a negative entry, and
+    (b) every variable x_i of weight at most the bound is a candidate.
+
+    A candidate of weight at most the bound is itself such a product, so
+    (a) is needed.  Given (a), x_i is a product of positive-weight
+    monomials only as itself, so (b) is needed.  And every monomial of
+    weight at most the bound is a product of variables each of weight at
+    most the bound, so (b) suffices.  A candidate heavier than the bound
+    takes no part.  The answer takes one pass over the candidates and one
+    over the variables.  A weight or exponent that is not an integer raises ValueError, as do a
+    length mismatch, a weight below 1 and a candidate of weight below 1.
     """
     weights = integer_vector(weights, "weights")
     if any(w < 1 for w in weights):
@@ -279,25 +297,16 @@ def graded_generation_check(
     n = len(weights)
     if any(len(e) != n for e in candidates):
         raise ValueError("candidate exponent length mismatch")
-
-    def weight_of(e: Vector) -> int:
-        return sum(a * b for a, b in zip(weights, e))
-
-    if any(weight_of(e) < 1 for e in candidates):
+    candidate_weights = [sum(map(mul, weights, e)) for e in candidates]
+    if any(w < 1 for w in candidate_weights):
         raise ValueError("candidates must have positive weight")
-
-    reachable: dict[int, set[Vector]] = {0: {(0,) * n}}
-    for w in range(1, bound + 1):
-        layer: set[Vector] = set()
-        for c in candidates:
-            wc = weight_of(c)
-            if wc <= w:
-                for base in reachable.get(w - wc, ()):
-                    layer.add(tuple(a + b for a, b in zip(base, c)))
-        reachable[w] = layer
-        if layer != set(_exponents_up_to_weight(weights, w, exact=True)):
-            return False
-    return True
+    present = {e for e, w in zip(candidates, candidate_weights) if w <= bound}
+    if any(min(e) < 0 for e in present):
+        return False
+    return all(
+        w > bound or (0,) * i + (1,) + (0,) * (n - i - 1) in present
+        for i, w in enumerate(weights)
+    )
 
 
 class SectionDimensionRecord(NamedTuple):

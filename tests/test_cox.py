@@ -451,6 +451,26 @@ class TestEffectiveCone:
     def test_p1xp1_quadrant(self, corpus_cox):
         assert corpus_cox["p1xp1"].effective_cone.generators == ((0, 1), (1, 0))
 
+    @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+    def test_built_from_the_cached_normals_as_from_the_generators(self, name, monkeypatch):
+        # two dual steps in all: one for the cached normals and one for the
+        # generators, where cone_from_generators would take two more
+        calls = []
+        original = polyhedral_module._dual_generators
+
+        def counted(vectors, dim):
+            calls.append(dim)
+            return original(vectors, dim)
+
+        cd = cox_data(load_fan(name))
+        monkeypatch.setattr(polyhedral_module, "_dual_generators", counted)
+        monkeypatch.setattr(cox_module, "_dual_generators", counted)
+        eff = cd.effective_cone
+        assert eff.facet_normals is cd.effective_normals
+        assert len(calls) == 2
+        monkeypatch.undo()
+        assert eff == polyhedral_module.cone_from_generators(cd.variable_degrees(), cd.cl_rank)
+
     def test_positive_dimensions_only_inside(self, corpus_cox):
         for name in ("p2", "p1xp1", "hirzebruch_3"):
             cd = corpus_cox[name]

@@ -9,8 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_cox import euler as euler_module
-from toric_cox.corpus import SMOOTH_COMPLETE
-from toric_cox.cox import GradedPolynomial, effective_weight_form, make_polynomial, monomial_basis
+from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
+from toric_cox.cox import (
+    GradedPolynomial,
+    _exponents_up_to_weight,
+    cox_data,
+    effective_weight_form,
+    make_polynomial,
+    monomial_basis,
+)
 from toric_cox.errors import InhomogeneousInput
 from toric_cox.euler import (
     EulerModuleElement,
@@ -229,6 +236,23 @@ class TestEulerContraction:
             assert euler_contract(em, element, copy) == own
             assert len(calls) == sum(not c.is_zero() for c in element.components)
             calls.clear()
+
+    def test_rejects_an_element_of_another_module(self, modules, corpus_cox):
+        # a P^1 x P^1 element must not come back as a P^2 polynomial with a
+        # four-entry exponent, nor a P^2 element lose its last component
+        s = corpus_cox["p1xp1"].monomial((1, 2, 0, 1))
+        t = corpus_cox["p2"].monomial((1, 2, 0))
+        for em, element in ((modules["p2"], derivation(modules["p1xp1"], s)),
+                            (modules["p1xp1"], derivation(modules["p2"], t))):
+            with pytest.raises(ValueError, match="another Euler module"):
+                euler_contract(em, element, effective_weight_form(em.cox))
+
+    def test_an_equal_module_built_again_is_the_same_module(self, modules, corpus_cox):
+        cd = corpus_cox["p2"]
+        again = build_euler_module(cox_data(load_fan("p2")))
+        assert again is not modules["p2"] and again == modules["p2"]
+        s = cd.monomial((1, 2, 0))
+        assert euler_contract(again, derivation(modules["p2"], s), cd.weight_form) == 3 * s
 
     def test_zero_element(self, modules, corpus_cox):
         form = effective_weight_form(corpus_cox["p2"])
@@ -572,7 +596,98 @@ class TestGenerationTransfer:
             assert graded_generation_check(weights, variables, 6), name
 
 
+def reference_generation_check(weights, candidates, bound):
+    """The dynamic program the closed form replaced, on valid input: every product
+    of candidates up to the bound, compared weight by weight with the monomials."""
+    n = len(weights)
+
+    def weight_of(e):
+        return sum(a * b for a, b in zip(weights, e))
+
+    reachable = {0: {(0,) * n}}
+    for w in range(1, bound + 1):
+        layer = set()
+        for c in candidates:
+            wc = weight_of(c)
+            if wc <= w:
+                for base in reachable.get(w - wc, ()):
+                    layer.add(tuple(a + b for a, b in zip(base, c)))
+        reachable[w] = layer
+        if layer != set(_exponents_up_to_weight(weights, w, exact=True)):
+            return False
+    return True
+
+
+@st.composite
+def generation_cases(draw):
+    """Weights, a bound and a mix of candidates: units, nonnegative non-units,
+    vectors with a negative entry, duplicates and candidates above the bound."""
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n = len(weights)
+    bound = draw(st.integers(-1, 8))
+
+    def weight_of(e):
+        return sum(a * b for a, b in zip(weights, e))
+
+    def raised(e, j, least):
+        """e with entry j raised just enough for a weight of at least ``least``."""
+        short = least - weight_of(e)
+        return e if short <= 0 else e[:j] + (e[j] - (-short // weights[j]),) + e[j + 1:]
+
+    def with_negative(e, i, j):
+        # entry i negative, entry j != i raised to a positive weight
+        e = e[:i] + (-1 - e[i] % 2,) + e[i + 1:]
+        return raised(e, j + (j >= i), 1)
+
+    unit = st.integers(0, n - 1).map(lambda i: tuple(int(i == j) for j in range(n)))
+    vector = st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(tuple)
+    index = st.integers(0, n - 1)
+    kinds = [
+        unit,
+        st.tuples(vector.map(lambda e: tuple(map(abs, e))), index)
+        .map(lambda t: raised(*t, 1))
+        .filter(lambda e: sorted(e) != [0] * (n - 1) + [1]),
+        st.tuples(vector, index).map(lambda t: raised(*t, max(bound, 0) + 1)),
+    ]
+    if n > 1:
+        kinds.append(st.tuples(vector, index, st.integers(0, n - 2)).map(lambda t: with_negative(*t)))
+    candidates = draw(st.lists(st.one_of(kinds), max_size=8))
+    if candidates:
+        candidates += draw(st.lists(st.sampled_from(candidates), max_size=3))
+    return weights, draw(st.permutations(candidates)), bound
+
+
 class TestGradedGenerationCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(case=generation_cases())
+    def test_closed_form_matches_the_dynamic_program(self, case):
+        weights, candidates, bound = case
+        assert graded_generation_check(weights, candidates, bound) == reference_generation_check(
+            weights, candidates, bound
+        )
+
+    @pytest.mark.parametrize(
+        "weights, candidates, bound, expected",
+        [
+            # (2, -1) has weight 1, so x0^2 / x1 would lie in the weight-1 piece
+            ([1, 1], [(1, 0), (0, 1), (2, -1)], 1, False),
+            ([1, 1], [(1, 0), (0, 1), (2, -1)], 0, True),
+            # (3, -1) has weight 2: above the bound 1 it takes no part
+            ([1, 1], [(1, 0), (0, 1), (3, -1)], 1, True),
+            ([1, 1], [(1, 0), (0, 1), (3, -1)], 2, False),
+            # a variable heavier than the bound need not be a candidate
+            ([1, 3], [(1, 0)], 2, True),
+            ([1, 3], [(1, 0)], 3, False),
+            ([2, 3], [], 1, True),
+            ([2, 3], [], 2, False),
+            # the dynamic program built every product here, about bound^4 / 24 of them
+            ([1] * 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 30, True),
+            ([1] * 4, [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)], 30, False),
+        ],
+    )
+    def test_pinned_cases(self, weights, candidates, bound, expected):
+        assert graded_generation_check(weights, candidates, bound) is expected
+
     def test_two_variables(self):
         assert graded_generation_check([1, 1], [(1, 0), (0, 1)], 5)
 
