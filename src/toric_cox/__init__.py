@@ -78,16 +78,11 @@ _EXPORTS = {
     "polyhedral": (
         "PolytopeFamily",
         "RationalCone",
-        "RationalPolytope",
         "WeightForm",
         "cone_contains",
         "cone_from_generators",
-        "cone_from_inequalities",
-        "dual_cone",
         "generators_from_inequalities",
         "polytope_family",
-        "polytope_lattice_points",
-        "polytope_vertices",
         "strictly_positive_form",
     ),
     "reconstruction": (

@@ -58,11 +58,24 @@ class EulerModuleElement:
     polynomial and an element a caller builds have no known twist, so
     :func:`euler_contract` checks them in full.  The twist takes no part in
     equality.
+
+    The constructor is the validating entry for outside input: it stores the
+    components as a tuple, and raises ValueError unless there is one per
+    basis element, each a polynomial of the module's Cox ring.  Package code
+    builds its elements from the module's own ring through :func:`_element`,
+    with no check.
     """
 
     __slots__ = ("module", "components", "_twist")
 
-    def __init__(self, module: EulerModule, components: tuple[GradedPolynomial, ...]) -> None:
+    def __init__(self, module: EulerModule, components: Sequence[GradedPolynomial]) -> None:
+        components = tuple(components)
+        if len(components) != module.rank:
+            raise ValueError(f"{len(components)} components for a module of rank {module.rank}")
+        cox = module.cox
+        for c in components:
+            if c.__class__ is not GradedPolynomial or (c.cox is not cox and c.cox != cox):
+                raise ValueError("a component is not a polynomial of the module's Cox ring")
         self.module = module
         self.components = components
         self._twist: Vector | None = None
@@ -96,10 +109,7 @@ class EulerModuleElement:
     def __add__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
             return NotImplemented
-        return EulerModuleElement(
-            self.module,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
+        return _element(self.module, tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
@@ -107,19 +117,29 @@ class EulerModuleElement:
         return self + (-1) * other
 
     def __mul__(self, factor: "GradedPolynomial | int | Fraction") -> "EulerModuleElement":
-        product = EulerModuleElement(self.module, tuple(c * factor for c in self.components))
-        if isinstance(factor, (int, Fraction)):
-            # A scalar multiple lies in the same twist.
-            product._twist = self._twist
-        return product
+        # A scalar multiple lies in the same twist.
+        twist = self._twist if isinstance(factor, (int, Fraction)) else None
+        return _element(self.module, tuple(c * factor for c in self.components), twist)
 
     __rmul__ = __mul__
+
+
+def _element(
+    em: EulerModule, components: tuple[GradedPolynomial, ...], twist: Vector | None = None
+) -> EulerModuleElement:
+    """The element of em with these components, one per basis element and all
+    of em's Cox ring, and this known twist; no check."""
+    element = object.__new__(EulerModuleElement)
+    element.module = em
+    element.components = components
+    element._twist = twist
+    return element
 
 
 def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
     components = [em.cox.zero() for _ in range(em.rank)]
     components[index] = em.cox.one()
-    return EulerModuleElement(em, tuple(components))
+    return _element(em, tuple(components))
 
 
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
@@ -155,9 +175,7 @@ def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:
 
 def _derivation(em: EulerModule, s: GradedPolynomial, twist: Vector | None) -> EulerModuleElement:
     """The derivation of s with known twist ``twist``, the class of s or None; no check."""
-    element = EulerModuleElement(em, _partials(s))
-    element._twist = twist
-    return element
+    return _element(em, _partials(s), twist)
 
 
 def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightForm) -> GradedPolynomial:

@@ -2,10 +2,12 @@
 
 Cones are stored in canonical double description: a minimal generator set
 together with the matching facet-normal set, both primitive and sorted, so
-duality is an involution on the nose.  All arithmetic is exact, and each
-cone costs two incremental double descriptions and no subset enumeration:
-inserting the input vectors one at a time as half spaces gives the dual
-generators, and inserting those gives the input side's minimal generators.
+the dual cone is the same pair with its fields swapped.  All arithmetic is
+exact, and :func:`cone_from_generators` costs two incremental double
+descriptions and no subset enumeration: inserting the generators one at a
+time as half spaces gives the facet normals, and inserting those gives the
+minimal generators.  A cone given by inequalities needs only the first
+insertion for its generators (:func:`generators_from_inequalities`).
 
 Polytopes {m : <n_i, m> >= -a_i} with fixed normals and offsets linear in
 some parameters, a = S p, form one :class:`PolytopeFamily`: Fourier-Motzkin
@@ -27,7 +29,6 @@ level 0, decides whether a linear form with prescribed signs exists
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Literal, NamedTuple, Sequence
@@ -136,21 +137,12 @@ def _dual_generators(rows: Sequence[Vector], dim: int) -> tuple[Vector, ...]:
 
 
 def generators_from_inequalities(normals: Sequence[Sequence[int]], ambient_dim: int) -> tuple[Vector, ...]:
-    """Canonical minimal generators of {y : <n, y> >= 0 for every n in normals}:
-    the generators of :func:`cone_from_inequalities`, without the second
-    insertion that finds its facet normals."""
+    """Canonical minimal generators of {y : <n, y> >= 0 for every n in normals},
+    from one insertion of the normals (:func:`_dual_generators`)."""
     vecs = [integer_vector(v, "normal") for v in normals]
     if any(len(v) != ambient_dim for v in vecs):
         raise ValueError("vector dimension mismatch")
     return _dual_generators(sorted({primitive_vector(v) for v in vecs if any(v)}), ambient_dim)
-
-
-def _double_description(vectors: Sequence[Sequence[int]], dim: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Canonical generators of cone(vectors) and of its dual: the dual generators
-    are those of the inequalities <v, y> >= 0, and cone(vectors) is in turn the
-    dual of those (:func:`_dual_generators` on each side)."""
-    dual = generators_from_inequalities(vectors, dim)
-    return _dual_generators(dual, dim), dual
 
 
 class RationalCone(NamedTuple):
@@ -165,24 +157,13 @@ class RationalCone(NamedTuple):
     generators: tuple[Vector, ...]
     facet_normals: tuple[Vector, ...]
 
-    @property
-    def dim(self) -> int:
-        return rational_rank(self.generators) if self.generators else 0
-
 
 def cone_from_generators(generators: Sequence[Sequence[int]], ambient_dim: int) -> RationalCone:
-    canonical, normals = _double_description(generators, ambient_dim)
-    return RationalCone(ambient_dim, canonical, normals)
-
-
-def cone_from_inequalities(normals: Sequence[Sequence[int]], ambient_dim: int) -> RationalCone:
-    canonical_normals, gens = _double_description(normals, ambient_dim)
-    return RationalCone(ambient_dim, gens, canonical_normals)
-
-
-def dual_cone(c: RationalCone) -> RationalCone:
-    """The cone {y : <y, x> >= 0 for all x in c}; an involution in canonical form."""
-    return RationalCone(c.ambient_dim, c.facet_normals, c.generators)
+    """The cone of the generators in canonical form: its facet normals generate
+    the dual {y : <g, y> >= 0}, and its canonical generators are in turn the
+    dual of those (:func:`_dual_generators` on each side)."""
+    normals = generators_from_inequalities(generators, ambient_dim)
+    return RationalCone(ambient_dim, _dual_generators(normals, ambient_dim), normals)
 
 
 def cone_contains(
@@ -228,21 +209,6 @@ def separable(
         rows += [tuple(z), tuple(-c for c in z)]
     level_zero, _, _ = _eliminate(rows, ambient_dim)
     return not any(any(y[:strict]) for y in level_zero)
-
-
-class RationalPolytope(NamedTuple):
-    """Intersection of half spaces <normal, m> >= -offset."""
-
-    ambient_dim: int
-    inequalities: tuple[tuple[Vector, int], ...]
-
-    @staticmethod
-    def from_inequalities(items: Sequence[tuple[Sequence[int], int]], ambient_dim: int) -> "RationalPolytope":
-        rows = [integer_vector((*normal, offset), "inequality") for normal, offset in items]
-        ineqs = tuple((row[:-1], row[-1]) for row in rows)
-        if any(len(n) != ambient_dim for n, _ in ineqs):
-            raise ValueError("inequality dimension mismatch")
-        return RationalPolytope(ambient_dim, ineqs)
 
 
 # A table row bounding x_k: the coefficients of its normal on x_0..x_{k-1}
@@ -330,7 +296,11 @@ class PolytopeFamily(NamedTuple):
     upper: tuple[tuple[TableRow, ...], ...]
 
     def lattice_points(self, params: Sequence[int]) -> tuple[Vector, ...]:
-        """All integer points of the polytope of these parameters, sorted lexicographically."""
+        """All integer points of the polytope of these parameters, sorted lexicographically.
+
+        ValueError on a parameter that is not an integer (bools pass).
+        """
+        params = integer_vector(params, "parameters")
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
         points: list[Vector] = []
@@ -478,29 +448,6 @@ def _homogenized_generators(
     rows = [(*normal, a) for normal, a in zip(normals, offsets, strict=True)]
     rows.append((0,) * ambient_dim + (1,))
     return tuple((g[:-1], g[-1]) for g in generators_from_inequalities(rows, ambient_dim + 1))
-
-
-def polytope_vertices(p: RationalPolytope) -> tuple[tuple[Fraction, ...], ...]:
-    """All vertices as exact fractions, sorted: the generators of positive height
-    of the homogenized cone (:func:`_homogenized_generators`), and none when the
-    polyhedron contains a line."""
-    generators = _homogenized_generators(
-        [normal for normal, _ in p.inequalities], [offset for _, offset in p.inequalities], p.ambient_dim
-    )
-    recession = {num for num, t in generators if not t}
-    if any(tuple(-x for x in num) in recession for num in recession):
-        return ()
-    return tuple(sorted(tuple(Fraction(x, t) for x in num) for num, t in generators if t))
-
-
-def polytope_lattice_points(p: RationalPolytope) -> tuple[Vector, ...]:
-    """All integer points of a bounded polytope, sorted lexicographically, by the walk
-    of :meth:`PolytopeFamily.lattice_points`.
-
-    Raises UnboundedPolytope when the recession cone is nonzero.
-    """
-    family = polytope_family([normal for normal, _ in p.inequalities], p.ambient_dim)
-    return family.lattice_points([offset for _, offset in p.inequalities])
 
 
 class WeightForm(NamedTuple):

@@ -36,7 +36,7 @@ from .lattice import (
     primitive_vector,
     solve_integer,
 )
-from .polyhedral import _homogenized_generators, cone_contains, cone_from_generators
+from .polyhedral import RationalCone, _homogenized_generators, cone_contains, generators_from_inequalities
 
 if TYPE_CHECKING:
     from .cox import CoxData
@@ -103,7 +103,8 @@ def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: Inte
         if primitive_vector(row) != row:
             raise NotSmooth(f"kernel row {i} is not primitive; grading is not smooth toric data")
         rays.append(row)
-    effective = cone_from_generators(q.columns(), q.rows)
+    # cone_contains reads only the facet normals of the effective cone
+    effective = RationalCone(q.rows, (), generators_from_inequalities(q.columns(), q.rows))
     if not cone_contains(effective, ample_class, "relative_interior"):
         raise NotAmpleLift("class is not interior to the effective cone")
     lift = solve_integer(q, ample_class)

@@ -131,6 +131,7 @@ class TestDerivation:
         assert derivation(em, s) == derivation(em, cd.monomial((1, 2, 0)))
         assert derivation(em, s) != derivation(em, cd.monomial((2, 1, 0)))
         assert basis_element(em, 0) == EulerModuleElement(em, (cd.one(), cd.zero(), cd.zero()))
+        assert basis_element(em, 0) == EulerModuleElement(em, [cd.one(), cd.zero(), cd.zero()])
         with pytest.raises(TypeError):
             hash(derivation(em, s))
 
@@ -246,6 +247,23 @@ class TestEulerContraction:
                             (modules["p1xp1"], derivation(modules["p2"], t))):
             with pytest.raises(ValueError, match="another Euler module"):
                 euler_contract(em, element, effective_weight_form(em.cox))
+
+    def test_the_constructor_rejects_components_of_another_ring(self, modules, corpus_cox):
+        # unchecked, P^1 x P^1 components on P^2 contracted to a polynomial
+        # with the four-entry exponent (2, 0, 0, 0)
+        em, other = modules["p2"], corpus_cox["p1xp1"]
+        x = other.variable(0)
+        for components in ((x, other.zero(), other.zero()), (em.cox.one(), em.cox.zero(), 1)):
+            with pytest.raises(ValueError, match="not a polynomial of the module's Cox ring"):
+                EulerModuleElement(em, components)
+
+    def test_the_constructor_rejects_the_wrong_number_of_components(self, modules, corpus_cox):
+        # unchecked, two components on P^2 contracted as if the third were zero
+        em = modules["p2"]
+        x = corpus_cox["p2"].variable(0)
+        for components in ((x, x), (x, x, x, x), ()):
+            with pytest.raises(ValueError, match=f"^{len(components)} components for a module of rank 3$"):
+                EulerModuleElement(em, components)
 
     def test_an_equal_module_built_again_is_the_same_module(self, modules, corpus_cox):
         cd = corpus_cox["p2"]

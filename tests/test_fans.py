@@ -38,7 +38,7 @@ from toric_cox.lattice import (
     rational_rank,
     smith_normal_form,
 )
-from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities
+from toric_cox.polyhedral import cone_from_generators, generators_from_inequalities
 from toric_cox.verify import run_verification
 
 
@@ -212,8 +212,8 @@ def reference_face_intersections(f: Fan) -> None:
     for a, b in itertools.combinations(range(len(f.max_cones)), 2):
         shared = sorted(set(f.max_cones[a]) & set(f.max_cones[b]))
         expected = cone_from_generators([f.rays[i] for i in shared], f.dim)
-        actual = cone_from_inequalities(cones[a].facet_normals + cones[b].facet_normals, f.dim)
-        if actual.generators != expected.generators:
+        actual = generators_from_inequalities(cones[a].facet_normals + cones[b].facet_normals, f.dim)
+        if actual != expected.generators:
             raise MalformedFan(f"cones {a} and {b} intersect beyond their shared rays")
 
 

@@ -36,8 +36,8 @@ from toric_cox.fans import (
     is_ample,
     validate_fan,
 )
-from toric_cox.lattice import IntegerMatrix, cokernel, smith_normal_form, solve_integer
-from toric_cox.polyhedral import cone_from_generators, cone_from_inequalities, dual_cone
+from toric_cox.lattice import IntegerMatrix, cokernel, rational_rank, smith_normal_form, solve_integer
+from toric_cox.polyhedral import RationalCone, cone_from_generators, generators_from_inequalities
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
 from toric_cox.verify import (
     _first_ample_divisor,
@@ -169,8 +169,8 @@ def test_rank_eight_effective_cone_pinned():
     eff = cd.effective_cone
     assert cd.cl_rank == 8 and len(eff.facet_normals) == 21
     assert (eff.generators, eff.facet_normals) == (RANK_EIGHT_GENERATORS, RANK_EIGHT_FACET_NORMALS)
-    assert dual_cone(dual_cone(eff)) == eff
     assert cone_from_generators(eff.generators, 8) == eff
+    assert cone_from_generators(eff.facet_normals, 8) == RationalCone(8, eff.facet_normals, eff.generators)
 
 
 def test_single_blowup_matches_hirzebruch_one():
@@ -299,8 +299,8 @@ def test_verify_passes_on_a_non_projective_threefold(capsys, tmp_path):
     fan = NON_PROJECTIVE_THREEFOLD
     report = validate_fan(fan)
     assert report.smooth and report.complete
-    nef = cone_from_inequalities(report.wall_forms, fan.n_rays)
-    assert nef.dim < fan.n_rays and not is_ample(fan, _nef_cone_divisor(fan))
+    nef = generators_from_inequalities(report.wall_forms, fan.n_rays)
+    assert rational_rank(nef) < fan.n_rays and not is_ample(fan, _nef_cone_divisor(fan))
     path = tmp_path / "threefold.json"
     path.write_text(fan_to_json(fan))
     assert main(["verify", str(path)]) == 0
@@ -375,7 +375,7 @@ def test_rank_eight_effective_cone_from_its_facet_normals():
     eff = cox_data(MIXED_RANK_EIGHT).effective_cone
     assert (len(eff.generators), len(eff.facet_normals)) == (10, 17)
     start = time.process_time()
-    assert cone_from_inequalities(eff.facet_normals, 8) == eff
+    assert generators_from_inequalities(eff.facet_normals, 8) == eff.generators
     assert time.process_time() - start < 0.5
 
 
@@ -429,7 +429,7 @@ AMPLENESS_FANS = (
 def test_wall_forms_decide_ampleness(fan, data):
     # combinations of the nef cone's generators, on its boundary and off
     # it, plus a small perturbation that is often zero; and a plain draw
-    generators = cone_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays).generators
+    generators = generators_from_inequalities(validate_fan(fan).wall_forms, fan.n_rays)
     weights = data.draw(st.lists(st.integers(-1, 2), min_size=len(generators), max_size=len(generators)))
     noise = data.draw(st.lists(st.sampled_from([0, 0, 0, -1, 1]), min_size=fan.n_rays, max_size=fan.n_rays))
     combination = [sum(w * g[i] for w, g in zip(weights, generators)) + noise[i] for i in range(fan.n_rays)]

@@ -22,38 +22,38 @@ from toric_cox.lattice import (
 )
 from toric_cox.polyhedral import (
     RationalCone,
-    RationalPolytope,
     _homogenized_generators,
     cone_contains,
     cone_from_generators,
-    cone_from_inequalities,
-    dual_cone,
+    generators_from_inequalities,
     polytope_family,
-    polytope_lattice_points,
-    polytope_vertices,
     separable,
     strictly_positive_form,
 )
 
 
 class TestDualCone:
+    """The dual of a cone is the cone of its facet normals; in canonical form it
+    is the same pair with its two fields swapped, so dualizing twice gives the
+    cone back."""
+
     def test_orthant_self_dual(self):
         c = cone_from_generators([(1, 0), (0, 1)], 2)
-        assert dual_cone(c).generators == ((0, 1), (1, 0))
+        assert cone_from_generators(c.facet_normals, 2) == RationalCone(2, ((0, 1), (1, 0)), c.generators)
 
     def test_obtuse_cone(self):
         c = cone_from_generators([(1, 0), (-1, 1)], 2)
-        assert dual_cone(c).generators == ((0, 1), (1, 1))
+        assert cone_from_generators(c.facet_normals, 2) == RationalCone(2, ((0, 1), (1, 1)), c.generators)
 
     def test_full_space_dualizes_to_origin(self):
         c = cone_from_generators([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
-        assert dual_cone(c).generators == ()
+        assert cone_from_generators(c.facet_normals, 2) == RationalCone(2, (), c.generators)
 
     def test_ray_dualizes_to_halfplane(self):
         c = cone_from_generators([(1, 0)], 2)
-        d = dual_cone(c)
-        assert d.generators == ((0, -1), (0, 1), (1, 0))
-        assert dual_cone(d).generators == c.generators
+        d = cone_from_generators(c.facet_normals, 2)
+        assert d == RationalCone(2, ((0, -1), (0, 1), (1, 0)), ((1, 0),))
+        assert cone_from_generators(d.facet_normals, 2) == c
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -65,7 +65,9 @@ class TestDualCone:
     )
     def test_double_dual_is_identity_on_canonical_form(self, gens):
         c = cone_from_generators(gens, 3)
-        assert dual_cone(dual_cone(c)) == c
+        d = cone_from_generators(c.facet_normals, 3)
+        assert d == RationalCone(3, c.facet_normals, c.generators)
+        assert cone_from_generators(d.facet_normals, 3) == c
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -74,7 +76,7 @@ class TestDualCone:
     )
     def test_dual_pairing_nonnegative(self, gens, point):
         c = cone_from_generators(gens, 2)
-        d = dual_cone(c)
+        d = cone_from_generators(c.facet_normals, 2)
         if cone_contains(c, point):
             assert all(sum(a * b for a, b in zip(y, point)) >= 0 for y in d.generators)
 
@@ -93,7 +95,7 @@ class TestDualCone:
     )
     def test_double_dual_in_dimension_four(self, gens):
         c = cone_from_generators(gens, 4)
-        assert dual_cone(dual_cone(c)) == c
+        assert cone_from_generators(c.facet_normals, 4) == RationalCone(4, c.facet_normals, c.generators)
         for g in c.generators:
             assert cone_contains(c, g)
 
@@ -181,11 +183,12 @@ class TestAgainstTwoPassReference:
     @settings(max_examples=150, deadline=None)
     @given(vector_lists())
     @with_edge_cases
-    def test_cone_from_inequalities(self, case):
+    def test_generators_from_inequalities(self, case):
         dim, vectors = case
         generators = reference_dual_generators(vectors, dim)
+        assert generators_from_inequalities(vectors, dim) == generators
         expected = RationalCone(dim, generators, reference_dual_generators(generators, dim))
-        assert cone_from_inequalities(vectors, dim) == expected
+        assert cone_from_generators(generators, dim) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(five_dimensional_vectors())
@@ -193,7 +196,7 @@ class TestAgainstTwoPassReference:
         normals = reference_dual_generators(vectors, 5)
         generators = reference_dual_generators(normals, 5)
         assert cone_from_generators(vectors, 5) == RationalCone(5, generators, normals)
-        assert cone_from_inequalities(vectors, 5) == RationalCone(5, normals, generators)
+        assert generators_from_inequalities(vectors, 5) == normals
 
     def test_no_subset_enumeration_and_no_kernel_for_pointed_full_cones(self, monkeypatch):
         calls = []
@@ -201,16 +204,17 @@ class TestAgainstTwoPassReference:
         monkeypatch.setattr(polyhedral_module, "itertools", None, raising=False)
         c = cone_from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
         assert c.generators == ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -1))
-        assert dual_cone(c) == cone_from_inequalities(c.generators, 3)
+        assert cone_from_generators(c.facet_normals, 3) == RationalCone(3, c.facet_normals, c.generators)
+        assert generators_from_inequalities(c.generators, 3) == c.facet_normals
         assert calls == []
 
-    @pytest.mark.parametrize("construct", [cone_from_generators, cone_from_inequalities])
+    @pytest.mark.parametrize("construct", [cone_from_generators, generators_from_inequalities])
     @pytest.mark.parametrize("vectors", [[(1, 0, 0)], [(1, 0), (0, 1, 1)], [()]])
     def test_vector_length_must_match_dimension(self, construct, vectors):
         with pytest.raises(ValueError):
             construct(vectors, 2)
 
-    @pytest.mark.parametrize("construct", [cone_from_generators, cone_from_inequalities])
+    @pytest.mark.parametrize("construct", [cone_from_generators, generators_from_inequalities])
     def test_entries_must_be_integers(self, construct):
         # a float entry raises instead of being truncated; bools read as 0 and 1
         with pytest.raises(ValueError, match="not an integer"):
@@ -296,18 +300,19 @@ class TestSeparable:
         assert separable(positive, negative, vanishing, dim) == found
 
 
-def satisfies(p: RationalPolytope, point) -> bool:
-    """Whether the point meets every inequality of p; the reference membership test."""
-    return all(sum(a * b for a, b in zip(normal, point)) >= -offset for normal, offset in p.inequalities)
+def satisfies(rows, point) -> bool:
+    """Whether the point meets every inequality <normal, m> >= -offset of the
+    (normal, offset) rows; the reference membership test."""
+    return all(sum(a * b for a, b in zip(normal, point)) >= -offset for normal, offset in rows)
 
 
-def brute_force_points(p: RationalPolytope) -> tuple:
+def brute_force_points(rows, dim) -> tuple:
     """Independent oracle: test every point of the fixed box [-2, 2]^d.
 
     Every polytope passed here lies inside that box, and the scan shares no
     code with the vertex or lattice-point machinery under test.
     """
-    return tuple(pt for pt in itertools.product(range(-2, 3), repeat=p.ambient_dim) if satisfies(p, pt))
+    return tuple(pt for pt in itertools.product(range(-2, 3), repeat=dim) if satisfies(rows, pt))
 
 
 def solve_rational(rows, rhs) -> tuple | None:
@@ -329,12 +334,12 @@ def solve_rational(rows, rhs) -> tuple | None:
     return tuple(row[n] for row in mat)
 
 
-def rational_vertices(p: RationalPolytope) -> tuple:
-    """Reference vertex set: a Fraction solve for every dimension-sized subset of inequalities."""
+def rational_vertices(rows, dim) -> tuple:
+    """Reference vertex set: a Fraction solve for every dimension-sized subset of the rows."""
     seen = set()
-    for subset in itertools.combinations(p.inequalities, p.ambient_dim):
+    for subset in itertools.combinations(rows, dim):
         solution = solve_rational([n for n, _ in subset], [-a for _, a in subset])
-        if solution is not None and satisfies(p, solution):
+        if solution is not None and satisfies(rows, solution):
             seen.add(solution)
     return tuple(sorted(seen))
 
@@ -359,9 +364,10 @@ def vertex_box_points(normals, offsets, dim) -> tuple:
 
 @st.composite
 def boxed_polytopes(draw):
-    """A polytope inside [-2, 2]^d for d = 0..4: a box, possibly empty or a single
-    point, cut by random half-spaces (zero normals and negative offsets included),
-    sometimes with a plus/minus normal pair that cuts out a hyperplane or a slab."""
+    """(rows, d): the (normal, offset) rows of a polytope inside [-2, 2]^d for
+    d = 0..4, a box, possibly empty or a single point, cut by random
+    half-spaces (zero normals and negative offsets included), sometimes with
+    a plus/minus normal pair that cuts out a hyperplane or a slab."""
     dim = draw(st.integers(0, 4))
     rows = []
     for i in range(dim):
@@ -372,11 +378,11 @@ def boxed_polytopes(draw):
     if cuts and draw(st.booleans()):
         normal, offset = cuts[0]
         cuts.append((tuple(-x for x in normal), -offset + draw(st.integers(-1, 1))))
-    return RationalPolytope.from_inequalities(rows + cuts, dim)
+    return rows + cuts, dim
 
 
 def square(*cuts):
-    return RationalPolytope.from_inequalities([((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2), *cuts], 2)
+    return [((1, 0), 2), ((0, 1), 2), ((-1, 0), 2), ((0, -1), 2), *cuts], 2
 
 
 # Explicit cases: ambient dimension 0 (no rows, feasible, infeasible), the
@@ -384,15 +390,14 @@ def square(*cuts):
 # with offset 0 (no cut), the plane x + y = -1 in a cube, and the line
 # 2x = 1, which holds no lattice point.
 POLYTOPE_EDGE_CASES = [
-    RationalPolytope.from_inequalities([], 0),
-    RationalPolytope.from_inequalities([((), 0), ((), 2)], 0),
-    RationalPolytope.from_inequalities([((), 0), ((), -1)], 0),
-    RationalPolytope.from_inequalities([((1, 0, 0), -1), ((-1, 0, 0), 1), ((0, 1, 0), 2), ((0, -1, 0), -2),
-                                        ((0, 0, 1), 0), ((0, 0, -1), 0)], 3),
+    ([], 0),
+    ([((), 0), ((), 2)], 0),
+    ([((), 0), ((), -1)], 0),
+    ([((1, 0, 0), -1), ((-1, 0, 0), 1), ((0, 1, 0), 2), ((0, -1, 0), -2), ((0, 0, 1), 0), ((0, 0, -1), 0)], 3),
     square(((0, 0), -1)),
     square(((0, 0), 0), ((-1, -1), -3)),
-    RationalPolytope.from_inequalities([((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((-1, 0, 0), 2),
-                                        ((0, -1, 0), 2), ((0, 0, -1), 2), ((1, 1, 0), 1), ((-1, -1, 0), -1)], 3),
+    ([((1, 0, 0), 2), ((0, 1, 0), 2), ((0, 0, 1), 2), ((-1, 0, 0), 2),
+      ((0, -1, 0), 2), ((0, 0, -1), 2), ((1, 1, 0), 1), ((-1, -1, 0), -1)], 3),
     square(((2, 0), -1), ((-2, 0), 1)),
 ]
 
@@ -456,31 +461,22 @@ def test_elimination_tables_match_the_reference(dim):
 
 class TestPolytopeLatticePoints:
     def test_twice_standard_simplex(self):
-        p = RationalPolytope.from_inequalities(
-            [((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)], 2
-        )
-        points = polytope_lattice_points(p)
+        rows = [((1, 0), 0), ((0, 1), 0), ((-1, -1), 2)]
+        points = polytope_family([n for n, _ in rows], 2).lattice_points([a for _, a in rows])
         assert len(points) == 6
-        assert points == brute_force_points(p)
+        assert points == brute_force_points(rows, 2)
 
     def test_empty_polytope(self):
-        p = RationalPolytope.from_inequalities([((1,), -1), ((-1,), 0)], 1)
-        assert polytope_lattice_points(p) == ()
+        assert polytope_family([(1,), (-1,)], 1).lattice_points((-1, 0)) == ()
 
     def test_unit_square(self):
-        p = RationalPolytope.from_inequalities(
-            [((1, 0), 0), ((0, 1), 0), ((-1, 0), 1), ((0, -1), 1)], 2
-        )
-        assert polytope_lattice_points(p) == ((0, 0), (0, 1), (1, 0), (1, 1))
-
-    def test_unbounded_raises(self):
-        p = RationalPolytope.from_inequalities([((1, 0), 0), ((0, 1), 0)], 2)
-        with pytest.raises(UnboundedPolytope):
-            polytope_lattice_points(p)
+        family = polytope_family([(1, 0), (0, 1), (-1, 0), (0, -1)], 2)
+        assert family.lattice_points((0, 0, 1, 1)) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def test_unbounded_family_is_rejected_at_construction(self):
-        with pytest.raises(UnboundedPolytope):
-            polytope_family([(1, 0), (0, 1), (-1, 1)], 2)
+        for normals in ([(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 1)]):
+            with pytest.raises(UnboundedPolytope):
+                polytope_family(normals, 2)
 
     def test_family_serves_every_offset_vector(self):
         # the triangle conv{(0,0), (2,0), (0,2)} scaled by t, then emptied
@@ -506,40 +502,48 @@ class TestPolytopeLatticePoints:
         assert family.lattice_points(()) == ((),)
 
     def test_entries_must_be_integers(self):
-        # truncating 2.9 would give 0 <= x <= 2, with the vertices 0 and 2
+        # truncating 2.9 would give 0 <= x <= 2, with the points 0, 1 and 2
+        family = polytope_family([(1,), (-1,)], 1)
         with pytest.raises(ValueError, match="not an integer"):
-            polytope_vertices(RationalPolytope.from_inequalities([((1,), 0), ((-1,), 2.9)], 1))
+            family.lattice_points((0, 2.9))
         with pytest.raises(ValueError, match="not an integer"):
             polytope_family([(1,), (-1.0,)], 1)
-        assert RationalPolytope.from_inequalities([((True,), False)], 1).inequalities == (((1,), 0),)
-
-    def test_vertices_are_rational(self):
-        p = RationalPolytope.from_inequalities(
-            [((2, 0), 1), ((0, 2), 1), ((-2, -1), 2)], 2
-        )
-        for v in polytope_vertices(p):
-            assert all(isinstance(x, Fraction) for x in v)
-            assert satisfies(p, v)
+        # bools read as 0 and 1
+        assert family.lattice_points((False, True)) == family.lattice_points((0, 1)) == ((0,), (1,))
+        assert polytope_family([(True,), (-1,)], 1) == family
 
     @settings(max_examples=200, deadline=None)
     @given(boxed_polytopes())
     @with_polytope_edge_cases
-    def test_box_scan_oracle(self, p):
-        assert polytope_lattice_points(p) == brute_force_points(p)
-        if p.ambient_dim <= 3:  # the Fraction reference takes C(rows, 4) solves at d = 4
-            assert polytope_vertices(p) == rational_vertices(p)
+    def test_box_scan_oracle(self, polytope):
+        rows, dim = polytope
+        normals, offsets = [n for n, _ in rows], [a for _, a in rows]
+        assert polytope_family(normals, dim).lattice_points(offsets) == brute_force_points(rows, dim)
+        if dim <= 3:  # the Fraction reference takes C(rows, 4) solves at d = 4
+            # a bounded polyhedron has no generator at height 0, and the others
+            # divided by their heights are its vertices, each once
+            generators = _homogenized_generators(normals, offsets, dim)
+            vertices = sorted(tuple(Fraction(x, t) for x in num) for num, t in generators)
+            assert all(t for _, t in generators) and tuple(vertices) == rational_vertices(rows, dim)
 
     @pytest.mark.parametrize(
         "rows, vertices",
         [
-            ([((1, 0), 0), ((0, 1), 0)], ((0, 0),)),  # orthant: pointed, unbounded
-            ([((1, 0), 0)], ()),  # half plane
-            ([((1, 0), 0), ((-1, 0), 1)], ()),  # strip 0 <= x <= 1
-            ([((1, 1), 0), ((1, -1), 0)], ((0, 0),)),  # wedge x >= |y|
+            ([((1, 0), 0), ((0, 1), 0)], {((0, 0), 1)}),  # orthant: pointed, unbounded
+            ([((1, 0), 0)], None),  # half plane
+            ([((1, 0), 0), ((-1, 0), 1)], None),  # strip 0 <= x <= 1
+            ([((1, 1), 0), ((1, -1), 0)], {((0, 0), 1)}),  # wedge x >= |y|
         ],
     )
     def test_unbounded_polyhedra_have_a_vertex_only_without_a_line(self, rows, vertices):
-        assert polytope_vertices(RationalPolytope.from_inequalities(rows, 2)) == vertices
+        # every unbounded polyhedron has a generator at height 0; a line puts a
+        # plus/minus pair there, and without one the vertices are the rest
+        generators = _homogenized_generators([n for n, _ in rows], [a for _, a in rows], 2)
+        recession = {num for num, t in generators if not t}
+        has_line = any(tuple(-x for x in num) in recession for num in recession)
+        assert recession and has_line == (vertices is None)
+        if vertices is not None:
+            assert {(num, t) for num, t in generators if t} == vertices
 
     # the rays of P^2 and of P^1; a product's rays are its factors' rays, each
     # padded with zeros on the other factors' coordinates
@@ -553,10 +557,10 @@ class TestPolytopeLatticePoints:
             width = len(factor[0])
             rays += [(0,) * before + ray + (0,) * (dim - before - width) for ray in factor]
             before += width
-        p = RationalPolytope.from_inequalities([(ray, 1) for ray in rays], dim)
-        vertices = polytope_vertices(p)
+        generators = _homogenized_generators(rays, [1] * len(rays), dim)
+        vertices = sorted(tuple(Fraction(x, t) for x in num) for num, t in generators)
         assert len(vertices) == 3 ** factors.count(self.P2) * 2 ** factors.count(self.P1)
-        assert vertices == rational_vertices(p)
+        assert tuple(vertices) == rational_vertices([(ray, 1) for ray in rays], dim)
 
     # (dim, n): rows of level 0 and, per coordinate k, the rows of level k + 1
     # that bound x_k from either side, pinned at their first computation.
@@ -615,12 +619,13 @@ class TestLinearTables:
     @settings(max_examples=200, deadline=None)
     @given(boxed_polytopes(), st.integers(0, 3), st.integers(0, 2**16))
     @with_linear_edge_cases
-    def test_count_equals_the_number_of_listed_points(self, p, rank, seed):
+    def test_count_equals_the_number_of_listed_points(self, polytope, rank, seed):
         # offsets a + S q for a seeded S and q: the section [S | a] applied
         # to the parameters (q, 1), which often empties the polytope
-        family = polytope_family([normal for normal, _ in p.inequalities], p.ambient_dim)
+        rows, dim = polytope
+        family = polytope_family([normal for normal, _ in rows], dim)
         rng = random.Random(seed)
-        sections = [tuple(rng.randint(-1, 1) for _ in range(rank)) + (a,) for _, a in p.inequalities]
+        sections = [tuple(rng.randint(-1, 1) for _ in range(rank)) + (a,) for _, a in rows]
         q = tuple(rng.randint(-2, 2) for _ in range(rank))
         offsets = [sum(map(mul, row, q + (1,))) for row in sections]
         composed = family.linear_tables(IntegerMatrix(tuple(sections), zero_width=0 if sections else rank + 1))
@@ -647,7 +652,7 @@ class TestLinearTables:
 
 @st.composite
 def wide_planar_polytopes(draw):
-    """A 2-dimensional polytope of width up to 401 in x_0 whose rows bounding x_1
+    """The (normal, offset) rows of a 2-dimensional polytope of width up to 401 in x_0 whose rows bounding x_1
     (the last level) number one on one side and two to four on the other.
 
     The one-row side is the line x_1 = (s x_0 + t) / c; each row of the other
@@ -665,7 +670,7 @@ def wide_planar_polytopes(draw):
         rows.append(((-si, ci), -ti))
     if draw(st.booleans()):
         rows = [((a, -b), offset) for (a, b), offset in rows]
-    return RationalPolytope.from_inequalities(rows, 2)
+    return rows
 
 
 class TestFlatLastLevelCount:
@@ -673,11 +678,11 @@ class TestFlatLastLevelCount:
 
     @settings(max_examples=60, deadline=None)
     @given(wide_planar_polytopes())
-    def test_count_equals_the_number_of_listed_points(self, p):
-        family = polytope_family([normal for normal, _ in p.inequalities], 2)
+    def test_count_equals_the_number_of_listed_points(self, rows):
+        family = polytope_family([normal for normal, _ in rows], 2)
         sides = sorted(map(len, (family.lower[1], family.upper[1])))
         assert sides[0] == 1 and sides[1] >= 2
-        offsets = [offset for _, offset in p.inequalities]
+        offsets = [offset for _, offset in rows]
         assert family.count_lattice_points(offsets) == len(family.lattice_points(offsets))
 
     @pytest.mark.parametrize("n, ks", [(1, (0, 7, 10**40)), (2, (0, 7, 2000)), (3, (0, 7, 40)), (4, (0, 7, 12))])

@@ -3,8 +3,11 @@
 import itertools
 import random
 import re
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toric_cox.cox import cox_data
 from toric_cox.errors import (
@@ -23,7 +26,7 @@ from toric_cox.fans import (
 )
 from toric_cox.lattice import IntegerMatrix, rational_rank, solve_integer
 from toric_cox import reconstruction as reconstruction_module
-from toric_cox.polyhedral import _homogenized_generators, polytope_family
+from toric_cox.polyhedral import _homogenized_generators, cone_contains, cone_from_generators, polytope_family
 from toric_cox.reconstruction import (
     GradingInput,
     _reconstruct_from_kernel,
@@ -34,6 +37,31 @@ from toric_cox.reconstruction import (
     roundtrip_check,
     splitting_certificate,
 )
+
+
+@st.composite
+def onto_gradings(draw):
+    """An onto grading of rank 1-3 whose kernel rows are nonzero and primitive,
+    so that reconstruction reaches its interior test, with a class that is
+    interior to, on the boundary of or outside its effective cone.
+
+    [I | m] is onto, and its kernel rows are those of [-m; I] up to a
+    unimodular change of basis: nonzero and primitive when m's rows are.  Row
+    operations keep the grading onto and its kernel; a column permutation
+    permutes the kernel rows.
+    """
+    rank, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=extra, max_size=extra).filter(lambda r: gcd(*r) == 1)
+    rows = [[int(i == j) for j in range(rank)] + draw(row) for i in range(rank)]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        if i != j:
+            t = draw(st.integers(-2, 2))
+            rows[i] = [a + t * b for a, b in zip(rows[i], rows[j])]
+    order = draw(st.permutations(range(rank + extra)))
+    q = IntegerMatrix.from_rows([[r[k] for k in order] for r in rows])
+    coefficients = draw(st.lists(st.integers(-1, 2), min_size=rank + extra, max_size=rank + extra))
+    return q, q.mat_vec(coefficients)
 
 
 class TestGaleDualRays:
@@ -157,6 +185,20 @@ class TestReconstructFan:
             fans.append(_reconstruct_from_kernel(q, (3,), kernel))
         assert asked == [(3,), (3,)]
         assert fans == [p2, p2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(onto_gradings())
+    def test_interior_verdict_matches_the_cone_of_the_degrees(self, case):
+        # the reference builds the whole effective cone; reconstruction reads
+        # its facet normals alone
+        q, w = case
+        interior = cone_contains(cone_from_generators(q.columns(), q.rows), w, "relative_interior")
+        try:
+            reconstruct_fan(GradingInput(q, w))
+            message = None
+        except (NotAmpleLift, NotSmooth) as exc:
+            message = str(exc)
+        assert (message == "class is not interior to the effective cone") == (not interior)
 
     def test_grading_json(self):
         gi = grading_from_json('{"Q": [[1, 1, 1]], "w": [2]}')
