@@ -375,7 +375,7 @@ def test_rank_eight_effective_cone_from_its_facet_normals():
     eff = cox_data(MIXED_RANK_EIGHT).effective_cone
     assert (len(eff.generators), len(eff.facet_normals)) == (10, 17)
     start = time.process_time()
-    assert generators_from_inequalities(eff.facet_normals, 8) == eff.generators
+    assert cone_from_generators(eff.facet_normals, 8) == RationalCone(8, eff.facet_normals, eff.generators)
     assert time.process_time() - start < 0.5
 
 
