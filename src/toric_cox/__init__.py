@@ -88,7 +88,6 @@ _EXPORTS = {
     "reconstruction": (
         "GradingInput",
         "SplittingCertificate",
-        "gale_dual_rays",
         "grading_from_json",
         "reconstruct_fan",
         "roundtrip_check",

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import index, mul
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import OracleMismatch
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
-from .lattice import IntegerMatrix, Vector, smith_normal_form, solve_integer
+from .lattice import IntegerMatrix, Vector, integer_vector, smith_normal_form, solve_integer
 from .polyhedral import (
     PolytopeFamily,
     RationalCone,
@@ -112,7 +112,7 @@ class CoxData:
         double description) are left out.  No check: integral and positive
         on the effective cone's generators suffices.
         """
-        return strictly_positive_form(RationalCone(self.cl_rank, (), self.effective_normals), self.cl_rank)
+        return strictly_positive_form(self.effective_normals, self.cl_rank)
 
     @functools.cached_property
     def variable_weights(self) -> tuple[int, ...]:
@@ -349,10 +349,7 @@ def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction])
     it as an ``int`` when it is integral."""
     checked: dict[Vector, int | Fraction] = {}
     for e, c in terms.items():
-        try:
-            key = tuple(map(index, e))
-        except TypeError:
-            raise ValueError(f"exponent vector {e!r} has an entry that is not an integer") from None
+        key = integer_vector(e, "exponent vector")
         if len(key) != cox.num_vars or key and min(key) < 0:
             raise ValueError(f"bad exponent vector {key}")
         checked[key] = c if type(c) is int else Fraction(c)
@@ -425,10 +422,7 @@ def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
 
 def integral_class(cd: CoxData, class_vector: Sequence[int]) -> Vector:
     """The class as a tuple of ints; ValueError on a wrong length or an entry that is not an integer."""
-    try:
-        lam = tuple(map(index, class_vector))
-    except TypeError:
-        raise ValueError(f"class vector {class_vector!r} has an entry that is not an integer") from None
+    lam = integer_vector(class_vector, "class vector")
     if len(lam) != cd.cl_rank:
         raise ValueError(f"class vector length {len(lam)} != rank {cd.cl_rank}")
     return lam

@@ -401,9 +401,6 @@ class TorusInvariantDivisor:
     def __add__(self, other: "TorusInvariantDivisor") -> "TorusInvariantDivisor":
         return TorusInvariantDivisor(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
-    def __neg__(self) -> "TorusInvariantDivisor":
-        return TorusInvariantDivisor(tuple(-a for a in self.coefficients))
-
 
 def class_group(f: Fan) -> AbelianGroupPresentation:
     """Divisor class group; its ``projection`` is the degree matrix of Z^rays -> Cl.

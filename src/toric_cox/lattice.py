@@ -99,16 +99,13 @@ class IntegerMatrix:
             raise ValueError(f"vector length {len(v)} != {self.cols} columns")
         return tuple([sum(map(mul, row, v)) for row in self.entries])
 
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
+    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         cols = other.columns()
         return IntegerMatrix._unchecked(
             tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
         )
-
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        return self.mul(other)
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.entries)
@@ -136,10 +133,6 @@ class AbelianGroupPresentation:
         self.free_rank = free_rank
         self.invariant_factors = invariant_factors
         self.projection = projection
-
-    @property
-    def is_free(self) -> bool:
-        return not self.invariant_factors
 
 
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:

@@ -167,22 +167,25 @@ def cone_from_generators(generators: Sequence[Sequence[int]], ambient_dim: int) 
 
 
 def cone_contains(
-    c: RationalCone,
+    normals: Sequence[Vector],
+    ambient_dim: int,
     point: Sequence[int],
     mode: Literal["closure", "relative_interior"] = "closure",
 ) -> bool:
-    if len(point) != c.ambient_dim:
-        raise ValueError(f"point dimension {len(point)} != ambient {c.ambient_dim}")
+    """Whether ``point`` lies in {x : <n, x> >= 0 for every n in normals}, or in its
+    relative interior, where a normal whose negative is also a normal cuts an equation."""
+    if len(point) != ambient_dim:
+        raise ValueError(f"point dimension {len(point)} != ambient {ambient_dim}")
     if mode not in ("closure", "relative_interior"):
         raise ValueError(f"unknown mode {mode!r}")
-    normals = set(c.facet_normals)
-    for h in c.facet_normals:
+    normal_set = set(normals)
+    for h in normals:
         value = sum(a * b for a, b in zip(h, point))
         if mode == "closure":
             if value < 0:
                 return False
         else:
-            is_equation = tuple(-x for x in h) in normals
+            is_equation = tuple(-x for x in h) in normal_set
             if is_equation:
                 if value != 0:
                     return False
@@ -462,20 +465,21 @@ class WeightForm(NamedTuple):
         return sum(map(mul, self.coefficients, v))
 
 
-def strictly_positive_form(eff: RationalCone, lattice_rank: int) -> WeightForm:
-    """Deterministic integral form positive on every nonzero lattice point of ``eff``.
+def strictly_positive_form(normals: Sequence[Vector], ambient_dim: int) -> WeightForm:
+    """Deterministic integral form positive on every nonzero lattice point of the
+    cone {x : <n, x> >= 0 for every n in normals}, given by its facet normals.
 
     Rule: sum the primitive generators of the dual cone, the facet normals.
-    Each is >= 0 on ``eff``, and on a nonzero x in ``eff`` some normal is
+    Each is >= 0 on the cone, and on a nonzero x in the cone some normal is
     > 0: the facet normals of a pointed cone span the whole space (its dual
     is full-dimensional), so they cannot all vanish on x.  The sum is thus
-    positive on ``eff`` minus the origin, and being integral it is >= 1 on
+    positive on the cone minus the origin, and being integral it is >= 1 on
     every nonzero lattice point.  In positive dimension there is at least
-    one normal, so the sum has one coordinate per dimension.  Only the facet
-    normals are read: the cone is pointed iff they have full rank.
+    one normal, so the sum has one coordinate per dimension.  The cone is
+    pointed iff the normals have full rank; NotPointed otherwise.
     """
-    if eff.ambient_dim != lattice_rank:
+    if any(len(n) != ambient_dim for n in normals):
         raise ValueError("cone does not live in the stated lattice")
-    if rational_rank(eff.facet_normals) != lattice_rank:
+    if rational_rank(normals) != ambient_dim:
         raise NotPointed("effective cone contains a line")
-    return WeightForm(tuple(map(sum, zip(*eff.facet_normals))))
+    return WeightForm(tuple(map(sum, zip(*normals))))

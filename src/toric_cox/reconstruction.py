@@ -36,7 +36,7 @@ from .lattice import (
     primitive_vector,
     solve_integer,
 )
-from .polyhedral import RationalCone, _homogenized_generators, cone_contains, generators_from_inequalities
+from .polyhedral import _homogenized_generators, cone_contains, generators_from_inequalities
 
 if TYPE_CHECKING:
     from .cox import CoxData
@@ -80,18 +80,6 @@ def _surjective_kernel(q: IntegerMatrix) -> IntegerMatrix:
     return kernel_basis(q)
 
 
-def gale_dual_rays(gi: GradingInput) -> IntegerMatrix:
-    """Primitivized rows of the canonical kernel basis of the grading matrix."""
-    kernel = _surjective_kernel(gi.degree_matrix)
-    rows = []
-    for i in range(kernel.rows):
-        row = kernel.row(i)
-        if not any(row):
-            raise DegenerateRay(f"kernel row {i} is zero")
-        rows.append(primitive_vector(row))
-    return IntegerMatrix.from_rows(rows)
-
-
 def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: IntegerMatrix) -> Fan:
     """Normal fan of the lifted polytope; the class lifts with no check, as both callers pass an onto q."""
     n = kernel.cols
@@ -103,9 +91,8 @@ def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: Inte
         if primitive_vector(row) != row:
             raise NotSmooth(f"kernel row {i} is not primitive; grading is not smooth toric data")
         rays.append(row)
-    # cone_contains reads only the facet normals of the effective cone
-    effective = RationalCone(q.rows, (), generators_from_inequalities(q.columns(), q.rows))
-    if not cone_contains(effective, ample_class, "relative_interior"):
+    effective_normals = generators_from_inequalities(q.columns(), q.rows)
+    if not cone_contains(effective_normals, q.rows, ample_class, "relative_interior"):
         raise NotAmpleLift("class is not interior to the effective cone")
     lift = solve_integer(q, ample_class)
     # Generators (num, det) of the cone over the lifted polyhedron: one at

@@ -45,7 +45,7 @@ def _exactness_check(cd: CoxData) -> CheckResult:
     fan = cd.fan
     degrees = cd.degree_matrix
     div = fan.ray_matrix()
-    composed_zero = degrees.mul(div).is_zero()
+    composed_zero = (degrees @ div).is_zero()
     kernel = kernel_basis(degrees)
     spans = hermite_basis(kernel.columns(), fan.n_rays) == hermite_basis(
         div.columns(), fan.n_rays

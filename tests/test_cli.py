@@ -6,7 +6,6 @@ import importlib
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import time
@@ -23,6 +22,12 @@ from toric_cox import cli
 from toric_cox.cli import main
 from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path, load_fan
 from toric_cox.fans import anticanonical, fan_to_json, is_ample
+
+try:
+    import resource
+except ImportError:  # no address-space limit to set on this platform
+    resource = None
+needs_rlimit = pytest.mark.skipif(resource is None, reason="needs the resource module")
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -226,6 +231,17 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_an_oracle_disagreement_fails_the_dual_oracle_line(self, capsys, monkeypatch):
+        fiber_dimension = toric_cox.cox._fiber_dimension
+        monkeypatch.setattr(toric_cox.cox, "_fiber_dimension", lambda cd, lam: fiber_dimension(cd, lam) + 1)
+        code, out = run(capsys, "verify", str(corpus_path("p2")))
+        assert code == 1
+        assert (
+            "  dual oracle dimensions              FAIL: "
+            "fiber count 1 != polytope count 0 at (-2,) (lifted divisor (-2, 0, 0))\n"
+        ) in out
+        assert out.endswith("status: error(verification): some checks failed\n")
+
     def test_json_runs_are_byte_identical(self, capsys):
         _, first = run(capsys, "verify", str(corpus_path("p2")), "--json")
         _, second = run(capsys, "verify", str(corpus_path("p2")), "--json")
@@ -263,6 +279,11 @@ def _address_space_of_one_gigabyte() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _address_space_of_300_megabytes() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+
+@needs_rlimit
 @pytest.mark.parametrize(
     "flags, digest",
     [
@@ -285,6 +306,22 @@ def test_verify_at_rank_eight_fits_in_one_gigabyte(tmp_path, flags, digest):
     )
     assert result.returncode == 0, result.stderr[-2000:]
     assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+@needs_rlimit
+def test_out_of_memory_ends_in_a_report_without_a_traceback():
+    # P^1 in degree 10**40 grows the fiber tables until the cap stops them;
+    # the report must still be built once their frames are released
+    result = subprocess.run(
+        [sys.executable, "-m", "toric_cox.cli", "euler", str(corpus_path("p1")), "--degree=1" + "0" * 40],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=_address_space_of_300_megabytes,
+        timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stdout.decode().endswith("status: error(MemoryError): out of memory\n")
+    assert b"Traceback" not in result.stderr, result.stderr[-2000:]
 
 
 class TestInputBoundary:
@@ -326,6 +363,14 @@ class TestInputBoundary:
         assert ("error(parse)" if code == 2 else "error(malformed)") in captured.out
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("content", [b"[]", b'{"Q": [[1]]}'], ids=["grading-not-an-object", "missing-w"])
+    def test_a_grading_is_an_object_with_q_and_w(self, capsys, tmp_path, content):
+        path = tmp_path / "grading.json"
+        path.write_bytes(content)
+        assert main(["reconstruct", str(path)]) == 3
+        assert capsys.readouterr().out.endswith(
+            "status: error(malformed): grading file must be an object with keys 'Q' and 'w'\n"
+        )
 
     @pytest.mark.parametrize(
         "argv, content, code, status",
@@ -515,7 +560,7 @@ class TestColdStart:
         assert loaded == [f"toric_cox.{name}" for name in COMMAND_MODULES[command]]
 
 
-# toric_cox.__all__, pinned: the 67 exports and the seven submodules they come
+# toric_cox.__all__, pinned: the 66 exports and the seven submodules they come
 # from, as dir() listed them when __init__ imported every submodule.
 PACKAGE_ALL = [
     "AbelianGroupPresentation", "CechCocycle", "CoxData", "DegenerateRay", "EulerModule",
@@ -527,7 +572,7 @@ PACKAGE_ALL = [
     "basis_element", "build_euler_module", "cartier_data", "cech_transitions",
     "check_euler_identity", "class_group", "cokernel", "cone_contains", "cone_from_generators",
     "cox", "cox_data", "derivation", "divisor_in_class", "effective_weight_form", "errors",
-    "euler", "euler_contract", "fan_from_json", "fan_to_json", "fans", "gale_dual_rays",
+    "euler", "euler_contract", "fan_from_json", "fan_to_json", "fans",
     "generators_from_inequalities", "graded_dimension", "graded_generation_check",
     "graded_piece_dim", "grading_from_json", "hermite_basis", "induced_algebra_generators",
     "irrelevant_ideal", "is_ample", "kernel_basis", "lattice", "make_polynomial",

@@ -170,7 +170,7 @@ class TestOracleIndependence:
             radius = 2 if cd.cl_rank <= 4 else 1
             for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
                 feasible = all(sum(map(mul, f, lam)) >= 0 for f in level_zero)
-                assert feasible == cone_contains(cd.effective_cone, lam), (name, lam)
+                assert feasible == cone_contains(cd.effective_cone.facet_normals, cd.cl_rank, lam), (name, lam)
 
     def windows(self, corpus):
         for name, fan in self.fans(corpus).items():
@@ -475,7 +475,7 @@ class TestEffectiveCone:
             eff = cd.effective_cone
             for lam in itertools.product(range(-3, 4), repeat=cd.cl_rank):
                 if graded_dimension(cd, lam) > 0:
-                    assert cone_contains(eff, lam)
+                    assert cone_contains(eff.facet_normals, cd.cl_rank, lam)
 
     def test_lattice_points_of_cone_are_realized_on_corpus(self, corpus_cox):
         # the converse direction, checked empirically on a bounded window
@@ -483,7 +483,7 @@ class TestEffectiveCone:
             eff = cd.effective_cone
             radius = 2 if cd.cl_rank <= 2 else 1
             for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
-                if cone_contains(eff, lam):
+                if cone_contains(eff.facet_normals, cd.cl_rank, lam):
                     assert graded_dimension(cd, lam) > 0 or not any(lam), (name, lam)
 
 

@@ -24,6 +24,7 @@ from toric_cox.euler import (
     check_euler_identity,
     derivation,
     euler_contract,
+    graded_generation_check,
     monomials_of_weight_at_most,
 )
 from toric_cox.fans import (
@@ -36,8 +37,15 @@ from toric_cox.fans import (
     is_ample,
     validate_fan,
 )
-from toric_cox.lattice import IntegerMatrix, cokernel, rational_rank, smith_normal_form, solve_integer
-from toric_cox.polyhedral import RationalCone, cone_from_generators, generators_from_inequalities
+from toric_cox.lattice import IntegerMatrix, cokernel, hermite_basis, rational_rank, smith_normal_form, solve_integer
+from toric_cox.polyhedral import (
+    RationalCone,
+    WeightForm,
+    cone_contains,
+    cone_from_generators,
+    generators_from_inequalities,
+    strictly_positive_form,
+)
 from toric_cox.reconstruction import roundtrip_check, splitting_certificate
 from toric_cox.verify import (
     _first_ample_divisor,
@@ -84,7 +92,7 @@ def test_blowup_surfaces_full_pipeline(seed):
     assert report.smooth and report.complete
 
     presentation = class_group(fan)
-    assert presentation.is_free
+    assert not presentation.invariant_factors
     assert presentation.free_rank == fan.n_rays - 2
 
     cd = cox_data(fan)
@@ -211,7 +219,7 @@ def test_smith_normal_form_at_scale():
         [[rng.randint(-30, 30) for _ in range(20)] for _ in range(20)]
     )
     u, d, v = smith_normal_form(a)
-    assert u.mul(a).mul(v).entries == d.entries
+    assert (u @ a @ v).entries == d.entries
     diag = [d.entries[i][i] for i in range(20)]
     nonzero = [x for x in diag if x]
     for x, y in zip(nonzero, nonzero[1:]):
@@ -492,12 +500,50 @@ def test_verify_counts_a_wrong_contraction_on_both_euler_lines(monkeypatch):
     ]
 
 
+def test_verify_counts_a_constant_term_on_the_contraction_line(monkeypatch):
+    # only the constant monomial's image is zero, so only it gains a constant
+    def with_constant(em, ds, form):
+        image = euler_contract(em, ds, form)
+        return image if image.terms else image + em.cox.one()
+
+    monkeypatch.setattr(verify_module, "euler_contract", with_constant)
+    results = {r.name: r for r in run_verification(load_fan("p2"), window_radius=0)}
+    assert results["euler identity"].detail == "35 monomials of weight <= 4; failures: 1"
+    assert results["contraction image and surjectivity"].detail == (
+        "constant terms vanish and witnesses recover monomials; failures: 1"
+    )
+    assert [r.name for r in results.values() if not r.passed] == [
+        "euler identity", "contraction image and surjectivity"
+    ]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: IntegerMatrix.from_rows([[1, 2]]) @ IntegerMatrix.from_rows([[1, 2]]),
+         "dimension mismatch in matrix product"),
+        (lambda: hermite_basis([(1, 2), (1,)], 2), "row width mismatch"),
+        (lambda: solve_integer(IntegerMatrix.from_rows([[1, 1]]), (1, 2)), "right-hand side has the wrong length"),
+        (lambda: WeightForm((1, 1))((1,)), "length mismatch"),
+        (lambda: graded_generation_check((1, 0), [], 1), "variable weights must be positive"),
+        (lambda: graded_generation_check((1, 1), [(1,)], 1), "candidate exponent length mismatch"),
+        (lambda: strictly_positive_form([(1, 0)], 1), "cone does not live in the stated lattice"),
+        (lambda: cone_contains([(1,)], 1, (1,), "interior"), "unknown mode 'interior'"),
+    ],
+    ids=["matmul", "hermite-row-width", "solve-rhs-length", "weight-form-length",
+         "generation-weight", "generation-length", "positive-form-dimension", "cone-contains-mode"],
+)
+def test_a_wrong_shape_or_weight_from_outside_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @settings(max_examples=30, deadline=None)
 @given(smooth_projective_fans())
 def test_smooth_projective_fans_pass_every_check(fan):
     # the facts that let cox_data, reconstruction and verify skip their own checks
     presentation = class_group(fan)
-    assert presentation.is_free and presentation.free_rank == fan.n_rays - fan.dim
+    assert not presentation.invariant_factors and presentation.free_rank == fan.n_rays - fan.dim
     results = run_verification(fan, window_radius=1)
     assert all(r.passed for r in results), [r for r in results if not r.passed]
     cd = cox_data(fan)

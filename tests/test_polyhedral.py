@@ -77,7 +77,7 @@ class TestDualCone:
     def test_dual_pairing_nonnegative(self, gens, point):
         c = cone_from_generators(gens, 2)
         d = cone_from_generators(c.facet_normals, 2)
-        if cone_contains(c, point):
+        if cone_contains(c.facet_normals, 2, point):
             assert all(sum(a * b for a, b in zip(y, point)) >= 0 for y in d.generators)
 
     @settings(max_examples=25, deadline=None)
@@ -97,7 +97,7 @@ class TestDualCone:
         c = cone_from_generators(gens, 4)
         assert cone_from_generators(c.facet_normals, 4) == RationalCone(4, c.facet_normals, c.generators)
         for g in c.generators:
-            assert cone_contains(c, g)
+            assert cone_contains(c.facet_normals, 4, g)
 
 
 def reference_dual_generators(vectors, dim):
@@ -225,33 +225,33 @@ class TestAgainstTwoPassReference:
 class TestConeContains:
     def test_interior_point_of_obtuse_cone(self):
         c = cone_from_generators([(1, 0), (-1, 1)], 2)
-        assert cone_contains(c, (0, 1), "relative_interior")
+        assert cone_contains(c.facet_normals, 2, (0, 1), "relative_interior")
 
     def test_origin_is_never_interior_unless_zero_cone(self):
         c = cone_from_generators([(1, 0), (-1, 1)], 2)
-        assert not cone_contains(c, (0, 0), "relative_interior")
+        assert not cone_contains(c.facet_normals, 2, (0, 0), "relative_interior")
         zero = cone_from_generators([], 2)
-        assert cone_contains(zero, (0, 0), "relative_interior")
+        assert cone_contains(zero.facet_normals, 2, (0, 0), "relative_interior")
 
     def test_boundary_ray(self):
         c = cone_from_generators([(1, 0), (0, 1)], 2)
-        assert cone_contains(c, (1, 0), "closure")
-        assert not cone_contains(c, (1, 0), "relative_interior")
+        assert cone_contains(c.facet_normals, 2, (1, 0), "closure")
+        assert not cone_contains(c.facet_normals, 2, (1, 0), "relative_interior")
 
     def test_dimension_mismatch(self):
         c = cone_from_generators([(1, 0)], 2)
         with pytest.raises(ValueError):
-            cone_contains(c, (1, 0, 0))
+            cone_contains(c.facet_normals, 2, (1, 0, 0))
 
     def test_lower_dimensional_cone_relative_interior(self):
         ray = cone_from_generators([(1, 1)], 2)
-        assert cone_contains(ray, (2, 2), "relative_interior")
-        assert not cone_contains(ray, (1, 0), "closure")
+        assert cone_contains(ray.facet_normals, 2, (2, 2), "relative_interior")
+        assert not cone_contains(ray.facet_normals, 2, (1, 0), "closure")
 
     def test_relative_interior_needs_every_equation(self):
         ray = cone_from_generators([(1, 1)], 2)
         # positive on the facet normal (1, 1), but off the line x = y
-        assert not cone_contains(ray, (1, 2), "relative_interior")
+        assert not cone_contains(ray.facet_normals, 2, (1, 2), "relative_interior")
 
 
 class TestSeparable:
@@ -732,21 +732,21 @@ class TestFlatLastLevelCount:
 
 class TestStrictlyPositiveForm:
     def test_rank_one(self):
-        form = strictly_positive_form(cone_from_generators([(1,)], 1), 1)
+        form = strictly_positive_form(cone_from_generators([(1,)], 1).facet_normals, 1)
         assert form.coefficients == (1,)
 
     def test_obtuse_effective_cone(self):
         eff = cone_from_generators([(1, 0), (-1, 1)], 2)
-        form = strictly_positive_form(eff, 2)
+        form = strictly_positive_form(eff.facet_normals, 2)
         assert form.coefficients == (1, 2)
         assert form((1, 0)) == 1 and form((-1, 1)) == 1 and form((0, 1)) == 2
 
     def test_line_is_rejected(self):
         with pytest.raises(NotPointed):
-            strictly_positive_form(cone_from_generators([(1, 0), (-1, 0)], 2), 2)
+            strictly_positive_form(cone_from_generators([(1, 0), (-1, 0)], 2).facet_normals, 2)
 
     def test_quadrant(self):
-        form = strictly_positive_form(cone_from_generators([(1, 0), (0, 1)], 2), 2)
+        form = strictly_positive_form(cone_from_generators([(1, 0), (0, 1)], 2).facet_normals, 2)
         assert form.coefficients == (1, 1)
 
     @pytest.mark.parametrize(
@@ -762,7 +762,7 @@ class TestStrictlyPositiveForm:
     def test_at_least_one_on_every_lattice_point(self, generators):
         # exhaustive desk-scale check: all cone points with coordinates <= 10
         eff = cone_from_generators(generators, 2)
-        form = strictly_positive_form(eff, 2)
+        form = strictly_positive_form(eff.facet_normals, 2)
         for point in itertools.product(range(-10, 11), repeat=2):
-            if any(point) and cone_contains(eff, point):
+            if any(point) and cone_contains(eff.facet_normals, 2, point):
                 assert form(point) >= 1
