@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import OracleMismatch
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
-from .lattice import IntegerMatrix, Vector, integer_vector, smith_normal_form, solve_integer
+from .lattice import IntegerMatrix, Vector, integer_vector, smith_normal_form
 from .polyhedral import (
     PolytopeFamily,
     RationalCone,
@@ -121,12 +121,11 @@ class CoxData:
 
     @functools.cached_property
     def class_section(self) -> IntegerMatrix:
-        """Integer section of the degree map: column i is ``divisor_in_class(self, e_i)``.
+        """Integer section of the degree map: it lifts each class (:func:`divisor_in_class`).
 
         It is ``V[:, :r] U`` from one Smith form ``U Q V = [I | 0]`` of the
-        onto degree matrix Q: what ``solve_integer`` returns on each unit
-        class, and linear in the class, so it lifts every class as
-        :func:`divisor_in_class` does.
+        onto degree matrix Q, so it lifts lam to the solution of ``Q x = lam``
+        that ``solve_integer`` gives, zero along the Smith kernel directions.
         """
         u, _, v = smith_normal_form(self.degree_matrix)
         return IntegerMatrix._unchecked(tuple(row[: self.cl_rank] for row in v.entries)) @ u
@@ -410,8 +409,9 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
 
 
 def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariantDivisor:
-    """A deterministic invariant divisor with the given class; no check, as the grading is surjective."""
-    return TorusInvariantDivisor(solve_integer(cd.degree_matrix, class_vector))
+    """A deterministic invariant divisor with the given class, read off
+    :attr:`CoxData.class_section`; no check, as the grading is surjective."""
+    return TorusInvariantDivisor(cd.class_section.mat_vec(class_vector))
 
 
 def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:

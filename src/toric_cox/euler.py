@@ -27,7 +27,7 @@ from .cox import (
     monomial_basis,
 )
 from .errors import InhomogeneousInput
-from .lattice import Vector, integer_vector, rational_rank
+from .lattice import Vector, hermite_basis, integer_vector
 from .polyhedral import WeightForm
 
 
@@ -215,11 +215,6 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     return GradedPolynomial(cd, total)
 
 
-def _raise_exponent(e: Vector, index: int) -> Vector:
-    """The exponent of x_index * x^e."""
-    return e[:index] + (e[index] + 1,) + e[index + 1:]
-
-
 def induced_algebra_generators(em: EulerModule, form: WeightForm) -> tuple[GradedPolynomial, ...]:
     """Images of the module basis under the Euler contraction: weighted variables.
 
@@ -397,12 +392,10 @@ def _projection_rank(em: EulerModule, lam: Vector, ring_basis: tuple[Vector, ...
     for i, degree in enumerate(em.basis_degrees):
         shifted = tuple(a - b for a, b in zip(lam, degree))
         for e in monomial_basis(cd, shifted):
-            product = _raise_exponent(e, i)
+            product = e[:i] + (e[i] + 1,) + e[i + 1:]  # the exponent of x_i * x^e
             column = [0] * len(row_index)
             for j, dj in enumerate(degree):
                 if dj:
                     column[row_index[(product, j)]] = dj
             columns.append(column)
-    if not columns:
-        return 0
-    return rational_rank(columns)
+    return len(hermite_basis(columns, len(row_index)))

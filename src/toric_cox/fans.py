@@ -91,8 +91,19 @@ def is_integer_list(value: object) -> bool:
     return isinstance(value, list) and all(is_integer(x) for x in value)
 
 
+def _load_json(text: str) -> object:
+    """``json.loads``, where a nesting too deep for the decoder or an integer
+    of more digits than ``int`` reads also raises JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise json.JSONDecodeError(str(exc), text, 0) from None
+
+
 def fan_from_json(text: str) -> Fan:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise MalformedFan("fan file must contain a JSON object")
     for key in ("dim", "rays", "max_cones"):
@@ -257,21 +268,27 @@ def _walls(f: Fan) -> list[list[int]] | None:
     return list(owners.values())
 
 
+def _relation(f: Fan, cone: Sequence[int], dual: tuple[Vector, ...], rho: int) -> Vector:
+    """The linear relation ``e_rho - sum_i c_i e_i`` of ray rho on the chart R
+    of a maximal cone, where ``c = R^T v_rho`` holds the coordinates of
+    v_rho on the cone's rays, read from ``dual``, the rows of ``R^T``."""
+    v = f.rays[rho]
+    c = {i: sum(map(mul, row, v)) for i, row in zip(cone, dual)}
+    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
+
+
 def _wall_form(f: Fan, dual: tuple[Vector, ...], s: int, t: int) -> Vector:
     """The form on divisors that is positive iff the support function is
     strictly convex across the wall between maximal cones s and t.
 
-    With rho the ray of t outside s, the form is ``a_rho - <c, a_s>``, where
-    ``c = R_s^T v_rho`` are the coordinates of v_rho on the rays of s, read
-    from ``dual``, the rows of ``R_s^T``.  The wall relation
+    With rho the ray of t outside s, the form is the relation of rho on the
+    chart of s (:func:`_relation`), ``a_rho - <c, a_s>``.  The wall relation
     ``v_rho + v_rho' = sum b_i v_i`` gives the same form from the side of t;
     convexity across every wall is convexity (Cox-Little-Schenck, sections
     6.1, 6.4).
     """
     (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
-    v = f.rays[rho]
-    c = {i: sum(map(mul, row, v)) for i, row in zip(f.max_cones[s], dual)}
-    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
+    return _relation(f, f.max_cones[s], dual, rho)
 
 
 def _certified(
@@ -382,7 +399,8 @@ def require_smooth_complete(f: Fan) -> FanReport:
 
 class TorusInvariantDivisor:
     """An invariant divisor as its coefficient vector, one integer per ray;
-    compared by value.  Not a tuple: ``+`` adds divisors, ``3 * D`` is an error."""
+    compared by value.  Not a tuple: ``+`` adds divisors of one fan, and
+    ``3 * D`` and ``D + 3`` are TypeErrors."""
 
     __slots__ = ("coefficients",)
 
@@ -399,6 +417,10 @@ class TorusInvariantDivisor:
         return TorusInvariantDivisor(integer_vector(coefficients, "divisor"))
 
     def __add__(self, other: "TorusInvariantDivisor") -> "TorusInvariantDivisor":
+        if other.__class__ is not TorusInvariantDivisor:
+            return NotImplemented
+        if len(other.coefficients) != len(self.coefficients):
+            raise ValueError(f"cannot add divisors of {len(self.coefficients)} and {len(other.coefficients)} rays")
         return TorusInvariantDivisor(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
 
@@ -412,26 +434,20 @@ def class_group(f: Fan) -> AbelianGroupPresentation:
     is its saturation, which is the image itself when the group is free.
 
     When cone 0 of a smooth fan is full-dimensional, with chart R, its
-    rays are a lattice basis, and each ray rho outside it gives the
-    relation ``e_rho - sum_j c_j e_(sigma_j)`` with ``c = v_rho R``.  A
-    kernel vector minus its combination of these relations is supported
-    on cone 0 and so is 0, so they are a basis of the kernel, the group is
-    free of rank rays minus dimension, and no Smith form is taken.  Every
-    other fan takes :func:`~toric_cox.lattice.cokernel`, which also finds
-    torsion; its free rank is rays minus the rank of the divisor map, so
-    the rays span iff it is rays minus dimension.
+    rays are a lattice basis, and each ray rho outside it gives its
+    relation on that chart (:func:`_relation`).  A kernel vector minus its
+    combination of these relations is supported on cone 0 and so is 0, so
+    they are a basis of the kernel, the group is free of rank rays minus
+    dimension, and no Smith form is taken.  Every other fan takes
+    :func:`~toric_cox.lattice.cokernel`, which also finds torsion; its free
+    rank is rays minus the rank of the divisor map, so the rays span iff it
+    is rays minus dimension.
     """
     report = validate_fan(f)
     sigma = f.max_cones[0]
     if report.charts and len(sigma) == f.dim:
         dual = tuple(zip(*report.charts[0].entries))
-        relations = []
-        for rho in range(f.n_rays):
-            if rho not in sigma:
-                relation = [int(i == rho) for i in range(f.n_rays)]
-                for i, column in zip(sigma, dual):
-                    relation[i] = -sum(map(mul, f.rays[rho], column))
-                relations.append(relation)
+        relations = [_relation(f, sigma, dual, rho) for rho in range(f.n_rays) if rho not in sigma]
         basis = hermite_basis(relations, f.n_rays)
         return AbelianGroupPresentation(f.n_rays - f.dim, (), IntegerMatrix(basis, 0 if basis else f.n_rays))
     presentation = cokernel(f.ray_matrix())

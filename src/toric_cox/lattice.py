@@ -245,9 +245,11 @@ def hermite_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ..
 
     Pivots are positive, entries above a pivot are reduced into
     ``[0, pivot)``, zero rows dropped.  The result is the canonical basis
-    of the row lattice.
+    of the row lattice, and its length is the rank of the rows.  Entries
+    are read by :func:`integer_vector`: ValueError on one that is not an
+    integer.
     """
-    mat = [list(r) for r in rows]
+    mat = [list(integer_vector(r, "row")) for r in rows]
     if any(len(r) != width for r in mat):
         raise ValueError("row width mismatch")
     r = 0
@@ -386,37 +388,6 @@ def solve_integer(a: IntegerMatrix, b: Sequence[int]) -> Vector | None:
         elif c[i]:
             return None
     return v.mat_vec(y)
-
-
-def rational_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over the rationals of the given integer row vectors.
-
-    Fraction-free elimination: below the pivot p of a column, a row whose
-    entry there is q becomes ``p * row - q * pivot_row``, divided by the gcd
-    of its entries.  As p is nonzero the step keeps the row space over the
-    rationals, and every entry stays an ``int``.  Entries are read by
-    ``operator.index``: ValueError on one that is not an integer.
-    """
-    mat = [integer_vector(row, "row") for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        top = mat[rank]
-        p = top[c]
-        for i in range(rank + 1, len(mat)):
-            q = mat[i][c]
-            if q:
-                row = [p * x - q * y for x, y in zip(mat[i], top)]
-                g = gcd(*row)
-                mat[i] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
 
 
 def primitive_vector(v: Sequence[int]) -> Vector:

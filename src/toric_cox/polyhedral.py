@@ -15,11 +15,12 @@ tables built once, whose rows are split by the sign of the eliminated
 coordinate as they are derived, each row's constant being a linear form in
 p.  For plain offsets the forms are the rows' multipliers, and
 :meth:`PolytopeFamily.linear_tables` composes them with S once, so a
-parameter vector costs one dot product of its own length per row; the
-integer intervals of the exact projections are then walked coordinate by
-coordinate to list the points.  Counting lists none: it walks all but the
-last two coordinates, and sums the last coordinate's interval lengths over
-the one before it.
+parameter vector costs one dot product of its own length per row.  One
+walk serves listing and counting: it runs through the integer intervals
+of the exact projections coordinate by coordinate, folding each fixed
+coordinate into the deeper constants (:func:`_fold`).  Counting lists no
+point: it stops two coordinates short and sums the last coordinate's
+interval lengths over the one before it.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -37,10 +38,10 @@ from .errors import NotPointed, UnboundedPolytope
 from .lattice import (
     IntegerMatrix,
     Vector,
+    hermite_basis,
     integer_vector,
     kernel_basis,
     primitive_vector,
-    rational_rank,
 )
 
 
@@ -220,7 +221,7 @@ def separable(
 # a lower bound and -c * x_k + <head, x[:k]> + <f, p> >= 0 as an upper bound.
 TableRow = tuple[Vector, int, Vector]
 # The same row with its form evaluated at the parameters, (head, c, s) with
-# s = <f, p>; :func:`_count_points` folds each coordinate it fixes into s.
+# s = <f, p>; :func:`_fold` folds each coordinate a walk fixes into s.
 EvaluatedRow = tuple[Vector, int, int]
 
 
@@ -306,10 +307,11 @@ class PolytopeFamily(NamedTuple):
         params = integer_vector(params, "parameters")
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
-        points: list[Vector] = []
-        if all(sum(map(mul, f, params)) >= 0 for f in self.level_zero):
-            self._walk(params, points)
-        return tuple(points)
+        if any(sum(map(mul, f, params)) < 0 for f in self.level_zero):
+            return ()
+        if not self.lower:  # dimension 0: the polytope is the origin
+            return ((),)
+        return tuple(_list_points(*self._evaluated(params), ()))
 
     def count_lattice_points(self, params: Sequence[int]) -> int:
         """Number of integer points of the polytope of these parameters; lists none.
@@ -358,48 +360,35 @@ class PolytopeFamily(NamedTuple):
             [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper],
         )
 
-    def _walk(self, params: Sequence[int], points: list[Vector]) -> None:
-        """Append the integer points of the polytope of these parameters, whose
-        level-0 constants are nonnegative, to ``points``, lexicographically.
 
-        Given a prefix x_0..x_{k-1} of a point of the polytope's projection,
-        ``lower[k]`` and ``upper[k]`` bound x_k, and the projection being
-        exact, every x_k in that integer interval extends the prefix within
-        the next projection.  Boundedness puts rows on both sides at every
-        level.  Listing only: :meth:`count_lattice_points` has its own walk.
-        """
-        lower, upper = self._evaluated(params)
-        last = self.ambient_dim - 1
-        if last < 0:  # dimension 0: the polytope is the origin
-            points.append(())
-            return
+def _fold(
+    lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], k: int, x: int
+) -> tuple[list[list[EvaluatedRow]], list[list[EvaluatedRow]]]:
+    """The tables below x_k once x_k = x: each deeper constant s takes in head[k] * x.
 
-        def extend(prefix: Vector) -> None:
-            k = len(prefix)
-            # with slack = <head, prefix> + b: c * x + slack >= 0 bounds x below,
-            # and -c * x + slack >= 0 (c stored positive) above
-            lo = max(-((sum(map(mul, head, prefix)) + b) // c) for head, c, b in lower[k])
-            hi = min((sum(map(mul, head, prefix)) + b) // c for head, c, b in upper[k])
-            if k < last:
-                for x in range(lo, hi + 1):
-                    extend(prefix + (x,))
-            else:
-                points.extend(prefix + (x,) for x in range(lo, hi + 1))
-
-        extend(())
+    Both walks, :func:`_count_points` and :func:`_list_points`, start from a
+    prefix x_0..x_{k-1} of a point of the polytope's projection, with
+    ``lower[0]`` and ``upper[0]`` bounding x_k and each constant s holding
+    the prefix's part <head[:k], prefix>.  So x_k lies in [-min floor(s / c)
+    over the lower rows, min floor(s / c) over the upper rows], which
+    boundedness makes finite and the prefix non-empty over Q: it holds
+    hi - lo + 1 >= 0 integers.  The projection being exact (see
+    :func:`_eliminate`), each of them extends the prefix to a point of the
+    next projection, so the folded tables describe such a prefix again.
+    """
+    return (
+        [[(head, c, s + head[k] * x) for head, c, s in level] for level in lower[1:]],
+        [[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]],
+    )
 
 
 def _count_points(lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], k: int) -> int:
-    """Integer points over a prefix x_0..x_{k-1} of a point of the exact
-    projection, with ``lower[0]`` and ``upper[0]`` bounding x_k and each
-    constant s already holding the prefix's part <head[:k], prefix>.
+    """Integer points over a prefix x_0..x_{k-1}, with x_k's interval as in :func:`_fold`.
 
-    x_k lies in [-min floor(s / c) over the lower rows, min floor(s / c) over
-    the upper rows], rationally non-empty, so it holds hi - lo + 1 >= 0
-    integers.  Before x_{d-2}, each x_k there is folded into the deeper
-    constants and walked.  At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U
-    and L being the upper and lower rows' minima of floor((head[-1] x + s) / c),
-    so the prefix holds the sum of U(x) + L(x) + 1 over x's interval.
+    Before x_{d-2}, each x_k there is folded into the deeper constants and
+    walked.  At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U and L being the
+    upper and lower rows' minima of floor((head[-1] x + s) / c), so the
+    prefix holds the sum of U(x) + L(x) + 1 over x's interval.
     """
     lo = -min([s // c for _, c, s in lower[0]])
     hi = min([s // c for _, c, s in upper[0]])
@@ -412,12 +401,20 @@ def _count_points(lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow
             + 1
             for x in range(lo, hi + 1)
         )
-    total = 0
-    for x in range(lo, hi + 1):
-        fold_lower = [[(head, c, s + head[k] * x) for head, c, s in level] for level in lower[1:]]
-        fold_upper = [[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]]
-        total += _count_points(fold_lower, fold_upper, k + 1)
-    return total
+    return sum(_count_points(*_fold(lower, upper, k, x), k + 1) for x in range(lo, hi + 1))
+
+
+def _list_points(
+    lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], prefix: Vector
+) -> list[Vector]:
+    """The integer points over ``prefix``, lexicographically, with x_k's interval
+    as in :func:`_fold`, k being the prefix's length."""
+    lo = -min([s // c for _, c, s in lower[0]])
+    hi = min([s // c for _, c, s in upper[0]])
+    if len(lower) == 1:
+        return [prefix + (x,) for x in range(lo, hi + 1)]
+    k = len(prefix)
+    return [point for x in range(lo, hi + 1) for point in _list_points(*_fold(lower, upper, k, x), prefix + (x,))]
 
 
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:
@@ -480,6 +477,6 @@ def strictly_positive_form(normals: Sequence[Vector], ambient_dim: int) -> Weigh
     """
     if any(len(n) != ambient_dim for n in normals):
         raise ValueError("cone does not live in the stated lattice")
-    if rational_rank(normals) != ambient_dim:
+    if len(hermite_basis(normals, ambient_dim)) != ambient_dim:
         raise NotPointed("effective cone contains a line")
     return WeightForm(tuple(map(sum, zip(*normals))))

@@ -9,7 +9,6 @@ structured errors, never partial fans.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
 from .fans import (
     Fan,
     TorusInvariantDivisor,
+    _load_json,
     anticanonical,
     is_ample,
     is_integer_list,
@@ -56,7 +56,7 @@ class GradingInput:
 
 
 def grading_from_json(text: str) -> GradingInput:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or "Q" not in data or "w" not in data:
         raise MalformedFan("grading file must be an object with keys 'Q' and 'w'")
     q = data["Q"]

@@ -46,10 +46,8 @@ def _exactness_check(cd: CoxData) -> CheckResult:
     degrees = cd.degree_matrix
     div = fan.ray_matrix()
     composed_zero = (degrees @ div).is_zero()
-    kernel = kernel_basis(degrees)
-    spans = hermite_basis(kernel.columns(), fan.n_rays) == hermite_basis(
-        div.columns(), fan.n_rays
-    )
+    # kernel_basis returns the Hermite basis, so it compares as it is
+    spans = kernel_basis(degrees).columns() == hermite_basis(div.columns(), fan.n_rays)
     # Holds by construction: the class group of a smooth complete fan is free of rank n - d.
     rank_ok = cd.cl_rank == fan.n_rays - fan.dim
     passed = composed_zero and spans and rank_ok

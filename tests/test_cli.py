@@ -19,9 +19,15 @@ from hypothesis import strategies as st
 
 import toric_cox
 from toric_cox import cli
+from toric_cox import euler as euler_module
+from toric_cox import reconstruction as reconstruction_module
+from toric_cox import verify as verify_module
 from toric_cox.cli import main
 from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path, load_fan
+from toric_cox.cox import cox_data
+from toric_cox.euler import build_euler_module, check_euler_identity
 from toric_cox.fans import anticanonical, fan_to_json, is_ample
+from toric_cox.lattice import IntegerMatrix
 
 try:
     import resource
@@ -163,6 +169,23 @@ class TestEuler:
         assert "samples          20" in captured.out
         assert "counterexamples  0" in captured.out
 
+    def test_a_counterexample_fails_the_identity(self, capsys, monkeypatch):
+        # a constant added to every contraction breaks the identity on every sample
+        contract = euler_module.euler_contract
+        monkeypatch.setattr(
+            euler_module, "euler_contract", lambda em, element, form: contract(em, element, form) + em.cox.one()
+        )
+        code, out = run(capsys, "euler", str(corpus_path("p2")))
+        assert code == 1
+        assert "  samples          20\n  counterexamples  20\n" in out
+        assert out.endswith("status: error(euler_identity): euler identity failed\n")
+        cd = cox_data(load_fan("p1"))
+        report = check_euler_identity(build_euler_module(cd), cd.weight_form, trials=1)
+        assert report.counterexamples == (
+            "class (4,): got 1 - 4*x0*x1^3 + 12*x0^2*x1^2 - 12*x0^3*x1 - 8*x0^4, "
+            "expected -4*x0*x1^3 + 12*x0^2*x1^2 - 12*x0^3*x1 - 8*x0^4",
+        )
+
     def test_ring_piece_is_counted_not_listed(self, capsys):
         # the ring piece of (10, 10, 10, 10) has 121 monomials among about
         # 1.2 million exponent vectors of its weight; listing them took ~10 s
@@ -239,6 +262,54 @@ class TestVerify:
         assert (
             "  dual oracle dimensions              FAIL: "
             "fiber count 1 != polytope count 0 at (-2,) (lifted divisor (-2, 0, 0))\n"
+        ) in out
+        assert out.endswith("status: error(verification): some checks failed\n")
+
+    def test_a_wrong_kernel_fails_the_exactness_line(self, capsys, monkeypatch):
+        # doubling the kernel's first column leaves the kernel of the degree
+        # matrix, so the basis no longer spans the divisor image
+        kernel_basis = verify_module.kernel_basis
+        monkeypatch.setattr(
+            verify_module,
+            "kernel_basis",
+            lambda a: IntegerMatrix.from_rows([[2 * row[0], *row[1:]] for row in kernel_basis(a).entries]),
+        )
+        code, out = run(capsys, "verify", str(corpus_path("p2")))
+        assert code == 1
+        assert (
+            "  class group exactness               FAIL: degrees kill principal divisors: True; "
+            "kernel spans divisor image: False; rank 1 = 3 rays - dim 2: True\n"
+        ) in out
+        assert out.endswith("status: error(verification): some checks failed\n")
+
+    def test_a_wrong_contracted_basis_fails_the_generation_transfer_line(self, capsys, monkeypatch):
+        # the first image of the module basis becomes 2 * w_0 * x_0
+        generators = verify_module.induced_algebra_generators
+        monkeypatch.setattr(
+            verify_module,
+            "induced_algebra_generators",
+            lambda em, form: (lambda first, *rest: (2 * first, *rest))(*generators(em, form)),
+        )
+        code, out = run(capsys, "verify", str(corpus_path("p2")))
+        assert code == 1
+        assert (
+            "  generation transfer                 FAIL: "
+            "contracted module basis gives 3 positive multiples of the variables\n"
+        ) in out
+        assert out.endswith("status: error(verification): some checks failed\n")
+
+    def test_a_wrong_rebuilt_fan_fails_the_round_trip_line(self, capsys, monkeypatch):
+        # the rebuilt fan loses a maximal cone, so it no longer equals the input
+        rebuild = reconstruction_module._reconstruct_from_kernel
+        monkeypatch.setattr(
+            reconstruction_module,
+            "_reconstruct_from_kernel",
+            lambda q, w, kernel: (lambda fan: fan._replace(max_cones=fan.max_cones[1:]))(rebuild(q, w, kernel)),
+        )
+        code, out = run(capsys, "verify", str(corpus_path("p2")))
+        assert code == 1
+        assert (
+            "  round trip                          FAIL: rebuilt from grading with divisor [1, 1, 1]: False\n"
         ) in out
         assert out.endswith("status: error(verification): some checks failed\n")
 
@@ -362,6 +433,33 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert ("error(parse)" if code == 2 else "error(malformed)") in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            *(pytest.param(command, "[" * 100_000 + "]" * 100_000, id=f"{command}-fan-nested-too-deep")
+              for command in ("validate", "cox", "euler", "verify")),
+            pytest.param("validate", '{"dim": 1' + "0" * 5000 + '}', id="validate-fan-integer-too-long"),
+            pytest.param("reconstruct", '{"Q": ' + "[" * 100_000 + "]" * 100_000 + ', "w": [1]}',
+                         id="reconstruct-grading-nested-too-deep"),
+            pytest.param("reconstruct", '{"Q": [[1, 1, 1]], "w": [1' + "0" * 5000 + "]}",
+                         id="reconstruct-grading-integer-too-long"),
+        ],
+    )
+    def test_json_beyond_the_decoder_limits_is_a_parse_error(self, tmp_path, command, content):
+        # json.loads raises RecursionError on the nesting and a plain ValueError
+        # on an integer of more than 4,300 digits
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        result = subprocess.run(
+            [sys.executable, "-m", "toric_cox.cli", command, str(path)],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        assert result.returncode == 2, result.stderr[-2000:]
+        assert result.stdout.decode().splitlines()[-1].startswith("status: error(parse): ")
+        assert b"Traceback" not in result.stderr
 
     @pytest.mark.parametrize("content", [b"[]", b'{"Q": [[1]]}'], ids=["grading-not-an-object", "missing-w"])
     def test_a_grading_is_an_object_with_q_and_w(self, capsys, tmp_path, content):

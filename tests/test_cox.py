@@ -35,6 +35,7 @@ from toric_cox.euler import (
 )
 from toric_cox.errors import NotComplete, NotSmooth, OracleMismatch
 from toric_cox.fans import Fan, TorusInvariantDivisor
+from toric_cox.lattice import solve_integer
 from toric_cox.polyhedral import (
     WeightForm,
     cone_contains,
@@ -106,10 +107,10 @@ class TestGradedDimension:
             for lam in itertools.product(range(-3, 4), repeat=cd.cl_rank):
                 graded_dimension(cd, lam)  # raises OracleMismatch on any bug
 
-    def test_class_section_lifts_like_divisor_in_class(self, corpus_cox):
+    def test_class_section_lifts_like_solve_integer(self, corpus_cox):
         for name, cd in corpus_cox.items():
             for lam in itertools.product(range(-2, 3), repeat=cd.cl_rank):
-                assert cd.class_section.mat_vec(lam) == divisor_in_class(cd, lam).coefficients, (name, lam)
+                assert divisor_in_class(cd, lam).coefficients == solve_integer(cd.degree_matrix, lam), (name, lam)
 
     @pytest.mark.parametrize("rank, index", [(r, i) for r in range(2, 7) for i in range(2)] + [(8, 0)])
     def test_class_section_columns_are_the_unit_lifts(self, rank, index):
@@ -118,11 +119,11 @@ class TestGradedDimension:
         # so the lift an OracleMismatch reports is unchanged
         cd = cox_data(mixed_blowup(rank, index))
         units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-        assert cd.class_section.columns() == tuple(divisor_in_class(cd, e).coefficients for e in units)
+        assert cd.class_section.columns() == tuple(solve_integer(cd.degree_matrix, e) for e in units)
         rng = random.Random(f"section-{rank}-{index}")
         for _ in range(20):
             lam = tuple(rng.randint(-9, 9) for _ in range(rank))
-            assert cd.class_section.mat_vec(lam) == divisor_in_class(cd, lam).coefficients, lam
+            assert divisor_in_class(cd, lam).coefficients == solve_integer(cd.degree_matrix, lam), lam
 
     def test_mismatch_is_caught_and_reports_the_lift(self, corpus_cox, monkeypatch):
         cd = corpus_cox["hirzebruch_1"]

@@ -16,9 +16,9 @@ from toric_cox import polyhedral as polyhedral_module
 from toric_cox.errors import NotPointed, UnboundedPolytope
 from toric_cox.lattice import (
     IntegerMatrix,
+    hermite_basis,
     kernel_basis,
     primitive_vector,
-    rational_rank,
 )
 from toric_cox.polyhedral import (
     RationalCone,
@@ -117,7 +117,7 @@ def reference_dual_generators(vectors, dim):
         p = primitive_vector(basis_vec)
         out.add(p)
         out.add(tuple(-x for x in p))
-    for subset in itertools.combinations(rows, rational_rank(rows) - 1):
+    for subset in itertools.combinations(rows, len(hermite_basis(rows, dim)) - 1):
         stacked = list(subset) + [list(l) for l in lineality]
         if stacked:
             candidates = kernel_basis(IntegerMatrix.from_rows(stacked))
