@@ -410,14 +410,14 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
 
 def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariantDivisor:
     """A deterministic invariant divisor with the given class, read off
-    :attr:`CoxData.class_section`; no check, as the grading is surjective."""
-    return TorusInvariantDivisor(cd.class_section.mat_vec(class_vector))
+    :attr:`CoxData.class_section`; the grading is onto, so every class lifts."""
+    return TorusInvariantDivisor(cd.class_section.mat_vec(integral_class(cd, class_vector)))
 
 
 def _polytope_dimension(cd: CoxData, class_vector: Vector) -> int:
     """Number of lattice points of the section polytope of a lift of the class,
-    counted in class coordinates (see :attr:`CoxData.section_tables`)."""
-    return cd.section_tables.count_lattice_points(class_vector)
+    counted in class coordinates (see :attr:`CoxData.section_tables`); the class is already read."""
+    return cd.section_tables._count(class_vector)
 
 
 def integral_class(cd: CoxData, class_vector: Sequence[int]) -> Vector:

@@ -2,7 +2,9 @@
 
 Normal forms, kernels and cokernels of integer matrices with arbitrary
 precision entries.  Matrices act on column vectors, so an ``m x n`` matrix
-is a lattice map ``Z^n -> Z^m``.  Everything here is deterministic: the
+is a lattice map ``Z^n -> Z^m``.  Kernels and ranks come from one Hermite
+elimination; a Smith form is taken only where a lift (:func:`solve_integer`)
+or torsion (:func:`cokernel`) is read.  Everything here is deterministic: the
 same input always produces the same transforms, which the test fixtures
 rely on.
 """
@@ -284,19 +286,18 @@ def hermite_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ..
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Canonical basis of the saturated kernel lattice {x : A x = 0}.
 
-    Columns form a basis in column Hermite normal form, so the result is
-    independent of the elimination path.
+    One Hermite elimination of the rows ``(A e_j, e_j)``, which span the graph
+    {(A x, x)} (Cohen 1993, §2.4): the basis rows with ``A.rows`` leading
+    zeros span the graph over the kernel, so their tails are its Hermite
+    basis, the columns of the result, independent of the elimination path.
     """
-    _, d, v = smith_normal_form(a)
-    diag = _diagonal(d)
-    rank = sum(1 for x in diag if x)
-    cols = [v.column(j) for j in range(rank, a.cols)]
-    if not cols:
-        # zero-dimensional kernel: a.cols rows of width zero
-        return IntegerMatrix(tuple(() for _ in range(a.cols)))
-    # hermite_basis treats vectors as rows; transpose back to columns.
-    hnf_rows = hermite_basis(cols, a.cols)
-    return IntegerMatrix.from_rows(hnf_rows).transpose()
+    m, n = a.rows, a.cols
+    graph = [(*column, *(int(i == j) for i in range(n))) for j, column in enumerate(a.columns())]
+    kernel = [row[m:] for row in hermite_basis(graph, m + n) if not any(row[:m])]
+    if not kernel:
+        # zero-dimensional kernel: n rows of width zero
+        return IntegerMatrix(tuple(() for _ in range(n)))
+    return IntegerMatrix.from_rows(kernel).transpose()
 
 
 def cokernel(a: IntegerMatrix) -> AbelianGroupPresentation:
@@ -371,8 +372,9 @@ def solve_integer(a: IntegerMatrix, b: Sequence[int]) -> Vector | None:
     """A particular integer solution of A x = b, or None if none exists.
 
     Deterministic: the solution with zero coordinates along the Smith
-    kernel directions.
+    kernel directions.  ValueError on an entry of b that is not an integer.
     """
+    b = integer_vector(b, "right-hand side")
     if len(b) != a.rows:
         raise ValueError("right-hand side has the wrong length")
     u, d, v = smith_normal_form(a)

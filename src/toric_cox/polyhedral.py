@@ -321,9 +321,15 @@ class PolytopeFamily(NamedTuple):
         level-0 row and no call.  Then each row's constant is evaluated once,
         and :func:`_count_points` walks x_0..x_{d-3} only: for each prefix
         it sums the last coordinate's interval lengths over x_{d-2}.
+        ValueError on a parameter that is not an integer (bools pass).
         """
+        params = integer_vector(params, "parameters")
         if len(params) != self.parameters:
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
+        return self._count(params)
+
+    def _count(self, params: Vector) -> int:
+        """:meth:`count_lattice_points` of parameters already read as ints of the right number."""
         for f in self.level_zero:
             if sum(map(mul, f, params)) < 0:
                 return 0

@@ -9,7 +9,7 @@ structured errors, never partial fans.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import (
     DegenerateRay,
@@ -30,7 +30,7 @@ from .fans import (
 from .lattice import (
     IntegerMatrix,
     Vector,
-    cokernel,
+    hermite_basis,
     integer_vector,
     kernel_basis,
     primitive_vector,
@@ -72,33 +72,16 @@ def grading_from_json(text: str) -> GradingInput:
     return GradingInput(IntegerMatrix.from_rows(q), tuple(w))
 
 
-def _surjective_kernel(q: IntegerMatrix) -> IntegerMatrix:
-    """Canonical kernel basis of the grading matrix; NotSurjective unless it is onto."""
-    presentation = cokernel(q)
-    if presentation.free_rank or presentation.invariant_factors:
-        raise NotSurjective("grading matrix does not surject onto the class lattice")
-    return kernel_basis(q)
-
-
-def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: IntegerMatrix) -> Fan:
-    """Normal fan of the lifted polytope; the class lifts with no check, as both callers pass an onto q."""
-    n = kernel.cols
-    rays = []
-    for i in range(kernel.rows):
-        row = kernel.row(i)
-        if not any(row):
-            raise DegenerateRay(f"kernel row {i} is zero")
-        if primitive_vector(row) != row:
-            raise NotSmooth(f"kernel row {i} is not primitive; grading is not smooth toric data")
-        rays.append(row)
-    effective_normals = generators_from_inequalities(q.columns(), q.rows)
-    if not cone_contains(effective_normals, q.rows, ample_class, "relative_interior"):
+def _normal_fan(rays: Sequence[Vector], effective_normals: Sequence[Vector], ample_class: Vector, lift: Vector) -> Fan:
+    """Normal fan of the polytope {m : <v_i, m> >= -lift_i}, the lift being one of an
+    interior class of the grading whose kernel rows are the rays v_i."""
+    if not cone_contains(effective_normals, len(ample_class), ample_class, "relative_interior"):
         raise NotAmpleLift("class is not interior to the effective cone")
-    lift = solve_integer(q, ample_class)
+    n = len(rays[0])
     # Generators (num, det) of the cone over the lifted polyhedron: one at
     # det = 0 is a recession direction, and without one each is the vertex
-    # num / det.  The vertices exist and span n: the polytope is q's fiber
-    # over an interior class cut by the orthant.
+    # num / det.  The vertices exist and span n: the polytope is the
+    # grading's fiber over an interior class cut by the orthant.
     vertices = _homogenized_generators(rays, lift, n)
     if any(not det for _, det in vertices):
         raise NotAmpleLift("lifted polyhedron is unbounded; rays do not positively span")
@@ -126,28 +109,37 @@ def _reconstruct_from_kernel(q: IntegerMatrix, ample_class: Vector, kernel: Inte
 def reconstruct_fan(gi: GradingInput) -> Fan:
     """Normal fan of a lifted polytope for the given grading and interior class.
 
-    Errors: NotSurjective (grading not onto), DegenerateRay (a zero kernel
-    row), NotSmooth (non-primitive kernel row or a non-unimodular vertex
-    cone), NotAmpleLift (class not interior, unbounded polyhedron or inactive
-    ray).
+    Errors: NotSurjective (the columns' Hermite basis is not the identity),
+    DegenerateRay (a zero kernel row), NotSmooth (non-primitive kernel row
+    or a non-unimodular vertex cone), NotAmpleLift (class not interior,
+    unbounded polyhedron or inactive ray).
     """
-    return _reconstruct_from_kernel(
-        gi.degree_matrix, gi.ample_class, _surjective_kernel(gi.degree_matrix)
-    )
+    q = gi.degree_matrix
+    if hermite_basis(q.columns(), q.rows) != IntegerMatrix.identity(q.rows).entries:
+        raise NotSurjective("grading matrix does not surject onto the class lattice")
+    rays = kernel_basis(q).entries
+    for i, row in enumerate(rays):
+        if not any(row):
+            raise DegenerateRay(f"kernel row {i} is zero")
+        if primitive_vector(row) != row:
+            raise NotSmooth(f"kernel row {i} is not primitive; grading is not smooth toric data")
+    effective_normals = generators_from_inequalities(q.columns(), q.rows)
+    return _normal_fan(rays, effective_normals, gi.ample_class, solve_integer(q, gi.ample_class))
 
 
 def roundtrip_check(cd: CoxData, ample_divisor: TorusInvariantDivisor) -> bool:
-    """Fan -> grading -> fan is the identity, using the fan's own ray matrix as kernel.
+    """Fan -> grading -> fan is the identity, using the fan's own rays as the kernel.
 
-    The grading is ``cd.degree_matrix``.  The divisor must be ample on
-    ``cd.fan`` (NotAmpleLift otherwise); the comparison is literal on the ray
-    matrix (same order) and on the maximal cones as sets.
+    The grading is ``cd.degree_matrix``, and its effective cone and class
+    lift are ``cd``'s.  The divisor must be ample on ``cd.fan``
+    (NotAmpleLift otherwise); the comparison is literal on the rays (same
+    order) and on the maximal cones as sets.
     """
     f = cd.fan
     if not is_ample(f, ample_divisor):
         raise NotAmpleLift("divisor is not ample")
     target_class = cd.degree_of_exponent(ample_divisor.coefficients)
-    rebuilt = _reconstruct_from_kernel(cd.degree_matrix, target_class, f.ray_matrix())
+    rebuilt = _normal_fan(f.rays, cd.effective_normals, target_class, cd.class_section.mat_vec(target_class))
     return rebuilt.rays == f.rays and set(map(frozenset, rebuilt.max_cones)) == set(
         map(frozenset, f.max_cones)
     )

@@ -300,11 +300,11 @@ class TestVerify:
 
     def test_a_wrong_rebuilt_fan_fails_the_round_trip_line(self, capsys, monkeypatch):
         # the rebuilt fan loses a maximal cone, so it no longer equals the input
-        rebuild = reconstruction_module._reconstruct_from_kernel
+        rebuild = reconstruction_module._normal_fan
         monkeypatch.setattr(
             reconstruction_module,
-            "_reconstruct_from_kernel",
-            lambda q, w, kernel: (lambda fan: fan._replace(max_cones=fan.max_cones[1:]))(rebuild(q, w, kernel)),
+            "_normal_fan",
+            lambda *args: (lambda fan: fan._replace(max_cones=fan.max_cones[1:]))(rebuild(*args)),
         )
         code, out = run(capsys, "verify", str(corpus_path("p2")))
         assert code == 1
@@ -576,7 +576,9 @@ class TestSingleRead:
         assert main([command, str(corpus_path("p2"))]) == 0
         assert len(reads) == 1
 
-    def test_verify_builds_the_fan_context_once(self, capsys, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, names) -> Counter:
+        """Calls of each named function, wherever a package module binds it, from here on."""
         calls = Counter()
 
         def counting(name, fn):
@@ -588,12 +590,27 @@ class TestSingleRead:
 
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("toric_cox"):
-                for name in ("cox_data", "class_group"):
+                for name in names:
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    def test_verify_builds_the_fan_context_once(self, capsys, monkeypatch):
+        names = ("cox_data", "class_group", "smith_normal_form", "generators_from_inequalities", "solve_integer")
+        calls = self.count_calls(monkeypatch, names)
         assert main(["verify", str(corpus_path("delpezzo6"))]) == 0
         # cox_data's own class group; roundtrip_check and splitting_certificate read its degree matrix.
-        assert calls == Counter(cox_data=1, class_group=1)
+        # The one Smith form is the class section's, and the round trip reuses its lift; the two
+        # double descriptions are the effective cone's normals and the rebuilt polytope's vertices.
+        assert calls == Counter(cox_data=1, class_group=1, smith_normal_form=1, generators_from_inequalities=2)
+
+    def test_reconstruct_takes_one_smith_form(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "p2xp1_grading.json"
+        path.write_text('{"Q": [[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], "w": [1, 1]}')
+        calls = self.count_calls(monkeypatch, ("smith_normal_form", "cokernel"))
+        assert main(["reconstruct", str(path)]) == 0
+        # the lift's: the onto check and the kernel are Hermite eliminations
+        assert calls == Counter(smith_normal_form=1)
 
 
 def _fresh_python(*args: str) -> str:

@@ -328,6 +328,15 @@ class TestFiberKeys:
         with pytest.raises(ValueError, match="not an integer"):
             graded_dimension(cd, (1, entry))
 
+    @pytest.mark.parametrize("entry", [1.5, 2.0, Fraction(3, 2), "1"])
+    def test_divisor_in_class_reads_its_class(self, corpus_cox, entry):
+        # (1.5,) used to come back as the divisor (1.5, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"^class vector \(.*\) has an entry that is not an integer$"):
+            divisor_in_class(corpus_cox["p2"], (entry,))
+        with pytest.raises(ValueError, match=r"^class vector length 2 != rank 1$"):
+            divisor_in_class(corpus_cox["p2"], (1, 0))
+        assert divisor_in_class(corpus_cox["p2"], (True,)) == divisor_in_class(corpus_cox["p2"], (1,))
+
     def test_a_class_of_the_wrong_length_raises(self, corpus_cox):
         # checked once, in graded_dimension: the fiber side reads the weight
         # form's coefficients without a length check of its own

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,35 @@ class TestKernelBasis:
             _, d, _ = smith_normal_form(k)
             assert diagonal(d) == [1] * k.cols
 
+    def test_matches_the_smith_reference(self):
+        # the construction kernel_basis used before its Hermite elimination: the
+        # columns of V past the rank of a Smith form U A V = D, in Hermite form
+        rng = random.Random(0)
+        zero_rows = full_column_rank = 0
+        for _ in range(5000):
+            m, n = rng.randint(0, 5), rng.randint(1, 7)
+            rows = [[rng.randint(-50, 50) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+            if rows and rng.random() < 0.2:
+                rows[rng.randrange(m)] = [0] * n
+            a = IntegerMatrix.from_rows(rows) if rows else IntegerMatrix.zero(0, n)
+            _, d, v = smith_normal_form(a)
+            rank = sum(1 for x in diagonal(d) if x)
+            reference = hermite_basis([v.column(j) for j in range(rank, n)], n)
+            k = kernel_basis(a)
+            assert (k.rows, k.columns()) == (n, reference), rows
+            zero_rows += any(not any(row) for row in rows) or not rows
+            full_column_rank += rank == n
+        assert zero_rows >= 500 and full_column_rank >= 500
+
+    def test_takes_no_smith_form(self, monkeypatch):
+        import toric_cox.lattice as lattice_module
+
+        def refuse(a):
+            raise AssertionError("Smith form taken")
+
+        monkeypatch.setattr(lattice_module, "smith_normal_form", refuse)
+        assert kernel_basis(IntegerMatrix.from_rows([[2, 4, 6], [1, 0, 1]])).columns() == ((1, 1, -1),)
+
 
 def preimage_exists(presentation: AbelianGroupPresentation, target: list[int]) -> bool:
     """Solvability of projection(x) = target up to the torsion moduli."""
@@ -310,6 +340,16 @@ class TestSolveInteger:
     def test_inconsistent(self):
         a = IntegerMatrix.from_rows([[1, 0], [1, 0]])
         assert solve_integer(a, (0, 1)) is None
+
+    @pytest.mark.parametrize("b", [(2.0,), (1.5,), ("2",), (None,)])
+    def test_a_right_hand_side_that_is_not_integral_raises(self, b):
+        # (2.0,) used to come back as the float solution (1.0,)
+        message = re.escape(f"right-hand side {b!r} has an entry that is not an integer")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_integer(IntegerMatrix.from_rows([[2]]), b)
+
+    def test_a_bool_right_hand_side_is_an_integer(self):
+        assert solve_integer(IntegerMatrix.from_rows([[1]]), (True,)) == (1,)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -510,7 +511,25 @@ class TestPolytopeLatticePoints:
             polytope_family([(1,), (-1.0,)], 1)
         # bools read as 0 and 1
         assert family.lattice_points((False, True)) == family.lattice_points((0, 1)) == ((0,), (1,))
+        assert family.count_lattice_points((False, True)) == 2
         assert polytope_family([(True,), (-1,)], 1) == family
+
+    @pytest.mark.parametrize(
+        "normals, dim, params",
+        [
+            ([(1,), (-1,)], 1, (1.5, 0.5)),
+            ([(1,), (-1,)], 1, (0, 2.0)),
+            ([(1, 0), (0, 1), (-1, -1)], 2, (1.5, 0.5, 0)),
+            ([(1, 0), (0, 1), (-1, -1)], 2, (0, 0, "2")),
+        ],
+    )
+    def test_the_count_reads_its_parameters_like_the_list(self, normals, dim, params):
+        # the count gave 2.0 for (1.5, 0.5) in dimension 1 and a TypeError in dimension 2
+        family = polytope_family(normals, dim)
+        message = re.escape(f"parameters {params!r} has an entry that is not an integer")
+        for query in (family.lattice_points, family.count_lattice_points):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                query(params)
 
     @settings(max_examples=200, deadline=None)
     @given(boxed_polytopes())

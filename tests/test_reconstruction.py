@@ -24,13 +24,11 @@ from toric_cox.fans import (
     class_group,
     is_ample,
 )
-from toric_cox.lattice import IntegerMatrix, hermite_basis, solve_integer
-from toric_cox import reconstruction as reconstruction_module
+from toric_cox.lattice import IntegerMatrix, hermite_basis, kernel_basis, solve_integer
 from toric_cox.polyhedral import _homogenized_generators, cone_contains, cone_from_generators, polytope_family
 from toric_cox.reconstruction import (
     GradingInput,
-    _reconstruct_from_kernel,
-    _surjective_kernel,
+    _normal_fan,
     grading_from_json,
     reconstruct_fan,
     roundtrip_check,
@@ -76,9 +74,26 @@ class TestGaleDualRays:
         with pytest.raises(ValueError, match="must match the matrix row count"):
             GradingInput(IntegerMatrix.from_rows([[1, 1, 1]]), (1, 1))
 
-    def test_non_surjective_grading_rejected(self):
-        with pytest.raises(NotSurjective):
-            _surjective_kernel(IntegerMatrix.from_rows([[2, 4]]))
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[2, 4]],
+            # full rank, index 2
+            [[1, 1, 1], [1, -1, 1]],
+            [[1, 1, 1], [0, 0, 0]],
+            # more rows than columns
+            [[1, 0], [0, 1], [1, 1]],
+        ],
+    )
+    def test_non_surjective_grading_rejected(self, rows):
+        gi = GradingInput(IntegerMatrix.from_rows(rows), (1,) * len(rows))
+        with pytest.raises(NotSurjective, match="^grading matrix does not surject onto the class lattice$"):
+            reconstruct_fan(gi)
+
+    def test_an_onto_grading_passes_the_onto_check(self):
+        # (2, 3) is onto Z; its kernel row (-3, 2) is what stops it
+        with pytest.raises(NotSmooth, match="^kernel row 0 is not primitive; grading is not smooth toric data$"):
+            reconstruct_fan(GradingInput(IntegerMatrix.from_rows([[2, 3]]), (1,)))
 
     def test_degenerate_ray(self):
         # a variable pinned by the grading has zero kernel row
@@ -92,7 +107,7 @@ class TestGaleDualRays:
     def test_recovers_grading_up_to_basis_change(self, corpus):
         for name, fan in corpus.items():
             q = class_group(fan).projection
-            rebuilt = Fan.make(fan.dim, _surjective_kernel(q).entries, fan.max_cones)
+            rebuilt = Fan.make(fan.dim, kernel_basis(q).entries, fan.max_cones)
             q2 = class_group(rebuilt).projection
             assert q2.entries == q.entries, name
 
@@ -159,17 +174,10 @@ class TestReconstructFan:
         with pytest.raises(error, match=f"^{message}$"):
             reconstruct_fan(GradingInput(q, class_vector))
 
-    def test_lift_translation_invariance(self, p2, monkeypatch):
-        q = class_group(p2).projection
-        kernel = p2.ray_matrix()
+    def test_lift_translation_invariance(self, p2):
+        normals = cox_data(p2).effective_normals
         # two lifts of the class 3 that differ by a principal divisor
-        fans, asked = [], []
-        for lift in ((1, 1, 1), (3, 0, 0)):
-            monkeypatch.setattr(
-                reconstruction_module, "solve_integer", lambda matrix, rhs: asked.append(tuple(rhs)) or lift
-            )
-            fans.append(_reconstruct_from_kernel(q, (3,), kernel))
-        assert asked == [(3,), (3,)]
+        fans = [_normal_fan(p2.rays, normals, (3,), lift) for lift in ((1, 1, 1), (3, 0, 0))]
         assert fans == [p2, p2]
 
     @settings(max_examples=150, deadline=None)
@@ -203,13 +211,15 @@ class TestReconstructFan:
             q = IntegerMatrix.from_rows(
                 [[rng.randint(-2, 2) for _ in range(rank + n)] for _ in range(rank)]
             )
+            # q need not be onto or of full rank: the class below lies in its
+            # image, and the fiber has the kernel's dimension
+            kernel = kernel_basis(q)
+            normals, n = kernel.entries, kernel.cols
             try:
-                kernel = _surjective_kernel(q)
-                normals = [kernel.row(i) for i in range(kernel.rows)]
                 polytope_family(normals, n)  # the boundedness check
-            except (NotSurjective, UnboundedPolytope):
+            except UnboundedPolytope:
                 continue
-            interior_class = q.mat_vec([rng.randint(1, 3) for _ in range(rank + n)])
+            interior_class = q.mat_vec([rng.randint(1, 3) for _ in range(q.cols)])
             vertices = _homogenized_generators(normals, solve_integer(q, interior_class), n)
             assert vertices
             base, base_det = vertices[0]
