@@ -16,11 +16,8 @@ Exit status 1 when a mutant survives without a documented reason, when a
 documented equivalent mutant is killed (its reason is then wrong), or when
 a mutant's site is missing or not unique (the code has moved: update the
 list); 0 otherwise.
-
-Usage: python scripts/mutants.py [--list] [NAME ...]
 """
 
-import argparse
 import ast
 import os
 import shutil
@@ -175,30 +172,17 @@ def _tail(result: subprocess.CompletedProcess) -> str:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    args = parser.parse_args()
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    if args.list:
-        for m in chosen:
-            print(f"{m.name:<40} {m.module}:{m.function} -> {m.test}{'  (equivalent)' if m.equivalent else ''}")
-        return 0
-
     problems = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="toric-cox-mutants-") as scratch:
         clean = Path(scratch) / "clean"
         _copy_tree(clean)
-        for test in sorted({m.test for m in chosen}):
+        for test in sorted({m.test for m in MUTANTS}):
             result = _run_tests(clean, test)
             if result.returncode != 0:
                 print(f"unmutated tree fails {test}; no mutant can be judged\n{_tail(result)}")
                 return 1
-        for m in chosen:
+        for m in MUTANTS:
             source = (ROOT / PACKAGE / m.module).read_text()
             try:
                 mutated = mutated_source(m, source)
@@ -221,7 +205,7 @@ def main() -> int:
                 verdict = f"ERROR     pytest exited {result.returncode}\n{_tail(result)}"
                 problems += 1
             print(f"{m.name:<40} {verdict}")
-    print(f"{len(chosen)} mutants, {problems} problems, {time.perf_counter() - start:.0f} s")
+    print(f"{len(MUTANTS)} mutants, {problems} problems, {time.perf_counter() - start:.0f} s")
     return 1 if problems else 0
 
 
