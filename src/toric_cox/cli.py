@@ -307,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except ToricCoxError as exc:
         report, code = _error_report(command, digest, type(exc).__name__, str(exc)), 1
     except MemoryError as exc:
-        exc.__traceback__ = None  # its frames hold the tables that ran out; free them first
+        error: BaseException | None = exc  # free the frames that hold the tables first: those of exc
+        while error is not None:  # and of the errors in its context, raised as its traceback grew
+            error.__traceback__, error = None, error.__context__
         report, code = _error_report(command, digest, "MemoryError", str(exc) or "out of memory"), 1
     print(report.to_json() if args.json else report.to_text())
     return code

@@ -9,8 +9,10 @@ counting) which must agree.
 The polytope side counts in class coordinates, through one family of
 Fourier-Motzkin tables per fan (:attr:`CoxData.section_tables`); a class
 is lifted to a divisor only to report an :class:`OracleMismatch`.  The
-fiber side keys its tables by one packed integer per class, so a step of
-its dynamic program is one integer addition (:attr:`CoxData.fiber_levels`).
+fiber side counts only the classes of a box cut out by the effective
+cone's facets, sized by the largest class entry queried, and keys each by
+its packed facet values, so a step of its dynamic program is one integer
+addition and one mask test (:func:`_fiber_tables`).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .polyhedral import (
     generators_from_inequalities,
     strictly_positive_form,
 )
+
+_FiberTables = tuple[int, int, tuple[int, ...], int, tuple[int, ...], tuple[list[dict[int, int]], ...]]
 
 
 class CoxData:
@@ -145,50 +149,9 @@ class CoxData:
         return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section)
 
     @functools.cached_property
-    def fiber_levels(self) -> tuple[list[dict[int, int]], ...]:
-        """Per variable i, level L maps the key of a class to its number of monomials of weight L in x_0..x_i.
-
-        The key of a class mu is ``sum_j mu_j * M**j`` with the place values
-        of :attr:`fiber_places`.  Only level 0 (the constant monomial, key 0)
-        exists at first; :func:`_fiber_level` appends heavier levels on
-        demand and never rebuilds one.
-
-        Why the key is exact.  Every variable weight is >= 1, so a monomial
-        of weight L has total degree <= L and its class mu has
-        ``|mu_j| <= L * D``, with D the largest absolute entry of a variable
-        degree (:attr:`fiber_box`).  Two classes of that box differ by at
-        most ``2 * L * D`` per coordinate.  If their keys agree, the
-        difference delta has ``sum_j delta_j * M**j = 0``; reading this mod
-        M gives ``delta_0 = 0`` because ``|delta_0| < M``, and dividing by M
-        repeats the argument, so delta = 0.  This needs ``L * D < M / 2``,
-        which ``M >= 2**64 * D + 1`` gives for every L <= 2**63: a table
-        that finishes building stores L + 1 levels per variable, so it never
-        gets near.  Hence each level holds one key per class, and a query
-        of weight L inside the box reads its own count.  A query outside the
-        box has no monomial and is answered 0 before it is packed.
-
-        Why M is not a power of two.  CPython hashes an int by reducing it
-        mod 2**61 - 1, and 2**64 is 8 there, so the radix 2**64 would hash mu
-        to ``sum_j mu_j * 8**j`` and small classes would collide in the
-        dicts.  The odd constant added to ``2**64 * D`` spreads the hashes.
-        """
-        return tuple([{0: 1}] for _ in range(self.num_vars))
-
-    @functools.cached_property
-    def fiber_box(self) -> int:
-        """D, the largest absolute entry of a variable degree: level L lies in ``[-L*D, L*D]**rank``."""
-        return max(abs(x) for d in self.variable_degrees() for x in d)
-
-    @functools.cached_property
-    def fiber_places(self) -> tuple[int, ...]:
-        """The place values ``M**j`` of the fiber keys, ``M = 2**64 * D + 0x9E3779B97F4A7C15``."""
-        radix = (self.fiber_box << 64) + 0x9E3779B97F4A7C15
-        return tuple(radix**j for j in range(self.cl_rank))
-
-    @functools.cached_property
-    def fiber_shifts(self) -> tuple[int, ...]:
-        """The key of each variable degree: multiplying by x_i adds it to a key."""
-        return tuple(sum(map(mul, d, self.fiber_places)) for d in self.variable_degrees())
+    def _fiber(self) -> _FiberTables:
+        """The fiber count's tables (:func:`_fiber_tables`), replaced when a query leaves their cube."""
+        return _fiber_tables(self, 0)
 
 
 def cox_data(fan: Fan) -> CoxData:
@@ -360,52 +323,87 @@ def effective_weight_form(cd: CoxData) -> WeightForm:
     return cd.weight_form
 
 
-def _fiber_level(cd: CoxData, weight: int) -> dict[int, int]:
-    """Number of monomials per class key, for the classes of weight exactly ``weight`` >= 0.
+def _fiber_tables(cd: CoxData, radius: int) -> _FiberTables:
+    """``(radius, base, places, guard, shifts, levels)`` for the queries in the cube of the radius.
+
+    Per variable i, level L maps the key of a class mu to the number of
+    monomials of weight L in x_0..x_i of class mu; only level 0 exists at
+    first.  Only the classes of one box are counted.
+
+    Why the box is exact.  Let n_j be the effective cone's facet normals
+    and y_j = <n_j, mu>.  For every partial product mu of a monomial of
+    class lam, lam - mu is a sum of variable degrees, on which each n_j is
+    >= 0, so ``0 <= y_j(mu) <= y_j(lam) <= radius * |n_j|_1 = bound_j`` when
+    lam lies in the cube.  That box is a down-set holding every class that
+    a query of the cube reads, so counting only its classes loses nothing.
+
+    Keys.  Field j of a key holds ``y_j + 2**b - 1 - bound_j`` in b + 1
+    bits, so the key of mu is ``base + sum_k mu_k * places[k]``.  A class
+    of the cube has ``|y_j| <= bound_j < 2**b / 2``, so its fields lie in
+    [0, 2**b), and as the normals span, no other class has its key.  The
+    shift by d_i adds ``0 <= <n_j, d_i> < 2**b`` to field j, which reaches
+    2**b, inside the field, exactly when y_j leaves the box: one test of
+    ``key & guard``, the top bit of every field, drops what leaves.
+    """
+    normals = cd.effective_normals
+    bounds = [radius * sum(map(abs, n)) for n in normals]
+    steps = [[sum(map(mul, n, d)) for n in normals] for d in cd.variable_degrees()]
+    b = max(2 * max(bounds), max(map(max, steps))).bit_length()
+    at = range(0, (b + 1) * len(normals), b + 1)
+    base = sum((1 << b) - 1 - bound << j for j, bound in zip(at, bounds))
+    places = tuple(sum(x << j for j, x in zip(at, column)) for column in zip(*normals))
+    shifts = tuple(sum(x << j for j, x in zip(at, step)) for step in steps)
+    return radius, base, places, sum(1 << b + j for j in at), shifts, tuple([{base: 1}] for _ in steps)
+
+
+def _grow_fiber_tables(cd: CoxData, weight: int, reach: int) -> _FiberTables:
+    """The fiber tables, grown to the level of ``weight`` >= 0 and to the cube of radius ``reach``.
 
     Dynamic program over the variables and weight levels: the monomials in
     x_0..x_i of weight L either avoid x_i or are x_i times one of weight
-    L - w_i, so ``levels_i[L] = levels_(i-1)[L] + shift_{d_i}(levels_i[L - w_i])``.
-    The key is linear in the class, so the shift by d_i adds ``key(d_i)``
-    to each key (:attr:`CoxData.fiber_shifts`), and it is injective on each
-    level (:attr:`CoxData.fiber_levels`).  A weight beyond the top level
-    appends the missing levels to each variable in turn; lighter weights
-    are a lookup.  Independent of any polytope geometry, so it can serve as
-    one side of the dual-oracle check.
+    L - w_i, so ``levels_i[L] = levels_(i-1)[L] + shift_{d_i}(levels_i[L - w_i])``,
+    and the shift by d_i adds one integer to each key.  A wider reach
+    rebuilds the tables at ``max(reach, 2 * radius)``, so a window is
+    rebuilt a few times at most; a heavier weight appends the missing
+    levels to each variable in turn.  Independent of any polytope geometry,
+    so it can serve as one side of the dual-oracle check.
     """
-    levels = cd.fiber_levels
-    top = len(levels[-1]) - 1
-    if weight > top:
-        previous = None
-        for shift, w, own in zip(cd.fiber_shifts, cd.variable_weights, levels):
-            for level in range(top + 1, weight + 1):
-                counts = dict(previous[level]) if previous is not None else {}
-                if level >= w:
-                    for mu, count in own[level - w].items():
-                        nu = mu + shift
+    if reach > cd._fiber[0]:
+        cd._fiber = _fiber_tables(cd, max(reach, 2 * cd._fiber[0]))
+    tables = _, _, _, guard, shifts, levels = cd._fiber
+    previous, built = None, len(levels[-1])
+    for shift, w, own in zip(shifts, cd.variable_weights, levels):
+        for level in range(built, weight + 1):
+            counts = dict(previous[level]) if previous is not None else {}
+            if level >= w:
+                for mu, count in own[level - w].items():
+                    nu = mu + shift
+                    if not nu & guard:
                         counts[nu] = counts.get(nu, 0) + count
-                own.append(counts)
-            previous = own
-    return levels[-1][weight]
+            own.append(counts)
+        previous = own
+    return tables
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
-    """Monomials of the class: 0 outside the box of its weight level, else a lookup by key.
+    """Monomials of the class: a lookup by key in the fiber tables.
 
     The class has the rank's length (:func:`graded_dimension` checks it), so
     its weight is read off the form's coefficients, with no second check.
-    A class heavier than the built levels is answered 0 when a facet normal
-    of the effective cone is negative on it, as it has no monomial, so the
+    A class that would grow the tables is answered 0 when a facet normal of
+    the effective cone is negative on it, as it has no monomial, so the
     tables grow only for classes that can have one.
     """
     weight = sum(map(mul, cd.weight_form.coefficients, class_vector))
-    if weight < 0 or max(map(abs, class_vector)) > weight * cd.fiber_box:
+    if weight < 0:
         return 0
-    if weight >= len(cd.fiber_levels[-1]) and any(
-        sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals
-    ):
-        return 0
-    return _fiber_level(cd, weight).get(sum(map(mul, class_vector, cd.fiber_places)), 0)
+    radius, base, places, _, _, levels = cd._fiber
+    reach = max(map(abs, class_vector))
+    if reach > radius or weight >= len(levels[-1]):
+        if any(sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals):
+            return 0
+        _, base, places, _, _, levels = _grow_fiber_tables(cd, weight, reach)
+    return levels[-1][weight].get(sum(map(mul, class_vector, places), base), 0)
 
 
 def divisor_in_class(cd: CoxData, class_vector: Sequence[int]) -> TorusInvariantDivisor:

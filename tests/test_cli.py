@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -344,6 +345,11 @@ BLOWUP_SURFACE_R8 = (
     '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1], [-1, 0], [1, 1], [1, 2], [-2, -1], [2, 3], [-3, -2], [0, -1]],'
     ' "max_cones": [[0, 4], [0, 9], [1, 3], [1, 5], [2, 8], [2, 9], [3, 6], [4, 7], [5, 7], [6, 8]]}'
 )
+# gen.mixed_blowup(0, 6, 0): P^2 blown up five times, class-group rank 6, with classes of weight 82 in [-2, 2]^6.
+MIXED_BLOWUP_R6 = (
+    '{"dim": 2, "rays": [[0, 1], [-1, -1], [1, 0], [1, 1], [2, 1], [1, 2], [-1, 0], [2, 3]],'
+    ' "max_cones": [[0, 5], [0, 6], [1, 2], [1, 6], [2, 4], [3, 4], [3, 7], [5, 7]]}'
+)
 
 
 def _address_space_of_one_gigabyte() -> None:
@@ -356,19 +362,24 @@ def _address_space_of_300_megabytes() -> None:
 
 @needs_rlimit
 @pytest.mark.parametrize(
-    "flags, digest",
+    "fan, flags, digest",
     [
-        ((), "f5817cb7e7cba96ccfc68b6b6efd343f4413d5f090154951862e3393d4591843"),
-        (("--json",), "56edd75e5288cb483721bb58d918308da8deb39d90e3288d1f72c27a354fa31a"),
+        (BLOWUP_SURFACE_R8, (), "f5817cb7e7cba96ccfc68b6b6efd343f4413d5f090154951862e3393d4591843"),
+        (BLOWUP_SURFACE_R8, ("--json",), "56edd75e5288cb483721bb58d918308da8deb39d90e3288d1f72c27a354fa31a"),
+        (MIXED_BLOWUP_R6, (), "ad3989b41986eea4bfdbf147bcee0684310356997acdc36eac1f07ebe1bf4edd"),
+        (MIXED_BLOWUP_R6, ("--json",), "0939e78a671538d3d722abd2a7874cf76f3df4b000dd2a802c556225de417057"),
     ],
-    ids=["text", "json"],
+    ids=["text", "json", "mixed-r6-text", "mixed-r6-json"],
 )
-def test_verify_at_rank_eight_fits_in_one_gigabyte(tmp_path, flags, digest):
-    # 188,917 classes of the window [-2, 2]^8 pass the fiber count's box
-    # test, but only 2,763 lie in the effective cone: the fiber tables are
-    # built for those alone, so the report (pinned by its digest) fits
-    path = tmp_path / "blowup_surface_r8.json"
-    path.write_text(BLOWUP_SURFACE_R8)
+def test_verify_at_rank_eight_fits_in_one_gigabyte(tmp_path, fan, flags, digest):
+    # The fiber tables count only the classes of the box that the effective
+    # cone's facets cut out of the window's cube: on blowup_surface(2, 8),
+    # 2,763 classes of [-2, 2]^8 lie in the cone and the tables hold 22,616
+    # entries; on mixed_blowup(0, 6, 0) they hold 188,722, where the tables
+    # of every class up to weight 82 took 2.6 GB.  So each report, pinned by
+    # its digest (taken before the box, without a cap), fits.
+    path = tmp_path / "fan.json"
+    path.write_text(fan)
     result = subprocess.run(
         [sys.executable, "-m", "toric_cox.cli", "verify", str(path), *flags],
         capture_output=True,
@@ -393,6 +404,35 @@ def test_out_of_memory_ends_in_a_report_without_a_traceback():
     assert result.returncode == 1
     assert result.stdout.decode().endswith("status: error(MemoryError): out of memory\n")
     assert b"Traceback" not in result.stderr, result.stderr[-2000:]
+
+
+def test_out_of_memory_frees_the_frames_of_every_error_in_the_context(monkeypatch):
+    # Near the cap, the traceback entry of a MemoryError may fail to be made:
+    # CPython then raises a second one, whose context holds the first one and
+    # its frames.  The tables in those frames must be freed before the report.
+    class Tables:
+        pass
+
+    held = []
+
+    def cmd_euler(*args):
+        tables = Tables()
+        held.append(weakref.ref(tables))
+        try:
+            raise MemoryError
+        except MemoryError:
+            raise MemoryError  # its __context__ is the first one
+
+    def error_report(*args):
+        assert held[0]() is None, "the tables outlived their frames"
+        return real(*args)
+
+    real = cli._error_report
+    monkeypatch.setattr(cli, "cmd_euler", cmd_euler)
+    monkeypatch.setattr(cli, "_error_report", error_report)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["euler", str(corpus_path("p1"))]) == 1
+    assert out.getvalue().endswith("status: error(MemoryError): out of memory\n")
 
 
 class TestInputBoundary:

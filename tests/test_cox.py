@@ -201,7 +201,7 @@ class TestOracleIndependence:
         def refuse(*args):
             raise AssertionError("fiber levels used")
 
-        monkeypatch.setattr(cox_module, "_fiber_level", refuse)
+        monkeypatch.setattr(cox_module, "_fiber_tables", refuse)
         for name, fan, dims in expected:
             cd = cox_data(fan)
             with pytest.raises(AssertionError):
@@ -210,16 +210,21 @@ class TestOracleIndependence:
 
 
 def test_a_class_outside_the_effective_cone_builds_no_level(corpus):
-    # on F_3, (5, -1) has weight 4 and lies in the box of its level
-    # (5 <= 4 * 3), but the facet normal (0, 1) is negative on it
+    # on F_3, (5, -1) has weight 4 and lies outside the cube of the fresh
+    # tables (radius 0), but the facet normal (0, 1) is negative on it
     cd = cox_data(corpus["hirzebruch_3"])
-    assert cd.weight_form.coefficients == (1, 1) and cd.fiber_box == 3
+    assert cd.weight_form.coefficients == (1, 1)
     assert (0, 1) in cd.effective_normals
-    assert len(cd.fiber_levels[-1]) == 1
+    tables = cd._fiber
+    assert tables[0] == 0 and len(tables[-1][-1]) == 1
     assert cox_module._fiber_dimension(cd, (5, -1)) == 0
-    assert len(cd.fiber_levels[-1]) == 1
+    assert cd._fiber is tables and len(tables[-1][-1]) == 1
     assert cox_module._fiber_dimension(cd, (4, 1)) == len(monomial_basis(cd, (4, 1))) > 0
-    assert len(cd.fiber_levels[-1]) == 6
+    tables = cd._fiber
+    assert tables[0] == 4 and len(tables[-1][-1]) == 6
+    # heavier and wider, but outside the cone: neither rebuilt nor grown
+    assert cox_module._fiber_dimension(cd, (9, -1)) == 0
+    assert cd._fiber is tables and len(tables[-1][-1]) == 6
 
 
 class TestPolytopeCount:
@@ -312,6 +317,29 @@ def fan_and_classes(draw):
     return name, classes
 
 
+@st.composite
+def widening_queries(draw):
+    """A blow-up of P^2 of rank 2 to 6 and classes whose largest entry first grows, then shrinks.
+
+    Each class is the degree of a drawn exponent vector plus a unit step, so
+    most lie in the effective cone and grow the fiber tables: a class past
+    their cube rebuilds them, and the later, smaller classes read them.
+    """
+    rank = draw(st.integers(2, 6))
+    cd = cox_data(mixed_blowup(rank, draw(st.integers(0, 1))))
+    top = {2: 6, 3: 4, 4: 3}.get(rank, 2)
+    sizes = sorted(draw(st.lists(st.integers(0, top), min_size=1, max_size=4)))
+    sizes += sorted(draw(st.lists(st.integers(0, top), max_size=3)), reverse=True)
+    classes = []
+    for size in sizes:
+        exponents = [0] * cd.num_vars
+        for _ in range(size):
+            exponents[draw(st.integers(0, cd.num_vars - 1))] += 1
+        step = draw(st.tuples(*[st.integers(-1, 1)] * rank))
+        classes.append(tuple(x + y for x, y in zip(cd.degree_of_exponent(exponents), step)))
+    return cd, classes
+
+
 class TestFiberKeys:
     """The fiber tables key each class by one packed integer."""
 
@@ -351,17 +379,41 @@ class TestFiberKeys:
         assert cd.cl_rank >= 3
         mu = cd.degree_of_exponent((1,) * cd.num_vars)
         assert graded_dimension(cd, mu) > 0
-        # (M, -1, 0, ...) and (0, M, -1, ...) have key 0; combine them to weight 0
-        radix = cd.fiber_places[1]
-        a = (radix, -1) + (0,) * (cd.cl_rank - 2)
-        b = (0, radix, -1) + (0,) * (cd.cl_rank - 3)
+        radius, base, places = cd._fiber[:3]
+        # (p_1, -p_0, 0, ...) and (0, p_2, -p_1, ...) add 0 to a key; combine them to weight 0
+        a = (places[1], -places[0]) + (0,) * (cd.cl_rank - 2)
+        b = (0, places[2], -places[1]) + (0,) * (cd.cl_rank - 3)
         wa, wb = cd.weight_form(a), cd.weight_form(b)
         delta = tuple(wb * x - wa * y for x, y in zip(a, b))
         assert any(delta) and cd.weight_form(delta) == 0
         lam = tuple(x + y for x, y in zip(mu, delta))
-        assert sum(map(mul, lam, cd.fiber_places)) == sum(map(mul, mu, cd.fiber_places))
+        assert sum(map(mul, lam, places), base) == sum(map(mul, mu, places), base)
+        # the shared key is outside the cube of the tables, so it is never looked up there
+        assert max(map(abs, lam)) > radius
         assert graded_dimension(cd, lam) == 0
         assert monomial_basis(cd, lam) == ()
+
+    @pytest.mark.parametrize("name", sorted(KEYED_FANS))
+    def test_keys_pack_the_facet_values_into_separate_fields(self, name):
+        cd = cox_data(KEYED_FANS[name])
+        normals = cd.effective_normals
+        for radius in range(4 if cd.cl_rank <= 2 else 3):
+            _, base, places, guard, shifts, _ = cox_module._fiber_tables(cd, radius)
+            width = (guard & -guard).bit_length()  # the guard is the top bit of each field
+
+            def fields(key):
+                assert key >= 0 and not key >> len(normals) * width
+                return [key >> j * width & (1 << width) - 1 for j in range(len(normals))]
+
+            # a shift adds the facet values of its variable degree, each below the guard bit
+            for d, shift in zip(cd.variable_degrees(), shifts):
+                assert fields(shift) == [sum(map(mul, n, d)) for n in normals] and not shift & guard, radius
+            # every class of the cube has a key of its own, with no guard bit set
+            cube = list(itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank))
+            keys = {sum(map(mul, lam, places), base) for lam in cube}
+            assert len(keys) == len(cube), radius
+            for key in keys:
+                assert fields(key) and not key & guard, (radius, key)
 
     @settings(max_examples=100, deadline=None)
     @given(fan_and_classes())
@@ -371,6 +423,14 @@ class TestFiberKeys:
         cd = cox_data(KEYED_FANS[name])
         for lam in classes:
             assert cox_module._fiber_dimension(cd, lam) == len(monomial_basis(cd, lam)), (name, lam)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widening_queries())
+    def test_fiber_dimension_counts_the_monomials_as_the_cube_widens_and_shrinks(self, drawn):
+        # monomial_basis enumerates exponents directly, without the fiber tables
+        cd, classes = drawn
+        for lam in classes:
+            assert cox_module._fiber_dimension(cd, lam) == len(monomial_basis(cd, lam)), lam
 
 
 class TestFanContext:
@@ -391,28 +451,41 @@ class TestFanContext:
             graded_dimension(cd, (2,))
         assert len(calls) == 2
 
-    def test_fiber_levels_live_on_the_instance(self, p2):
-        cd = cox_data(p2)
-        levels = cd.fiber_levels
-        # a fresh instance holds level 0 only: the constant monomial, per variable
-        assert levels == ([{0: 1}],) * 3
-        graded_dimension(cd, (3,))
-        assert cd.fiber_levels is levels
-        assert [len(own) for own in levels] == [4, 4, 4] and levels[-1][3] == {3: 10}
+    def test_fiber_levels_live_on_the_instance(self, corpus):
+        cd = cox_data(corpus["p1xp1"])
+        tables = cd._fiber
+        # a fresh instance holds level 0 of radius 0 only: the constant monomial, per variable
+        assert tables[0] == 0 and tables[-1] == ([{tables[1]: 1}],) * 4
+        graded_dimension(cd, (3, 0))
+        assert cd._fiber is not tables
+        tables = cd._fiber
+        radius, base, places, _, _, levels = tables
+
+        def key(lam):
+            return sum(map(mul, lam, places), base)
+
+        assert radius == 3 and [len(own) for own in levels] == [4, 4, 4, 4]
+        assert levels[-1][3] == {key((3, 0)): 4, key((2, 1)): 6, key((1, 2)): 6, key((0, 3)): 4}
         kept = [list(own) for own in levels]
         contents = [[dict(level) for level in own] for own in levels]
 
         # a lighter class is a lookup: no level is added or changed
-        graded_dimension(cd, (1,))
+        graded_dimension(cd, (1, 1))
+        assert cd._fiber is tables
         assert [[dict(level) for level in own] for own in levels] == contents
         assert all(a is b for own, old in zip(levels, kept) for a, b in zip(own, old))
 
-        # a heavier class appends levels and keeps the existing level dicts
-        graded_dimension(cd, (5,))
-        assert [len(own) for own in levels] == [6, 6, 6] and levels[-1][5] == {5: 21}
+        # a heavier class of the same cube appends levels and keeps the existing level dicts
+        graded_dimension(cd, (3, 3))
+        assert cd._fiber is tables
+        assert [len(own) for own in levels] == [7, 7, 7, 7] and levels[-1][6] == {key((3, 3)): 16}
         assert all(a is b for own, old in zip(levels, kept) for a, b in zip(own, old))
         assert [[dict(level) for level in own[:4]] for own in levels] == contents
-        assert [len(own) for own in cox_data(p2).fiber_levels] == [1, 1, 1]
+
+        # a class outside the cube rebuilds the tables, up to its own weight
+        assert graded_dimension(cd, (4, 0)) == 5
+        assert cd._fiber[0] >= 4 and [len(own) for own in cd._fiber[-1]] == [5, 5, 5, 5]
+        assert cox_data(corpus["p1xp1"])._fiber[0] == 0
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_fiber_dimension_does_not_depend_on_query_order(self, corpus, order):
