@@ -356,21 +356,20 @@ def _fiber_tables(cd: CoxData, radius: int) -> _FiberTables:
     return radius, base, places, sum(1 << b + j for j in at), shifts, tuple([{base: 1}] for _ in steps)
 
 
-def _grow_fiber_tables(cd: CoxData, weight: int, reach: int) -> _FiberTables:
-    """The fiber tables, grown to the level of ``weight`` >= 0 and to the cube of radius ``reach``.
+def _grow_fiber_tables(cd: CoxData, weight: int, reach: int) -> None:
+    """Grow ``cd._fiber`` to the level of ``weight`` >= 0 and to the cube of radius ``reach``.
 
     Dynamic program over the variables and weight levels: the monomials in
     x_0..x_i of weight L either avoid x_i or are x_i times one of weight
     L - w_i, so ``levels_i[L] = levels_(i-1)[L] + shift_{d_i}(levels_i[L - w_i])``,
     and the shift by d_i adds one integer to each key.  A wider reach
-    rebuilds the tables at ``max(reach, 2 * radius)``, so a window is
-    rebuilt a few times at most; a heavier weight appends the missing
-    levels to each variable in turn.  Independent of any polytope geometry,
-    so it can serve as one side of the dual-oracle check.
+    rebuilds the tables at that reach; a heavier weight appends the
+    missing levels to each variable in turn.  Independent of any polytope
+    geometry, so it can serve as one side of the dual-oracle check.
     """
     if reach > cd._fiber[0]:
-        cd._fiber = _fiber_tables(cd, max(reach, 2 * cd._fiber[0]))
-    tables = _, _, _, guard, shifts, levels = cd._fiber
+        cd._fiber = _fiber_tables(cd, reach)
+    _, _, _, guard, shifts, levels = cd._fiber
     previous, built = None, len(levels[-1])
     for shift, w, own in zip(shifts, cd.variable_weights, levels):
         for level in range(built, weight + 1):
@@ -382,7 +381,6 @@ def _grow_fiber_tables(cd: CoxData, weight: int, reach: int) -> _FiberTables:
                         counts[nu] = counts.get(nu, 0) + count
             own.append(counts)
         previous = own
-    return tables
 
 
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
@@ -397,12 +395,12 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
     weight = sum(map(mul, cd.weight_form.coefficients, class_vector))
     if weight < 0:
         return 0
-    radius, base, places, _, _, levels = cd._fiber
     reach = max(map(abs, class_vector))
-    if reach > radius or weight >= len(levels[-1]):
+    if reach > cd._fiber[0] or weight >= len(cd._fiber[-1][-1]):
         if any(sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals):
             return 0
-        _, base, places, _, _, levels = _grow_fiber_tables(cd, weight, reach)
+        _grow_fiber_tables(cd, weight, reach)
+    _, base, places, _, _, levels = cd._fiber
     return levels[-1][weight].get(sum(map(mul, class_vector, places), base), 0)
 
 
