@@ -112,6 +112,20 @@ MUTANTS = (
     Mutant("fiber-tables-grow-outside-the-cone", "cox.py", "_fiber_dimension",
            "any((sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals))", "False",
            "tests/test_cox.py"),
+    # Polynomials built in one pass: exponents copied once into a list, coefficients
+    # put in canonical form as they are computed or read, and the coefficient check.
+    Mutant("partials-keep-the-lowered-entry", "cox.py", "_partials",
+           "lowered[i] = a", "pass", "tests/test_euler.py"),
+    Mutant("contraction-raises-the-next-index", "euler.py", "euler_contract",
+           "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
+    Mutant("make-polynomial-keeps-a-zero", "cox.py", "make_polynomial",
+           "if c:\n    checked[key] = c\nelse:\n    checked.pop(key, None)", "checked[key] = c",
+           "tests/test_cox.py"),
+    Mutant("int-product-keeps-integral-fractions", "cox.py", "GradedPolynomial.__mul__",
+           "d if type((d := (c * other))) is int or d.denominator > 1 else d.numerator", "c * other",
+           "tests/test_cox.py"),
+    Mutant("coefficient-reads-text", "cox.py", "make_polynomial",
+           "not isinstance(c, (int, float, Fraction))", "False", "tests/test_cox.py"),
     # Comparisons whose change is known to leave every result as it is.
     Mutant("wall-certificate-accepts-a-zero-entry", "fans.py", "_certified",
            "form[out] <= 0", "form[out] < 0", "tests/test_fans.py",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import isfinite
 from operator import mul
 from typing import Mapping, Sequence
 
@@ -174,7 +175,9 @@ class GradedPolynomial:
     ``Fraction`` only when its denominator exceeds 1, so integer input never
     pays for ``Fraction`` arithmetic.  :func:`make_polynomial` validates
     outside input; arithmetic builds valid exponents from valid ones, so
-    construction only drops zero coefficients and normalises the rest.
+    construction only drops zero coefficients and normalises the rest.  Code
+    that builds its terms in canonical form already, in the pass that
+    computes them, skips that second pass through :func:`_polynomial`.
     Polynomials compare by value and, holding a dict, are unhashable.
     """
 
@@ -231,7 +234,16 @@ class GradedPolynomial:
         return (-1) * self
 
     def __mul__(self, other: "GradedPolynomial | int | Fraction") -> "GradedPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            # Nonzero times nonzero is nonzero: an int product stays, and a
+            # Fraction product that is integral becomes its numerator.
+            if not other:
+                return _polynomial(self.cox, {})
+            return _polynomial(self.cox, {
+                e: d if type(d := c * other) is int or d.denominator > 1 else d.numerator
+                for e, c in self.terms.items()
+            })
+        if isinstance(other, Fraction):
             return GradedPolynomial(self.cox, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
@@ -277,45 +289,77 @@ class GradedPolynomial:
         return "".join(parts[:1] + [f" - {part[1:]}" if part[0] == "-" else f" + {part}" for part in parts[1:]])
 
 
+def _polynomial(cox: CoxData, terms: dict[Vector, int | Fraction]) -> GradedPolynomial:
+    """The polynomial that owns ``terms`` as given: no check, no copy, no normalising pass.
+
+    Only code whose terms are already canonical may call it: exponent
+    vectors of ``num_vars`` entries >= 0, and nonzero coefficients, each an
+    ``int`` when integral and a ``Fraction`` only when its denominator
+    exceeds 1.  (:func:`_partials` also adds canonical terms to the
+    polynomials it makes here, before it returns them.)  Anything else goes
+    through :class:`GradedPolynomial` or, from outside, :func:`make_polynomial`.
+    """
+    p = object.__new__(GradedPolynomial)
+    p.cox = cox
+    p.terms = terms
+    return p
+
+
 def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
     """``p.partial(i)`` for every variable i, built in one pass over the terms of p.
 
-    A stored coefficient times a positive exponent is nonzero, and it is
-    stored as an int when integral, so each partial owns its terms as
-    built, with no check.
+    Each partial starts as the zero polynomial, made by :func:`_polynomial`,
+    and its terms are filled in place before it is returned.  Each exponent
+    is copied into a list once; for each positive entry i the list is
+    lowered at i, frozen with ``tuple()`` into the key of partial i, and
+    restored.  A stored coefficient times a positive exponent is nonzero,
+    and it is stored as an int when integral, so every term is canonical
+    as built, with no check.
     """
     cox = p.cox
-    parts: list[dict[Vector, int | Fraction]] = [{} for _ in range(cox.num_vars)]
+    partials = tuple([_polynomial(cox, {}) for _ in range(cox.num_vars)])
     for e, c in p.terms.items():
         integral = type(c) is int
+        lowered = list(e)
         for i, a in enumerate(e):
             if a:
                 d = c * a
-                parts[i][e[:i] + (a - 1,) + e[i + 1:]] = d if integral or d.denominator > 1 else d.numerator
-    new, cls = object.__new__, GradedPolynomial
-    out = []
-    for terms in parts:
-        q = new(cls)
-        q.cox = cox
-        q.terms = terms
-        out.append(q)
-    return tuple(out)
+                lowered[i] = a - 1
+                partials[i].terms[tuple(lowered)] = d if integral or d.denominator > 1 else d.numerator
+                lowered[i] = a
+    return partials
 
 
 def make_polynomial(cox: CoxData, terms: Mapping[Sequence[int], int | Fraction]) -> GradedPolynomial:
     """The validating entry for outside input: ValueError on a wrong-length or negative
     exponent or on an entry that is not an integer (ints and bools pass, by ``operator.index``).
 
-    A coefficient is kept exactly: an ``int`` as it is, anything else (a bool,
-    a float, a ``Fraction``) through ``Fraction``, and the polynomial stores
-    it as an ``int`` when it is integral."""
+    A coefficient must be an ``int``, a bool, a finite float or a
+    ``Fraction``, and is kept exactly: TypeError on any other type (a
+    ``str``, which ``Fraction`` would parse, or None), ValueError on an
+    infinite or nan float.  Each is put in canonical form in the pass that
+    validates it, an ``int`` when integral, and a zero is dropped (of two
+    keys that read as one exponent, the later coefficient holds, a zero
+    included), so the result is built through :func:`_polynomial` with no
+    second pass."""
     checked: dict[Vector, int | Fraction] = {}
     for e, c in terms.items():
         key = integer_vector(e, "exponent vector")
         if len(key) != cox.num_vars or key and min(key) < 0:
             raise ValueError(f"bad exponent vector {key}")
-        checked[key] = c if type(c) is int else Fraction(c)
-    return GradedPolynomial(cox, checked)
+        if type(c) is not int:
+            if not isinstance(c, (int, float, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int, a float or a Fraction")
+            if isinstance(c, float) and not isfinite(c):
+                raise ValueError(f"coefficient {c!r} is not finite")
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
+        if c:
+            checked[key] = c
+        else:
+            checked.pop(key, None)
+    return _polynomial(cox, checked)
 
 
 def effective_weight_form(cd: CoxData) -> WeightForm:

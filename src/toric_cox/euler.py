@@ -188,7 +188,11 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
     checked in full: one class per distinct raised exponent, and
     InhomogeneousInput if two differ.  With the fan's own weight form, the
-    weights are read from ``variable_weights``.  ValueError if the element
+    weights are read from ``variable_weights``.  Each raised exponent is
+    one list copy of the term's exponent, raised at its index and frozen
+    with ``tuple()``.  Sums may cancel and weighted Fractions may become
+    integral, so the result is built through :class:`GradedPolynomial`,
+    whose one pass drops and normalises them.  ValueError if the element
     belongs to another module than em.
     """
     if element.module is not em and element.module != em:
@@ -203,9 +207,11 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
             continue
         weight = form(degree) if weights is None else weights[i]
         for e, c in terms.items():
-            # the exponent of x_i * x^e
-            raised = e[:i] + (e[i] + 1,) + e[i + 1:]
-            total[raised] = get(raised, 0) + weight * c
+            # the exponent of x_i * x^e: a list copy raised at i, frozen as a key
+            raised = list(e)
+            raised[i] += 1
+            key = tuple(raised)
+            total[key] = get(key, 0) + weight * c
     # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
     # when the raised exponents, zero sums included, share one class.
     # A known twist says so by construction, and a single exponent has one class.

@@ -740,6 +740,24 @@ class TestGradedPolynomialArithmetic:
         for given_coefficient, stored in cases:
             (c,) = make_polynomial(cd, {(1, 0, 0): given_coefficient}).terms.values()
             assert c == stored and type(c) is type(stored)
+        # zeros of every accepted type are dropped as they are read
+        assert make_polynomial(cd, {(1, 0, 0): 0, (0, 1, 0): Fraction(0), (0, 0, 1): 0.0, (1, 1, 0): False}).terms == {}
+        # two keys that read as one exponent: the last coefficient holds, a zero included
+        assert make_polynomial(cd, {(1, 0, 0): 5, b"\x01\x00\x00": 0}).is_zero()
+        assert make_polynomial(cd, {(1, 0, 0): 0, b"\x01\x00\x00": 5}).terms == {(1, 0, 0): 5}
+
+    # Fraction parses text, so "1/2" used to be stored as Fraction(1, 2), and inf escaped as OverflowError
+    @pytest.mark.parametrize(
+        "bad, error",
+        [("1/2", TypeError), ("3", TypeError), (" 2 ", TypeError), (None, TypeError), ([1], TypeError),
+         (float("inf"), ValueError), (float("-inf"), ValueError), (float("nan"), ValueError)],
+    )
+    def test_coefficients_other_than_exact_or_finite_numbers_are_refused(self, corpus_cox, bad, error):
+        cd = corpus_cox["p2"]
+        with pytest.raises(error):
+            cd.monomial((1, 0, 0), bad)
+        with pytest.raises(error):
+            make_polynomial(cd, {(0, 1, 0): 1, (1, 0, 0): bad})
 
     def test_products_with_a_fraction_return_to_ints(self, corpus_cox):
         cd = corpus_cox["hirzebruch_1"]
@@ -794,7 +812,7 @@ class TestPolynomialProperties:
         p, q, r = (_polynomial(data, cd) for _ in range(3))
         assert (p - p).terms == {}
         assert p * (q + r) == p * q + p * r
-        for result in (p + q, p - q, p * q, -p, p * Fraction(2, 3), 0 * p, p.partial(0)):
+        for result in (p + q, p - q, p * q, -p, p * Fraction(2, 3), 0 * p, 2 * p, p * 6, True * p, p.partial(0)):
             assert _valid(result)
 
     @settings(max_examples=100, deadline=None)
