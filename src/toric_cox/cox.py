@@ -234,7 +234,7 @@ class GradedPolynomial:
         return (-1) * self
 
     def __mul__(self, other: "GradedPolynomial | int | Fraction") -> "GradedPolynomial":
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             # Nonzero times nonzero is nonzero: an int product stays, and a
             # Fraction product that is integral becomes its numerator.
             if not other:
@@ -243,8 +243,6 @@ class GradedPolynomial:
                 e: d if type(d := c * other) is int or d.denominator > 1 else d.numerator
                 for e, c in self.terms.items()
             })
-        if isinstance(other, Fraction):
-            return GradedPolynomial(self.cox, {e: c * other for e, c in self.terms.items()})
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         if other.cox is not self.cox and other.cox != self.cox:

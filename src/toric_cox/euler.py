@@ -188,9 +188,7 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
     checked in full: one class per distinct raised exponent, and
     InhomogeneousInput if two differ.  With the fan's own weight form, the
-    weights are read from ``variable_weights``.  Each raised exponent is
-    one list copy of the term's exponent, raised at its index and frozen
-    with ``tuple()``.  Sums may cancel and weighted Fractions may become
+    weights are read from ``variable_weights``.  Sums may cancel and weighted Fractions may become
     integral, so the result is built through :class:`GradedPolynomial`,
     whose one pass drops and normalises them.  ValueError if the element
     belongs to another module than em.
@@ -207,7 +205,7 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
             continue
         weight = form(degree) if weights is None else weights[i]
         for e, c in terms.items():
-            # the exponent of x_i * x^e: a list copy raised at i, frozen as a key
+            # the exponent of x_i * x^e
             raised = list(e)
             raised[i] += 1
             key = tuple(raised)
