@@ -102,7 +102,8 @@ MUTANTS = (
            "(RecursionError, ValueError)", "ValueError", "tests/test_cli.py"),
     Mutant("json-reader-misses-long-integers", "fans.py", "_load_json",
            "(RecursionError, ValueError)", "RecursionError", "tests/test_cli.py"),
-    # The fiber count's box: its guard, its key width and its gate.
+    # The fiber count's box: its guard, its key width, its gate, and its one widening
+    # per twisted piece.
     Mutant("fiber-box-keeps-what-leaves-it", "cox.py", "_grow_fiber_tables",
            "not nu & guard", "True", "tests/test_cox.py"),
     Mutant("fiber-key-margin-halved", "cox.py", "_fiber_tables",
@@ -112,6 +113,8 @@ MUTANTS = (
     Mutant("fiber-tables-grow-outside-the-cone", "cox.py", "_fiber_dimension",
            "any((sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals))", "False",
            "tests/test_cox.py"),
+    Mutant("piece-dim-skips-the-widening", "euler.py", "graded_piece_dim",
+           "_widen_fiber_tables(em.cox, shifted)", "None", "tests/test_euler.py"),
     # Polynomials built in one pass: exponents copied once into a list, coefficients
     # put in canonical form as they are computed or read, and the coefficient check.
     Mutant("partials-keep-the-lowered-entry", "cox.py", "_partials",

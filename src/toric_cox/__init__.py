@@ -53,13 +53,10 @@ _EXPORTS = {
         "section_dimension_report",
     ),
     "fans": (
-        "CechCocycle",
         "Fan",
         "FanReport",
         "TorusInvariantDivisor",
         "anticanonical",
-        "cartier_data",
-        "cech_transitions",
         "class_group",
         "fan_from_json",
         "fan_to_json",

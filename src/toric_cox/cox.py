@@ -425,6 +425,13 @@ def _grow_fiber_tables(cd: CoxData, weight: int, reach: int) -> None:
         previous = own
 
 
+def _widen_fiber_tables(cd: CoxData, classes: Sequence[Vector]) -> None:
+    """Rebuild ``cd._fiber`` once, at the widest reach of the classes in the effective cone, so
+    that their queries, in any order, rebuild it no more (one outside the cone is answered 0)."""
+    inside = [lam for lam in classes if all(sum(map(mul, n, lam)) >= 0 for n in cd.effective_normals)]
+    _grow_fiber_tables(cd, 0, max((max(map(abs, lam)) for lam in inside), default=0))
+
+
 def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
     """Monomials of the class: a lookup by key in the fiber tables.
 

@@ -22,6 +22,7 @@ from .cox import (
     GradedPolynomial,
     _exponents_up_to_weight,
     _partials,
+    _widen_fiber_tables,
     graded_dimension,
     integral_class,
     monomial_basis,
@@ -143,12 +144,14 @@ def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
 
 
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
-    """Dimension of the twisted section space, summed over the splitting."""
+    """Dimension of the twisted section space, summed over the splitting.
+
+    The fiber tables are widened once for all the shifted classes, before
+    they are asked in basis order (so a mismatch names the same class)."""
     lam = integral_class(em.cox, class_vector)
-    return sum(
-        graded_dimension(em.cox, tuple(a - b for a, b in zip(lam, degree)))
-        for degree in em.basis_degrees
-    )
+    shifted = [tuple(a - b for a, b in zip(lam, degree)) for degree in em.basis_degrees]
+    _widen_fiber_tables(em.cox, shifted)
+    return sum(graded_dimension(em.cox, mu) for mu in shifted)
 
 
 def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:

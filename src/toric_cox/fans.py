@@ -1,8 +1,7 @@
 """Fans of toric varieties.
 
-Structural validation, divisor class group with its degree map, Cartier
-data of invariant divisors, ampleness, the anticanonical divisor and the
-transition exponents of local trivializations.
+Structural validation, divisor class group with its degree map,
+ampleness and the anticanonical divisor.
 
 Validation certifies a smooth fan whose facets each have two owners from
 its walls (see :func:`validate_fan`): one sign per wall and one point in
@@ -14,20 +13,15 @@ Validation keeps the chart of each maximal cone s: the integer right
 inverse ``R_s`` of its ray matrix ``N_s``.  For a full-dimensional cone it
 is the inverse, from one fraction-free elimination whose determinant also
 shows the cone simplicial; a lower-dimensional cone reads it off the
-Smith form ``U N_s V = [I | 0]`` as ``V[:, :k] U``.  Cartier data is
-linear in the divisor, ``m_s = -R_s a_s``, so transitions cost no solve,
-and the class group reads its relations off the chart of cone 0.
+Smith form ``U N_s V = [I | 0]`` as ``V[:, :k] U``.  The class group
+reads its relations off the chart of cone 0.
 Validation also pairs the maximal cones across each facet; on a smooth
 complete fan it keeps one integer form per wall, and a divisor is ample
 iff every wall form is positive on it.
 
-Conventions fixed here and relied on everywhere else:
-
-* the divisor map sends a character ``m`` to the pairing vector
-  ``(<m, v_ray>)_ray``, so its matrix has one row per ray;
-* the local equation of a divisor on the chart of a maximal cone ``s`` is
-  the character ``-m_s``, and the transition exponent between charts is
-  ``g[s, t] = m_s - m_t``.
+Convention fixed here and relied on everywhere else: the divisor map
+sends a character ``m`` to the pairing vector ``(<m, v_ray>)_ray``, so its
+matrix has one row per ray.
 """
 
 from __future__ import annotations
@@ -454,59 +448,6 @@ def class_group(f: Fan) -> AbelianGroupPresentation:
     if presentation.free_rank != f.n_rays - f.dim:
         raise RaysDontSpan("rays do not span the ambient space")
     return presentation
-
-
-def cartier_data(f: Fan, divisor: TorusInvariantDivisor) -> tuple[Vector, ...]:
-    """Per maximal cone s, the character m_s with <m_s, v_ray> = -a_ray on the cone:
-    ``m_s = -R_s a_s``; no check, as on a smooth fan every divisor is Cartier."""
-    report = validate_fan(f)
-    if not report.smooth:
-        raise NotSmooth("Cartier data computed only on smooth fans")
-    if len(divisor.coefficients) != f.n_rays:
-        raise ValueError("divisor has the wrong number of coefficients")
-    a = divisor.coefficients
-    return tuple(
-        chart.mat_vec([-a[i] for i in cone]) for chart, cone in zip(report.charts, f.max_cones)
-    )
-
-
-class CechCocycle:
-    """Transition exponents g[s, t] = m_s - m_t for ordered pairs of maximal cones;
-    compared by value."""
-
-    def __init__(self, transitions: tuple[tuple[tuple[int, int], Vector], ...]) -> None:
-        self.transitions = transitions
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CechCocycle:
-            return NotImplemented
-        return self.transitions == other.transitions
-
-    @functools.cached_property
-    def _by_pair(self) -> dict[tuple[int, int], Vector]:
-        return dict(self.transitions)
-
-    def exponent(self, s: int, t: int) -> Vector:
-        return self._by_pair[s, t]
-
-    def __add__(self, other: "CechCocycle") -> "CechCocycle":
-        if len(self.transitions) != len(other.transitions):
-            raise ValueError("cocycles over different covers")
-        merged = []
-        for (key, value), (key2, value2) in zip(self.transitions, other.transitions):
-            if key != key2:
-                raise ValueError("cocycles over different covers")
-            merged.append((key, tuple(a + b for a, b in zip(value, value2))))
-        return CechCocycle(tuple(merged))
-
-
-def cech_transitions(f: Fan, divisor: TorusInvariantDivisor) -> CechCocycle:
-    characters = cartier_data(f, divisor)
-    pairs = []
-    for s, t in itertools.permutations(range(len(f.max_cones)), 2):
-        diff = tuple(a - b for a, b in zip(characters[s], characters[t]))
-        pairs.append(((s, t), diff))
-    return CechCocycle(tuple(pairs))
 
 
 def is_ample(f: Fan, divisor: TorusInvariantDivisor) -> bool:

@@ -133,9 +133,13 @@ def _generation_checks(
 
 
 def _cech_check() -> CheckResult:
-    """The transitions g[s, t] = m_s - m_t subtract the Cartier data of one
-    divisor, so g[s, t] + g[t, u] = g[s, u] telescopes; and the Cartier data
-    are linear in the divisor, so the transitions are additive."""
+    """Printed, not computed: both identities hold on every smooth complete fan.
+
+    On the chart of a maximal cone s, the divisor sum_v a_v D_v has the local
+    equation of the character -m_s, where <m_s, v> = -a_v on the cone's rays,
+    a basis of the lattice.  The transitions g[s, t] = m_s - m_t are the
+    differences of one family, so g[s, t] + g[t, u] = g[s, u] telescopes;
+    and m_s is linear in the divisor, so the transitions are additive."""
     return CheckResult(
         "cech cocycle",
         True,

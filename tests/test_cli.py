@@ -715,16 +715,16 @@ class TestColdStart:
         assert loaded == [f"toric_cox.{name}" for name in COMMAND_MODULES[command]]
 
 
-# toric_cox.__all__, pinned: the 66 exports and the seven submodules they come
+# toric_cox.__all__, pinned: the 63 exports and the seven submodules they come
 # from, as dir() listed them when __init__ imported every submodule.
 PACKAGE_ALL = [
-    "AbelianGroupPresentation", "CechCocycle", "CoxData", "DegenerateRay", "EulerModule",
+    "AbelianGroupPresentation", "CoxData", "DegenerateRay", "EulerModule",
     "EulerModuleElement", "Fan", "FanReport", "GradedPolynomial", "GradingInput",
     "InhomogeneousInput", "IntegerMatrix", "MalformedFan", "NotAmpleLift", "NotComplete",
     "NotPointed", "NotSmooth", "NotSurjective", "OracleMismatch", "PolytopeFamily",
     "RationalCone", "RaysDontSpan", "SplittingCertificate", "ToricCoxError",
     "TorusInvariantDivisor", "UnboundedPolytope", "WeightForm", "anticanonical",
-    "basis_element", "build_euler_module", "cartier_data", "cech_transitions",
+    "basis_element", "build_euler_module",
     "check_euler_identity", "class_group", "cokernel", "cone_contains", "cone_from_generators",
     "cox", "cox_data", "derivation", "divisor_in_class", "effective_weight_form", "errors",
     "euler", "euler_contract", "fan_from_json", "fan_to_json", "fans",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toric_cox import cox as cox_module
 from toric_cox import euler as euler_module
 from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import (
@@ -82,6 +83,16 @@ class TestGradedPieceDim:
             for d in em.basis_degrees
         )
         assert graded_piece_dim(em, lam) == expected == 5
+
+    def test_fiber_tables_are_built_once_at_the_widest_class(self, monkeypatch):
+        # (3, 3, 3, 3) minus the basis degrees reaches radius 3 first and 4
+        # later, so queries in basis order would rebuild the tables at each
+        em = build_euler_module(cox_data(load_fan("delpezzo6")))
+        real = cox_module._fiber_tables
+        radii = []
+        monkeypatch.setattr(cox_module, "_fiber_tables", lambda cd, r: radii.append(r) or real(cd, r))
+        assert graded_piece_dim(em, (3, 3, 3, 3)) == 78
+        assert radii == [0, 4]
 
 
 class TestDerivation:

@@ -1,29 +1,24 @@
-"""Fan validation, class groups, Cartier data, transitions and ampleness."""
+"""Fan validation, class groups and ampleness."""
 
 import hashlib
 import itertools
 import random
 import time
-from operator import mul
 from unittest import mock
 
 import pytest
 from fan_strategies import product_fan, small_fans, smooth_cycles, smooth_projective_fans
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from toric_cox import fans as fans_module
 from toric_cox import lattice as lattice_module
 from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, load_fan
 from toric_cox.errors import MalformedFan, NotComplete, NotSmooth, RaysDontSpan
 from toric_cox.fans import (
-    CechCocycle,
     Fan,
     FanReport,
     TorusInvariantDivisor,
     anticanonical,
-    cartier_data,
-    cech_transitions,
     class_group,
     fan_from_json,
     fan_to_json,
@@ -434,10 +429,8 @@ def test_uncertified_fans_take_the_pairwise_separation(name, monkeypatch):
 
 
 def test_verify_on_p2_cubed():
-    # 27 maximal cones: the Cech check looks up 3 transitions per ordered
-    # triple of cones for each of its 5 divisor pairs, 263,250 lookups.
-    # The digest is of the report as pinned when each lookup scanned every
-    # transition (8.7 s).
+    # 27 maximal cones, so a check that walks the triples of cones (as the
+    # Cech line once did, in 8.7 s) shows here; the digest pins the report.
     fan = product_fan(2, 2, 2)
     start = time.process_time()
     results = run_verification(fan)
@@ -499,113 +492,6 @@ class TestClassGroup:
                 assert not any(q.mat_vec(principal))
 
 
-class TestCartierData:
-    def test_no_smith_form_after_validation(self, corpus, monkeypatch):
-        fan = corpus["delpezzo6"]
-        validate_fan(fan)
-        real = lattice_module.smith_normal_form
-        calls = []
-
-        def counted(matrix):
-            calls.append(matrix)
-            return real(matrix)
-
-        monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
-        monkeypatch.setattr(fans_module, "smith_normal_form", counted)
-        rng = random.Random(5)
-        for _ in range(50):
-            divisor = TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)])
-            cartier_data(fan, divisor)
-            is_ample(fan, divisor)
-            cech_transitions(fan, divisor)
-        assert calls == []
-
-    def test_projective_plane_coordinate_divisor(self, p2):
-        characters = cartier_data(p2, TorusInvariantDivisor.make([1, 0, 0]))
-        assert characters[0] == (-1, 0)  # cone on rays 0,1
-
-    def test_zero_divisor(self, p2):
-        characters = cartier_data(p2, TorusInvariantDivisor.make([0, 0, 0]))
-        assert all(m == (0, 0) for m in characters)
-
-    def test_p1_anticanonical(self, p1):
-        assert cartier_data(p1, TorusInvariantDivisor.make([1, 1])) == ((-1,), (1,))
-
-    def test_rejects_a_singular_fan_and_a_divisor_of_the_wrong_length(self, p2):
-        with pytest.raises(NotSmooth):
-            cartier_data(load_fan("singular_cone"), TorusInvariantDivisor.make([1, 1]))
-        with pytest.raises(ValueError, match="wrong number of coefficients"):
-            cartier_data(p2, TorusInvariantDivisor.make([1, 1]))
-
-    def test_defining_equations_hold_on_corpus(self, corpus):
-        for fan in corpus.values():
-            divisor = TorusInvariantDivisor.make(range(fan.n_rays))
-            for cone, m in zip(fan.max_cones, cartier_data(fan, divisor)):
-                for i in cone:
-                    pairing = sum(a * b for a, b in zip(m, fan.rays[i]))
-                    assert pairing == -divisor.coefficients[i]
-
-
-class TestCechTransitions:
-    def test_zero_divisor_trivial(self, p2):
-        cocycle = cech_transitions(p2, TorusInvariantDivisor.make([0, 0, 0]))
-        assert all(v == (0, 0) for _, v in cocycle.transitions)
-
-    def test_projective_plane_value(self, p2):
-        cocycle = cech_transitions(p2, TorusInvariantDivisor.make([1, 0, 0]))
-        # canonical cone order is (0,1), (0,2), (1,2); the transition from
-        # the chart on rays 0,1 to the chart on rays 1,2 is (-1,0) - (0,0)
-        assert p2.max_cones == ((0, 1), (0, 2), (1, 2))
-        assert cocycle.exponent(0, 2) == (-1, 0)
-
-    def test_additivity(self, hirzebruch_1):
-        d1 = TorusInvariantDivisor.make([0, 0, 1, 0])
-        d2 = TorusInvariantDivisor.make([0, 0, 0, 1])
-        lhs = cech_transitions(hirzebruch_1, d1 + d2)
-        rhs = cech_transitions(hirzebruch_1, d1) + cech_transitions(hirzebruch_1, d2)
-        assert lhs == rhs
-
-    def test_sum_over_different_covers_raises(self, p1, p2):
-        cocycle = cech_transitions(p2, TorusInvariantDivisor.make([1, 0, 0]))
-        fewer_pairs = cech_transitions(p1, TorusInvariantDivisor.make([1, 0]))
-        reversed_pairs = CechCocycle(tuple(((t, s), g) for (s, t), g in cocycle.transitions))
-        for other in (fewer_pairs, reversed_pairs):
-            with pytest.raises(ValueError, match="different covers"):
-                cocycle + other
-
-    def test_cocycle_identity_on_corpus(self, corpus):
-        for fan in corpus.values():
-            divisor = TorusInvariantDivisor.make([1] * fan.n_rays)
-            cocycle = cech_transitions(fan, divisor)
-            indices = range(len(fan.max_cones))
-            for s, t in itertools.permutations(indices, 2):
-                assert cocycle.exponent(s, t) == tuple(
-                    -x for x in cocycle.exponent(t, s)
-                )
-            for s, t, u in itertools.permutations(indices, 3):
-                summed = tuple(
-                    a + b
-                    for a, b in zip(cocycle.exponent(s, t), cocycle.exponent(t, u))
-                )
-                assert summed == cocycle.exponent(s, u)
-
-
-@settings(max_examples=100, deadline=None)
-@given(smooth_projective_fans() | smooth_cycles(), st.data())
-def test_transitions_vanish_on_the_shared_rays(fan, data):
-    # <m_s, v> = -a_v = <m_t, v> on a shared ray v, so the transition m_s - m_t
-    # is a unit on the overlap (Cox-Little-Schenck, section 4.2)
-    try:
-        validate_fan(fan)
-    except MalformedFan:
-        return  # a cycle that winds more than once or folds back
-    coefficients = data.draw(st.lists(st.integers(-3, 3), min_size=fan.n_rays, max_size=fan.n_rays))
-    cocycle = cech_transitions(fan, TorusInvariantDivisor.make(coefficients))
-    for (s, t), g in cocycle.transitions:
-        for i in set(fan.max_cones[s]) & set(fan.max_cones[t]):
-            assert sum(map(mul, g, fan.rays[i])) == 0, (s, t, i)
-
-
 class TestIsAmple:
     def test_coordinate_divisor_on_p2(self, p2):
         assert is_ample(p2, TorusInvariantDivisor.make([1, 0, 0]))
@@ -624,6 +510,27 @@ class TestIsAmple:
     def test_wrong_length_rejected(self, p2):
         with pytest.raises(ValueError, match="wrong number of coefficients"):
             is_ample(p2, TorusInvariantDivisor.make([1, 0]))
+
+    def test_singular_fan_rejected(self):
+        with pytest.raises(NotSmooth):
+            is_ample(load_fan("singular_cone"), TorusInvariantDivisor.make([1, 1]))
+
+    def test_no_smith_form_after_validation(self, corpus, monkeypatch):
+        fan = corpus["delpezzo6"]
+        validate_fan(fan)
+        real = lattice_module.smith_normal_form
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
+        monkeypatch.setattr(fans_module, "smith_normal_form", counted)
+        rng = random.Random(5)
+        for _ in range(50):
+            is_ample(fan, TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)]))
+        assert calls == []
 
     def test_anticanonical_ample_exactly_on_fano_corpus(self, corpus):
         fano = {"p1", "p2", "p1xp1", "hirzebruch_0", "hirzebruch_1", "delpezzo6"}
