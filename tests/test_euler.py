@@ -16,6 +16,7 @@ from toric_cox.cox import (
     _exponents_up_to_weight,
     cox_data,
     effective_weight_form,
+    graded_dimension,
     make_polynomial,
     monomial_basis,
 )
@@ -93,6 +94,36 @@ class TestGradedPieceDim:
         monkeypatch.setattr(cox_module, "_fiber_tables", lambda cd, r: radii.append(r) or real(cd, r))
         assert graded_piece_dim(em, (3, 3, 3, 3)) == 78
         assert radii == [0, 4]
+
+    def test_widening_skips_classes_outside_the_effective_cone(self):
+        # (-7,) has no monomial, so it is answered 0 and leaves the reach at 2
+        cd = cox_data(load_fan("p2"))
+        cox_module._widen_fiber_tables(cd, [(-7,), (2,)])
+        assert cd._fiber[0] == 2
+        tables = cd._fiber
+        assert graded_dimension(cd, (-7,)) == 0 and graded_dimension(cd, (2,)) == 6
+        assert cd._fiber is tables
+
+    def test_widening_without_classes_keeps_the_tables(self):
+        cd = cox_data(load_fan("hirzebruch_1"))
+        tables = cd._fiber
+        cox_module._widen_fiber_tables(cd, [])
+        assert cd._fiber is tables and tables[0] == 0
+
+    @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+    def test_widened_tables_answer_every_shifted_class_without_a_rebuild(self, name, corpus_cox, monkeypatch):
+        # twice the anticanonical class: each lam - d_i is queried once the
+        # tables are wide enough for all, and counts its monomials
+        em = build_euler_module(cox_data(load_fan(name)))
+        lam = tuple(2 * x for x in em.cox.degree_of_exponent((1,) * em.cox.num_vars))
+        expected = sum(
+            len(monomial_basis(corpus_cox[name], tuple(a - b for a, b in zip(lam, d)))) for d in em.basis_degrees
+        )
+        real = cox_module._fiber_tables
+        radii = []
+        monkeypatch.setattr(cox_module, "_fiber_tables", lambda cd, r: radii.append(r) or real(cd, r))
+        assert graded_piece_dim(em, lam) == expected
+        assert len(radii) <= 2, radii
 
 
 class TestDerivation:

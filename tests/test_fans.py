@@ -532,6 +532,39 @@ class TestIsAmple:
             is_ample(fan, TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)]))
         assert calls == []
 
+    @pytest.mark.parametrize("name", ["p1", "p2"])
+    def test_picard_rank_one_ample_exactly_in_positive_degree(self, name):
+        fan = load_fan(name)
+        rng = random.Random(11)
+        for _ in range(60):
+            divisor = TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)])
+            assert is_ample(fan, divisor) == (sum(divisor.coefficients) > 0), divisor
+
+    def test_ampleness_depends_only_on_the_class(self, corpus):
+        # adding the principal divisor of a character m, sum_v <m, v> D_v,
+        # keeps the class and so the answer
+        rng = random.Random(17)
+        for name, fan in corpus.items():
+            for _ in range(20):
+                coefficients = [rng.randint(-3, 3) for _ in range(fan.n_rays)]
+                principal = fan.ray_matrix().mat_vec([rng.randint(-4, 4) for _ in range(fan.dim)])
+                moved = [a + b for a, b in zip(coefficients, principal)]
+                assert is_ample(fan, TorusInvariantDivisor.make(coefficients)) == is_ample(
+                    fan, TorusInvariantDivisor.make(moved)
+                ), (name, coefficients, moved)
+
+    def test_ample_divisors_form_a_convex_cone(self, corpus):
+        rng = random.Random(19)
+        for name, fan in corpus.items():
+            draws = [TorusInvariantDivisor.make([rng.randint(-1, 3) for _ in range(fan.n_rays)]) for _ in range(30)]
+            ample = [d for d in draws if is_ample(fan, d)]
+            assert ample, name
+            for d in draws:
+                doubled = TorusInvariantDivisor.make([2 * a for a in d.coefficients])
+                assert is_ample(fan, doubled) == is_ample(fan, d), (name, d)
+            for d1, d2 in itertools.combinations(ample, 2):
+                assert is_ample(fan, d1 + d2), (name, d1, d2)
+
     def test_anticanonical_ample_exactly_on_fano_corpus(self, corpus):
         fano = {"p1", "p2", "p1xp1", "hirzebruch_0", "hirzebruch_1", "delpezzo6"}
         for name, fan in corpus.items():

@@ -410,13 +410,17 @@ def test_one_wall_form_per_wall(fan, walls):
     assert len(validate_fan(fan).wall_forms) == walls == len(fan.max_cones) * fan.dim // 2
 
 
-def ample_by_cones(fan: Fan, divisor: TorusInvariantDivisor) -> bool:
-    """Reference: <m_s, v_rho> > -a_rho for each maximal cone s and each ray rho outside s,
-    where m_s is a Smith solve of <m_s, v_ray> = -a_ray on the rays of s."""
-    characters = [
+def cone_characters(fan: Fan, divisor: TorusInvariantDivisor) -> list:
+    """Per maximal cone s, a Smith solve m_s of <m_s, v_ray> = -a_ray on the rays of s."""
+    return [
         solve_integer(IntegerMatrix.from_rows(fan.cone_rays(cone)), [-divisor.coefficients[i] for i in cone])
         for cone in fan.max_cones
     ]
+
+
+def ample_by_cones(fan: Fan, divisor: TorusInvariantDivisor) -> bool:
+    """Reference: <m_s, v_rho> > -a_rho for each maximal cone s and each ray rho outside s."""
+    characters = cone_characters(fan, divisor)
     return all(
         sum(m * v for m, v in zip(characters[k], fan.rays[rho])) > -divisor.coefficients[rho]
         for k, cone in enumerate(fan.max_cones)
@@ -448,6 +452,20 @@ def test_wall_forms_decide_ampleness(fan, data):
     for coefficients in (combination, plain):
         divisor = TorusInvariantDivisor.make(coefficients)
         assert is_ample(fan, divisor) == ample_by_cones(fan, divisor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fan=st.sampled_from(AMPLENESS_FANS), data=st.data())
+def test_cone_characters_solve_the_local_equations(fan, data):
+    # the reference's characters: <m_s, v> = -a_v on the rays of s, so on a
+    # ray v shared by s and t the transition m_s - m_t pairs to zero
+    coefficients = data.draw(st.lists(st.integers(-9, 9), min_size=fan.n_rays, max_size=fan.n_rays))
+    characters = cone_characters(fan, TorusInvariantDivisor.make(coefficients))
+    for cone, m in zip(fan.max_cones, characters):
+        assert [sum(a * b for a, b in zip(m, fan.rays[i])) for i in cone] == [-coefficients[i] for i in cone]
+    for (s, m_s), (t, m_t) in itertools.combinations(zip(fan.max_cones, characters), 2):
+        for i in set(s) & set(t):
+            assert sum((a - b) * v for a, b, v in zip(m_s, m_t, fan.rays[i])) == 0, (s, t, i)
 
 
 def test_verify_identity_checks_reach_the_lightest_variable():
