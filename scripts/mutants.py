@@ -95,9 +95,14 @@ MUTANTS = (
     Mutant("counterexample-format-changed", "euler.py", "check_euler_identity",
            "f'class {lam}: got {actual}, expected {expected}'", "f'class {lam}: {actual} != {expected}'",
            "tests/test_cli.py"),
+    # The class group of a smooth complete fan, read off all of its wall forms.
+    Mutant("class-group-reads-one-wall-form", "fans.py", "class_group",
+           "set(report.wall_forms)", "set(report.wall_forms[:1])", "tests/test_fans.py"),
     # Outside input.
     Mutant("divisor-sum-accepts-anything", "fans.py", "TorusInvariantDivisor.__add__",
            "other.__class__ is not TorusInvariantDivisor", "False", "tests/test_fans.py"),
+    Mutant("ampleness-accepts-anything", "fans.py", "is_ample",
+           "divisor.__class__ is not TorusInvariantDivisor", "False", "tests/test_fans.py"),
     Mutant("json-reader-misses-deep-nesting", "fans.py", "_load_json",
            "(RecursionError, ValueError)", "ValueError", "tests/test_cli.py"),
     Mutant("json-reader-misses-long-integers", "fans.py", "_load_json",

@@ -9,15 +9,15 @@ no maximal cone but the first, both read off the charts.  Other fans, and
 one whose certificate fails, have each pair of maximal cones checked by a
 separation test: one Fourier-Motzkin elimination per pair.
 
-Validation keeps the chart of each maximal cone s: the integer right
-inverse ``R_s`` of its ray matrix ``N_s``.  For a full-dimensional cone it
-is the inverse, from one fraction-free elimination whose determinant also
-shows the cone simplicial; a lower-dimensional cone reads it off the
-Smith form ``U N_s V = [I | 0]`` as ``V[:, :k] U``.  The class group
-reads its relations off the chart of cone 0.
-Validation also pairs the maximal cones across each facet; on a smooth
-complete fan it keeps one integer form per wall, and a divisor is ample
-iff every wall form is positive on it.
+The chart of a full-dimensional maximal cone s is the inverse ``R_s`` of
+its ray matrix ``N_s``, from one fraction-free elimination whose
+determinant also shows the cone simplicial; a lower-dimensional cone
+takes a Smith form, whose last invariant factor decides both flags, and
+has no chart.  Validation also pairs the maximal cones across each facet;
+on a smooth complete fan it keeps one integer form per wall, read off the
+chart on one side.  The wall forms span the relations among the rays, so
+the class group is read off them, and a divisor is ample iff every wall
+form is positive on it.
 
 Convention fixed here and relied on everywhere else: the divisor map
 sends a character ``m`` to the pairing vector ``(<m, v_ray>)_ray``, so its
@@ -125,23 +125,17 @@ def fan_to_json(f: Fan) -> str:
 
 
 class FanReport:
-    """Validation flags; on a smooth fan also the chart of each maximal cone, and
-    on a smooth complete one the form of each wall (neither compared nor shown)."""
+    """Validation flags; on a smooth complete fan also the form of each wall
+    (not compared nor shown)."""
 
-    __slots__ = ("simplicial", "smooth", "complete", "charts", "wall_forms")
+    __slots__ = ("simplicial", "smooth", "complete", "wall_forms")
 
     def __init__(
-        self,
-        simplicial: bool,
-        smooth: bool,
-        complete: bool,
-        charts: tuple[IntegerMatrix, ...] = (),
-        wall_forms: tuple[Vector, ...] = (),
+        self, simplicial: bool, smooth: bool, complete: bool, wall_forms: tuple[Vector, ...] = ()
     ) -> None:
         self.simplicial = simplicial
         self.smooth = smooth
         self.complete = complete
-        self.charts = charts
         self.wall_forms = wall_forms
 
     def _flags(self) -> tuple[bool, bool, bool]:
@@ -205,20 +199,20 @@ def _check_face_intersections(f: Fan) -> None:
 
 
 def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
-    """Whether every maximal cone is simplicial, and then the chart of each,
-    or None if one is not unimodular.
+    """Whether every maximal cone is simplicial, and then the chart of each
+    full-dimensional one, or None if a cone is not unimodular.
 
     A cone of k rays in dimension d is simplicial iff its rays are
     independent, so never when k > d.  When k = d the chart is the inverse
     of its ray matrix N, the one solution of N R = I_d: one fraction-free
     elimination (:func:`~toric_cox.lattice.unimodular_inverse`) gives
     det N, nonzero iff the cone is simplicial and +-1 iff it is
-    unimodular, and then the inverse.  When k < d the right inverse is not
-    unique, and the chart is read off the Smith form ``U N V = D``: its
-    nonzero invariants come first, each dividing the next, so the k-th
-    decides both, nonzero iff the rays are independent and 1 iff
-    ``D = [I_k | 0]``, when the rays extend to a lattice basis and
-    ``R = V[:, :k] U`` has N R = I_k.
+    unimodular, and then the inverse.  When k < d the cone has no chart,
+    and both flags are read off the Smith form ``U N V = D``: its nonzero
+    invariants come first, each dividing the next, so the k-th is nonzero
+    iff the rays are independent and 1 iff ``D = [I_k | 0]``, when the
+    rays extend to a lattice basis.  Only the wall forms and the
+    certificate read charts, and only when every cone is full-dimensional.
     """
     charts: list[IntegerMatrix] | None = []
     for cone in f.max_cones:
@@ -235,14 +229,11 @@ def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
             elif charts is not None:
                 charts.append(inverse)
             continue
-        u, d, v = smith_normal_form(rays)
-        last = d.entries[k - 1][k - 1]
+        last = smith_normal_form(rays)[1].entries[k - 1][k - 1]
         if not last:
             return False, None
         if last != 1:
             charts = None
-        elif charts is not None:
-            charts.append(IntegerMatrix._unchecked(tuple(row[:k] for row in v.entries)) @ u)
     return True, None if charts is None else tuple(charts)
 
 
@@ -262,27 +253,22 @@ def _walls(f: Fan) -> list[list[int]] | None:
     return list(owners.values())
 
 
-def _relation(f: Fan, cone: Sequence[int], dual: tuple[Vector, ...], rho: int) -> Vector:
-    """The linear relation ``e_rho - sum_i c_i e_i`` of ray rho on the chart R
-    of a maximal cone, where ``c = R^T v_rho`` holds the coordinates of
-    v_rho on the cone's rays, read from ``dual``, the rows of ``R^T``."""
-    v = f.rays[rho]
-    c = {i: sum(map(mul, row, v)) for i, row in zip(cone, dual)}
-    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
-
-
 def _wall_form(f: Fan, dual: tuple[Vector, ...], s: int, t: int) -> Vector:
     """The form on divisors that is positive iff the support function is
     strictly convex across the wall between maximal cones s and t.
 
-    With rho the ray of t outside s, the form is the relation of rho on the
-    chart of s (:func:`_relation`), ``a_rho - <c, a_s>``.  The wall relation
-    ``v_rho + v_rho' = sum b_i v_i`` gives the same form from the side of t;
-    convexity across every wall is convexity (Cox-Little-Schenck, sections
-    6.1, 6.4).
+    With rho the ray of t outside s and ``c = R^T v_rho`` the coordinates
+    of v_rho on the rays of s, read from ``dual``, the rows of the
+    transposed chart ``R^T`` of s, the form is the linear relation
+    ``e_rho - sum_i c_i e_i``, that is ``a_rho - <c, a_s>``.  The wall
+    relation ``v_rho + v_rho' = sum b_i v_i`` gives the same form from the
+    side of t; convexity across every wall is convexity (Cox-Little-Schenck,
+    sections 6.1, 6.4).
     """
     (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
-    return _relation(f, f.max_cones[s], dual, rho)
+    v = f.rays[rho]
+    c = {i: sum(map(mul, row, v)) for i, row in zip(f.max_cones[s], dual)}
+    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
 
 
 def _certified(
@@ -315,14 +301,15 @@ def validate_fan(f: Fan) -> FanReport:
     One elimination per full-dimensional maximal cone shows it simplicial
     and gives its chart when it is unimodular; a cone of more rays than the
     dimension is not simplicial, and only a lower-dimensional cone takes a
-    Smith form (:func:`_charts`).  A fan is smooth when every maximal cone
-    has a chart, which the report carries.  Completeness is
-    decided by facet pairing, which is sound for the simplicial
-    full-dimensional fans this package supports; non-simplicial input is
-    reported as neither smooth nor complete.  On a smooth complete fan the
-    report carries one wall form per facet.
+    Smith form, which decides both flags and gives no chart
+    (:func:`_charts`).  A fan is smooth when every maximal cone is
+    unimodular.  Completeness is decided by facet pairing, which is sound
+    for the simplicial full-dimensional fans this package supports;
+    non-simplicial input is reported as neither smooth nor complete.  On a
+    smooth complete fan the report carries one wall form per facet, read
+    off the charts; it keeps no chart.
 
-    When every maximal cone has a chart and every facet two owners, the
+    When every maximal cone is unimodular and every facet has two owners, the
     cones form a fan iff the wall certificate of :func:`_certified` holds:
     (i) across each wall the two cones lie on opposite sides, and (ii) the
     point p, the sum of the rays of cone 0, lies in no other maximal cone.
@@ -373,13 +360,7 @@ def validate_fan(f: Fan) -> FanReport:
         wall_forms = tuple(_wall_form(f, duals[s], s, t) for s, t in walls)
     if not (wall_forms and _certified(f, duals, walls, wall_forms)):
         _check_face_intersections(f)
-    return FanReport(
-        simplicial=True,
-        smooth=charts is not None,
-        complete=complete,
-        charts=charts or (),
-        wall_forms=wall_forms,
-    )
+    return FanReport(simplicial=True, smooth=charts is not None, complete=complete, wall_forms=wall_forms)
 
 
 def require_smooth_complete(f: Fan) -> FanReport:
@@ -427,23 +408,30 @@ def class_group(f: Fan) -> AbelianGroupPresentation:
     construction: these rows kill the divisor image and their own kernel
     is its saturation, which is the image itself when the group is free.
 
-    When cone 0 of a smooth fan is full-dimensional, with chart R, its
-    rays are a lattice basis, and each ray rho outside it gives its
-    relation on that chart (:func:`_relation`).  A kernel vector minus its
-    combination of these relations is supported on cone 0 and so is 0, so
-    they are a basis of the kernel, the group is free of rank rays minus
-    dimension, and no Smith form is taken.  Every other fan takes
-    :func:`~toric_cox.lattice.cokernel`, which also finds torsion; its free
-    rank is rays minus the rank of the divisor map, so the rays span iff it
-    is rays minus dimension.
+    On a smooth complete fan the kernel is spanned by the wall forms of the
+    validation report, the relations of the torus-invariant curves
+    (Cox-Little-Schenck, section 6.4), so it is their Hermite basis and no
+    Smith form is taken.  Each maximal cone s is a lattice basis, so each
+    ray x has one relation ``r_s(x) = e_x - sum_i c_i e_i`` supported on s
+    and x, and ``r_s(x) = 0`` when x is in s.  Across a wall, from s to t,
+    the relations supported on the d + 1 rays of s and t form a lattice of
+    rank 1, which the wall form generates, as its entry on the ray of t
+    outside s is 1; so ``r_s(x) - r_t(x)`` is an integer multiple of it.
+    A complete fan's maximal cones are linked across walls by a gallery
+    from cone 0 to a cone holding x, and telescoping along it writes
+    ``r_0(x)`` as a sum of wall forms.  The ``r_0(x)`` are a basis of the
+    kernel (a kernel vector minus its combination of them is supported on
+    cone 0, and so is 0), and the wall forms lie in it, so both span the
+    same lattice, free of rank rays minus dimension.
+
+    Every other fan takes :func:`~toric_cox.lattice.cokernel`, which also
+    finds torsion; its free rank is rays minus the rank of the divisor
+    map, so the rays span iff it is rays minus dimension.
     """
     report = validate_fan(f)
-    sigma = f.max_cones[0]
-    if report.charts and len(sigma) == f.dim:
-        dual = tuple(zip(*report.charts[0].entries))
-        relations = [_relation(f, sigma, dual, rho) for rho in range(f.n_rays) if rho not in sigma]
-        basis = hermite_basis(relations, f.n_rays)
-        return AbelianGroupPresentation(f.n_rays - f.dim, (), IntegerMatrix(basis, 0 if basis else f.n_rays))
+    if report.wall_forms:
+        basis = hermite_basis(set(report.wall_forms), f.n_rays)
+        return AbelianGroupPresentation(f.n_rays - f.dim, (), IntegerMatrix(basis))
     presentation = cokernel(f.ray_matrix())
     if presentation.free_rank != f.n_rays - f.dim:
         raise RaysDontSpan("rays do not span the ambient space")
@@ -452,7 +440,10 @@ def class_group(f: Fan) -> AbelianGroupPresentation:
 
 def is_ample(f: Fan, divisor: TorusInvariantDivisor) -> bool:
     """Strict convexity of the support function on a smooth complete fan:
-    every wall form of the fan's validation report is positive on the divisor."""
+    every wall form of the fan's validation report is positive on the divisor,
+    which must be a TorusInvariantDivisor (TypeError otherwise)."""
+    if divisor.__class__ is not TorusInvariantDivisor:
+        raise TypeError(f"expected a TorusInvariantDivisor, got {type(divisor).__name__}")
     report = require_smooth_complete(f)
     a = divisor.coefficients
     if len(a) != f.n_rays:

@@ -1,4 +1,4 @@
-"""Hypothesis strategies for fans, shared by the validation and CLI tests."""
+"""Hypothesis strategies for fans, and fixed fans, shared by the test modules."""
 
 import itertools
 import math
@@ -116,3 +116,14 @@ def smooth_projective_fans(draw):
         cone = rng.choice(fan.max_cones)
         fan = star_subdivision(fan, frozenset(rng.sample(cone, rng.randint(2, fan.dim))))
     return fan
+
+
+# Smooth and complete but not projective (class-group rank 4): a twisted
+# triangular prism over e1, e2, e3 and (-1, -1, -1), its side
+# quadrilaterals split cyclically.  By Kleinschmidt-Sturmfels every smooth
+# complete threefold with at most 6 rays is projective.
+NON_PROJECTIVE_THREEFOLD = Fan.make(
+    3,
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1], [-1, 0, -1], [-1, -1, 0], [-1, -1, -1]],
+    [[0, 1, 2], [0, 1, 3], [0, 2, 5], [0, 3, 5], [1, 2, 4], [1, 3, 4], [2, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6]],
+)

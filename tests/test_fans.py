@@ -7,7 +7,13 @@ import time
 from unittest import mock
 
 import pytest
-from fan_strategies import product_fan, small_fans, smooth_cycles, smooth_projective_fans
+from fan_strategies import (
+    NON_PROJECTIVE_THREEFOLD,
+    product_fan,
+    small_fans,
+    smooth_cycles,
+    smooth_projective_fans,
+)
 from hypothesis import given, settings
 
 from toric_cox import fans as fans_module
@@ -82,9 +88,6 @@ class TestValidateFan:
         with pytest.raises(ValueError, match="not an integer"):
             TorusInvariantDivisor.make([1, 0.5])
         assert Fan.make(1, [[True], [-1]], [[False], [1]]) == Fan.make(1, [[1], [-1]], [[0], [1]])
-
-    def test_no_charts_without_smoothness(self):
-        assert validate_fan(Fan.make(2, [[1, 0], [1, 2]], [[0, 1]])).charts == ()
 
     @pytest.mark.parametrize("name", NON_EXAMPLES)
     def test_no_wall_forms_unless_smooth_and_complete(self, name):
@@ -227,7 +230,7 @@ def validation_outcome(validate, fan: Fan):
         report = validate(fan)
     except MalformedFan as exc:
         return str(exc)
-    return report, report.charts, report.wall_forms
+    return report, report.wall_forms
 
 
 @settings(max_examples=150, deadline=None)
@@ -257,8 +260,9 @@ def test_wall_certificate_agrees_with_pairwise_double_description(fan):
 @settings(max_examples=150, deadline=None)
 @given(small_fans())
 def test_smith_form_decides_simplicial_and_charts(fan):
-    # per cone, and for the fan: the Smith-derived flag is the rank test, a
-    # chart exists iff every invariant is 1, and it is a right inverse
+    # per cone, and for the fan: the Smith-derived flag is the rank test, the
+    # cone is unimodular iff every invariant is 1, and then a full-dimensional
+    # cone has a chart, its inverse, and a lower-dimensional one has none
     flags, unimodular = [], []
     for cone in fan.max_cones:
         rays = fan.cone_rays(cone)
@@ -269,8 +273,10 @@ def test_smith_form_decides_simplicial_and_charts(fan):
             _, d, _ = smith_normal_form(IntegerMatrix.from_rows(rays))
             unimodular.append(all(d.entries[i][i] == 1 for i in range(len(cone))))
             assert (charts is not None) == unimodular[-1]
-            if charts is not None:
+            if charts is not None and len(cone) == fan.dim:
                 assert IntegerMatrix.from_rows(rays) @ charts[0] == IntegerMatrix.identity(len(cone))
+            elif charts is not None:
+                assert charts == ()
     simplicial, charts = fans_module._charts(fan)
     assert simplicial == all(flags)
     assert (charts is not None) == (simplicial and all(unimodular))
@@ -283,8 +289,8 @@ def test_smith_form_decides_simplicial_and_charts(fan):
 
 def reference_charts(f: Fan):
     """One Smith form ``U N V = D`` per maximal cone: simplicial iff its k-th
-    invariant is nonzero, unimodular iff it is 1, and then the chart is
-    ``V[:, :k] U``."""
+    invariant is nonzero, unimodular iff it is 1, and then a full-dimensional
+    cone's chart is ``V U``, the inverse of N; a lower-dimensional cone has none."""
     charts = []
     for cone in f.max_cones:
         u, d, v = smith_normal_form(IntegerMatrix.from_rows(f.cone_rays(cone)))
@@ -294,8 +300,8 @@ def reference_charts(f: Fan):
             return False, None
         if last != 1:
             charts = None
-        elif charts is not None:
-            charts.append(IntegerMatrix.from_rows(row[:k] for row in v.entries) @ u)
+        elif charts is not None and k == f.dim:
+            charts.append(v @ u)
     return True, None if charts is None else tuple(charts)
 
 
@@ -416,6 +422,17 @@ UNCERTIFIED = {
 }
 
 
+@pytest.mark.parametrize(
+    "fan",
+    [NON_PROJECTIVE_THREEFOLD, UNCERTIFIED["mixed_dimensions"][0]],
+    ids=["non_projective_threefold", "mixed_dimensions"],
+)
+def test_class_group_off_the_corpus_is_the_cokernel(fan):
+    # the wall forms span the relations on any smooth complete fan, projective
+    # or not; a smooth incomplete fan with a full-dimensional cone 0 takes cokernel
+    assert same_presentation(fan)
+
+
 @pytest.mark.parametrize("name", [*NON_EXAMPLES, *UNCERTIFIED])
 def test_uncertified_fans_take_the_pairwise_separation(name, monkeypatch):
     # the non-examples have one maximal cone each, so no pair to separate
@@ -510,6 +527,11 @@ class TestIsAmple:
     def test_wrong_length_rejected(self, p2):
         with pytest.raises(ValueError, match="wrong number of coefficients"):
             is_ample(p2, TorusInvariantDivisor.make([1, 0]))
+
+    @pytest.mark.parametrize("divisor", [(1, 1, 1), [1, 1, 1], None])
+    def test_a_divisor_of_another_type_is_a_type_error(self, p2, divisor):
+        with pytest.raises(TypeError, match="expected a TorusInvariantDivisor"):
+            is_ample(p2, divisor)
 
     def test_singular_fan_rejected(self):
         with pytest.raises(NotSmooth):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fan_strategies import smooth_projective_fans
+from fan_strategies import NON_PROJECTIVE_THREEFOLD, smooth_projective_fans
 from toric_cox import polyhedral as polyhedral_module
 from toric_cox import verify as verify_module
 from toric_cox.cli import main
@@ -289,17 +289,6 @@ def test_empty_nef_interior_is_reported(monkeypatch):
     monkeypatch.setattr(verify_module, "_nef_cone_divisor", lambda f: anticanonical(f))
     result = _roundtrip_check(cox_data(fan))
     assert (result.passed, result.detail) == (True, "not applicable: complete but not projective")
-
-
-# Smooth and complete but not projective (class-group rank 4): a twisted
-# triangular prism over e1, e2, e3 and (-1, -1, -1), its side
-# quadrilaterals split cyclically.  By Kleinschmidt-Sturmfels every smooth
-# complete threefold with at most 6 rays is projective.
-NON_PROJECTIVE_THREEFOLD = Fan.make(
-    3,
-    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, -1], [-1, 0, -1], [-1, -1, 0], [-1, -1, -1]],
-    [[0, 1, 2], [0, 1, 3], [0, 2, 5], [0, 3, 5], [1, 2, 4], [1, 3, 4], [2, 4, 5], [3, 4, 6], [3, 5, 6], [4, 5, 6]],
-)
 
 
 def test_verify_passes_on_a_non_projective_threefold(capsys, tmp_path):

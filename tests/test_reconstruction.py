@@ -242,6 +242,10 @@ class TestRoundTrip:
         with pytest.raises(NotAmpleLift):
             roundtrip_check(cox_data(p1xp1), TorusInvariantDivisor.make([1, 0, 0, 0]))
 
+    def test_a_coefficient_tuple_is_a_type_error(self, p2):
+        with pytest.raises(TypeError, match="expected a TorusInvariantDivisor"):
+            roundtrip_check(cox_data(p2), (1, 1, 1))
+
     def test_all_small_ample_divisors_on_corpus(self, corpus):
         for name, fan in corpus.items():
             cd = cox_data(fan)
