@@ -126,6 +126,26 @@ MUTANTS = (
            "lowered[i] = a", "pass", "tests/test_euler.py"),
     Mutant("contraction-raises-the-next-index", "euler.py", "euler_contract",
            "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
+    # Euler-module elements that store only their nonzero components: no zero
+    # component is left to drop, to check a module or a ring, or to skip.
+    Mutant("contraction-skips-the-first-part", "euler.py", "euler_contract",
+           "element._parts.items()", "list(element._parts.items())[1:]", "tests/test_euler.py"),
+    Mutant("sum-keeps-a-cancelled-index", "euler.py", "EulerModuleElement.__add__",
+           "{i: c for i, c in parts.items() if c.terms}", "parts", "tests/test_euler.py"),
+    Mutant("sum-skips-the-module-check", "euler.py", "EulerModuleElement.__add__",
+           "other.module is not self.module and other.module != self.module", "False",
+           "tests/test_euler.py"),
+    Mutant("product-keeps-a-zero-part", "euler.py", "EulerModuleElement.__mul__",
+           "{i: p for i, c in self._parts.items() if (p := (c * factor)).terms}",
+           "{i: c * factor for i, c in self._parts.items()}", "tests/test_euler.py"),
+    Mutant("product-skips-the-ring-check", "euler.py", "EulerModuleElement.__mul__",
+           "factor.cox is not self.module.cox and factor.cox != self.module.cox", "False",
+           "tests/test_euler.py"),
+    Mutant("constructor-keeps-the-zero-components", "euler.py", "EulerModuleElement.__init__",
+           "{i: c for i, c in enumerate(components) if c.terms}", "dict(enumerate(components))",
+           "tests/test_euler.py"),
+    Mutant("basis-element-reads-a-negative-index", "euler.py", "basis_element",
+           "not 0 <= index < em.rank", "index >= em.rank", "tests/test_euler.py"),
     Mutant("make-polynomial-keeps-a-zero", "cox.py", "make_polynomial",
            "if c:\n    checked[key] = c\nelse:\n    checked.pop(key, None)", "checked[key] = c",
            "tests/test_cox.py"),

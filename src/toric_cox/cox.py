@@ -261,11 +261,7 @@ class GradedPolynomial:
         unless ``0 <= index < num_vars``."""
         if not 0 <= index < self.cox.num_vars:
             raise IndexError(f"variable index {index} out of range for {self.cox.num_vars} variables")
-        out: dict[Vector, int | Fraction] = {}
-        for e, c in self.terms.items():
-            if e[index]:
-                out[e[:index] + (e[index] - 1,) + e[index + 1:]] = c * e[index]
-        return GradedPolynomial(self.cox, out)
+        return _partials(self).get(index, _polynomial(self.cox, {}))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -303,19 +299,18 @@ def _polynomial(cox: CoxData, terms: dict[Vector, int | Fraction]) -> GradedPoly
     return p
 
 
-def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
-    """``p.partial(i)`` for every variable i, built in one pass over the terms of p.
+def _partials(p: GradedPolynomial) -> dict[int, GradedPolynomial]:
+    """The nonzero ``p.partial(i)``, by variable index i, built in one pass over the terms of p.
 
-    Each partial starts as the zero polynomial, made by :func:`_polynomial`,
-    and its terms are filled in place before it is returned.  Each exponent
-    is copied into a list once; for each positive entry i the list is
-    lowered at i, frozen with ``tuple()`` into the key of partial i, and
-    restored.  A stored coefficient times a positive exponent is nonzero,
-    and it is stored as an int when integral, so every term is canonical
-    as built, with no check.
+    Each partial is made by :func:`_polynomial` at the first term with a
+    positive entry i, and its terms are filled in place before it is
+    returned.  Each exponent is copied into a list once; for each positive
+    entry i the list is lowered at i, frozen with ``tuple()`` into the key
+    of partial i, and restored.  A stored coefficient times a positive
+    exponent is nonzero, and it is stored as an int when integral, so every
+    term is canonical as built, with no check.
     """
-    cox = p.cox
-    partials = tuple([_polynomial(cox, {}) for _ in range(cox.num_vars)])
+    partials: dict[int, GradedPolynomial] = {}
     for e, c in p.terms.items():
         integral = type(c) is int
         lowered = list(e)
@@ -323,6 +318,8 @@ def _partials(p: GradedPolynomial) -> tuple[GradedPolynomial, ...]:
             if a:
                 d = c * a
                 lowered[i] = a - 1
+                if i not in partials:
+                    partials[i] = _polynomial(p.cox, {})
                 partials[i].terms[tuple(lowered)] = d if integral or d.denominator > 1 else d.numerator
                 lowered[i] = a
     return partials

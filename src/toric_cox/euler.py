@@ -51,6 +51,16 @@ class EulerModuleElement:
     """Element as one polynomial component per basis index; compared by value,
     and unhashable, like its components.
 
+    Only the nonzero components are stored, in the private mapping
+    ``_parts`` from basis index to polynomial, so every operation visits
+    only those; a sum or a product that cancels drops its index, and an
+    element is zero exactly when the mapping is empty.  :attr:`components`
+    builds the dense tuple, zeros included, on each read.  With no zero
+    components left to check them, ``+`` and ``-`` check the other
+    element's module themselves, and ``*`` the factor's Cox ring, raising
+    ValueError on a mismatch, even for the zero element; a factor that is
+    not a polynomial, an ``int`` or a ``Fraction`` is a TypeError.
+
     ``_twist`` is the twist of the element when it is known by construction,
     and None otherwise.  Only package code sets it: :func:`derivation`
     records the class of an argument of two or more terms, ``_derivation``
@@ -60,49 +70,47 @@ class EulerModuleElement:
     :func:`euler_contract` checks them in full.  The twist takes no part in
     equality.
 
-    The constructor is the validating entry for outside input: it stores the
-    components as a tuple, and raises ValueError unless there is one per
-    basis element, each a polynomial of the module's Cox ring.  Package code
-    builds its elements from the module's own ring through :func:`_element`,
-    with no check.
+    The constructor is the validating entry for outside input: it takes the
+    dense components, and raises ValueError unless there is one per basis
+    element, each a polynomial of the module's Cox ring; it stores the
+    nonzero ones.  Package code builds its elements from the module's own
+    ring through :func:`_element`, with no check.
     """
 
-    __slots__ = ("module", "components", "_twist")
+    __slots__ = ("module", "_parts", "_twist")
 
     def __init__(self, module: EulerModule, components: Sequence[GradedPolynomial]) -> None:
         components = tuple(components)
         if len(components) != module.rank:
             raise ValueError(f"{len(components)} components for a module of rank {module.rank}")
-        cox = module.cox
         for c in components:
-            if c.__class__ is not GradedPolynomial or (c.cox is not cox and c.cox != cox):
+            if c.__class__ is not GradedPolynomial or (c.cox is not module.cox and c.cox != module.cox):
                 raise ValueError("a component is not a polynomial of the module's Cox ring")
         self.module = module
-        self.components = components
+        self._parts = {i: c for i, c in enumerate(components) if c.terms}
         self._twist: Vector | None = None
+
+    @property
+    def components(self) -> tuple[GradedPolynomial, ...]:
+        """One polynomial per basis index, a new zero polynomial where none is stored."""
+        return tuple(self._parts.get(i) or self.module.cox.zero() for i in range(self.module.rank))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not EulerModuleElement:
             return NotImplemented
-        return (self.module, self.components) == (other.module, other.components)
+        return (self.module, self._parts) == (other.module, other._parts)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not self._parts
 
     @property
     def degree(self) -> Vector | None:
         """Twist in which the element is homogeneous, or None; found from the components."""
-        degrees = set()
-        for component, basis_degree in zip(self.components, self.module.basis_degrees):
-            if component.is_zero():
-                continue
-            d = component.degree
-            if d is None:
-                return None
-            degrees.add(tuple(a + b for a, b in zip(d, basis_degree)))
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degrees = {i: component.degree for i, component in self._parts.items()}
+        if None in degrees.values():
+            return None
+        twists = {tuple(a + b for a, b in zip(d, self.module.basis_degrees[i])) for i, d in degrees.items()}
+        return twists.pop() if len(twists) == 1 else None
 
     def is_homogeneous(self) -> bool:
         return self.is_zero() or self.degree is not None
@@ -110,7 +118,12 @@ class EulerModuleElement:
     def __add__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
             return NotImplemented
-        return _element(self.module, tuple(a + b for a, b in zip(self.components, other.components)))
+        if other.module is not self.module and other.module != self.module:
+            raise ValueError("cannot add elements of two different Euler modules")
+        parts = dict(self._parts)
+        for i, c in other._parts.items():
+            parts[i] = parts[i] + c if i in parts else c
+        return _element(self.module, {i: c for i, c in parts.items() if c.terms})
 
     def __sub__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
@@ -118,29 +131,33 @@ class EulerModuleElement:
         return self + (-1) * other
 
     def __mul__(self, factor: "GradedPolynomial | int | Fraction") -> "EulerModuleElement":
+        if isinstance(factor, GradedPolynomial):
+            if factor.cox is not self.module.cox and factor.cox != self.module.cox:
+                raise ValueError("product with a polynomial of another Cox ring")
+        elif not isinstance(factor, (int, Fraction)):
+            return NotImplemented
         # A scalar multiple lies in the same twist.
-        twist = self._twist if isinstance(factor, (int, Fraction)) else None
-        return _element(self.module, tuple(c * factor for c in self.components), twist)
+        twist = None if isinstance(factor, GradedPolynomial) else self._twist
+        return _element(self.module, {i: p for i, c in self._parts.items() if (p := c * factor).terms}, twist)
 
     __rmul__ = __mul__
 
 
-def _element(
-    em: EulerModule, components: tuple[GradedPolynomial, ...], twist: Vector | None = None
-) -> EulerModuleElement:
-    """The element of em with these components, one per basis element and all
-    of em's Cox ring, and this known twist; no check."""
+def _element(em: EulerModule, parts: dict[int, GradedPolynomial], twist: Vector | None = None) -> EulerModuleElement:
+    """The element of em with these nonzero components by basis index, all of
+    em's Cox ring, and this known twist; no check."""
     element = object.__new__(EulerModuleElement)
     element.module = em
-    element.components = components
+    element._parts = parts
     element._twist = twist
     return element
 
 
 def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
-    components = [em.cox.zero() for _ in range(em.rank)]
-    components[index] = em.cox.one()
-    return _element(em, tuple(components))
+    """The basis element of ray ``index``; IndexError unless ``0 <= index < em.rank``."""
+    if not 0 <= index < em.rank:
+        raise IndexError(f"basis index {index} out of range for rank {em.rank}")
+    return _element(em, {index: em.cox.one()})
 
 
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
@@ -202,12 +219,9 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     weights = cd.variable_weights if form is cd.weight_form else None
     total: dict[Vector, int | Fraction] = {}
     get = total.get
-    for i, (component, degree) in enumerate(zip(element.components, em.basis_degrees)):
-        terms = component.terms
-        if not terms:
-            continue
-        weight = form(degree) if weights is None else weights[i]
-        for e, c in terms.items():
+    for i, component in element._parts.items():
+        weight = form(em.basis_degrees[i]) if weights is None else weights[i]
+        for e, c in component.terms.items():
             # the exponent of x_i * x^e
             raised = list(e)
             raised[i] += 1

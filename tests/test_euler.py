@@ -214,6 +214,43 @@ class TestDerivation:
         assert lhs == rhs
 
 
+class TestSparseElements:
+    """An element stores only its nonzero components, so no zero component is
+    left to raise on another module, another ring or a bad factor."""
+
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_basis_element_rejects_an_index_out_of_range(self, modules, index):
+        # -1 would read the last basis element, 3 a bare list error
+        with pytest.raises(IndexError, match=f"^basis index {index} out of range for rank 3$"):
+            basis_element(modules["p2"], index)
+
+    def test_sums_and_differences_check_the_module(self, modules):
+        # nonzero at index 0 on P^2 and at index 1 on P^1 x P^1: no pair of components meets
+        a, b = basis_element(modules["p2"], 0), basis_element(modules["p1xp1"], 1)
+        for bad in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+            with pytest.raises(ValueError):
+                bad()
+
+    def test_a_zero_element_checks_its_factor(self, modules, corpus_cox):
+        zero = 0 * basis_element(modules["p2"], 0)
+        assert zero.is_zero()
+        with pytest.raises(ValueError):
+            zero * corpus_cox["p1xp1"].variable(0)
+        for bad in (lambda: zero * 1.5, lambda: 1.5 * zero):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_a_sum_that_cancels_is_the_zero_element(self, modules, corpus_cox):
+        em, cd = modules["p2"], corpus_cox["p2"]
+        zeros = EulerModuleElement(em, [cd.zero()] * 3)
+        ds = derivation(em, cd.monomial((1, 2, 0)))
+        b0, b1 = basis_element(em, 0), basis_element(em, 1)
+        for cancelled in (ds - ds, ds + (-1) * ds, b1 + (-1) * b1):
+            assert cancelled == zeros and cancelled.is_zero()
+            assert cancelled.components == (cd.zero(),) * 3
+        assert (b0 + b1) - b1 == b0 and (b0 + b1) - b1 != b0 + b1
+
+
 def reference_contract(em, element, form):
     """The contraction that tests homogeneity component by component first."""
     if not element.is_homogeneous():
