@@ -18,7 +18,9 @@ The output holds, per workload and seed set, both sides' end-to-end
 metrics of every pair, each side's median and quartiles per metric, and
 for each metric the pairs the change wins (ties count for neither side;
 the direction is read from ``BENCHMARK.json``), together with the
-revisions, the Python version and the number of processors.
+revisions, the Python version and the number of processors.  An output
+file of the same two revisions and run length is added to, so its seed
+sets can come from several commands, each listed in it.
 """
 
 import argparse
@@ -98,15 +100,22 @@ def main() -> int:
     directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     shas = {"parent": revision(args.parent), "change": revision(args.change)}
     result = {
-        "command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
+        "commands": [],
         "revisions": shas,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seconds": args.seconds,
         "workloads": {},
     }
+    if args.out.exists():
+        previous = json.loads(args.out.read_text())
+        if {key: previous.get(key) for key in ("revisions", "python", "nproc", "seconds")} == \
+                {key: result[key] for key in ("revisions", "python", "nproc", "seconds")}:
+            result = previous
+    result["commands"].append(" ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        k = 0
+        # the side that goes first alternates across every pair in the file
+        k = sum(len(seed_set["pairs"]) for sets in result["workloads"].values() for seed_set in sets)
         for workload, seeds in args.run:
             pairs = []
             for seed in seeds:

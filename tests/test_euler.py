@@ -220,7 +220,7 @@ class TestSparseElements:
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_basis_element_rejects_an_index_out_of_range(self, modules, index):
-        # -1 would read the last basis element, 3 a bare list error
+        # -1 is not read from the end, and 3 gets the message too
         with pytest.raises(IndexError, match=f"^basis index {index} out of range for rank 3$"):
             basis_element(modules["p2"], index)
 
@@ -239,6 +239,11 @@ class TestSparseElements:
         for bad in (lambda: zero * 1.5, lambda: 1.5 * zero):
             with pytest.raises(TypeError):
                 bad()
+
+    def test_a_product_of_two_elements_is_a_type_error(self, modules):
+        b0 = basis_element(modules["p2"], 0)
+        with pytest.raises(TypeError, match=r"for \*: 'EulerModuleElement' and 'EulerModuleElement'$"):
+            b0 * b0
 
     def test_a_sum_that_cancels_is_the_zero_element(self, modules, corpus_cox):
         em, cd = modules["p2"], corpus_cox["p2"]
