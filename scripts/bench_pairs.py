@@ -4,13 +4,14 @@
 Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --parent REV --change REV \\
-        --run euler-algebra:21-30 --run euler-algebra:41-50 [--run oracle-rank:61-63 ...] \\
-        [--seconds 25] --out BENCH_N.json
+        --run euler-algebra:21-30 --run euler-algebra:41-50 [--run oracle-rank:61-70 ...] \\
+        --out BENCH_N.json
 
 Each ``--run WORKLOAD:A-B`` is one seed set, A to B inclusive, of one
 workload, run in the order given.  Every seed is one pair: one run of
-``bench/run.py --trace 0`` on each revision, one after the other, the
-side that goes first alternating from pair to pair.  Each run gets a fresh
+``bench/run.py --trace 0`` on each revision for the ``run_seconds`` that
+``BENCHMARK.json`` sets, one after the other, the side that goes first
+alternating from pair to pair.  Each run gets a fresh
 ``git archive`` of its revision, with no bytecode cached, which is deleted
 after the run; runs never overlap.
 
@@ -18,9 +19,8 @@ The output holds, per workload and seed set, both sides' end-to-end
 metrics of every pair, each side's median and quartiles per metric, and
 for each metric the pairs the change wins (ties count for neither side;
 the direction is read from ``BENCHMARK.json``), together with the
-revisions, the Python version and the number of processors.  An output
-file of the same two revisions and run length is added to, so its seed
-sets can come from several commands, each listed in it.
+revisions, the Python version, the number of processors and the run
+length.  The output file must not exist yet: one command writes it whole.
 """
 
 import argparse
@@ -94,28 +94,25 @@ def main() -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--run", action="append", required=True, type=seed_set)
-    parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
-    directions = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    if args.out.exists():
+        parser.error(f"{args.out} exists; delete it first")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     shas = {"parent": revision(args.parent), "change": revision(args.change)}
     result = {
-        "commands": [],
+        "command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
         "revisions": shas,
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
-    if args.out.exists():
-        previous = json.loads(args.out.read_text())
-        if {key: previous.get(key) for key in ("revisions", "python", "nproc", "seconds")} == \
-                {key: result[key] for key in ("revisions", "python", "nproc", "seconds")}:
-            result = previous
-    result["commands"].append(" ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]))
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         # the side that goes first alternates across every pair in the file
-        k = sum(len(seed_set["pairs"]) for sets in result["workloads"].values() for seed_set in sets)
+        k = 0
         for workload, seeds in args.run:
             pairs = []
             for seed in seeds:
@@ -123,7 +120,7 @@ def main() -> int:
                 k += 1
                 pair = {"seed": seed, "first": sides[0]}
                 for side in sides:
-                    pair[side] = run_once(shas[side], workload, seed, args.seconds, Path(scratch))
+                    pair[side] = run_once(shas[side], workload, seed, seconds, Path(scratch))
                 pairs.append(pair)
                 print(f"{workload} seed {seed}: ops_per_s parent "
                       f"{pair['parent']['metrics']['ops_per_s']['value']:.1f} change "

@@ -124,6 +124,9 @@ MUTANTS = (
     # put in canonical form as they are computed or read, and the coefficient check.
     Mutant("partials-keep-the-lowered-entry", "cox.py", "_partials",
            "lowered[i] = a", "pass", "tests/test_euler.py"),
+    # a scaled derivation still obeys Leibniz; the tuple-slice reference catches it
+    Mutant("partials-double-the-coefficient", "cox.py", "_partials",
+           "c * a", "2 * c * a", "tests/test_cox.py"),
     Mutant("contraction-raises-the-next-index", "euler.py", "euler_contract",
            "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
     # Euler-module elements that store only their nonzero components: no zero

@@ -261,7 +261,8 @@ class GradedPolynomial:
         unless ``0 <= index < num_vars``."""
         if not 0 <= index < self.cox.num_vars:
             raise IndexError(f"variable index {index} out of range for {self.cox.num_vars} variables")
-        return _partials(self).get(index, _polynomial(self.cox, {}))
+        partial = _partials(self).get(index)
+        return partial if partial is not None else _polynomial(self.cox, {})
 
     def __str__(self) -> str:
         if not self.terms:

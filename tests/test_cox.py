@@ -804,6 +804,14 @@ def _polynomial(data, cd, max_terms=4):
     return p
 
 
+def _reference_partial(p, index):
+    """The formal partial in ``x_index``, term by term from tuple slices: the reference
+    that ``GradedPolynomial.partial`` and ``derivation`` are checked against."""
+    return make_polynomial(p.cox, {
+        e[:index] + (e[index] - 1,) + e[index + 1:]: c * e[index] for e, c in p.terms.items() if e[index]
+    })
+
+
 class TestPolynomialProperties:
     @settings(max_examples=60, deadline=None)
     @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
@@ -864,7 +872,7 @@ class TestPolynomialProperties:
     @settings(max_examples=100, deadline=None)
     @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
     def test_derivation_is_the_formal_partials(self, corpus_cox, name, data):
-        # derivation builds every partial in one pass; partial is the reference
+        # derivation and partial read one routine; the tuple-slice splice is the reference
         cd = corpus_cox[name]
         em = build_euler_module(cd)
         if data.draw(st.booleans()):
@@ -874,14 +882,17 @@ class TestPolynomialProperties:
             p = make_polynomial(cd, {e: data.draw(coefficient) for e in chosen})
         else:
             p = _polynomial(data, cd)
+        reference = tuple(_reference_partial(p, i) for i in range(cd.num_vars))
+        assert tuple(p.partial(i) for i in range(cd.num_vars)) == reference
         if not p.is_homogeneous():
             return
         components = derivation(em, p).components
         assert components == tuple(p.partial(i) for i in range(cd.num_vars))
+        assert components == reference
         assert all(_valid(c) for c in components)
 
     def test_an_integral_partial_of_a_fraction_is_an_int(self, corpus_cox):
         cd = corpus_cox["p2"]
         p = cd.monomial((2, 0, 0), Fraction(1, 2))
-        for d in (p.partial(0), derivation(build_euler_module(cd), p).components[0]):
+        for d in (p.partial(0), derivation(build_euler_module(cd), p).components[0], _reference_partial(p, 0)):
             assert d.terms == {(1, 0, 0): 1} and type(d.terms[(1, 0, 0)]) is int
