@@ -29,6 +29,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -89,7 +90,14 @@ def summary(pairs: list[dict], directions: dict[str, str]) -> dict:
     return out
 
 
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM unwinds like SystemExit, so that ``subprocess.run`` kills its
+    child and the temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)

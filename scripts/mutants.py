@@ -21,6 +21,7 @@ list); 0 otherwise.
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -88,8 +89,11 @@ MUTANTS = (
     Mutant("round-trip-line-always-passes", "verify.py", "_roundtrip_check",
            "ok = roundtrip_check(cd, divisor)", "ok = True", "tests/test_cli.py"),
     Mutant("round-trip-always-equal", "reconstruction.py", "roundtrip_check",
-           "rebuilt.rays == f.rays and set(map(frozenset, rebuilt.max_cones)) == set(map(frozenset, f.max_cones))",
+           "set(map(frozenset, rebuilt.max_cones)) == set(map(frozenset, f.max_cones))",
            "True", "tests/test_cli.py"),
+    # A line printed, not computed, still reads the fan.
+    Mutant("certificate-line-prints-the-class-rank", "verify.py", "_certificate_check",
+           "cd.num_vars", "cd.cl_rank", "tests/test_golden.py"),
     Mutant("euler-command-always-ok", "cli.py", "cmd_euler",
            "ok = identity.ok", "ok = True", "tests/test_cli.py"),
     Mutant("counterexample-format-changed", "euler.py", "check_euler_identity",
@@ -222,7 +226,14 @@ def _tail(result: subprocess.CompletedProcess) -> str:
     return "\n".join((result.stdout + result.stderr).strip().splitlines()[-5:])
 
 
+def _exit_on_sigterm(signum, frame):
+    """SIGTERM unwinds like SystemExit, so that ``subprocess.run`` kills its
+    child and the temporary directory is removed."""
+    raise SystemExit(128 + signum)
+
+
 def main() -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     problems = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="toric-cox-mutants-") as scratch:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the invariant suite over every bundled fan and print a summary table.
 
-Usage: python scripts/run_corpus_verification.py [--euler-bound N] [--window N]
+Usage: python scripts/run_corpus_verification.py [--euler-bound N]
 """
 
 import argparse
@@ -16,7 +16,6 @@ from toric_cox.verify import run_verification
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--euler-bound", type=int, default=4)
-    parser.add_argument("--window", type=int, default=2)
     args = parser.parse_args()
 
     failures = 0
@@ -24,9 +23,7 @@ def main() -> int:
     for name in SMOOTH_COMPLETE:
         fan = load_fan(name)
         start = time.perf_counter()
-        results = run_verification(
-            fan, euler_weight_bound=args.euler_bound, window_radius=args.window
-        )
+        results = run_verification(fan, euler_weight_bound=args.euler_bound)
         elapsed = time.perf_counter() - start
         passed = sum(1 for r in results if r.passed)
         print(f"{name:<14} {len(results):>6} {passed:>6} {elapsed:>8.2f}")

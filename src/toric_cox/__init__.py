@@ -84,11 +84,9 @@ _EXPORTS = {
     ),
     "reconstruction": (
         "GradingInput",
-        "SplittingCertificate",
         "grading_from_json",
         "reconstruct_fan",
         "roundtrip_check",
-        "splitting_certificate",
     ),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

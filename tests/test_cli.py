@@ -639,7 +639,7 @@ class TestSingleRead:
         names = ("cox_data", "class_group", "smith_normal_form", "generators_from_inequalities", "solve_integer")
         calls = self.count_calls(monkeypatch, names)
         assert main(["verify", str(corpus_path("delpezzo6"))]) == 0
-        # cox_data's own class group; roundtrip_check and splitting_certificate read its degree matrix.
+        # cox_data's own class group; roundtrip_check reads its degree matrix.
         # The one Smith form is the class section's, and the round trip reuses its lift; the two
         # double descriptions are the effective cone's normals and the rebuilt polytope's vertices.
         assert calls == Counter(cox_data=1, class_group=1, smith_normal_form=1, generators_from_inequalities=2)
@@ -715,14 +715,14 @@ class TestColdStart:
         assert loaded == [f"toric_cox.{name}" for name in COMMAND_MODULES[command]]
 
 
-# toric_cox.__all__, pinned: the 63 exports and the seven submodules they come
+# toric_cox.__all__, pinned: the 61 exports and the seven submodules they come
 # from, as dir() listed them when __init__ imported every submodule.
 PACKAGE_ALL = [
     "AbelianGroupPresentation", "CoxData", "DegenerateRay", "EulerModule",
     "EulerModuleElement", "Fan", "FanReport", "GradedPolynomial", "GradingInput",
     "InhomogeneousInput", "IntegerMatrix", "MalformedFan", "NotAmpleLift", "NotComplete",
     "NotPointed", "NotSmooth", "NotSurjective", "OracleMismatch", "PolytopeFamily",
-    "RationalCone", "RaysDontSpan", "SplittingCertificate", "ToricCoxError",
+    "RationalCone", "RaysDontSpan", "ToricCoxError",
     "TorusInvariantDivisor", "UnboundedPolytope", "WeightForm", "anticanonical",
     "basis_element", "build_euler_module",
     "check_euler_identity", "class_group", "cokernel", "cone_contains", "cone_from_generators",
@@ -733,7 +733,7 @@ PACKAGE_ALL = [
     "irrelevant_ideal", "is_ample", "kernel_basis", "lattice", "make_polynomial",
     "monomial_basis", "monomials_of_weight_at_most", "polyhedral", "polytope_family",
     "reconstruct_fan", "reconstruction", "roundtrip_check", "section_dimension_report",
-    "smith_normal_form", "solve_integer", "splitting_certificate", "strictly_positive_form",
+    "smith_normal_form", "solve_integer", "strictly_positive_form",
     "validate_fan",
 ]
 SUBMODULES = ["cox", "errors", "euler", "fans", "lattice", "polyhedral", "reconstruction"]

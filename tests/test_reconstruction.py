@@ -1,4 +1,4 @@
-"""Gale-dual rays, fan reconstruction, round trips and splitting certificates."""
+"""Gale-dual rays, fan reconstruction and round trips."""
 
 import itertools
 import random
@@ -32,7 +32,6 @@ from toric_cox.reconstruction import (
     grading_from_json,
     reconstruct_fan,
     roundtrip_check,
-    splitting_certificate,
 )
 
 
@@ -256,31 +255,3 @@ class TestRoundTrip:
                     ample_found += 1
                     assert roundtrip_check(cd, divisor), (name, coeffs)
             assert ample_found > 0, name
-
-
-class TestSplittingCertificate:
-    def test_p2(self, p2):
-        certificate = splitting_certificate(cox_data(p2))
-        assert certificate.rank == 3
-        assert certificate.degree_multiset == ((1,), (1,), (1,))
-        assert certificate.anticanonical_check
-
-    def test_hirzebruch_one(self, hirzebruch_1):
-        certificate = splitting_certificate(cox_data(hirzebruch_1))
-        assert certificate.rank == 4
-        assert sorted(certificate.degree_multiset) == [(0, 1), (1, 0), (1, 0), (1, 1)]
-        assert certificate.anticanonical_check
-
-    def test_delpezzo6(self, corpus):
-        certificate = splitting_certificate(cox_data(corpus["delpezzo6"]))
-        # six rays in dimension two: rank n + r = 6
-        assert certificate.rank == 6
-        total = tuple(sum(col) for col in zip(*certificate.degree_multiset))
-        q = class_group(corpus["delpezzo6"]).projection
-        assert total == q.mat_vec(anticanonical(corpus["delpezzo6"]).coefficients)
-
-    def test_whole_corpus(self, corpus):
-        for name, fan in corpus.items():
-            certificate = splitting_certificate(cox_data(fan))
-            assert certificate.rank == fan.n_rays, name
-            assert certificate.anticanonical_check, name
