@@ -47,6 +47,8 @@ from toric_cox.polyhedral import (
 )
 from toric_cox.reconstruction import roundtrip_check
 from toric_cox.verify import (
+    CheckResult,
+    _certificate_check,
     _first_ample_divisor,
     _nef_cone_divisor,
     _roundtrip_check,
@@ -283,6 +285,16 @@ def test_depth_first_search_picks_the_scan_divisor(max_coeff):
     found = [_first_ample_divisor(fan, max_coeff) for fan in SEARCH_FANS]
     assert found == [first_ample_by_scan(fan, max_coeff) for fan in SEARCH_FANS]
     assert None in found and any(found)
+
+
+def test_the_certificate_line_reads_the_rank_of_every_fan(corpus_cox):
+    # printed, not computed: the line names the number of rays, one twist each
+    for name, cd in corpus_cox.items():
+        assert _certificate_check(cd) == CheckResult(
+            "splitting certificate",
+            True,
+            f"rank {cd.fan.n_rays}; twist classes sum to the anticanonical class: True",
+        ), name
 
 
 def test_empty_nef_interior_is_reported(monkeypatch):

@@ -255,3 +255,14 @@ class TestRoundTrip:
                     ample_found += 1
                     assert roundtrip_check(cd, divisor), (name, coeffs)
             assert ample_found > 0, name
+
+    def test_the_rebuilt_fan_keeps_the_rays(self, corpus_cox):
+        # why roundtrip_check compares only the maximal cones
+        for name, cd in corpus_cox.items():
+            coeffs = next(
+                c for c in itertools.product(range(3), repeat=cd.fan.n_rays)
+                if is_ample(cd.fan, TorusInvariantDivisor(c))
+            )
+            target = cd.degree_of_exponent(coeffs)
+            rebuilt = _normal_fan(cd.fan.rays, cd.effective_normals, target, cd.class_section.mat_vec(target))
+            assert rebuilt.rays == cd.fan.rays, name
