@@ -20,7 +20,11 @@ metrics of every pair, each side's median and quartiles per metric, and
 for each metric the pairs the change wins (ties count for neither side;
 the direction is read from ``BENCHMARK.json``), together with the
 revisions, the Python version, the number of processors and the run
-length.  The output file must not exist yet: one command writes it whole.
+length.  The output file must not exist yet.  It is rewritten after every
+pair, the summary of an unfinished seed set covering the pairs done so
+far, so a run that is stopped keeps every pair it measured.  Each
+``--run`` is checked before anything runs: its workload must be one that
+``BENCHMARK.json`` names, and its seed range must not be empty.
 """
 
 import argparse
@@ -41,10 +45,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_set(text: str) -> tuple[str, list[int]]:
-    """``WORKLOAD:A-B`` as the workload and the seeds A to B."""
+    """``WORKLOAD:A-B`` as the workload and the seeds A to B; an empty range is an argument error."""
     workload, _, seeds = text.partition(":")
     first, _, last = seeds.partition("-")
-    return workload, list(range(int(first), int(last or first) + 1))
+    seeds = list(range(int(first), int(last or first) + 1))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} holds no seed")
+    return workload, seeds
 
 
 def revision(rev: str) -> str:
@@ -107,6 +114,10 @@ def main() -> int:
     if args.out.exists():
         parser.error(f"{args.out} exists; delete it first")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    for workload, _ in args.run:
+        if workload not in workloads:
+            parser.error(f"BENCHMARK.json names no workload {workload!r}")
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     shas = {"parent": revision(args.parent), "change": revision(args.change)}
@@ -123,6 +134,8 @@ def main() -> int:
         k = 0
         for workload, seeds in args.run:
             pairs = []
+            record = {"seeds": seeds, "pairs": pairs}
+            result["workloads"].setdefault(workload, []).append(record)
             for seed in seeds:
                 sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 k += 1
@@ -130,12 +143,11 @@ def main() -> int:
                 for side in sides:
                     pair[side] = run_once(shas[side], workload, seed, seconds, Path(scratch))
                 pairs.append(pair)
+                record["summary"] = summary(pairs, directions)
+                args.out.write_text(json.dumps(result, indent=1) + "\n")
                 print(f"{workload} seed {seed}: ops_per_s parent "
                       f"{pair['parent']['metrics']['ops_per_s']['value']:.1f} change "
                       f"{pair['change']['metrics']['ops_per_s']['value']:.1f}", flush=True)
-            result["workloads"].setdefault(workload, []).append(
-                {"seeds": seeds, "pairs": pairs, "summary": summary(pairs, directions)})
-            args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 

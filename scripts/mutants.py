@@ -161,6 +161,32 @@ MUTANTS = (
            "tests/test_cox.py"),
     Mutant("coefficient-reads-text", "cox.py", "make_polynomial",
            "not isinstance(c, (int, float, Fraction))", "False", "tests/test_cox.py"),
+    # The section-polytope walk: x_0's bounds off the static rows, each deeper
+    # constant evaluated once, and each next coordinate's bounds carried into
+    # the next level.
+    Mutant("first-lower-bound-takes-the-largest", "polyhedral.py", "PolytopeFamily._points",
+           "v < low", "v > low", "tests/test_polyhedral.py"),
+    Mutant("first-upper-bound-takes-the-largest", "polyhedral.py", "PolytopeFamily._points",
+           "v < up", "v > up", "tests/test_polyhedral.py"),
+    Mutant("segment-count-drops-the-plus-one", "polyhedral.py", "PolytopeFamily._points",
+           "up + low + 1", "up + low", "tests/test_polyhedral.py"),
+    Mutant("deeper-lower-rows-read-no-parameters", "polyhedral.py", "PolytopeFamily._points",
+           "[[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower[1:]]",
+           "[[(head, c, 0) for head, c, f in level] for level in self.lower[1:]]", "tests/test_polyhedral.py"),
+    Mutant("walk-lower-bound-takes-the-largest", "polyhedral.py", "_walk",
+           "v < low", "v > low", "tests/test_polyhedral.py"),
+    Mutant("walk-upper-bound-takes-the-largest", "polyhedral.py", "_walk",
+           "v < up", "v > up", "tests/test_polyhedral.py"),
+    Mutant("walk-count-drops-the-plus-one", "polyhedral.py", "_walk",
+           "n += up + low + 1", "n += up + low", "tests/test_polyhedral.py"),
+    Mutant("walk-lists-the-flipped-lower-bound", "polyhedral.py", "_walk",
+           "range(-low, up + 1)", "range(low, up + 1)", "tests/test_polyhedral.py"),
+    Mutant("walk-carries-the-flipped-lower-bound", "polyhedral.py", "_walk",
+           "_walk(*_fold(lower, upper, k, x), k + 1, -low, up, prefix + (x,), points)",
+           "_walk(*_fold(lower, upper, k, x), k + 1, low, up, prefix + (x,), points)", "tests/test_polyhedral.py"),
+    Mutant("fold-skips-the-upper-rows", "polyhedral.py", "_fold",
+           "[[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]]",
+           "[[(head, c, s) for head, c, s in level] for level in upper[1:]]", "tests/test_polyhedral.py"),
     # Comparisons whose change is known to leave every result as it is.
     Mutant("wall-certificate-accepts-a-zero-entry", "fans.py", "_certified",
            "form[out] <= 0", "form[out] < 0", "tests/test_fans.py",

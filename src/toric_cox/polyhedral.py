@@ -15,12 +15,13 @@ tables built once, whose rows are split by the sign of the eliminated
 coordinate as they are derived, each row's constant being a linear form in
 p.  For plain offsets the forms are the rows' multipliers, and
 :meth:`PolytopeFamily.linear_tables` composes them with S once, so a
-parameter vector costs one dot product of its own length per row.  One
-walk serves listing and counting: it runs through the integer intervals
-of the exact projections coordinate by coordinate, folding each fixed
-coordinate into the deeper constants (:func:`_fold`).  Counting lists no
-point: it stops two coordinates short and sums the last coordinate's
-interval lengths over the one before it.
+parameter vector costs one dot product of its own length per row, each
+row's once.  One walk (:func:`_walk`) serves listing and counting: x_0's
+interval comes straight off the rows bounding it, and for each x_k of its
+interval the walk takes x_{k+1}'s bounds, a running minimum per side, and
+carries them into the next level, x_k folded into the deeper constants
+(:func:`_fold`).  At the last coordinate it adds the interval's length,
+and lists its points only when asked to.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -221,7 +222,7 @@ def separable(
 # a lower bound and -c * x_k + <head, x[:k]> + <f, p> >= 0 as an upper bound.
 TableRow = tuple[Vector, int, Vector]
 # The same row with its form evaluated at the parameters, (head, c, s) with
-# s = <f, p>; :func:`_fold` folds each coordinate a walk fixes into s.
+# s = <f, p>; :func:`_fold` folds each coordinate the walk fixes into s.
 EvaluatedRow = tuple[Vector, int, int]
 
 
@@ -309,18 +310,16 @@ class PolytopeFamily(NamedTuple):
             raise ValueError(f"{len(params)} parameters for {self.parameters}")
         if any(sum(map(mul, f, params)) < 0 for f in self.level_zero):
             return ()
-        if not self.lower:  # dimension 0: the polytope is the origin
-            return ((),)
-        return tuple(_list_points(*self._evaluated(params), ()))
+        points: list[Vector] = []
+        self._points(params, points)
+        return tuple(points)
 
     def count_lattice_points(self, params: Sequence[int]) -> int:
         """Number of integer points of the polytope of these parameters; lists none.
 
         Level 0 is checked first, so that an empty polytope, the common case
         of a class outside the effective cone, costs one dot product per
-        level-0 row and no call.  Then each row's constant is evaluated once,
-        and :func:`_count_points` walks x_0..x_{d-3} only: for each prefix
-        it sums the last coordinate's interval lengths over x_{d-2}.
+        level-0 row and no call.  Then :meth:`_points` counts without listing.
         ValueError on a parameter that is not an integer (bools pass).
         """
         params = integer_vector(params, "parameters")
@@ -333,9 +332,36 @@ class PolytopeFamily(NamedTuple):
         for f in self.level_zero:
             if sum(map(mul, f, params)) < 0:
                 return 0
+        return self._points(params, None)
+
+    def _points(self, params: Vector, points: list[Vector] | None) -> int:
+        """Integer points of a polytope whose level 0 holds: their number, and
+        each of them appended to ``points`` unless it is None.
+
+        x_0's interval is read straight off the rows of ``lower[0]`` and
+        ``upper[0]``, one running minimum per side; each deeper row's form
+        is dotted with the parameters once, and :func:`_walk` takes over.
+        """
         if not self.lower:  # dimension 0: the polytope is the origin
+            if points is not None:
+                points.append(())
             return 1
-        return _count_points(*self._evaluated(params), 0)
+        low = up = None
+        for _, c, f in self.lower[0]:
+            v = sum(map(mul, f, params)) // c
+            if low is None or v < low:
+                low = v
+        for _, c, f in self.upper[0]:
+            v = sum(map(mul, f, params)) // c
+            if up is None or v < up:
+                up = v
+        if len(self.lower) == 1:
+            if points is not None:
+                points.extend((x,) for x in range(-low, up + 1))
+            return up + low + 1
+        lower = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower[1:]]
+        upper = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper[1:]]
+        return _walk(lower, upper, 0, -low, up, (), points)
 
     def linear_tables(self, section: IntegerMatrix) -> "PolytopeFamily":
         """The family over the parameters q of this family's parameters p = section . q.
@@ -359,68 +385,60 @@ class PolytopeFamily(NamedTuple):
             self.ambient_dim, section.cols, tuple(map(compose, self.level_zero)), rows(self.lower), rows(self.upper)
         )
 
-    def _evaluated(self, params: Sequence[int]) -> tuple[list[list[EvaluatedRow]], list[list[EvaluatedRow]]]:
-        """``lower`` and ``upper`` with each row's form dotted with the parameters."""
-        return (
-            [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower],
-            [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper],
-        )
-
 
 def _fold(
     lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], k: int, x: int
 ) -> tuple[list[list[EvaluatedRow]], list[list[EvaluatedRow]]]:
-    """The tables below x_k once x_k = x: each deeper constant s takes in head[k] * x.
-
-    Both walks, :func:`_count_points` and :func:`_list_points`, start from a
-    prefix x_0..x_{k-1} of a point of the polytope's projection, with
-    ``lower[0]`` and ``upper[0]`` bounding x_k and each constant s holding
-    the prefix's part <head[:k], prefix>.  So x_k lies in [-min floor(s / c)
-    over the lower rows, min floor(s / c) over the upper rows], which
-    boundedness makes finite and the prefix non-empty over Q: it holds
-    hi - lo + 1 >= 0 integers.  The projection being exact (see
-    :func:`_eliminate`), each of them extends the prefix to a point of the
-    next projection, so the folded tables describe such a prefix again.
-    """
+    """The tables below x_{k+1} once x_k = x: each deeper constant s takes in head[k] * x."""
     return (
         [[(head, c, s + head[k] * x) for head, c, s in level] for level in lower[1:]],
         [[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]],
     )
 
 
-def _count_points(lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], k: int) -> int:
-    """Integer points over a prefix x_0..x_{k-1}, with x_k's interval as in :func:`_fold`.
+def _walk(
+    lower: list[list[EvaluatedRow]],
+    upper: list[list[EvaluatedRow]],
+    k: int,
+    lo: int,
+    hi: int,
+    prefix: Vector,
+    points: list[Vector] | None,
+) -> int:
+    """Integer points over a prefix x_0..x_{k-1} with x_k in [lo, hi]: their number,
+    and each of them appended to ``points``, lexicographically, unless it is None.
 
-    Before x_{d-2}, each x_k there is folded into the deeper constants and
-    walked.  At x_{d-2} = x, x_{d-1} lies in [-L(x), U(x)], U and L being the
-    upper and lower rows' minima of floor((head[-1] x + s) / c), so the
-    prefix holds the sum of U(x) + L(x) + 1 over x's interval.
+    ``lower[0]`` and ``upper[0]`` bound x_{k+1}, each constant s holding the
+    prefix's part <head[:k], prefix>.  So at x_k = x, x_{k+1} lies in [-L, U],
+    L and U being the minima of floor((head[k] x + s) / c) over the lower and
+    the upper rows, taken with one running minimum per side.  The
+    projection being exact (see :func:`_eliminate`), [lo, hi] is the integer
+    part of a non-empty rational interval, and so is [-L, U] for each x in
+    it, which boundedness makes finite: it holds U + L + 1 >= 0 integers.
+    At the last coordinate those are the points; before it, x is folded into
+    the deeper constants (:func:`_fold`) and the walk goes on with x_{k+1}'s
+    interval.
     """
-    lo = -min([s // c for _, c, s in lower[0]])
-    hi = min([s // c for _, c, s in upper[0]])
-    if len(lower) == 1:
-        return hi - lo + 1
-    if len(lower) == 2:
-        return sum(
-            min([(head[-1] * x + s) // c for head, c, s in upper[1]])
-            + min([(head[-1] * x + s) // c for head, c, s in lower[1]])
-            + 1
-            for x in range(lo, hi + 1)
-        )
-    return sum(_count_points(*_fold(lower, upper, k, x), k + 1) for x in range(lo, hi + 1))
-
-
-def _list_points(
-    lower: list[list[EvaluatedRow]], upper: list[list[EvaluatedRow]], prefix: Vector
-) -> list[Vector]:
-    """The integer points over ``prefix``, lexicographically, with x_k's interval
-    as in :func:`_fold`, k being the prefix's length."""
-    lo = -min([s // c for _, c, s in lower[0]])
-    hi = min([s // c for _, c, s in upper[0]])
-    if len(lower) == 1:
-        return [prefix + (x,) for x in range(lo, hi + 1)]
-    k = len(prefix)
-    return [point for x in range(lo, hi + 1) for point in _list_points(*_fold(lower, upper, k, x), prefix + (x,))]
+    last = len(lower) == 1
+    bounding_lower, bounding_upper = lower[0], upper[0]
+    n = 0
+    for x in range(lo, hi + 1):
+        low = up = None
+        for head, c, s in bounding_lower:
+            v = (head[k] * x + s) // c
+            if low is None or v < low:
+                low = v
+        for head, c, s in bounding_upper:
+            v = (head[k] * x + s) // c
+            if up is None or v < up:
+                up = v
+        if last:
+            n += up + low + 1
+            if points is not None:
+                points.extend(prefix + (x, y) for y in range(-low, up + 1))
+        else:
+            n += _walk(*_fold(lower, upper, k, x), k + 1, -low, up, prefix + (x,), points)
+    return n
 
 
 def polytope_family(normals: Sequence[Sequence[int]], ambient_dim: int) -> PolytopeFamily:

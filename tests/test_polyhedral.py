@@ -537,7 +537,10 @@ class TestPolytopeLatticePoints:
     def test_box_scan_oracle(self, polytope):
         rows, dim = polytope
         normals, offsets = [n for n, _ in rows], [a for _, a in rows]
-        assert polytope_family(normals, dim).lattice_points(offsets) == brute_force_points(rows, dim)
+        family = polytope_family(normals, dim)
+        assert family.lattice_points(offsets) == brute_force_points(rows, dim)
+        # the count shares the list's walk, so it is held against the scan too
+        assert family.count_lattice_points(offsets) == len(brute_force_points(rows, dim))
         if dim <= 3:  # the Fraction reference takes C(rows, 4) solves at d = 4
             # a bounded polyhedron has no generator at height 0, and the others
             # divided by their heights are its vertices, each once

@@ -1,7 +1,9 @@
-"""The mutant run of ``scripts/mutants.py``: its list of sites, and its end on a SIGTERM."""
+"""The mutant run of ``scripts/mutants.py``: its list of sites, and its end on a SIGTERM;
+and the paired benchmark record of ``scripts/bench_pairs.py``: its arguments, and what a stopped run keeps."""
 
 import contextlib
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -13,13 +15,18 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS_SCRIPT = ROOT / "scripts" / "mutants.py"
+BENCH_PAIRS_SCRIPT = ROOT / "scripts" / "bench_pairs.py"
 
 
-def _load_mutants():
-    spec = importlib.util.spec_from_file_location("mutants_script", MUTANTS_SCRIPT)
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_mutants():
+    return _load(MUTANTS_SCRIPT, "mutants_script")
 
 
 def test_every_mutant_names_one_site():
@@ -78,3 +85,57 @@ def test_a_sigterm_ends_the_mutant_run_with_its_tests_and_its_copy(tmp_path):
         with contextlib.suppress(ProcessLookupError):
             os.killpg(run.pid, signal.SIGKILL)
         run.wait()
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    """``scripts/bench_pairs.py`` loaded as a module, with revisions read as
+    themselves and its SIGTERM handler left uninstalled."""
+    module = _load(BENCH_PAIRS_SCRIPT, "bench_pairs_script")
+    monkeypatch.setattr(module, "revision", lambda rev: rev)
+    monkeypatch.setattr(module.signal, "signal", lambda *args: None)
+    return module
+
+
+def _run_bench_pairs(module, monkeypatch, *argv: str) -> int:
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "p", "--change", "c", *argv])
+    return module.main()
+
+
+def test_a_stopped_bench_pairs_run_keeps_the_pairs_it_measured(bench_pairs, monkeypatch, tmp_path):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def run_once(sha, workload, seed, seconds, scratch):
+        runs.append((sha, seed))
+        if len(runs) == 3:  # the second pair's first run
+            raise SystemExit(143)
+        return {"metrics": {name: {"value": float(len(runs))} for name in names}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit):
+        _run_bench_pairs(bench_pairs, monkeypatch, "--run", "euler-algebra:7-9", "--out", str(out))
+    [record] = json.loads(out.read_text())["workloads"]["euler-algebra"]
+    assert record["seeds"] == [7, 8, 9]
+    assert [(pair["seed"], pair["first"]) for pair in record["pairs"]] == [(7, "parent")]
+    assert record["pairs"][0]["parent"]["metrics"]["ops_per_s"]["value"] == 1.0
+    assert record["summary"]["ops_per_s"]["pairs"] == 1
+    assert record["summary"]["ops_per_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [("euler-algebra:30-21", "holds no seed"), ("nosuch:1-2", "names no workload 'nosuch'")],
+)
+def test_bench_pairs_checks_every_run_before_it_runs_one(bench_pairs, monkeypatch, tmp_path, capsys, run, message):
+    def run_once(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exit_info:
+        _run_bench_pairs(bench_pairs, monkeypatch, "--run", "euler-algebra:1-2", "--run", run, "--out", str(out))
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
