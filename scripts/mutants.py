@@ -124,6 +124,14 @@ MUTANTS = (
            "tests/test_cox.py"),
     Mutant("piece-dim-skips-the-widening", "euler.py", "graded_piece_dim",
            "_widen_fiber_tables(em.cox, shifted)", "None", "tests/test_euler.py"),
+    # The two oracles share no code: each mutant below leaves every count as it is,
+    # and the static reach test of tests/test_cox.py kills both.
+    Mutant("fiber-side-asks-the-polytope-walk", "cox.py", "_fiber_dimension",
+           "weight < 0", "weight < 0 or not cd.section_tables._count(class_vector)",
+           "tests/test_cox.py"),
+    Mutant("polytope-side-reads-the-effective-normals", "cox.py", "_polytope_dimension",
+           "cd.section_tables._count(class_vector)", "cd.section_tables._count(class_vector) if cd.effective_normals else 0",
+           "tests/test_cox.py"),
     # Polynomials built in one pass: exponents copied once into a list, coefficients
     # put in canonical form as they are computed or read, and the coefficient check.
     Mutant("partials-keep-the-lowered-entry", "cox.py", "_partials",

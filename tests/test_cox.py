@@ -1,12 +1,15 @@
 """Graded dimensions (dual oracle), monomial bases, effective cone, weight
 form, irrelevant ideal and the shift identity."""
 
+import ast
+import builtins
 import importlib
 import itertools
 import pkgutil
 import random
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +210,191 @@ class TestOracleIndependence:
             with pytest.raises(AssertionError):
                 graded_dimension(cd, (0,) * cd.cl_rank)
             assert {lam: cox_module._polytope_dimension(cd, lam) for lam in dims} == dims, name
+
+
+class _Reach:
+    """The package functions that one function can run, read off the modules' ASTs.
+
+    A bare name is a local, a module-level definition (followed through the
+    package's relative imports), a stdlib import or a builtin; any other is
+    a LookupError.  An attribute is looked up in its value's class where
+    the annotations give one: a parameter's (``cd: CoxData``), ``self``'s,
+    a class named directly, and a property's or a call's return annotation.
+    So ``cd.x`` is CoxData's property or method x, and a member the class
+    lacks is a LookupError.  An attribute of a value of unknown class
+    stands for every package method of that name.  Calling an instance
+    reaches its class's ``__call__``, ``@`` its ``__matmul__``, and calling a
+    class its ``__init__``.  Only functions and methods enter the set.
+    """
+
+    def __init__(self, sources: dict[str, str]) -> None:
+        self.trees = {module: ast.parse(text) for module, text in sources.items()}
+        self.functions = {}  # qualified name -> (node, module, qualified name of its class or None)
+        self.members = {}  # qualified class name -> {member name: its function, or None for data}
+        for module, tree in self.trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.functions[f"{module}.{node.name}"] = node, module, None
+                elif isinstance(node, ast.ClassDef):
+                    cls = f"{module}.{node.name}"
+                    members = self.members[cls] = {}
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            members[item.name] = item
+                            self.functions[f"{cls}.{item.name}"] = item, module, cls
+                        elif isinstance(item, ast.AnnAssign):
+                            members[item.target.id] = None
+                    for item in ast.walk(members.get("__init__", ast.Pass())):
+                        if isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store):
+                            members.setdefault(item.attr, None)
+
+    def lookup(self, module: str, name: str) -> tuple[str, str | None]:
+        """A module-level name as ("function" or "class", qualified name), ("stdlib", None) or ("value", None)."""
+        for node in self.trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                return "function" if isinstance(node, ast.FunctionDef) else "class", f"{module}.{name}"
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and any(
+                isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id == name for n in ast.walk(node)
+            ):
+                return "value", None
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if (alias.asname or alias.name).partition(".")[0] == name:
+                        if isinstance(node, ast.ImportFrom) and node.level:
+                            return self.lookup(node.module, alias.name)
+                        return "stdlib", None
+        if hasattr(builtins, name):
+            return "stdlib", None
+        raise LookupError(f"{module} has no name {name!r}")
+
+    def class_of(self, annotation: ast.expr | None, module: str) -> str | None:
+        """The package class that an annotation names, or None."""
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval").body
+        if isinstance(annotation, ast.Name):
+            kind, name = self.lookup(module, annotation.id)
+            return name if kind == "class" else None
+        return None
+
+    def reach(self, start: str) -> set[str]:
+        seen, todo = set(), [start]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(self.calls(name))
+        return seen
+
+    def calls(self, qualname: str) -> set[str]:
+        """The functions and methods that the body of one names."""
+        function, module, cls = self.functions[qualname]
+        local = {n.arg for n in ast.walk(function) if isinstance(n, ast.arg)}
+        for n in ast.walk(function):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                local.add(n.id)
+            elif isinstance(n, (ast.FunctionDef, ast.ExceptHandler)) and n.name:
+                local.add(n.name)
+        types = {a.arg: self.class_of(a.annotation, module) for a in function.args.args}
+        if cls and function.args.args and "staticmethod" not in map(ast.unparse, function.decorator_list):
+            types[function.args.args[0].arg] = cls
+        found = set()
+
+        def member(owner: str, attr: str) -> tuple[str, str | None]:
+            if attr not in self.members[owner]:
+                raise LookupError(f"{qualname}: {owner} has no member {attr!r}")
+            node = self.members[owner][attr]
+            if node is None:
+                return "value", None
+            found.add(f"{owner}.{attr}")
+            returns = self.class_of(node.returns, self.functions[f"{owner}.{attr}"][1])
+            decorators = set(map(ast.unparse, node.decorator_list))
+            return "value" if decorators & {"property", "functools.cached_property"} else "function", returns
+
+        def evaluate(node: ast.expr) -> tuple[str, str | None]:
+            """The expression's kind ("value", "class", "function" or "stdlib") and its class, or
+            for a function the class it returns."""
+            if isinstance(node, ast.Name):
+                if node.id in local:
+                    return "value", types.get(node.id)
+                kind, name = self.lookup(module, node.id)
+                if kind == "function":
+                    found.add(name)
+                    return kind, self.class_of(self.functions[name][0].returns, self.functions[name][1])
+                return kind, name
+            if isinstance(node, ast.Attribute):
+                kind, owner = evaluate(node.value)
+                if kind in ("value", "class") and owner:
+                    return member(owner, node.attr)
+                if kind != "stdlib":
+                    found.update(f"{c}.{node.attr}" for c, members in self.members.items() if members.get(node.attr))
+                return kind if kind == "stdlib" else "value", None
+            if isinstance(node, ast.Call):
+                kind, owner = evaluate(node.func)
+                for argument in node.args + node.keywords:
+                    visit(argument)
+                if kind == "class" and "__init__" in self.members[owner]:
+                    found.add(f"{owner}.__init__")
+                elif kind == "value" and owner:
+                    return "value", member(owner, "__call__")[1]
+                return "value", owner if kind in ("class", "function") else None
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                _, owner = evaluate(node.left)
+                visit(node.right)
+                return "value", member(owner, "__matmul__")[1] if owner else None
+            for child in ast.iter_child_nodes(node):
+                visit(child)
+            return "value", None
+
+        def visit(node: ast.AST) -> None:
+            if isinstance(node, ast.expr):
+                evaluate(node)
+            else:
+                for child in ast.iter_child_nodes(node):
+                    visit(child)
+
+        for statement in function.body:
+            visit(statement)
+        return found
+
+
+# What both oracles may run, each with the reason it carries no geometry of either side.
+SHARED_BY_BOTH_ORACLES = {
+    "lattice._add_row": "a row operation: the fiber side's Hermite forms and the section's Smith form both use it",
+    "lattice._scale_row": "a row operation, shared like _add_row",
+    "lattice._swap_rows": "a row operation, shared like _add_row",
+    "lattice.IntegerMatrix.rows": "an accessor of the degree matrix and its section: it reads, computes nothing",
+    "lattice.IntegerMatrix.cols": "an accessor, like rows",
+    "lattice.IntegerMatrix.column": "an accessor, like rows",
+    "lattice.IntegerMatrix.columns": "an accessor, like rows",
+    "cox.integral_class": "it reads the class once, before graded_dimension asks either side",
+}
+
+
+def _package_reach() -> _Reach:
+    return _Reach({path.stem: path.read_text() for path in Path(toric_cox.__file__).parent.glob("*.py")})
+
+
+def test_the_two_oracles_share_only_the_allowlisted_code():
+    # TestOracleIndependence checks at run time that each side answers without
+    # the other's tables; this checks that no helper is shared, whether or not it is patched
+    reach = _package_reach()
+    fiber, polytope = reach.reach("cox._fiber_dimension"), reach.reach("cox._polytope_dimension")
+    assert {"cox._fiber_tables", "cox.CoxData.effective_normals", "polyhedral._dual_generators"} <= fiber
+    assert {"cox.CoxData.section_tables", "polyhedral._walk", "lattice.smith_normal_form"} <= polytope
+    shared = (fiber & polytope) - SHARED_BY_BOTH_ORACLES.keys()
+    assert not shared, sorted(shared)
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("def f():\n    return g()\n", "m has no name 'g'"),
+        ("class CoxData:\n    pass\n\ndef f(cd: CoxData):\n    return cd.weight\n", "m.CoxData has no member 'weight'"),
+    ],
+)
+def test_the_reach_fails_on_a_name_it_cannot_resolve(source, message):
+    with pytest.raises(LookupError, match=message):
+        _Reach({"m": source}).reach("m.f")
 
 
 def test_a_class_outside_the_effective_cone_builds_no_level(corpus):
