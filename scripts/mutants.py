@@ -111,9 +111,9 @@ MUTANTS = (
            "(RecursionError, ValueError)", "ValueError", "tests/test_cli.py"),
     Mutant("json-reader-misses-long-integers", "fans.py", "_load_json",
            "(RecursionError, ValueError)", "RecursionError", "tests/test_cli.py"),
-    # The fiber count's box: its guard, its key width, its gate, and its one widening
-    # per twisted piece.
-    Mutant("fiber-box-keeps-what-leaves-it", "cox.py", "_grow_fiber_tables",
+    # The fiber count's box: its guard, its key width, its gate, and a twisted piece's
+    # widest-first order, which builds the tables once.
+    Mutant("fiber-box-keeps-what-leaves-it", "cox.py", "_fiber_dimension",
            "not nu & guard", "True", "tests/test_cox.py"),
     Mutant("fiber-key-margin-halved", "cox.py", "_fiber_tables",
            "2 * max(bounds)", "max(bounds)", "tests/test_cox.py"),
@@ -123,7 +123,7 @@ MUTANTS = (
            "any((sum(map(mul, normal, class_vector)) < 0 for normal in cd.effective_normals))", "False",
            "tests/test_cox.py"),
     Mutant("piece-dim-skips-the-widening", "euler.py", "graded_piece_dim",
-           "_widen_fiber_tables(em.cox, shifted)", "None", "tests/test_euler.py"),
+           "sorted(shifted, key=lambda mu: max(map(abs, mu)), reverse=True)", "shifted", "tests/test_euler.py"),
     # The two oracles share no code: each mutant below leaves every count as it is,
     # and the static reach test of tests/test_cox.py kills both.
     Mutant("fiber-side-asks-the-polytope-walk", "cox.py", "_fiber_dimension",

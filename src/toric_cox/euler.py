@@ -22,7 +22,6 @@ from .cox import (
     GradedPolynomial,
     _exponents_up_to_weight,
     _partials,
-    _widen_fiber_tables,
     graded_dimension,
     integral_class,
     monomial_basis,
@@ -163,12 +162,13 @@ def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
     """Dimension of the twisted section space, summed over the splitting.
 
-    The fiber tables are widened once for all the shifted classes, before
-    they are asked in basis order (so a mismatch names the same class)."""
+    The shifted classes are asked widest first (by largest entry in
+    absolute value, ties in basis order), so the first of them in the
+    effective cone grows the fiber tables at the widest reach and no later
+    one rebuilds them; an OracleMismatch names the widest disagreeing class."""
     lam = integral_class(em.cox, class_vector)
     shifted = [tuple(a - b for a, b in zip(lam, degree)) for degree in em.basis_degrees]
-    _widen_fiber_tables(em.cox, shifted)
-    return sum(graded_dimension(em.cox, mu) for mu in shifted)
+    return sum(graded_dimension(em.cox, mu) for mu in sorted(shifted, key=lambda mu: max(map(abs, mu)), reverse=True))
 
 
 def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:

@@ -95,20 +95,22 @@ class TestGradedPieceDim:
         assert graded_piece_dim(em, (3, 3, 3, 3)) == 78
         assert radii == [0, 4]
 
-    def test_widening_skips_classes_outside_the_effective_cone(self):
-        # (-7,) has no monomial, so it is answered 0 and leaves the reach at 2
-        cd = cox_data(load_fan("p2"))
-        cox_module._widen_fiber_tables(cd, [(-7,), (2,)])
-        assert cd._fiber[0] == 2
-        tables = cd._fiber
-        assert graded_dimension(cd, (-7,)) == 0 and graded_dimension(cd, (2,)) == 6
-        assert cd._fiber is tables
+    def test_a_wide_shifted_class_outside_the_effective_cone_sets_no_reach(self, monkeypatch):
+        # on F_3, (2, 0) minus the basis degrees is (1, 0), (2, -1), (1, 0), (-1, -1):
+        # the widest, (2, -1), has weight 1 but no monomial, so it is answered 0
+        # and the tables are built at the reach of (1, 0)
+        em = build_euler_module(cox_data(load_fan("hirzebruch_3")))
+        real = cox_module._fiber_tables
+        radii = []
+        monkeypatch.setattr(cox_module, "_fiber_tables", lambda cd, r: radii.append(r) or real(cd, r))
+        assert graded_piece_dim(em, (2, 0)) == 4
+        assert radii == [0, 1] and em.cox._fiber[0] == 1
 
-    def test_widening_without_classes_keeps_the_tables(self):
-        cd = cox_data(load_fan("hirzebruch_1"))
-        tables = cd._fiber
-        cox_module._widen_fiber_tables(cd, [])
-        assert cd._fiber is tables and tables[0] == 0
+    def test_a_piece_whose_shifted_classes_all_have_negative_weight_builds_no_table(self, monkeypatch):
+        # each (0,) - (1,) on P^2 is answered 0 off its weight, before the tables are read
+        em = build_euler_module(cox_data(load_fan("p2")))
+        monkeypatch.setattr(cox_module, "_fiber_tables", lambda cd, r: pytest.fail("fiber tables built"))
+        assert graded_piece_dim(em, (0,)) == 0
 
     @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
     def test_widened_tables_answer_every_shifted_class_without_a_rebuild(self, name, corpus_cox, monkeypatch):
