@@ -129,7 +129,7 @@ MUTANTS = (
     Mutant("fiber-side-asks-the-polytope-walk", "cox.py", "_fiber_dimension",
            "weight < 0", "weight < 0 or not cd.section_tables._count(class_vector)",
            "tests/test_cox.py"),
-    Mutant("polytope-side-reads-the-effective-normals", "cox.py", "_polytope_dimension",
+    Mutant("polytope-side-reads-effective-normals", "cox.py", "_polytope_dimension",
            "cd.section_tables._count(class_vector)", "cd.section_tables._count(class_vector) if cd.effective_normals else 0",
            "tests/test_cox.py"),
     # Polynomials built in one pass: exponents copied once into a list, coefficients

@@ -1,10 +1,12 @@
 """The mutant run of ``scripts/mutants.py``: its list of sites, and its end on a SIGTERM;
-and the paired benchmark record of ``scripts/bench_pairs.py``: its arguments, and what a stopped run keeps."""
+the paired benchmark record of ``scripts/bench_pairs.py``: its arguments, what a stopped
+run keeps, and its end on a SIGTERM; and the errors of ``scripts/graded_dimension_table.py``."""
 
 import contextlib
 import importlib.util
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS_SCRIPT = ROOT / "scripts" / "mutants.py"
 BENCH_PAIRS_SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+TABLE_SCRIPT = ROOT / "scripts" / "graded_dimension_table.py"
 
 
 def _load(path: Path, name: str):
@@ -87,6 +90,45 @@ def test_a_sigterm_ends_the_mutant_run_with_its_tests_and_its_copy(tmp_path):
         run.wait()
 
 
+def _command_line(pid: int) -> str:
+    try:
+        return Path("/proc", str(pid), "cmdline").read_bytes().replace(b"\0", b" ").decode()
+    except OSError:
+        return ""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table in /proc")
+@pytest.mark.skipif(
+    shutil.which("git") is None or not (ROOT / ".git").exists(), reason="archives revisions of a git checkout"
+)
+def test_a_sigterm_ends_the_bench_pairs_run_with_its_benchmark_and_its_copy(tmp_path):
+    # as for the mutant run: its own session, so that the finally clause can end
+    # whatever the killed benchmark run had started
+    out = tmp_path / "r.json"
+    run = subprocess.Popen(
+        [sys.executable, str(BENCH_PAIRS_SCRIPT), "--parent", "HEAD", "--change", "HEAD",
+         "--run", "cli-corpus:1-1", "--out", str(out)],
+        env=dict(os.environ, TMPDIR=str(tmp_path)),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (benchmark := [pid for pid in _children(run.pid) if "bench/run.py" in _command_line(pid)]):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        run.send_signal(signal.SIGTERM)
+        assert run.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not [pid for pid in benchmark if _alive(pid)]
+        assert not list(tmp_path.glob("bench-pairs-*"))
+        assert not out.exists()
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.wait()
+
+
 @pytest.fixture
 def bench_pairs(monkeypatch):
     """``scripts/bench_pairs.py`` loaded as a module, with revisions read as
@@ -139,3 +181,45 @@ def test_bench_pairs_checks_every_run_before_it_runs_one(bench_pairs, monkeypatc
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _run_table(monkeypatch, *argv: str) -> int:
+    module = _load(TABLE_SCRIPT, "graded_dimension_table_script")
+    monkeypatch.setattr(sys, "argv", ["graded_dimension_table.py", *argv])
+    return module.main()
+
+
+@pytest.mark.parametrize(
+    "fan, content, code, error",
+    [
+        # the bundled non-examples are looked up by name, and rejected by the package
+        ("singular_cone", None, 1, "NotSmooth"),
+        ("incomplete_a2", None, 1, "NotComplete"),
+        ("missing.json", None, 2, "FileNotFoundError"),
+        ("truncated.json", b'{"dim": 2, ', 2, "JSONDecodeError"),
+        ("latin1.json", b"\xff", 2, "UnicodeDecodeError"),
+        # smooth and facet-paired, but a fold, not a fan
+        ("fold.json", b'{"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}',
+         3, "MalformedFan"),
+    ],
+    ids=["singular_cone", "incomplete_a2", "missing", "truncated", "latin1", "fold"],
+)
+def test_the_table_script_reports_a_fan_it_cannot_tabulate_in_one_line(
+    monkeypatch, tmp_path, capsys, fan, content, code, error
+):
+    if fan.endswith(".json"):
+        path = tmp_path / fan
+        if content is not None:
+            path.write_bytes(content)
+        fan = str(path)
+    assert _run_table(monkeypatch, fan) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{fan}: {error}: ") and err.count("\n") == 1, err
+
+
+def test_the_table_script_rejects_a_negative_radius(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _run_table(monkeypatch, "p1", "--radius", "-1")
+    assert exit_info.value.code == 2
+    assert "radius -1 is negative" in capsys.readouterr().err
