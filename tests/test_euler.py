@@ -16,7 +16,6 @@ from toric_cox.cox import (
     _exponents_up_to_weight,
     cox_data,
     effective_weight_form,
-    graded_dimension,
     make_polynomial,
     monomial_basis,
 )
