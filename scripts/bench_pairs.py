@@ -20,11 +20,12 @@ metrics of every pair, each side's median and quartiles per metric, and
 for each metric the pairs the change wins (ties count for neither side;
 the direction is read from ``BENCHMARK.json``), together with the
 revisions, the Python version, the number of processors and the run
-length.  The output file must not exist yet.  It is rewritten after every
-pair, the summary of an unfinished seed set covering the pairs done so
-far, so a run that is stopped keeps every pair it measured.  Each
-``--run`` is checked before anything runs: its workload must be one that
-``BENCHMARK.json`` names, and its seed range must not be empty.
+length.  The output file must not exist yet, and its directory must.  It
+is rewritten after every pair, the summary of an unfinished seed set
+covering the pairs done so far, so a run that is stopped keeps every pair
+it measured.  Each ``--run`` and the ``--out`` are checked before anything
+runs: the workload must be one that ``BENCHMARK.json`` names, and the seed
+range must not be empty.
 """
 
 import argparse
@@ -113,6 +114,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.out.exists():
         parser.error(f"{args.out} exists; delete it first")
+    if not args.out.parent.is_dir():
+        parser.error(f"{args.out.parent} is not a directory; --out must name a file in one")
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = {w["name"] for w in benchmark["workloads"]}
     for workload, _ in args.run:

@@ -132,6 +132,14 @@ MUTANTS = (
     Mutant("polytope-side-reads-effective-normals", "cox.py", "_polytope_dimension",
            "cd.section_tables._count(class_vector)", "cd.section_tables._count(class_vector) if cd.effective_normals else 0",
            "tests/test_cox.py"),
+    # The one monomial enumerator: its prefix half, its tails, and the exact filter.
+    Mutant("enumerator-keeps-inexact-last-entries", "cox.py", "_exponents_up_to_weight",
+           "[(left // w,)] if left % w == 0 else []", "[(left // w,)]", "tests/test_cox.py"),
+    Mutant("enumerator-prefix-range-stops-short", "cox.py", "_exponents_up_to_weight",
+           "[(p + (e,), left - e * w) for p, left in prefixes for e in range(left // w + 1)]",
+           "[(p + (e,), left - e * w) for p, left in prefixes for e in range(left // w)]", "tests/test_cox.py"),
+    Mutant("enumerator-tail-reads-the-whole-budget", "cox.py", "_exponents_up_to_weight",
+           "below[left - e * w]", "below[left]", "tests/test_cox.py"),
     # Polynomials built in one pass: exponents copied once into a list, coefficients
     # put in canonical form as they are computed or read, and the coefficient check.
     Mutant("partials-keep-the-lowered-entry", "cox.py", "_partials",

@@ -481,28 +481,48 @@ def _exponents_up_to_weight(
     """Exponent vectors e with sum_i weights[i] * e[i] <= budget, lexicographically.
 
     With ``exact`` only the vectors of weight exactly ``budget`` are kept.
-    The weights must be positive.  This bounded recursion is the one
-    monomial enumerator of the package.
+    The weights must be positive.  This is the one monomial enumerator of
+    the package, and it meets in the middle (Horowitz and Sahni, J. ACM 21,
+    1974).  The prefixes over the first half of the variables are listed,
+    each with the budget it leaves.  The tails over the other half are built
+    from the last variable up, once for each budget that some prefix leaves;
+    ``exact`` keeps, at the last variable, only the entry that spends its
+    budget.  Each vector is then one prefix joined to one of its tails.
     """
     n = len(weights)
     if budget < 0:
         return []
     if n == 0:
         return [()] if budget == 0 or not exact else []
+    half = n // 2
+    prefixes: list[tuple[Vector, int]] = [((), budget)]
+    for w in weights[:half]:
+        prefixes = [(p + (e,), left - e * w) for p, left in prefixes for e in range(left // w + 1)]
+    # needed[k]: the budgets left to variable half + k, only those reached
+    needed = [{left for _, left in prefixes}]
+    for w in weights[half:-1]:
+        reached: set[int] = set()
+        for left in needed[-1]:
+            reached.update(range(left % w, left + 1, w))
+        needed.append(reached)
+    w = weights[-1]
+    last = needed.pop()
+    if exact:
+        tails = {left: [(left // w,)] if left % w == 0 else [] for left in last}
+    else:
+        # the tails of the last variable are slices of one list
+        singles = [(e,) for e in range(max(last) // w + 1)]
+        tails = {left: singles[: left // w + 1] for left in last}
+    for w in reversed(weights[half:-1]):
+        # each entry is made a 1-tuple once, then joined to every tail below it
+        below = tails
+        tails = {
+            left: [head + t for e in range(left // w + 1) for head in ((e,),) for t in below[left - e * w]]
+            for left in needed.pop()
+        }
     found: list[Vector] = []
-
-    def extend(prefix: Vector, left: int) -> None:
-        w = weights[len(prefix)]
-        if len(prefix) == n - 1:
-            if not exact:
-                found.extend(prefix + (e,) for e in range(left // w + 1))
-            elif left % w == 0:
-                found.append(prefix + (left // w,))
-            return
-        for e in range(left // w + 1):
-            extend(prefix + (e,), left - e * w)
-
-    extend((), budget)
+    for p, left in prefixes:
+        found += map(p.__add__, tails[left])
     return found
 
 

@@ -390,6 +390,55 @@ def test_verify_at_rank_eight_fits_in_one_gigabyte(tmp_path, fan, flags, digest)
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# gen.product(1, 1, 1, 1, 1): (P^1)^5, ten variables, class-group rank 5.
+PRODUCT_P1_5 = (
+    '{"dim": 5, "rays": [[1, 0, 0, 0, 0], [-1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, -1]],'
+    ' "max_cones": [[0, 2, 4, 6, 8], [0, 2, 4, 6, 9], [0, 2, 4, 7, 8], [0, 2, 4, 7, 9], [0, 2, 5, 6, 8], '
+    '[0, 2, 5, 6, 9], [0, 2, 5, 7, 8], [0, 2, 5, 7, 9], [0, 3, 4, 6, 8], [0, 3, 4, 6, 9], '
+    '[0, 3, 4, 7, 8], [0, 3, 4, 7, 9], [0, 3, 5, 6, 8], [0, 3, 5, 6, 9], [0, 3, 5, 7, 8], '
+    '[0, 3, 5, 7, 9], [1, 2, 4, 6, 8], [1, 2, 4, 6, 9], [1, 2, 4, 7, 8], [1, 2, 4, 7, 9], '
+    '[1, 2, 5, 6, 8], [1, 2, 5, 6, 9], [1, 2, 5, 7, 8], [1, 2, 5, 7, 9], [1, 3, 4, 6, 8], '
+    '[1, 3, 4, 6, 9], [1, 3, 4, 7, 8], [1, 3, 4, 7, 9], [1, 3, 5, 6, 8], [1, 3, 5, 6, 9], '
+    '[1, 3, 5, 7, 8], [1, 3, 5, 7, 9]]}'
+)
+# gen.product(2, 2, 2): (P^2)^3, nine variables, class-group rank 3.
+PRODUCT_P2_3 = (
+    '{"dim": 6, "rays": [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [-1, -1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, -1, -1, 0, 0], [0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, -1, -1]],'
+    ' "max_cones": [[0, 1, 3, 4, 6, 7], [0, 1, 3, 4, 6, 8], [0, 1, 3, 4, 7, 8], [0, 1, 3, 5, 6, 7], '
+    '[0, 1, 3, 5, 6, 8], [0, 1, 3, 5, 7, 8], [0, 1, 4, 5, 6, 7], [0, 1, 4, 5, 6, 8], [0, 1, 4, 5, 7, 8], '
+    '[0, 2, 3, 4, 6, 7], [0, 2, 3, 4, 6, 8], [0, 2, 3, 4, 7, 8], [0, 2, 3, 5, 6, 7], [0, 2, 3, 5, 6, 8], '
+    '[0, 2, 3, 5, 7, 8], [0, 2, 4, 5, 6, 7], [0, 2, 4, 5, 6, 8], [0, 2, 4, 5, 7, 8], [1, 2, 3, 4, 6, 7], '
+    '[1, 2, 3, 4, 6, 8], [1, 2, 3, 4, 7, 8], [1, 2, 3, 5, 6, 7], [1, 2, 3, 5, 6, 8], [1, 2, 3, 5, 7, 8], '
+    '[1, 2, 4, 5, 6, 7], [1, 2, 4, 5, 6, 8], [1, 2, 4, 5, 7, 8]]}'
+)
+
+
+@pytest.mark.parametrize(
+    "fan, command, digest",
+    [
+        (PRODUCT_P1_5, ("verify", "--json"), "ef03fc6cf9c3e10b9209d79e77179d6f5dae900966d312a3d44094a6617dfc31"),
+        (PRODUCT_P1_5, ("euler",), "3ef51509d8a992915d8ddceef0f7882605fb62a6265664e2b8b68170b9a7186d"),
+        (PRODUCT_P2_3, ("verify", "--json"), "f1036a7877633f1b5c0964080d81199a349cef2ec36cf8288cc336a6a8911c64"),
+        (PRODUCT_P2_3, ("euler",), "dc7d69aded9d3ae7b67d0a62539b79da30ab8bd95b9f05c99f1ded8589223fcb"),
+    ],
+    ids=["p1-5-verify-json", "p1-5-euler", "p2-3-verify-json", "p2-3-euler"],
+)
+def test_reports_at_nine_and_ten_variables_are_pinned(tmp_path, fan, command, digest):
+    # The identity line of verify lists every monomial of weight <= 4: 1,001
+    # on (P^1)^5 and 715 on (P^2)^3, where the enumerator splits its
+    # variables into two halves of five or of four and five.  The euler
+    # report draws its samples from the same listing.
+    path = tmp_path / "fan.json"
+    path.write_text(fan)
+    result = subprocess.run(
+        [sys.executable, "-m", "toric_cox.cli", command[0], str(path), *command[1:]],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 @needs_rlimit
 def test_out_of_memory_ends_in_a_report_without_a_traceback():
     # P^1 in degree 10**40 grows the fiber tables until the cap stops them;

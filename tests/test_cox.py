@@ -7,6 +7,7 @@ import importlib
 import itertools
 import pkgutil
 import random
+import tracemalloc
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -441,6 +442,19 @@ class TestPolytopeCount:
         assert [cox_module._polytope_dimension(cd, lam) for lam in window] == expected
 
 
+def _box_scan(weights, budget, exact=False):
+    """The exponent vectors of weight at most (or exactly) the budget, read off
+    the box of per-coordinate bounds in lexicographic order."""
+    if budget < 0:
+        return []
+    ranges = [range(budget // w + 1) for w in weights]
+    steps = [range(0, budget + 1, w) for w in weights]
+    return [
+        e for e, parts in zip(itertools.product(*ranges), itertools.product(*steps))
+        if (sum(parts) == budget if exact else sum(parts) <= budget)
+    ]
+
+
 class TestMonomialBasis:
     def test_p2_linear_forms(self, corpus_cox):
         assert monomial_basis(corpus_cox["p2"], (1,)) == (
@@ -468,21 +482,35 @@ class TestMonomialBasis:
         for e in monomial_basis(cd, lam):
             assert cd.degree_of_exponent(e) == lam
 
-
-    @pytest.mark.parametrize("weights", [(), (2,), (1, 2, 3)])
+    @pytest.mark.parametrize(
+        "weights",
+        [(), (2,), (1, 2, 3), (1, 1, 1, 1), (2, 1, 3, 1, 1), (1,) * 6, (7, 4, 1, 1, 1, 1)],
+    )
     def test_enumerator_matches_a_box_scan(self, weights):
-        box = list(itertools.product(range(7), repeat=len(weights)))
-
-        def weight(e):
-            return sum(w * x for w, x in zip(weights, e))
-
+        # from four weights on, the prefix half and the tail half both hold
+        # two or more variables
         for budget in range(-2, 7):
-            assert cox_module._exponents_up_to_weight(weights, budget) == [
-                e for e in box if weight(e) <= budget
-            ]
-            assert cox_module._exponents_up_to_weight(weights, budget, exact=True) == [
-                e for e in box if weight(e) == budget
-            ]
+            assert cox_module._exponents_up_to_weight(weights, budget) == _box_scan(weights, budget)
+            assert cox_module._exponents_up_to_weight(weights, budget, exact=True) == _box_scan(
+                weights, budget, exact=True
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 5), max_size=6), st.integers(-2, 12), st.booleans())
+    def test_enumerator_matches_a_box_scan_on_drawn_weights(self, weights, budget, exact):
+        found = cox_module._exponents_up_to_weight(weights, budget, exact=exact)
+        assert found == _box_scan(weights, budget, exact=exact)
+
+    def test_enumerator_work_follows_the_listing_not_the_budget(self):
+        # 1,001 vectors of weight 10**6: what is built must not grow with the budget
+        tracemalloc.start()
+        try:
+            found = cox_module._exponents_up_to_weight((1000, 1), 10**6, exact=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == [(a, 10**6 - 1000 * a) for a in range(1001)]
+        assert peak < 4 << 20
 
     def test_matches_a_box_scan_by_class(self, corpus_cox):
         cd = corpus_cox["hirzebruch_2"]

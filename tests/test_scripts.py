@@ -183,6 +183,18 @@ def test_bench_pairs_checks_every_run_before_it_runs_one(bench_pairs, monkeypatc
     assert not out.exists()
 
 
+def test_bench_pairs_refuses_an_out_in_a_missing_directory(bench_pairs, monkeypatch, tmp_path, capsys):
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: runs.append(args))
+    out = tmp_path / "missing" / "pairs.json"
+    with pytest.raises(SystemExit) as exit_info:
+        _run_bench_pairs(bench_pairs, monkeypatch, "--run", "euler-algebra:1-2", "--out", str(out))
+    assert exit_info.value.code == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert runs == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def _run_table(monkeypatch, *argv: str) -> int:
     module = _load(TABLE_SCRIPT, "graded_dimension_table_script")
     monkeypatch.setattr(sys, "argv", ["graded_dimension_table.py", *argv])
