@@ -122,6 +122,13 @@ class TestValidateFan:
         with pytest.raises(MalformedFan, match=fragment):
             validate_fan(Fan.make(2, rays, cones))
 
+    # Of several repeated rays, the first pair in index order is named
+    @pytest.mark.parametrize("pattern, pair", [("ABBA", (0, 3)), ("AABB", (0, 1)), ("BACAB", (0, 4))])
+    def test_coinciding_rays_name_the_first_pair(self, pattern, pair):
+        rays = [{"A": [1, 0], "B": [0, 1], "C": [-1, -1]}[letter] for letter in pattern]
+        with pytest.raises(MalformedFan, match=f"^rays {pair[0]} and {pair[1]} coincide$"):
+            validate_fan(Fan.make(2, rays, [list(range(len(rays)))]))
+
     def test_overlapping_cones_rejected(self):
         # two cones overlap in a two-dimensional region but share one ray
         fan = Fan.make(2, [[1, 0], [0, 1], [-1, 2]], [[0, 1], [0, 2]])

@@ -1,13 +1,14 @@
-"""Golden outputs: sha256 of ``--json`` reports, pinned across versions.
+"""Golden outputs: sha256 of reports, in text and ``--json`` form, pinned across versions.
 
 The determinism tests compare two runs of the same code; these hashes
 compare against reports recorded before a change, so a refactor that
 alters any byte of a ``validate``, ``verify``, ``cox``, ``euler`` or
-``reconstruct`` report fails here.  Regenerate them only for an intended
-report change.
+``reconstruct`` report, or of an error report of each status kind, fails
+here.  Regenerate them only for an intended report change.
 """
 
 import hashlib
+import json
 
 import pytest
 from fan_strategies import product_fan
@@ -81,6 +82,82 @@ VALIDATE = {
 
 RECONSTRUCT_P2 = "43311a4477c538c557387d7a9d78fa538766a3e003fe06e5c0e2a76a24c13e0d"
 
+# Text digests of reports whose JSON is pinned above: the text form adds the
+# key padding and the status line, which the JSON digests leave unpinned
+COX_TEXT = {
+    "p1": "f193d66e92bdbe82d67e4d794e3a4c218464628d98cd2f7adb5b7a2f5b2aacf9",
+    "p2": "1863d0130b654ae24beac1ff20700a6b8822fd8303dcb171b98f90d5d683c3e8",
+    "p1xp1": "96bdcd35dd50ec0b998bf2d43e7ec12c289e7904656497d354868a15249496b1",
+    "hirzebruch_0": "b5f93ae6b300f2ed5ccbee014077f8cc520d58094099ac08975b797095ce2a17",
+    "hirzebruch_1": "68df4b89e68bfe6435f03e37dc814003a39fe4681fb1261f1f0ba0d463a4b513",
+    "hirzebruch_2": "3180af8fa15b89c443de4720779f306730bb17c6ac3b1019bacf4730f3ebc4a9",
+    "hirzebruch_3": "189fbc4d8b10c3a1fe20af4362210457f0bdb4a7b11724f33c1f2409adf57a0b",
+    "delpezzo6": "503a5dd9ce69d339c3ee8c9ca17442bc71357088a2410bb7c708b67b54195c30",
+}
+
+VERIFY_TEXT = {
+    "p1": "431745624677fb8b1e501f6d1ecd1d3b97e105f0b8764d54d8dfbfb965bc3445",
+    "p2": "22f5c2c2da8f5fba35b023cfe3d53ec1d1b411b293b4bee534edf6873eaa8437",
+    "p1xp1": "8a2979f42fbc117c871f20c75e8487098b5f46154ecc2994f66cdf4124a47af8",
+    "hirzebruch_0": "6a466e91665917974345081bc4b139a5d20e066abbf46233d618cda2eb01cd06",
+    "hirzebruch_1": "bbd4672c3d510649062c543741c6d2d9d0e2602a9a15bd43f8f91315c9808275",
+    "hirzebruch_2": "0d10c5b81b96b3c1a033e4a579b2daf24b298064ab73aa66b5f135905898c1a9",
+    "hirzebruch_3": "88d93cd7b7876fd02dd9e5cf26a3d96c48e3693817b15430e1295fe744b8e81f",
+    "delpezzo6": "42f123c5d07ea55362045a26d2990da1ab7a51328d6d4a82866b1a9a8fdbd67a",
+}
+
+EULER_TEXT = {
+    ("p2", "2"): "92bdae4018144da1db7ba147132427784350dfcaa62c36dd8b2c5a6931c858f4",
+    ("hirzebruch_1", "1,1"): "2dba050878301b9c06106ca3c07d58ed2bae95ee4fa6df290bd396532314ee41",
+}
+
+# The grading of each corpus fan with an ample anticanonical class: its
+# degree matrix and that class; (text, --json) digests of reconstruct on it
+RECONSTRUCT = {
+    "p1": (([[1, 1]], [2]),
+           "5e8da9baabc21dff07a6a85f7ea6e9069c49bec5600d51daa2354084b22993d9",
+           "d7e56c3d8fb6b29b289049c00f892f9564920f922e93dfa942b3ddeef6c80505"),
+    "p2": (([[1, 1, 1]], [3]),
+           "f10c652e2c21457971505083c94d7e913358d3a65e91579c09d4812eda69bc8a",
+           "2d6a2cb90a2cd158a27019c26b1b004d0ce17d61ff02e104f60351a1a94d30ca"),
+    "p1xp1": (([[1, 1, 0, 0], [0, 0, 1, 1]], [2, 2]),
+              "b5b4765d0c869e4bd800057f1e755f442febbf1e913309690fe273eb8c653139",
+              "53e60b3f4aba69c943ba0bfcf8ff2aac7045939b628fc1aeaa5bcc87270de833"),
+    "hirzebruch_0": (([[1, 0, 1, 0], [0, 1, 0, 1]], [2, 2]),
+                     "10dd56540e39d3573f198e8e55dc51858a5ad10cab581613c6ff07f1503e5f15",
+                     "09d484a3b8b5554555a04ca8b2f18b6fca1449e786046f283386e4bdba1fc15a"),
+    "hirzebruch_1": (([[1, 0, 1, 1], [0, 1, 0, 1]], [3, 2]),
+                     "db25a76d83c49e3043e67fe7efbd2cc798c0baf2b37096f283bfd9e84ec9ad1c",
+                     "720d3b3c69583d4e55cef4303b7febb19c7cb4a1bdb09dd13579414299c2a681"),
+    "delpezzo6": (([[1, 0, 0, 0, 1, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, -1, 1]], [1, 2, 2, 1]),
+                  "ce389c2b1f789231799a5ede43220bc93eb04a66fa740d248d57bf432bba9c98",
+                  "d16074a3ddb9a1a278c7cff9a472ed2ca4e174ecb4d59e77a736900785d0028f"),
+}
+
+# One error report per status kind: (argv, the input file's bytes or None,
+# exit code, text digest, --json digest).  Inputs are written to the working
+# directory, so the io message names a relative path.
+ERRORS = {
+    "io": (["validate", "absent.json"], None, 2,
+           "f74b61d3d598f69f4e0b0b73202a825b7b58ab9224a404dd9e79f3de46adff70",
+           "ddd08cdd08b15de865d81af98daf926b112842b7640bbd2e01b188f71618fa7e"),
+    "parse": (["validate", "truncated.json"], b'{"dim": 2, "rays": [[1, 0]', 2,
+              "99d48af8652d77b5ff45c690be2910d58bac3fd2064fd2290abc29dd325d7b5b",
+              "eecaa6c62a482bfcd36a270cd10ce59cd6d49e78eef8ee2666d3b49bcb2152ed"),
+    # smooth and facet-paired, but a fold, not a fan
+    "malformed": (["validate", "fold.json"],
+                  b'{"dim": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [1, 2], [0, 2]]}', 3,
+                  "831e597f4687056f3a962f53251e1d881f23b2b649548e75a3abd2b0ec6f2a67",
+                  "f63df77be35baf1694abfe0ff7b3ac922734382e112bacba92724d4e601fa8d4"),
+    # a grading of full rank whose image has index 2
+    "NotSurjective": (["reconstruct", "index_two.json"], b'{"Q": [[1, 1, 1], [1, -1, 1]], "w": [3, 1]}', 1,
+                      "baa49aa021a70d36c4ff53a4d1283ec8ad89d0f7d32a08b260f7b3498c2c6384",
+                      "9c1d035e6c15a69c9d6e92782c6e4eb4edb2e48edfc0f9fd5439247c7b138fb5"),
+    "verification": (["verify", str(corpus_path("singular_cone"))], None, 1,
+                     "ef75597f30f3e83e3ca347a7a00f67099b70e92d5447609faf4f50d0e87e989c",
+                     "fea59c820081930cb61296d2278ad4313eb7711ba1e85ab5ce4c8782efd0057c"),
+}
+
 
 def report_hash(capsys, *argv: str) -> str:
     assert main([*argv, "--json"]) == 0
@@ -131,3 +208,44 @@ def test_reconstruct_p2(capsys, tmp_path):
     grading = tmp_path / "p2_grading.json"
     grading.write_text('{"Q": [[1, 1, 1]], "w": [1]}')
     assert report_hash(capsys, "reconstruct", str(grading)) == RECONSTRUCT_P2
+
+
+def text_hash(capsys, *argv: str) -> str:
+    assert main(list(argv)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+def test_cox_text(capsys, name):
+    assert text_hash(capsys, "cox", str(corpus_path(name))) == COX_TEXT[name]
+
+
+@pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+def test_verify_text(capsys, name):
+    assert text_hash(capsys, "verify", str(corpus_path(name))) == VERIFY_TEXT[name]
+
+
+@pytest.mark.parametrize("name, degree", sorted(EULER_TEXT))
+def test_euler_text(capsys, name, degree):
+    assert text_hash(capsys, "euler", str(corpus_path(name)), "--degree", degree) == EULER_TEXT[(name, degree)]
+
+
+@pytest.mark.parametrize("name", sorted(RECONSTRUCT))
+def test_reconstruct_corpus_gradings(capsys, tmp_path, name):
+    (q, w), text, json_digest = RECONSTRUCT[name]
+    grading = tmp_path / "grading.json"
+    grading.write_text(json.dumps({"Q": q, "w": w}))
+    assert text_hash(capsys, "reconstruct", str(grading)) == text
+    assert report_hash(capsys, "reconstruct", str(grading)) == json_digest
+
+
+@pytest.mark.parametrize("kind", sorted(ERRORS))
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_error_report(capsys, monkeypatch, tmp_path, kind, form):
+    argv, content, code, text, json_digest = ERRORS[kind]
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / argv[1]).write_bytes(content)
+    assert main(argv + (["--json"] if form == "json" else [])) == code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == (json_digest if form == "json" else text)
