@@ -6,20 +6,20 @@ Usage: python scripts/graded_dimension_table.py <fan.json|bundled name> [--radiu
 Each row lists a class, the ring piece dimension (checked by both
 oracles), and the module piece dimension of the Euler section module.
 A fan that cannot be tabulated ends the run with one line on stderr and
-the CLI's exit codes: 1 when the package rejects it (not smooth, not
-complete, ...), 2 for a file that cannot be read or parsed, 3 for a
-structurally invalid fan.  A negative radius is an argument error (2).
+the CLI's exit codes, from ``toric_cox.cli.error_status``: 1 when the
+package rejects it (not smooth, not complete, ...) or the run is out of
+memory, 2 for a file that cannot be read or parsed, 3 for a structurally
+invalid fan.  A negative radius is an argument error (2).
 """
 
 import argparse
 import itertools
-import json
 import sys
 from pathlib import Path
 
+from toric_cox.cli import ERRORS, error_status
 from toric_cox.corpus import NON_EXAMPLES, SMOOTH_COMPLETE, corpus_path
 from toric_cox.cox import cox_data, graded_dimension
-from toric_cox.errors import MalformedFan, ToricCoxError
 from toric_cox.euler import build_euler_module, graded_piece_dim
 from toric_cox.fans import fan_from_json
 
@@ -48,11 +48,6 @@ def print_table(text: str, radius: int) -> None:
     print(f"{nonzero} classes with nonzero pieces in the window")
 
 
-def fail(fan: str, exc: Exception, code: int) -> int:
-    print(f"{fan}: {type(exc).__name__}: {exc}", file=sys.stderr)
-    return code
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fan", help="path to a fan JSON file, or the name of a bundled example")
@@ -60,17 +55,11 @@ def main() -> int:
     args = parser.parse_args()
     path = corpus_path(args.fan) if args.fan in SMOOTH_COMPLETE + NON_EXAMPLES else Path(args.fan)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return fail(args.fan, exc, 2)
-    try:
-        print_table(text, args.radius)
-    except json.JSONDecodeError as exc:
-        return fail(args.fan, exc, 2)
-    except MalformedFan as exc:
-        return fail(args.fan, exc, 3)
-    except ToricCoxError as exc:
-        return fail(args.fan, exc, 1)
+        print_table(path.read_text(encoding="utf-8"), args.radius)
+    except ERRORS as exc:
+        failure, code = error_status(exc)
+        print(f"{args.fan}: {type(exc).__name__}: {failure.message}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -95,7 +95,15 @@ MUTANTS = (
     Mutant("certificate-line-prints-the-class-rank", "verify.py", "_certificate_check",
            "cd.num_vars", "cd.cl_rank", "tests/test_golden.py"),
     Mutant("euler-command-always-ok", "cli.py", "cmd_euler",
-           "ok = identity.ok", "ok = True", "tests/test_cli.py"),
+           "identity.ok", "True", "tests/test_cli.py"),
+    # The CLI's error map: exit codes, and the frames freed out of memory.
+    Mutant("malformed-input-exits-1", "cli.py", "error_status",
+           "(Failure('malformed', str(exc)), 3)", "(Failure('malformed', str(exc)), 1)", "tests/test_cli.py"),
+    Mutant("out-of-memory-frees-the-outer-frames-only", "cli.py", "error_status",
+           "(None, error.__context__)", "(None, None)", "tests/test_cli.py"),
+    # Of several coinciding rays, the first pair in index order is named.
+    Mutant("coinciding-rays-name-the-last-pair", "fans.py", "_check_structure",
+           "min(repeats)", "max(repeats)", "tests/test_fans.py"),
     Mutant("counterexample-format-changed", "euler.py", "check_euler_identity",
            "f'class {lam}: got {actual}, expected {expected}'", "f'class {lam}: {actual} != {expected}'",
            "tests/test_cli.py"),

@@ -3,11 +3,13 @@
 ``toric-cox validate|cox|euler|reconstruct|verify <file> [--degree d] [--json]``
 
 Exit codes: 0 pass, 1 semantic failure, 2 I/O or parse error, 3 malformed
-input.  Reports are deterministic: identical input and flags give byte
+input; :func:`error_status` maps an error to them, here and in the table
+script.  Reports are deterministic: identical input and flags give byte
 identical output.
 
 Each ``cmd_*`` imports the functions it calls, so a run loads only the
-modules of its own command.
+modules of its own command, and returns its sections and its failure
+(``None`` when its checks pass); :func:`main` alone builds the report.
 """
 
 from __future__ import annotations
@@ -31,44 +33,57 @@ except ImportError:
 Section = tuple[str, tuple[tuple[str, str], ...]]
 
 
+class Failure(NamedTuple):
+    code: str
+    message: str
+
+
 class Report(NamedTuple):
     command: str
     input_digest: str
     sections: tuple[Section, ...]
-    status_ok: bool
-    status_code: str = ""
-    status_message: str = ""
+    failure: Failure | None = None
 
     def to_json(self) -> str:
-        payload = {
+        return json.dumps({
             "command": self.command,
             "input_digest": self.input_digest,
-            "status": (
-                {"ok": True}
-                if self.status_ok
-                else {"ok": False, "code": self.status_code, "message": self.status_message}
-            ),
+            "status": {"ok": True} if self.failure is None else {"ok": False, **self.failure._asdict()},
             "sections": [
                 {"title": title, "entries": [[k, v] for k, v in entries]}
                 for title, entries in self.sections
             ],
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        }, separators=(",", ":"))
 
     def to_text(self) -> str:
         lines = [f"toric-cox {self.command}", f"input digest: {self.input_digest}"]
         for title, entries in self.sections:
-            lines.append("")
-            lines.append(f"[{title}]")
+            lines += ["", f"[{title}]"]
             width = max((len(k) for k, _ in entries), default=0)
-            for key, value in entries:
-                lines.append(f"  {key.ljust(width)}  {value}")
-        lines.append("")
-        if self.status_ok:
-            lines.append("status: ok")
-        else:
-            lines.append(f"status: error({self.status_code}): {self.status_message}")
+            lines += (f"  {key.ljust(width)}  {value}" for key, value in entries)
+        lines += ["", "status: ok" if self.failure is None else "status: error({}): {}".format(*self.failure)]
         return "\n".join(lines)
+
+
+# The errors that end a run in a report, not a traceback.
+ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, ToricCoxError, MemoryError)
+
+
+def error_status(exc: BaseException) -> tuple[Failure, int]:
+    """The failure and exit code of an error of ``ERRORS``: 2 for a file that cannot be read
+    (io) or decoded (parse), 3 for malformed input, 1 for other rejections and out of memory."""
+    if isinstance(exc, OSError):
+        return Failure("io", str(exc)), 2
+    if isinstance(exc, (UnicodeDecodeError, json.JSONDecodeError)):
+        return Failure("parse", str(exc)), 2
+    if isinstance(exc, MalformedFan):
+        return Failure("malformed", str(exc)), 3
+    if isinstance(exc, MemoryError):
+        error: BaseException | None = exc  # free the frames that hold the tables first: those of exc
+        while error is not None:  # and of the errors in its context, raised as its traceback grew
+            error.__traceback__, error = None, error.__context__
+        return Failure("MemoryError", str(exc) or "out of memory"), 1
+    return Failure(type(exc).__name__, str(exc)), 1
 
 
 def _digest(data: bytes) -> str:
@@ -80,22 +95,18 @@ def _read_file(path: str) -> bytes:
         return handle.read()
 
 
-def _error_report(command: str, digest: str, code: str, message: str) -> Report:
-    return Report(
-        command=command,
-        input_digest=digest,
-        sections=(),
-        status_ok=False,
-        status_code=code,
-        status_message=message,
-    )
-
-
-def _vector_str(v) -> str:
+def _vector(v) -> str:
     return "(" + ", ".join(str(x) for x in v) + ")"
 
 
-def cmd_validate(text: str, digest: str) -> tuple[Report, int]:
+def _vectors(vs) -> str:
+    return "; ".join(map(_vector, vs))
+
+
+Outcome = tuple[tuple[Section, ...], Failure | None]
+
+
+def cmd_validate(text: str, args: argparse.Namespace) -> Outcome:
     from .fans import fan_from_json, validate_fan
 
     report = validate_fan(fan_from_json(text))
@@ -108,87 +119,78 @@ def cmd_validate(text: str, digest: str) -> tuple[Report, int]:
         ),
     )
     ok = report.smooth and report.complete
-    return (
-        Report("validate", digest, (section,), status_ok=ok,
-               status_code="" if ok else "not_smooth_complete",
-               status_message="" if ok else "fan is not smooth and complete"),
-        0 if ok else 1,
-    )
+    return (section,), None if ok else Failure("not_smooth_complete", "fan is not smooth and complete")
 
 
-def cmd_cox(text: str, digest: str) -> tuple[Report, int]:
+def cmd_cox(text: str, args: argparse.Namespace) -> Outcome:
     from .cox import cox_data, irrelevant_ideal
     from .fans import anticanonical, fan_from_json
 
     fan = fan_from_json(text)
     cd = cox_data(fan)
-    form = cd.weight_form
-    eff = cd.effective_cone
-    ideal_monomials = ", ".join(str(cd.monomial(e)) for e in irrelevant_ideal(cd))
-    sections: tuple[Section, ...] = (
+    minus_k = anticanonical(fan).coefficients
+    return (
         (
             "class group",
             (
                 ("rank", str(cd.cl_rank)),
                 ("torsion", "none"),
-                ("degree matrix rows", "; ".join(_vector_str(r) for r in cd.degree_matrix.entries)),
+                ("degree matrix rows", _vectors(cd.degree_matrix.entries)),
             ),
         ),
         (
             "effective cone",
             (
-                ("generators", "; ".join(_vector_str(g) for g in eff.generators)),
-                ("facet normals", "; ".join(_vector_str(h) for h in eff.facet_normals)),
+                ("generators", _vectors(cd.effective_cone.generators)),
+                ("facet normals", _vectors(cd.effective_cone.facet_normals)),
             ),
         ),
         (
             "weight form",
             (
-                ("coefficients", _vector_str(form.coefficients)),
+                ("coefficients", _vector(cd.weight_form.coefficients)),
                 ("defining inequalities", "nonnegative on the effective cone, >= 1 on its nonzero lattice points"),
-                ("values on variable degrees", _vector_str(cd.variable_weights)),
+                ("values on variable degrees", _vector(cd.variable_weights)),
             ),
         ),
         (
             "irrelevant ideal",
-            (("generators", ideal_monomials),),
+            (("generators", ", ".join(str(cd.monomial(e)) for e in irrelevant_ideal(cd))),),
         ),
         (
             "anticanonical",
             (
-                ("coefficients", _vector_str(anticanonical(fan).coefficients)),
-                ("class", _vector_str(cd.degree_of_exponent(anticanonical(fan).coefficients))),
+                ("coefficients", _vector(minus_k)),
+                ("class", _vector(cd.degree_of_exponent(minus_k))),
             ),
         ),
-    )
-    return Report("cox", digest, sections, status_ok=True), 0
+    ), None
 
 
-def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[Report, int]:
+def cmd_euler(text: str, args: argparse.Namespace) -> Outcome:
     from .cox import cox_data, graded_dimension
     from .euler import build_euler_module, check_euler_identity, graded_piece_dim
     from .fans import fan_from_json
 
     cd = cox_data(fan_from_json(text))
     em = build_euler_module(cd)
-    if degree is None:
-        degree = (0,) * cd.cl_rank
+    degree = (0,) * cd.cl_rank if args.degree is None else args.degree
     if len(degree) != cd.cl_rank:
         raise MalformedFan(f"degree must have {cd.cl_rank} coordinates")
     dim = graded_piece_dim(em, degree)
     identity = check_euler_identity(em, cd.weight_form, trials=20)
-    sections: tuple[Section, ...] = (
+    return (
         (
             "module",
             (
                 ("rank", str(em.rank)),
-                ("basis degrees", "; ".join(_vector_str(d) for d in em.basis_degrees)),
+                ("basis degrees", _vectors(em.basis_degrees)),
             ),
         ),
         (
             "graded piece",
             (
-                ("degree", _vector_str(degree)),
+                ("degree", _vector(degree)),
                 ("dimension", str(dim)),
                 ("ring piece dimension", str(graded_dimension(cd, degree))),
             ),
@@ -200,45 +202,44 @@ def cmd_euler(text: str, digest: str, degree: tuple[int, ...] | None) -> tuple[R
                 ("counterexamples", str(len(identity.counterexamples))),
             ),
         ),
-    )
-    ok = identity.ok
-    return Report("euler", digest, sections, status_ok=ok,
-                  status_code="" if ok else "euler_identity",
-                  status_message="" if ok else "euler identity failed"), (0 if ok else 1)
+    ), None if identity.ok else Failure("euler_identity", "euler identity failed")
 
 
-def cmd_reconstruct(text: str, digest: str) -> tuple[Report, int]:
+def cmd_reconstruct(text: str, args: argparse.Namespace) -> Outcome:
     from .fans import fan_to_json
     from .reconstruction import grading_from_json, reconstruct_fan
 
     fan = reconstruct_fan(grading_from_json(text))
-    sections: tuple[Section, ...] = (
+    section: Section = (
+        "reconstructed fan",
         (
-            "reconstructed fan",
-            (
-                ("dim", str(fan.dim)),
-                ("rays", "; ".join(_vector_str(r) for r in fan.rays)),
-                ("max cones", "; ".join("{" + ", ".join(map(str, c)) + "}" for c in sorted(fan.max_cones))),
-                ("fan json", fan_to_json(fan)),
-            ),
+            ("dim", str(fan.dim)),
+            ("rays", _vectors(fan.rays)),
+            ("max cones", "; ".join("{" + ", ".join(map(str, c)) + "}" for c in sorted(fan.max_cones))),
+            ("fan json", fan_to_json(fan)),
         ),
     )
-    return Report("reconstruct", digest, sections, status_ok=True), 0
+    return (section,), None
 
 
-def cmd_verify(text: str, digest: str) -> tuple[Report, int]:
+def cmd_verify(text: str, args: argparse.Namespace) -> Outcome:
     from .fans import fan_from_json
     from .verify import run_verification
 
     results = run_verification(fan_from_json(text))
-    entries = tuple(
-        (result.name, ("pass: " if result.passed else "FAIL: ") + result.detail)
-        for result in results
-    )
-    ok = all(result.passed for result in results)
-    return Report("verify", digest, (("checks", entries),), status_ok=ok,
-                  status_code="" if ok else "verification",
-                  status_message="" if ok else "some checks failed"), (0 if ok else 1)
+    entries = tuple((r.name, ("pass: " if r.passed else "FAIL: ") + r.detail) for r in results)
+    ok = all(r.passed for r in results)
+    return (("checks", entries),), None if ok else Failure("verification", "some checks failed")
+
+
+# Each subcommand: the function that runs it and its help line.
+COMMANDS = {
+    "validate": (cmd_validate, "structural validation and smooth/complete flags"),
+    "cox": (cmd_cox, "class group, grading, effective cone, weight form, irrelevant ideal"),
+    "euler": (cmd_euler, "module rank, basis degrees, graded piece dimensions"),
+    "reconstruct": (cmd_reconstruct, "rebuild the fan from grading data"),
+    "verify": (cmd_verify, "run the full invariant suite"),
+}
 
 
 def _parse_degree(text: str) -> tuple[int, ...]:
@@ -253,64 +254,29 @@ def _parse_degree(text: str) -> tuple[int, ...]:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="toric-cox",
-        description="Exact Cox ring and Euler sequence computations on fans",
-    )
+        prog="toric-cox", description="Exact Cox ring and Euler sequence computations on fans")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("validate", "structural validation and smooth/complete flags"),
-        ("cox", "class group, grading, effective cone, weight form, irrelevant ideal"),
-        ("euler", "module rank, basis degrees, graded piece dimensions"),
-        ("reconstruct", "rebuild the fan from grading data"),
-        ("verify", "run the full invariant suite"),
-    ):
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("file", help="input JSON file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if name == "euler":
-            p.add_argument(
-                "--degree",
-                type=_parse_degree,
-                default=None,
-                help="class vector, comma separated (e.g. 2 or 1,1); "
-                "one whose first entry is negative is written --degree=-1,1",
-            )
+            p.add_argument("--degree", type=_parse_degree, help="class vector, comma separated (e.g. 2 or 1,1); "
+                           "one whose first entry is negative is written --degree=-1,1")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    command = args.command
+    digest, sections = "", ()
     try:
         raw = _read_file(args.file)
-    except OSError as exc:
-        report = _error_report(command, "", "io", str(exc))
-        print(report.to_json() if args.json else report.to_text())
-        return 2
-    digest = _digest(raw)
-    try:
-        text = raw.decode("utf-8")
-        if command == "validate":
-            report, code = cmd_validate(text, digest)
-        elif command == "cox":
-            report, code = cmd_cox(text, digest)
-        elif command == "euler":
-            report, code = cmd_euler(text, digest, args.degree)
-        elif command == "reconstruct":
-            report, code = cmd_reconstruct(text, digest)
-        else:
-            report, code = cmd_verify(text, digest)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        report, code = _error_report(command, digest, "parse", str(exc)), 2
-    except MalformedFan as exc:
-        report, code = _error_report(command, digest, "malformed", str(exc)), 3
-    except ToricCoxError as exc:
-        report, code = _error_report(command, digest, type(exc).__name__, str(exc)), 1
-    except MemoryError as exc:
-        error: BaseException | None = exc  # free the frames that hold the tables first: those of exc
-        while error is not None:  # and of the errors in its context, raised as its traceback grew
-            error.__traceback__, error = None, error.__context__
-        report, code = _error_report(command, digest, "MemoryError", str(exc) or "out of memory"), 1
+        digest = _digest(raw)
+        sections, failure = COMMANDS[args.command][0](raw.decode("utf-8"), args)
+        code = 0 if failure is None else 1
+    except ERRORS as exc:
+        failure, code = error_status(exc)
+    report = Report(args.command, digest, sections, failure)
     print(report.to_json() if args.json else report.to_text())
     return code
 

@@ -158,9 +158,11 @@ def _check_structure(f: Fan) -> None:
             raise MalformedFan(f"ray {i} is zero")
         if primitive_vector(ray) != ray:
             raise MalformedFan(f"ray {i} is not primitive")
-    for i, j in itertools.combinations(range(f.n_rays), 2):
-        if f.rays[i] == f.rays[j]:
-            raise MalformedFan(f"rays {i} and {j} coincide")
+    # one pass: each later copy of a ray pairs with its first index; the least pair comes first in index order
+    first: dict[Vector, int] = {}
+    repeats = [(first[ray], j) for j, ray in enumerate(f.rays) if first.setdefault(ray, j) != j]
+    if repeats:
+        raise MalformedFan("rays {} and {} coincide".format(*min(repeats)))
     if not f.max_cones:
         raise MalformedFan("fan has no maximal cones")
     used: set[int] = set()

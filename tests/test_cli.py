@@ -458,7 +458,8 @@ def test_out_of_memory_ends_in_a_report_without_a_traceback():
 def test_out_of_memory_frees_the_frames_of_every_error_in_the_context(monkeypatch):
     # Near the cap, the traceback entry of a MemoryError may fail to be made:
     # CPython then raises a second one, whose context holds the first one and
-    # its frames.  The tables in those frames must be freed before the report.
+    # its frames.  The tables in those frames must be freed before the report's
+    # failure is built, while the error is still being handled.
     class Tables:
         pass
 
@@ -472,13 +473,13 @@ def test_out_of_memory_frees_the_frames_of_every_error_in_the_context(monkeypatc
         except MemoryError:
             raise MemoryError  # its __context__ is the first one
 
-    def error_report(*args):
+    def failure(*args):
         assert held[0]() is None, "the tables outlived their frames"
         return real(*args)
 
-    real = cli._error_report
-    monkeypatch.setattr(cli, "cmd_euler", cmd_euler)
-    monkeypatch.setattr(cli, "_error_report", error_report)
+    real = cli.Failure
+    monkeypatch.setitem(cli.COMMANDS, "euler", (cmd_euler, cli.COMMANDS["euler"][1]))
+    monkeypatch.setattr(cli, "Failure", failure)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(["euler", str(corpus_path("p1"))]) == 1
     assert out.getvalue().endswith("status: error(MemoryError): out of memory\n")
@@ -593,7 +594,7 @@ class TestInputBoundary:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(cli, f"cmd_{command}", exhausted)
+        monkeypatch.setitem(cli.COMMANDS, command, (exhausted, cli.COMMANDS[command][1]))
         argv = [command, str(corpus_path("p2"))] + (["--json"] if as_json else [])
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -235,3 +235,16 @@ def test_the_table_script_rejects_a_negative_radius(monkeypatch, capsys):
         _run_table(monkeypatch, "p1", "--radius", "-1")
     assert exit_info.value.code == 2
     assert "radius -1 is negative" in capsys.readouterr().err
+
+
+def test_the_table_script_reports_out_of_memory_in_one_line(monkeypatch, capsys):
+    # the CLI's error map ends the run: exit 1 and one stderr line, not a traceback
+    module = _load(TABLE_SCRIPT, "graded_dimension_table_script")
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, "print_table", exhausted)
+    monkeypatch.setattr(sys, "argv", ["graded_dimension_table.py", "delpezzo6"])
+    assert module.main() == 1
+    assert capsys.readouterr() == ("", "delpezzo6: MemoryError: out of memory\n")
