@@ -101,12 +101,23 @@ MUTANTS = (
            "(Failure('malformed', str(exc)), 3)", "(Failure('malformed', str(exc)), 1)", "tests/test_cli.py"),
     Mutant("out-of-memory-frees-the-outer-frames-only", "cli.py", "error_status",
            "(None, error.__context__)", "(None, None)", "tests/test_cli.py"),
-    # Of several coinciding rays, the first pair in index order is named.
+    # Of several coinciding rays, or of several equal or nested cones, the first
+    # pair in index order is named.
     Mutant("coinciding-rays-name-the-last-pair", "fans.py", "_check_structure",
            "min(repeats)", "max(repeats)", "tests/test_fans.py"),
+    Mutant("nested-cones-name-the-last-pair", "fans.py", "_check_structure",
+           "min(nested)", "max(nested)", "tests/test_fans.py"),
+    Mutant("nested-cones-test-only-equal-sizes", "fans.py", "_check_structure",
+           "sets[a] < sets[b]", "False", "tests/test_fans.py"),
     Mutant("counterexample-format-changed", "euler.py", "check_euler_identity",
            "f'class {lam}: got {actual}, expected {expected}'", "f'class {lam}: {actual} != {expected}'",
            "tests/test_cli.py"),
+    Mutant("identity-check-accepts-negative-trials", "euler.py", "check_euler_identity",
+           "trials < 0", "False", "tests/test_euler.py"),
+    # The identity check's pool, grouped by one packed key per monomial: one bit
+    # fewer per field merges two classes once an entry reaches the field's reach.
+    Mutant("pool-key-field-one-bit-narrower", "euler.py", "_pool_by_class",
+           "reach.bit_length() + 1", "reach.bit_length()", "tests/test_euler.py"),
     # The class group of a smooth complete fan, read off all of its wall forms.
     Mutant("class-group-reads-one-wall-form", "fans.py", "class_group",
            "set(report.wall_forms)", "set(report.wall_forms[:1])", "tests/test_fans.py"),
@@ -157,24 +168,29 @@ MUTANTS = (
            "c * a", "2 * c * a", "tests/test_cox.py"),
     Mutant("contraction-raises-the-next-index", "euler.py", "euler_contract",
            "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
-    # Euler-module elements that store only their nonzero components: no zero
-    # component is left to drop, to check a module or a ring, or to skip.
-    Mutant("contraction-skips-the-first-part", "euler.py", "euler_contract",
-           "element._parts.items()", "list(element._parts.items())[1:]", "tests/test_euler.py"),
-    Mutant("sum-keeps-a-cancelled-index", "euler.py", "EulerModuleElement.__add__",
-           "{i: c for i, c in parts.items() if c.terms}", "parts", "tests/test_euler.py"),
+    # Euler-module elements stored as one flat term map: no zero term is kept,
+    # every coefficient is canonical, and no module or ring check is skipped.
+    Mutant("contraction-skips-the-first-term", "euler.py", "euler_contract",
+           "element._terms.items()", "list(element._terms.items())[1:]", "tests/test_euler.py"),
+    Mutant("sum-keeps-a-cancelled-term", "euler.py", "EulerModuleElement.__add__",
+           "_canonical(terms)", "terms", "tests/test_euler.py"),
     Mutant("sum-skips-the-module-check", "euler.py", "EulerModuleElement.__add__",
            "other.module is not self.module and other.module != self.module", "False",
            "tests/test_euler.py"),
-    Mutant("product-keeps-a-zero-part", "euler.py", "EulerModuleElement.__mul__",
-           "{i: p for i, c in self._parts.items() if (p := (c * factor)).terms}",
-           "{i: c * factor for i, c in self._parts.items()}", "tests/test_euler.py"),
+    Mutant("scalar-product-keeps-zero-terms", "euler.py", "EulerModuleElement.__mul__",
+           "{key: d if type((d := (c * factor))) is int or d.denominator > 1 else d.numerator "
+           "for key, c in self._terms.items()} if factor else {}",
+           "{key: c * factor for key, c in self._terms.items()}", "tests/test_euler.py"),
+    Mutant("scalar-product-keeps-integral-fractions", "euler.py", "EulerModuleElement.__mul__",
+           "d if type((d := (c * factor))) is int or d.denominator > 1 else d.numerator", "c * factor",
+           "tests/test_euler.py"),
+    Mutant("polynomial-product-keeps-a-cancelled-term", "euler.py", "EulerModuleElement.__mul__",
+           "_canonical(terms)", "terms", "tests/test_euler.py"),
     Mutant("product-skips-the-ring-check", "euler.py", "EulerModuleElement.__mul__",
            "factor.cox is not self.module.cox and factor.cox != self.module.cox", "False",
            "tests/test_euler.py"),
-    Mutant("constructor-keeps-the-zero-components", "euler.py", "EulerModuleElement.__init__",
-           "{i: c for i, c in enumerate(components) if c.terms}", "dict(enumerate(components))",
-           "tests/test_euler.py"),
+    Mutant("constructor-drops-the-last-component", "euler.py", "EulerModuleElement.__init__",
+           "enumerate(components)", "enumerate(components[:-1])", "tests/test_euler.py"),
     Mutant("basis-element-reads-a-negative-index", "euler.py", "basis_element",
            "not 0 <= index < em.rank", "index >= em.rank", "tests/test_euler.py"),
     Mutant("make-polynomial-keeps-a-zero", "cox.py", "make_polynomial",

@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 from math import isfinite
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from .errors import OracleMismatch
 from .fans import Fan, TorusInvariantDivisor, class_group, require_smooth_complete
@@ -36,6 +36,7 @@ from .polyhedral import (
     strictly_positive_form,
 )
 
+_Key = TypeVar("_Key")
 _FiberTables = tuple[int, int, tuple[int, ...], int, tuple[int, ...], tuple[list[dict[int, int]], ...]]
 
 
@@ -185,12 +186,7 @@ class GradedPolynomial:
 
     def __init__(self, cox: CoxData, terms: Mapping[Vector, int | Fraction]) -> None:
         self.cox = cox
-        # An int stays; a bool or an integral Fraction becomes its numerator, an int.
-        self.terms = {
-            e: c if type(c) is int or c.denominator > 1 else c.numerator
-            for e, c in terms.items()
-            if c
-        }
+        self.terms = _canonical(terms)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not GradedPolynomial:
@@ -261,8 +257,7 @@ class GradedPolynomial:
         unless ``0 <= index < num_vars``."""
         if not 0 <= index < self.cox.num_vars:
             raise IndexError(f"variable index {index} out of range for {self.cox.num_vars} variables")
-        partial = _partials(self).get(index)
-        return partial if partial is not None else _polynomial(self.cox, {})
+        return _polynomial(self.cox, {e: c for (i, e), c in _partials(self).items() if i == index})
 
     def __str__(self) -> str:
         if not self.terms:
@@ -290,9 +285,8 @@ def _polynomial(cox: CoxData, terms: dict[Vector, int | Fraction]) -> GradedPoly
     Only code whose terms are already canonical may call it: exponent
     vectors of ``num_vars`` entries >= 0, and nonzero coefficients, each an
     ``int`` when integral and a ``Fraction`` only when its denominator
-    exceeds 1.  (:func:`_partials` also adds canonical terms to the
-    polynomials it makes here, before it returns them.)  Anything else goes
-    through :class:`GradedPolynomial` or, from outside, :func:`make_polynomial`.
+    exceeds 1.  Anything else goes through :class:`GradedPolynomial` or, from
+    outside, :func:`make_polynomial`.
     """
     p = object.__new__(GradedPolynomial)
     p.cox = cox
@@ -300,18 +294,24 @@ def _polynomial(cox: CoxData, terms: dict[Vector, int | Fraction]) -> GradedPoly
     return p
 
 
-def _partials(p: GradedPolynomial) -> dict[int, GradedPolynomial]:
-    """The nonzero ``p.partial(i)``, by variable index i, built in one pass over the terms of p.
+def _canonical(terms: Mapping[_Key, int | Fraction]) -> dict[_Key, int | Fraction]:
+    """The nonzero entries of ``terms`` with each coefficient in canonical form:
+    an int stays, and a bool or an integral Fraction becomes its numerator, an int."""
+    return {k: c if type(c) is int or c.denominator > 1 else c.numerator for k, c in terms.items() if c}
 
-    Each partial is made by :func:`_polynomial` at the first term with a
-    positive entry i, and its terms are filled in place before it is
-    returned.  Each exponent is copied into a list once; for each positive
-    entry i the list is lowered at i, frozen with ``tuple()`` into the key
-    of partial i, and restored.  A stored coefficient times a positive
-    exponent is nonzero, and it is stored as an int when integral, so every
-    term is canonical as built, with no check.
+
+def _partials(p: GradedPolynomial) -> dict[tuple[int, Vector], int | Fraction]:
+    """The terms of every nonzero ``p.partial(i)`` in one flat map, from ``(i, e)``
+    to the coefficient of x^e in the partial by x_i, built in one pass over the terms of p.
+
+    Each exponent is copied into a list once; for each positive entry i the
+    list is lowered at i, frozen with ``tuple()`` into the key's exponent,
+    and restored.  A stored coefficient times a positive exponent is
+    nonzero, and it is stored as an int when integral, so every term is
+    canonical as built, with no check.  The map is the term map of the
+    derivation's :class:`~toric_cox.euler.EulerModuleElement` as it is.
     """
-    partials: dict[int, GradedPolynomial] = {}
+    partials: dict[tuple[int, Vector], int | Fraction] = {}
     for e, c in p.terms.items():
         integral = type(c) is int
         lowered = list(e)
@@ -319,9 +319,7 @@ def _partials(p: GradedPolynomial) -> dict[int, GradedPolynomial]:
             if a:
                 d = c * a
                 lowered[i] = a - 1
-                if i not in partials:
-                    partials[i] = _polynomial(p.cox, {})
-                partials[i].terms[tuple(lowered)] = d if integral or d.denominator > 1 else d.numerator
+                partials[i, tuple(lowered)] = d if integral or d.denominator > 1 else d.numerator
                 lowered[i] = a
     return partials
 

@@ -14,14 +14,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import index, mul
+from operator import add, index, mul
 from typing import NamedTuple, Sequence
 
 from .cox import (
     CoxData,
     GradedPolynomial,
+    _canonical,
     _exponents_up_to_weight,
     _partials,
+    _polynomial,
     graded_dimension,
     integral_class,
     monomial_basis,
@@ -47,18 +49,24 @@ def build_euler_module(cd: CoxData) -> EulerModule:
 
 
 class EulerModuleElement:
-    """Element as one polynomial component per basis index; compared by value,
-    and unhashable, like its components.
+    """Element of the free module, compared by value, and unhashable like a
+    polynomial.
 
-    Only the nonzero components are stored, in the private mapping
-    ``_parts`` from basis index to polynomial, so every operation visits
-    only those; a sum or a product that cancels drops its index, and an
-    element is zero exactly when the mapping is empty.  :attr:`components`
-    builds the dense tuple, zeros included, on each read.  With no zero
-    components left to check them, ``+`` and ``-`` check the other
-    element's module themselves, and ``*`` the factor's Cox ring, raising
-    ValueError on a mismatch, even for the zero element; a factor that is
-    not a polynomial, an ``int`` or a ``Fraction`` is a TypeError.
+    The element is stored as one flat term map, the private ``_terms``, from
+    ``(i, e)`` to the nonzero coefficient of x^e b_i, with b_i the basis
+    element of ray i; coefficients are canonical, as in a polynomial (an
+    ``int`` when integral, a ``Fraction`` only when its denominator exceeds
+    1).  The derivation stores the map that :func:`~toric_cox.cox._partials`
+    builds, the contraction reads it in one loop, and ``+``, ``-``, ``*``
+    and :attr:`degree` work on it, so no operation builds a polynomial per
+    component: only :attr:`components` does, on each read, as a dense tuple
+    with one polynomial per basis index, zeros included.  A sum or a product
+    that cancels drops its terms, and an element is zero exactly when the
+    map is empty.  With no zero components left to check them, ``+`` and
+    ``-`` check the other element's module themselves, and ``*`` the
+    factor's Cox ring, raising ValueError on a mismatch, even for the zero
+    element; a factor that is not a polynomial, an ``int`` or a ``Fraction``
+    is a TypeError.
 
     ``_twist`` is the twist of the element when it is known by construction,
     and None otherwise.  Only package code sets it: :func:`derivation`
@@ -71,12 +79,12 @@ class EulerModuleElement:
 
     The constructor is the validating entry for outside input: it takes the
     dense components, and raises ValueError unless there is one per basis
-    element, each a polynomial of the module's Cox ring; it stores the
-    nonzero ones.  Package code builds its elements from the module's own
-    ring through :func:`_element`, with no check.
+    element, each a polynomial of the module's Cox ring; it stores their
+    terms.  Package code builds its elements from the module's own ring
+    through :func:`_element`, with no check.
     """
 
-    __slots__ = ("module", "_parts", "_twist")
+    __slots__ = ("module", "_terms", "_twist")
 
     def __init__(self, module: EulerModule, components: Sequence[GradedPolynomial]) -> None:
         components = tuple(components)
@@ -86,29 +94,31 @@ class EulerModuleElement:
             if c.__class__ is not GradedPolynomial or (c.cox is not module.cox and c.cox != module.cox):
                 raise ValueError("a component is not a polynomial of the module's Cox ring")
         self.module = module
-        self._parts = {i: c for i, c in enumerate(components) if c.terms}
+        self._terms = {(i, e): c for i, p in enumerate(components) for e, c in p.terms.items()}
         self._twist: Vector | None = None
 
     @property
     def components(self) -> tuple[GradedPolynomial, ...]:
-        """One polynomial per basis index, a new zero polynomial where none is stored."""
-        return tuple(self._parts.get(i) or self.module.cox.zero() for i in range(self.module.rank))
+        """One new polynomial per basis index, built from the term map on each read."""
+        parts: list[dict[Vector, int | Fraction]] = [{} for _ in range(self.module.rank)]
+        for (i, e), c in self._terms.items():
+            parts[i][e] = c
+        return tuple(_polynomial(self.module.cox, terms) for terms in parts)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not EulerModuleElement:
             return NotImplemented
-        return (self.module, self._parts) == (other.module, other._parts)
+        return (self.module, self._terms) == (other.module, other._terms)
 
     def is_zero(self) -> bool:
-        return not self._parts
+        return not self._terms
 
     @property
     def degree(self) -> Vector | None:
-        """Twist in which the element is homogeneous, or None; found from the components."""
-        degrees = {i: component.degree for i, component in self._parts.items()}
-        if None in degrees.values():
-            return None
-        twists = {tuple(a + b for a, b in zip(d, self.module.basis_degrees[i])) for i, d in degrees.items()}
+        """Twist in which the element is homogeneous, or None: the common class
+        of the terms' x_i x^e, found from each term's class."""
+        degrees, of = self.module.basis_degrees, self.module.cox.degree_of_exponent
+        twists = {tuple(map(add, of(e), degrees[i])) for i, e in self._terms}
         return twists.pop() if len(twists) == 1 else None
 
     def is_homogeneous(self) -> bool:
@@ -119,10 +129,10 @@ class EulerModuleElement:
             return NotImplemented
         if other.module is not self.module and other.module != self.module:
             raise ValueError("cannot add elements of two different Euler modules")
-        parts = dict(self._parts)
-        for i, c in other._parts.items():
-            parts[i] = parts[i] + c if i in parts else c
-        return _element(self.module, {i: c for i, c in parts.items() if c.terms})
+        terms = dict(self._terms)
+        for key, c in other._terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return _element(self.module, _canonical(terms))
 
     def __sub__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
@@ -133,21 +143,33 @@ class EulerModuleElement:
         if isinstance(factor, GradedPolynomial):
             if factor.cox is not self.module.cox and factor.cox != self.module.cox:
                 raise ValueError("product with a polynomial of another Cox ring")
-        elif not isinstance(factor, (int, Fraction)):
+            terms: dict[tuple[int, Vector], int | Fraction] = {}
+            for (i, e), c in self._terms.items():
+                for f, d in factor.terms.items():
+                    key = i, tuple(map(add, e, f))
+                    terms[key] = terms.get(key, 0) + c * d
+            return _element(self.module, _canonical(terms))
+        if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        # A scalar multiple lies in the same twist.
-        twist = None if isinstance(factor, GradedPolynomial) else self._twist
-        return _element(self.module, {i: p for i, c in self._parts.items() if (p := c * factor).terms}, twist)
+        # A scalar multiple lies in the same twist.  Nonzero times nonzero is
+        # nonzero: an int product stays, and an integral Fraction becomes an int.
+        scaled = {
+            key: d if type(d := c * factor) is int or d.denominator > 1 else d.numerator
+            for key, c in self._terms.items()
+        } if factor else {}
+        return _element(self.module, scaled, self._twist)
 
     __rmul__ = __mul__
 
 
-def _element(em: EulerModule, parts: dict[int, GradedPolynomial], twist: Vector | None = None) -> EulerModuleElement:
-    """The element of em with these nonzero components by basis index, all of
-    em's Cox ring, and this known twist; no check."""
+def _element(
+    em: EulerModule, terms: dict[tuple[int, Vector], int | Fraction], twist: Vector | None = None
+) -> EulerModuleElement:
+    """The element of em with this term map, canonical and of em's Cox ring,
+    and this known twist; no check."""
     element = object.__new__(EulerModuleElement)
     element.module = em
-    element._parts = parts
+    element._terms = terms
     element._twist = twist
     return element
 
@@ -156,7 +178,7 @@ def basis_element(em: EulerModule, index: int) -> EulerModuleElement:
     """The basis element of ray ``index``; IndexError unless ``0 <= index < em.rank``."""
     if not 0 <= index < em.rank:
         raise IndexError(f"basis index {index} out of range for rank {em.rank}")
-    return _element(em, {index: em.cox.one()})
+    return _element(em, {(index, (0,) * em.cox.num_vars): 1})
 
 
 def graded_piece_dim(em: EulerModule, class_vector: Sequence[int]) -> int:
@@ -207,8 +229,10 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     scalars) or when the sum has at most one distinct raised exponent, which
     has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
     checked in full: one class per distinct raised exponent, and
-    InhomogeneousInput if two differ.  With the fan's own weight form, the
-    weights are read from ``variable_weights``.  Sums may cancel and weighted Fractions may become
+    InhomogeneousInput if two differ.  The element's term map is read in
+    one loop.  With the fan's own weight form, the weights are read from
+    ``variable_weights``; any other form is called once per nonzero
+    component.  Sums may cancel and weighted Fractions may become
     integral, so the result is built through :class:`GradedPolynomial`,
     whose one pass drops and normalises them.  ValueError if the element
     belongs to another module than em.
@@ -216,17 +240,19 @@ def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightFor
     if element.module is not em and element.module != em:
         raise ValueError("contraction of an element of another Euler module")
     cd = em.cox
-    weights = cd.variable_weights if form is cd.weight_form else None
+    if form is cd.weight_form:
+        weights: Sequence[int] | dict[int, int] = cd.variable_weights
+    else:
+        # one call per nonzero component, in the order the terms first name them
+        weights = {i: form(em.basis_degrees[i]) for i in dict.fromkeys(i for i, _ in element._terms)}
     total: dict[Vector, int | Fraction] = {}
     get = total.get
-    for i, component in element._parts.items():
-        weight = form(em.basis_degrees[i]) if weights is None else weights[i]
-        for e, c in component.terms.items():
-            # the exponent of x_i * x^e
-            raised = list(e)
-            raised[i] += 1
-            key = tuple(raised)
-            total[key] = get(key, 0) + weight * c
+    for (i, e), c in element._terms.items():
+        # the exponent of x_i * x^e
+        raised = list(e)
+        raised[i] += 1
+        key = tuple(raised)
+        total[key] = get(key, 0) + weights[i] * c
     # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
     # when the raised exponents, zero sums included, share one class.
     # A known twist says so by construction, and a single exponent has one class.
@@ -273,17 +299,16 @@ def check_euler_identity(
     The classes are drawn from the nonconstant monomials of weight at most
     ``max(max_weight, w_min)``, with w_min the lightest variable weight: so
     the pool is never empty, and it is the same wherever ``max_weight``
-    already reaches a variable.
+    already reaches a variable.  ``trials`` is read as an integer by
+    ``operator.index``; ValueError if it is negative, so no check passes
+    having drawn nothing.
     """
+    trials = index(trials)
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, not {trials}")
     rng = rng or random.Random(20240)
     cd = em.cox
-    bound = max(max_weight, min(cd.variable_weights))
-    # The pool bar the constant, which comes first, grouped by class.  A class
-    # lam in it weighs w(lam) <= bound, so the pool holds all its monomials, in
-    # lexicographic order: its list is monomial_basis(cd, lam).
-    basis: dict[Vector, list[Vector]] = {}
-    for e in monomials_of_weight_at_most(cd, bound)[1:]:
-        basis.setdefault(cd.degree_of_exponent(e), []).append(e)
+    basis = _pool_by_class(cd, max(max_weight, min(cd.variable_weights)))
     classes = sorted(basis)
     failures: list[str] = []
     checked = 0
@@ -297,6 +322,32 @@ def check_euler_identity(
         if actual != expected:
             failures.append(f"class {lam}: got {actual}, expected {expected}")
     return IdentityReport(checked=checked, counterexamples=tuple(failures))
+
+
+def _pool_by_class(cd: CoxData, bound: int) -> dict[Vector, list[Vector]]:
+    """The nonconstant monomials of weight at most the bound, grouped by class,
+    each group in lexicographic order.
+
+    A class lam of the pool weighs w(lam) <= bound, so the pool holds all of
+    its monomials: its group is monomial_basis(cd, lam).  The monomials are
+    grouped by one packed integer each, and one class per group is read
+    with ``degree_of_exponent``.  Entry k of a monomial's class sits in its
+    own signed field of ``width`` bits, at ``k * width``: the key of e is
+    ``sum_j e_j * places[j]``.  A monomial of weight at most the bound has
+    at most ``bound`` factors, since every weight is >= 1, so each entry of
+    its class lies in [-reach, reach] with ``reach = bound * max|d|``.  The
+    width keeps ``reach < 2**(width - 1)``, so every entry is a balanced
+    digit of base ``2**width`` and two classes share a key only when they
+    are equal.
+    """
+    degrees = cd.variable_degrees()
+    reach = bound * max(abs(x) for d in degrees for x in d)
+    width = reach.bit_length() + 1
+    places = [sum(x << k * width for k, x in enumerate(d)) for d in degrees]
+    groups: dict[int, list[Vector]] = {}
+    for e in monomials_of_weight_at_most(cd, bound)[1:]:
+        groups.setdefault(sum(map(mul, e, places)), []).append(e)
+    return {cd.degree_of_exponent(group[0]): group for group in groups.values()}
 
 
 def graded_generation_check(

@@ -178,9 +178,19 @@ def _check_structure(f: Fan) -> None:
     if used != set(range(f.n_rays)):
         missing = sorted(set(range(f.n_rays)) - used)
         raise MalformedFan(f"ray {missing[0]} occurs in no maximal cone")
-    for a, b in itertools.combinations(range(len(f.max_cones)), 2):
-        if set(f.max_cones[a]) <= set(f.max_cones[b]) or set(f.max_cones[b]) <= set(f.max_cones[a]):
-            raise MalformedFan(f"cones {a} and {b} are nested; maximal cones must be incomparable")
+    # Equal cones in one pass, each later copy paired with its first index; a
+    # proper subset only lies in a larger cone, so only cones of different
+    # sizes take the subset test.  The least pair comes first in index order.
+    sets = [frozenset(cone) for cone in f.max_cones]
+    seen: dict[frozenset[int], int] = {}
+    nested = [(seen[cone], b) for b, cone in enumerate(sets) if seen.setdefault(cone, b) != b]
+    by_size: dict[int, list[int]] = {}
+    for k, cone in enumerate(sets):
+        by_size.setdefault(len(cone), []).append(k)
+    for small, large in itertools.combinations(sorted(by_size), 2):
+        nested += [(min(a, b), max(a, b)) for a in by_size[small] for b in by_size[large] if sets[a] < sets[b]]
+    if nested:
+        raise MalformedFan("cones {} and {} are nested; maximal cones must be incomparable".format(*min(nested)))
 
 
 def _check_face_intersections(f: Fan) -> None:

@@ -1,6 +1,7 @@
 """The section module of the Euler extension: derivation, weighted Euler
 contraction, generation transfer and the section-dimension bookkeeping."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from toric_cox import cox as cox_module
 from toric_cox import euler as euler_module
 from toric_cox.corpus import SMOOTH_COMPLETE, load_fan
 from toric_cox.cox import (
+    CoxData,
     GradedPolynomial,
     _exponents_up_to_weight,
     cox_data,
@@ -33,6 +35,7 @@ from toric_cox.euler import (
     monomials_of_weight_at_most,
     section_dimension_report,
 )
+from toric_cox.lattice import IntegerMatrix
 from toric_cox.polyhedral import WeightForm
 
 
@@ -216,8 +219,8 @@ class TestDerivation:
 
 
 class TestSparseElements:
-    """An element stores only its nonzero components, so no zero component is
-    left to raise on another module, another ring or a bad factor."""
+    """An element stores only its nonzero terms, so no zero component is left
+    to raise on another module, another ring or a bad factor."""
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_basis_element_rejects_an_index_out_of_range(self, modules, index):
@@ -635,6 +638,8 @@ class TestIdentitySpotCheckPool:
                 grouped.setdefault(cd.degree_of_exponent(e), []).append(e)
             for lam, monomials in grouped.items():
                 assert tuple(monomials) == monomial_basis(cd, lam), (name, lam)
+            # the check's own grouping, by packed keys, bar the constant
+            assert euler_module._pool_by_class(cd, bound) == reference_pool(cd, bound), name
 
     @pytest.mark.parametrize("max_weight", [0, 2, 4])
     def test_draws_match_the_monomial_basis_loop(
@@ -664,6 +669,165 @@ class TestIdentitySpotCheckPool:
             ]
             assert samples == expected, name
             assert rng.getstate() == reference.getstate(), name
+
+
+def canonical_terms(element):
+    """Every key of the flat term map is (basis index, exponent) and every
+    coefficient is nonzero, an int when integral."""
+    rank, n = element.module.rank, element.module.cox.num_vars
+    return all(
+        0 <= i < rank and len(e) == n and min(e, default=0) >= 0
+        and c != 0 and (type(c) is int or type(c) is Fraction and c.denominator > 1)
+        for (i, e), c in element._terms.items()
+    )
+
+
+def reference_degree(element):
+    """The twist found component by component, as from the dense components."""
+    degrees = {i: p.degree for i, p in enumerate(element.components) if not p.is_zero()}
+    if None in degrees.values():
+        return None
+    twists = {tuple(a + b for a, b in zip(d, element.module.basis_degrees[i])) for i, d in degrees.items()}
+    return twists.pop() if len(twists) == 1 else None
+
+
+def regraded(cd, change):
+    """The Cox data of the same fan with the class group read in another basis:
+    the degree matrix multiplied on the left by the unimodular ``change``."""
+    return CoxData(cd.fan, IntegerMatrix(tuple(map(tuple, change))) @ cd.degree_matrix)
+
+
+def reference_pool(cd, bound):
+    """The pool bar the constant, grouped by the class of each monomial."""
+    grouped = {}
+    for e in monomials_of_weight_at_most(cd, bound)[1:]:
+        grouped.setdefault(cd.degree_of_exponent(e), []).append(e)
+    return grouped
+
+
+@st.composite
+def unimodular(draw, rank):
+    """A product of elementary integer matrices: an invertible change of class basis."""
+    change = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(draw(st.integers(0, 3)) if rank > 1 else 0):
+        i, j = draw(st.permutations(range(rank)))[:2]
+        k = draw(st.integers(-3, 3))
+        change[i] = [a + k * b for a, b in zip(change[i], change[j])]
+    if draw(st.booleans()):
+        change[0] = [-a for a in change[0]]
+    return change
+
+
+class TestFlatTermMap:
+    """An element is one flat map from (basis index, exponent) to a coefficient;
+    it agrees with the arithmetic of its dense components."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_the_components_rebuild_the_element(self, modules, name, data):
+        x = _element(data, modules[name])
+        assert canonical_terms(x)
+        assert EulerModuleElement(modules[name], x.components) == x
+
+    @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
+    def test_each_basis_element_round_trips_through_its_components(self, modules, name):
+        em = modules[name]
+        for i in range(em.rank):
+            b = basis_element(em, i)
+            assert b._terms == {(i, (0,) * em.cox.num_vars): 1}
+            assert EulerModuleElement(em, b.components) == b
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
+    def test_arithmetic_agrees_with_componentwise_polynomials(self, modules, corpus_cox, name, data):
+        em, cd = modules[name], corpus_cox[name]
+        x, y = _element(data, em), _element(data, em)
+        k = data.draw(st.sampled_from([0, Fraction(0), 2, Fraction(2)]) | COEFFICIENTS)
+        f = _homogeneous(data, cd) if data.draw(st.booleans()) else _any_polynomial(data, cd)
+        cases = (
+            (x + y, [a + b for a, b in zip(x.components, y.components)]),
+            (x - y, [a - b for a, b in zip(x.components, y.components)]),
+            (k * x, [k * a for a in x.components]),
+            (x * k, [a * k for a in x.components]),
+            (f * x, [f * a for a in x.components]),
+            (x * f, [a * f for a in x.components]),
+        )
+        for result, components in cases:
+            assert canonical_terms(result)
+            assert result.components == tuple(components)
+            assert result == EulerModuleElement(em, components)
+            assert result.degree == reference_degree(result)
+        assert x.degree == reference_degree(x)
+
+    def test_a_polynomial_product_that_cancels_stores_no_zero(self, modules, corpus_cox):
+        # (x0 - x1) b0 times x0 + x1: the two x0 x1 b0 terms cancel
+        em, cd = modules["p2"], corpus_cox["p2"]
+        b0 = basis_element(em, 0)
+        product = (cd.variable(0) * b0 - cd.variable(1) * b0) * (cd.variable(0) + cd.variable(1))
+        assert product._terms == {(0, (2, 0, 0)): 1, (0, (0, 2, 0)): -1}
+
+    def test_a_scalar_product_stores_an_integral_fraction_as_an_int(self, modules):
+        half = Fraction(1, 2) * basis_element(modules["p2"], 1)
+        assert half._terms == {(1, (0, 0, 0)): Fraction(1, 2)}
+        for whole in (half * 2, 2 * half, half * Fraction(2), half + half):
+            assert canonical_terms(whole) and type(whole._terms[1, (0, 0, 0)]) is int
+
+    def test_the_derivation_stores_the_partials_map(self, modules, corpus_cox):
+        em, cd = modules["p2"], corpus_cox["p2"]
+        ds = derivation(em, make_polynomial(cd, {(1, 2, 0): Fraction(1, 2), (0, 3, 0): 1}))
+        assert ds._terms == {(0, (0, 2, 0)): Fraction(1, 2), (1, (1, 1, 0)): 1, (1, (0, 2, 0)): 3}
+        assert [p.terms for p in ds.components] == [{(0, 2, 0): Fraction(1, 2)}, {(1, 1, 0): 1, (0, 2, 0): 3}, {}]
+
+
+class TestPackedPool:
+    """The identity check's pool is grouped by one packed integer per monomial."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data(), bound=st.integers(0, 5))
+    def test_packed_groups_hold_in_any_class_basis(self, corpus_cox, name, data, bound):
+        cd = regraded(corpus_cox[name], data.draw(unimodular(corpus_cox[name].cl_rank)))
+        assert euler_module._pool_by_class(cd, bound) == reference_pool(cd, bound)
+
+    @pytest.mark.parametrize("bound", range(1, 5))
+    def test_entries_that_reach_the_field_bound(self, corpus_cox, bound):
+        # F_3 read in the basis where x1 has class (-3, 1): the largest |d| is 3, and x1^bound
+        # has entry -3 * bound, the field's reach; at bound 1 a field one bit narrower
+        # gives (1, 0) and (-3, 1) one key
+        cd = regraded(corpus_cox["hirzebruch_3"], [[1, -3], [0, 1]])
+        assert cd.variable_degrees() == ((1, 0), (-3, 1), (1, 0), (0, 1))
+        pool = euler_module._pool_by_class(cd, bound)
+        assert pool == reference_pool(cd, bound)
+        assert (-3 * bound, bound) in pool and (1, 0) in pool and (-3, 1) in pool
+        assert check_euler_identity(build_euler_module(cd), cd.weight_form, trials=20, max_weight=bound).ok
+
+    def test_wrong_form_counterexamples_are_pinned(self, corpus_cox):
+        # an affine form breaks the identity off total degree 1, and each counterexample prints the
+        # drawn polynomial: the digest, taken before the pool was packed, pins every draw
+        lines = []
+        for name, seed in (("p2", 4401), ("hirzebruch_3", 4402), ("delpezzo6", 4403)):
+            cd = corpus_cox[name]
+            report = check_euler_identity(
+                build_euler_module(cd), lambda v, cd=cd: cd.weight_form(v) + 1, trials=20, max_weight=5,
+                rng=random.Random(seed),
+            )
+            assert report.checked == 20
+            lines += report.counterexamples
+        assert len(lines) == 45
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "f1c01f2137aa725aba13080cb8943201e104a0e17744ce4846e01f6439104599"
+        )
+
+    @pytest.mark.parametrize("trials", [-1, -50])
+    def test_a_negative_trial_count_is_refused(self, modules, corpus_cox, trials):
+        with pytest.raises(ValueError, match=f"^trials must be >= 0, not {trials}$"):
+            check_euler_identity(modules["p2"], corpus_cox["p2"].weight_form, trials=trials)
+
+    def test_trials_are_read_as_an_integer(self, modules, corpus_cox):
+        em, form = modules["p2"], corpus_cox["p2"].weight_form
+        assert check_euler_identity(em, form, trials=0) == (0, ())
+        assert check_euler_identity(em, form, trials=True).checked == 1
+        with pytest.raises(TypeError):
+            check_euler_identity(em, form, trials=2.0)
 
 
 class TestGenerationTransfer:

@@ -129,6 +129,24 @@ class TestValidateFan:
         with pytest.raises(MalformedFan, match=f"^rays {pair[0]} and {pair[1]} coincide$"):
             validate_fan(Fan.make(2, rays, [list(range(len(rays)))]))
 
+    # Of an equal pair and a nested pair of cones, the least pair in index order is
+    # named, whichever kind it is (cones are indexed as Fan.make sorts them)
+    @pytest.mark.parametrize(
+        "cones, pair",
+        [
+            # sorted (0, 1), (0, 1), (1,), (1, 2): the equal pair comes first
+            ([[0, 1], [0, 1], [1, 2], [1]], (0, 1)),
+            # sorted (0, 2), (1,), (1, 2), (1, 2): a nested pair before the equal one
+            ([[0, 2], [1, 2], [1, 2], [1]], (1, 2)),
+            # sorted (0, 1), (0, 2), (0, 2), (1,), (1, 2): the equal pair (1, 2) comes after (0, 3)
+            ([[0, 1], [0, 2], [0, 2], [1, 2], [1]], (0, 3)),
+        ],
+    )
+    def test_nested_cones_name_the_least_pair(self, cones, pair):
+        fan = Fan.make(2, [[1, 0], [0, 1], [-1, -1]], cones)
+        with pytest.raises(MalformedFan, match=f"^cones {pair[0]} and {pair[1]} are nested;"):
+            validate_fan(fan)
+
     def test_overlapping_cones_rejected(self):
         # two cones overlap in a two-dimensional region but share one ray
         fan = Fan.make(2, [[1, 0], [0, 1], [-1, 2]], [[0, 1], [0, 2]])
