@@ -118,6 +118,10 @@ MUTANTS = (
     # fewer per field merges two classes once an entry reaches the field's reach.
     Mutant("pool-key-field-one-bit-narrower", "euler.py", "_pool_by_class",
            "reach.bit_length() + 1", "reach.bit_length()", "tests/test_euler.py"),
+    # Each wall form, built in the certificate's one pass over the walls, is 1 at
+    # the ray across the wall.
+    Mutant("wall-form-drops-the-ray-across", "fans.py", "_certified_wall_forms",
+           "form[rho] = 1", "form[rho] = 0", "tests/test_pipeline.py"),
     # The class group of a smooth complete fan, read off all of its wall forms.
     Mutant("class-group-reads-one-wall-form", "fans.py", "class_group",
            "set(report.wall_forms)", "set(report.wall_forms[:1])", "tests/test_fans.py"),
@@ -170,18 +174,18 @@ MUTANTS = (
            "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
     # Euler-module elements stored as one flat term map: no zero term is kept,
     # every coefficient is canonical, and no module or ring check is skipped.
+    # Sums and scalar multiples go through the term-map helpers that
+    # polynomials share (cox._sum, cox._scaled).
     Mutant("contraction-skips-the-first-term", "euler.py", "euler_contract",
            "element._terms.items()", "list(element._terms.items())[1:]", "tests/test_euler.py"),
-    Mutant("sum-keeps-a-cancelled-term", "euler.py", "EulerModuleElement.__add__",
-           "_canonical(terms)", "terms", "tests/test_euler.py"),
+    Mutant("sum-keeps-a-cancelled-term", "cox.py", "_sum",
+           "_canonical(merged)", "merged", "tests/test_euler.py"),
     Mutant("sum-skips-the-module-check", "euler.py", "EulerModuleElement.__add__",
            "other.module is not self.module and other.module != self.module", "False",
            "tests/test_euler.py"),
-    Mutant("scalar-product-keeps-zero-terms", "euler.py", "EulerModuleElement.__mul__",
-           "{key: d if type((d := (c * factor))) is int or d.denominator > 1 else d.numerator "
-           "for key, c in self._terms.items()} if factor else {}",
-           "{key: c * factor for key, c in self._terms.items()}", "tests/test_euler.py"),
-    Mutant("scalar-product-keeps-integral-fractions", "euler.py", "EulerModuleElement.__mul__",
+    Mutant("scalar-product-keeps-zero-terms", "cox.py", "_scaled",
+           "if not factor:\n    return {}", "pass", "tests/test_euler.py"),
+    Mutant("scalar-product-keeps-integral-fractions", "cox.py", "_scaled",
            "d if type((d := (c * factor))) is int or d.denominator > 1 else d.numerator", "c * factor",
            "tests/test_euler.py"),
     Mutant("polynomial-product-keeps-a-cancelled-term", "euler.py", "EulerModuleElement.__mul__",
@@ -196,8 +200,8 @@ MUTANTS = (
     Mutant("make-polynomial-keeps-a-zero", "cox.py", "make_polynomial",
            "if c:\n    checked[key] = c\nelse:\n    checked.pop(key, None)", "checked[key] = c",
            "tests/test_cox.py"),
-    Mutant("int-product-keeps-integral-fractions", "cox.py", "GradedPolynomial.__mul__",
-           "d if type((d := (c * other))) is int or d.denominator > 1 else d.numerator", "c * other",
+    Mutant("int-product-keeps-integral-fractions", "cox.py", "_scaled",
+           "d if type((d := (c * factor))) is int or d.denominator > 1 else d.numerator", "c * factor",
            "tests/test_cox.py"),
     Mutant("coefficient-reads-text", "cox.py", "make_polynomial",
            "not isinstance(c, (int, float, Fraction))", "False", "tests/test_cox.py"),
@@ -228,7 +232,7 @@ MUTANTS = (
            "[[(head, c, s + head[k] * x) for head, c, s in level] for level in upper[1:]]",
            "[[(head, c, s) for head, c, s in level] for level in upper[1:]]", "tests/test_polyhedral.py"),
     # Comparisons whose change is known to leave every result as it is.
-    Mutant("wall-certificate-accepts-a-zero-entry", "fans.py", "_certified",
+    Mutant("wall-certificate-accepts-a-zero-entry", "fans.py", "_certified_wall_forms",
            "form[out] <= 0", "form[out] < 0", "tests/test_fans.py",
            equivalent="across a smooth wall the entry is +-1, never 0"),
 )

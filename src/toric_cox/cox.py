@@ -216,10 +216,7 @@ class GradedPolynomial:
             return NotImplemented
         if other.cox is not self.cox and other.cox != self.cox:
             raise ValueError("cannot add polynomials of two different Cox rings")
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return GradedPolynomial(self.cox, merged)
+        return _polynomial(self.cox, _sum(self.terms, other.terms))
 
     def __sub__(self, other: "GradedPolynomial") -> "GradedPolynomial":
         if other.__class__ is not GradedPolynomial:
@@ -231,14 +228,7 @@ class GradedPolynomial:
 
     def __mul__(self, other: "GradedPolynomial | int | Fraction") -> "GradedPolynomial":
         if isinstance(other, (int, Fraction)):
-            # Nonzero times nonzero is nonzero: an int product stays, and a
-            # Fraction product that is integral becomes its numerator.
-            if not other:
-                return _polynomial(self.cox, {})
-            return _polynomial(self.cox, {
-                e: d if type(d := c * other) is int or d.denominator > 1 else d.numerator
-                for e, c in self.terms.items()
-            })
+            return _polynomial(self.cox, _scaled(self.terms, other))
         if not isinstance(other, GradedPolynomial):
             return NotImplemented
         if other.cox is not self.cox and other.cox != self.cox:
@@ -298,6 +288,23 @@ def _canonical(terms: Mapping[_Key, int | Fraction]) -> dict[_Key, int | Fractio
     """The nonzero entries of ``terms`` with each coefficient in canonical form:
     an int stays, and a bool or an integral Fraction becomes its numerator, an int."""
     return {k: c if type(c) is int or c.denominator > 1 else c.numerator for k, c in terms.items() if c}
+
+
+def _scaled(terms: Mapping[_Key, int | Fraction], factor: int | Fraction) -> dict[_Key, int | Fraction]:
+    """``factor`` times the canonical ``terms``, canonical as built.  Nonzero
+    times nonzero is nonzero: an int product stays, and a Fraction product
+    that is integral becomes its numerator; a zero factor leaves no term."""
+    if not factor:
+        return {}
+    return {k: d if type(d := c * factor) is int or d.denominator > 1 else d.numerator for k, c in terms.items()}
+
+
+def _sum(a: Mapping[_Key, int | Fraction], b: Mapping[_Key, int | Fraction]) -> dict[_Key, int | Fraction]:
+    """The canonical sum of two term maps: a term that cancels is dropped."""
+    merged = dict(a)
+    for k, c in b.items():
+        merged[k] = merged.get(k, 0) + c
+    return _canonical(merged)
 
 
 def _partials(p: GradedPolynomial) -> dict[tuple[int, Vector], int | Fraction]:

@@ -24,6 +24,8 @@ from .cox import (
     _exponents_up_to_weight,
     _partials,
     _polynomial,
+    _scaled,
+    _sum,
     graded_dimension,
     integral_class,
     monomial_basis,
@@ -129,10 +131,7 @@ class EulerModuleElement:
             return NotImplemented
         if other.module is not self.module and other.module != self.module:
             raise ValueError("cannot add elements of two different Euler modules")
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return _element(self.module, _canonical(terms))
+        return _element(self.module, _sum(self._terms, other._terms))
 
     def __sub__(self, other: "EulerModuleElement") -> "EulerModuleElement":
         if other.__class__ is not EulerModuleElement:
@@ -151,13 +150,8 @@ class EulerModuleElement:
             return _element(self.module, _canonical(terms))
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        # A scalar multiple lies in the same twist.  Nonzero times nonzero is
-        # nonzero: an int product stays, and an integral Fraction becomes an int.
-        scaled = {
-            key: d if type(d := c * factor) is int or d.denominator > 1 else d.numerator
-            for key, c in self._terms.items()
-        } if factor else {}
-        return _element(self.module, scaled, self._twist)
+        # A scalar multiple lies in the same twist.
+        return _element(self.module, _scaled(self._terms, factor), self._twist)
 
     __rmul__ = __mul__
 

@@ -265,41 +265,40 @@ def _walls(f: Fan) -> list[list[int]] | None:
     return list(owners.values())
 
 
-def _wall_form(f: Fan, dual: tuple[Vector, ...], s: int, t: int) -> Vector:
-    """The form on divisors that is positive iff the support function is
-    strictly convex across the wall between maximal cones s and t.
+def _certified_wall_forms(f: Fan, charts: tuple[IntegerMatrix, ...], walls: list[list[int]]) -> tuple[Vector, ...]:
+    """The form of each wall, in the order of ``walls``, when the wall
+    certificate of :func:`validate_fan` shows a smooth fan whose facets all
+    have two owners to be a fan; ``()`` when it fails.  One pass over the
+    walls builds each form and tests it.
 
-    With rho the ray of t outside s and ``c = R^T v_rho`` the coordinates
-    of v_rho on the rays of s, read from ``dual``, the rows of the
-    transposed chart ``R^T`` of s, the form is the linear relation
-    ``e_rho - sum_i c_i e_i``, that is ``a_rho - <c, a_s>``.  The wall
-    relation ``v_rho + v_rho' = sum b_i v_i`` gives the same form from the
-    side of t; convexity across every wall is convexity (Cox-Little-Schenck,
-    sections 6.1, 6.4).
-    """
-    (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
-    v = f.rays[rho]
-    c = {i: sum(map(mul, row, v)) for i, row in zip(f.max_cones[s], dual)}
-    return tuple(int(i == rho) - c.get(i, 0) for i in range(f.n_rays))
-
-
-def _certified(
-    f: Fan, duals: list[tuple[Vector, ...]], walls: list[list[int]], forms: tuple[Vector, ...]
-) -> bool:
-    """Whether the wall certificate of :func:`validate_fan` shows a smooth
-    fan whose facets all have two owners to be a fan.
+    The form of the wall between maximal cones s and t is positive iff the
+    support function is strictly convex across it.  With rho the ray of t
+    outside s and ``c = R^T v_rho`` the coordinates of v_rho on the rays of
+    s, read from the rows of the transposed chart ``R^T`` of s, the form is
+    the linear relation ``e_rho - sum_i c_i e_i``, that is
+    ``a_rho - <c, a_s>``.  The wall relation ``v_rho + v_rho' = sum b_i v_i``
+    gives the same form from the side of t; convexity across every wall is
+    convexity (Cox-Little-Schenck, sections 6.1, 6.4).
 
     (i) Across each wall (s, t), v_rho has a negative coordinate on the ray
     of s outside t: that is minus the form's entry there.  (ii) The sum p
     of the rays of cone 0 has a negative coordinate ``R_t^T p`` in every
     other maximal cone t, so it lies in none of them.
     """
-    for (s, t), form in zip(walls, forms):
+    duals = [tuple(zip(*chart.entries)) for chart in charts]
+    forms = []
+    for s, t in walls:
+        (rho,) = set(f.max_cones[t]) - set(f.max_cones[s])
         (out,) = set(f.max_cones[s]) - set(f.max_cones[t])
+        form = [0] * f.n_rays
+        form[rho] = 1
+        for i, row in zip(f.max_cones[s], duals[s]):
+            form[i] = -sum(map(mul, row, f.rays[rho]))
         if form[out] <= 0:
-            return False
+            return ()
+        forms.append(tuple(form))
     p = [sum(column) for column in zip(*f.cone_rays(f.max_cones[0]))]
-    return all(any(sum(map(mul, row, p)) < 0 for row in dual) for dual in duals[1:])
+    return tuple(forms) if all(any(sum(map(mul, row, p)) < 0 for row in dual) for dual in duals[1:]) else ()
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,10 +320,11 @@ def validate_fan(f: Fan) -> FanReport:
     smooth complete fan the report carries one wall form per facet, read
     off the charts; it keeps no chart.
 
-    When every maximal cone is unimodular and every facet has two owners, the
-    cones form a fan iff the wall certificate of :func:`_certified` holds:
-    (i) across each wall the two cones lie on opposite sides, and (ii) the
-    point p, the sum of the rays of cone 0, lies in no other maximal cone.
+    When every maximal cone is unimodular and every facet has two owners,
+    the cones form a fan iff the wall certificate of
+    :func:`_certified_wall_forms` holds: (i) across each wall the two cones
+    lie on opposite sides, and (ii) the point p, the sum of the rays of
+    cone 0, lies in no other maximal cone.
     Both are necessary: a fan's cones meet only in faces, and p is interior
     to cone 0.  Conversely, call a point generic if it lies on at most one
     facet hyperplane and in no face of dimension d - 2; the others lie in
@@ -366,11 +366,8 @@ def validate_fan(f: Fan) -> FanReport:
         return FanReport(simplicial=False, smooth=False, complete=False)
     walls = _walls(f)
     complete = walls is not None and all(len(owners) == 2 for owners in walls)
-    wall_forms: tuple[Vector, ...] = ()
-    if charts and complete:
-        duals = [tuple(zip(*chart.entries)) for chart in charts]
-        wall_forms = tuple(_wall_form(f, duals[s], s, t) for s, t in walls)
-    if not (wall_forms and _certified(f, duals, walls, wall_forms)):
+    wall_forms = _certified_wall_forms(f, charts, walls) if charts and complete else ()
+    if not wall_forms:
         _check_face_intersections(f)
     return FanReport(simplicial=True, smooth=charts is not None, complete=complete, wall_forms=wall_forms)
 

@@ -4,7 +4,9 @@ Normal forms, kernels and cokernels of integer matrices with arbitrary
 precision entries.  Matrices act on column vectors, so an ``m x n`` matrix
 is a lattice map ``Z^n -> Z^m``.  Kernels and ranks come from one Hermite
 elimination; a Smith form is taken only where a lift (:func:`solve_integer`)
-or torsion (:func:`cokernel`) is read.  Everything here is deterministic: the
+or torsion (:func:`cokernel`) is read, and in fan validation once per
+lower-dimensional maximal cone, whose last invariant factor decides whether
+it is simplicial and unimodular.  Everything here is deterministic: the
 same input always produces the same transforms, which the test fixtures
 rely on.
 """

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fan_strategies import NON_PROJECTIVE_THREEFOLD, smooth_projective_fans
+from toric_cox import fans as fans_module
 from toric_cox import polyhedral as polyhedral_module
 from toric_cox import verify as verify_module
 from toric_cox.cli import main
@@ -409,7 +410,19 @@ P2_SQUARED = Fan.make(
     ids=["delpezzo6", "P3", "P1_cubed", "P2_squared"],
 )
 def test_one_wall_form_per_wall(fan, walls):
-    assert len(validate_fan(fan).wall_forms) == walls == len(fan.max_cones) * fan.dim // 2
+    forms = validate_fan(fan).wall_forms
+    assert len(forms) == walls == len(fan.max_cones) * fan.dim // 2
+    # each form, dense over the rays, is the relation of its wall (s, t) read
+    # from the side of s: with rho the ray of t outside s, it is 1 at rho,
+    # lives on s and rho, and is positive on the ray of s outside t
+    for (s, t), form in zip(fans_module._walls(fan), forms):
+        (rho,) = set(fan.max_cones[t]) - set(fan.max_cones[s])
+        (out,) = set(fan.max_cones[s]) - set(fan.max_cones[t])
+        assert len(form) == fan.n_rays
+        assert all(sum(c * ray[k] for c, ray in zip(form, fan.rays)) == 0 for k in range(fan.dim))
+        assert form[rho] == 1
+        assert {i for i, c in enumerate(form) if c} <= {*fan.max_cones[s], rho}
+        assert form[out] > 0
 
 
 def cone_characters(fan: Fan, divisor: TorusInvariantDivisor) -> list:
