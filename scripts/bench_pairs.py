@@ -19,13 +19,15 @@ The output holds, per workload and seed set, both sides' end-to-end
 metrics of every pair, each side's median and quartiles per metric, and
 for each metric the pairs the change wins (ties count for neither side;
 the direction is read from ``BENCHMARK.json``), together with the
-revisions, the Python version, the number of processors and the run
+revisions, their tree hashes (which a squash or a rebase that keeps the
+files keeps too), the Python version, the number of processors and the run
 length.  The output file must not exist yet, and its directory must.  It
 is rewritten after every pair, the summary of an unfinished seed set
 covering the pairs done so far, so a run that is stopped keeps every pair
 it measured.  Each ``--run`` and the ``--out`` are checked before anything
 runs: the workload must be one that ``BENCHMARK.json`` names, and the seed
-range must not be empty.
+range must not be empty.  Both revisions are resolved before any run too: an
+unknown one is an argument error.
 """
 
 import argparse
@@ -55,9 +57,16 @@ def seed_set(text: str) -> tuple[str, list[int]]:
     return workload, seeds
 
 
-def revision(rev: str) -> str:
-    return subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
+def revision(rev: str) -> tuple[str, str] | None:
+    """The commit and tree hashes of ``rev``, or None when git knows no such commit."""
+    hashes = []
+    for kind in ("commit", "tree"):
+        done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{{kind}}}"],
+                              cwd=ROOT, capture_output=True, text=True)
+        if done.returncode != 0:
+            return None
+        hashes.append(done.stdout.strip())
+    return hashes[0], hashes[1]
 
 
 def run_once(sha: str, workload: str, seed: int, seconds: int, scratch: Path) -> dict:
@@ -121,12 +130,17 @@ def main() -> int:
     for workload, _ in args.run:
         if workload not in workloads:
             parser.error(f"BENCHMARK.json names no workload {workload!r}")
+    resolved = {side: revision(getattr(args, side)) for side in ("parent", "change")}
+    for side, hashes in resolved.items():
+        if hashes is None:
+            parser.error(f"git knows no commit {getattr(args, side)!r} (--{side})")
     directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
-    shas = {"parent": revision(args.parent), "change": revision(args.change)}
+    shas = {side: commit for side, (commit, _) in resolved.items()}
     result = {
         "command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
         "revisions": shas,
+        "trees": {side: tree for side, (_, tree) in resolved.items()},
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "seconds": seconds,

@@ -170,14 +170,14 @@ MUTANTS = (
     # a scaled derivation still obeys Leibniz; the tuple-slice reference catches it
     Mutant("partials-double-the-coefficient", "cox.py", "_partials",
            "c * a", "2 * c * a", "tests/test_cox.py"),
-    Mutant("contraction-raises-the-next-index", "euler.py", "euler_contract",
+    Mutant("contraction-raises-the-next-index", "euler.py", "_contraction_sum",
            "raised[i] += 1", "raised[i + 1] += 1", "tests/test_euler.py"),
     # Euler-module elements stored as one flat term map: no zero term is kept,
     # every coefficient is canonical, and no module or ring check is skipped.
     # Sums and scalar multiples go through the term-map helpers that
     # polynomials share (cox._sum, cox._scaled).
-    Mutant("contraction-skips-the-first-term", "euler.py", "euler_contract",
-           "element._terms.items()", "list(element._terms.items())[1:]", "tests/test_euler.py"),
+    Mutant("contraction-skips-the-first-term", "euler.py", "_contraction_sum",
+           "terms.items()", "list(terms.items())[1:]", "tests/test_euler.py"),
     Mutant("sum-keeps-a-cancelled-term", "cox.py", "_sum",
            "_canonical(merged)", "merged", "tests/test_euler.py"),
     Mutant("sum-skips-the-module-check", "euler.py", "EulerModuleElement.__add__",
@@ -197,6 +197,12 @@ MUTANTS = (
            "enumerate(components)", "enumerate(components[:-1])", "tests/test_euler.py"),
     Mutant("basis-element-reads-a-negative-index", "euler.py", "basis_element",
            "not 0 <= index < em.rank", "index >= em.rank", "tests/test_euler.py"),
+    # A caller's polynomial and element are checked homogeneous in full; only a
+    # single term, or a sum of a single exponent, has one class by itself.
+    Mutant("derivation-skips-the-homogeneity-check", "euler.py", "derivation",
+           "not s.is_homogeneous()", "False", "tests/test_euler.py"),
+    Mutant("contraction-skips-the-homogeneity-check", "euler.py", "euler_contract",
+           "len(total) > 1", "len(total) > 2", "tests/test_euler.py"),
     Mutant("make-polynomial-keeps-a-zero", "cox.py", "make_polynomial",
            "if c:\n    checked[key] = c\nelse:\n    checked.pop(key, None)", "checked[key] = c",
            "tests/test_cox.py"),

@@ -68,16 +68,8 @@ class EulerModuleElement:
     ``-`` check the other element's module themselves, and ``*`` the
     factor's Cox ring, raising ValueError on a mismatch, even for the zero
     element; a factor that is not a polynomial, an ``int`` or a ``Fraction``
-    is a TypeError.
-
-    ``_twist`` is the twist of the element when it is known by construction,
-    and None otherwise.  Only package code sets it: :func:`derivation`
-    records the class of an argument of two or more terms, ``_derivation``
-    the class its caller knows, and a multiple by an ``int`` or a
-    ``Fraction`` keeps it.  A sum, a difference, a product with a
-    polynomial and an element a caller builds have no known twist, so
-    :func:`euler_contract` checks them in full.  The twist takes no part in
-    equality.
+    is a TypeError.  An element does not record its twist: the contraction
+    checks each element it is given, however it was built.
 
     The constructor is the validating entry for outside input: it takes the
     dense components, and raises ValueError unless there is one per basis
@@ -86,7 +78,7 @@ class EulerModuleElement:
     through :func:`_element`, with no check.
     """
 
-    __slots__ = ("module", "_terms", "_twist")
+    __slots__ = ("module", "_terms")
 
     def __init__(self, module: EulerModule, components: Sequence[GradedPolynomial]) -> None:
         components = tuple(components)
@@ -97,7 +89,6 @@ class EulerModuleElement:
                 raise ValueError("a component is not a polynomial of the module's Cox ring")
         self.module = module
         self._terms = {(i, e): c for i, p in enumerate(components) for e, c in p.terms.items()}
-        self._twist: Vector | None = None
 
     @property
     def components(self) -> tuple[GradedPolynomial, ...]:
@@ -150,21 +141,16 @@ class EulerModuleElement:
             return _element(self.module, _canonical(terms))
         if not isinstance(factor, (int, Fraction)):
             return NotImplemented
-        # A scalar multiple lies in the same twist.
-        return _element(self.module, _scaled(self._terms, factor), self._twist)
+        return _element(self.module, _scaled(self._terms, factor))
 
     __rmul__ = __mul__
 
 
-def _element(
-    em: EulerModule, terms: dict[tuple[int, Vector], int | Fraction], twist: Vector | None = None
-) -> EulerModuleElement:
-    """The element of em with this term map, canonical and of em's Cox ring,
-    and this known twist; no check."""
+def _element(em: EulerModule, terms: dict[tuple[int, Vector], int | Fraction]) -> EulerModuleElement:
+    """The element of em with this term map, canonical and of em's Cox ring; no check."""
     element = object.__new__(EulerModuleElement)
     element.module = em
     element._terms = terms
-    element._twist = twist
     return element
 
 
@@ -191,69 +177,67 @@ def derivation(em: EulerModule, s: GradedPolynomial) -> EulerModuleElement:
     """Universal derivation: component per ray is the formal partial derivative.
 
     It is a map of degree 0: for s of class lam, component i has class
-    ``lam - deg x_i``, so the element lies in twist lam.  It records lam as
-    its known twist when s has two or more terms, whose classes it finds
-    once each; that is also the homogeneity check (InhomogeneousInput if
-    two differ).  Zero and a single term need no check and get no twist:
-    every partial of a monomial raises back to it, so the contraction has
-    one key there.  ValueError if s belongs to another Cox ring than em.
+    ``lam - deg x_i``, so the element lies in twist lam.  An s of two or
+    more terms is checked homogeneous from the class of each term
+    (InhomogeneousInput if two differ); zero and a single term need no
+    class.  ValueError if s belongs to another Cox ring than em.
     """
     if s.cox is not em.cox and s.cox != em.cox:
         raise ValueError("derivation of a polynomial of another Cox ring")
-    twist = None
-    if len(s.terms) > 1:
-        classes = {em.cox.degree_of_exponent(e) for e in s.terms}
-        if len(classes) > 1:
-            raise InhomogeneousInput("derivation requires a homogeneous argument")
-        (twist,) = classes
-    return _derivation(em, s, twist)
-
-
-def _derivation(em: EulerModule, s: GradedPolynomial, twist: Vector | None) -> EulerModuleElement:
-    """The derivation of s with known twist ``twist``, the class of s or None; no check."""
-    return _element(em, _partials(s), twist)
+    if not s.is_homogeneous():
+        raise InhomogeneousInput("derivation requires a homogeneous argument")
+    return _element(em, _partials(s))
 
 
 def euler_contract(em: EulerModule, element: EulerModuleElement, form: WeightForm) -> GradedPolynomial:
     """Contraction with the weighted Euler vector field sum_i w(deg x_i) x_i d/dx_i.
 
     Sends a homogeneous element of twist d to a polynomial of class d whose
-    constant term always vanishes.  No class is looked up when the element's
-    twist is known (set by :func:`derivation` and kept by multiples by
-    scalars) or when the sum has at most one distinct raised exponent, which
-    has one class, as for the image of a monomial.  Any other element, such as one a caller builds, is
-    checked in full: one class per distinct raised exponent, and
-    InhomogeneousInput if two differ.  The element's term map is read in
-    one loop.  With the fan's own weight form, the weights are read from
-    ``variable_weights``; any other form is called once per nonzero
-    component.  Sums may cancel and weighted Fractions may become
-    integral, so the result is built through :class:`GradedPolynomial`,
-    whose one pass drops and normalises them.  ValueError if the element
-    belongs to another module than em.
+    constant term always vanishes.  x_i * x^e has class deg(e) + deg(x_i),
+    so the element is homogeneous exactly when the exponents of the sum
+    that :func:`_contraction_sum` builds, zero sums included, share one
+    class: one class is looked up per distinct exponent, and
+    InhomogeneousInput raised if two differ.  A sum of one exponent, as for
+    the image of a monomial, has one class and looks up none.  Sums may cancel and
+    weighted Fractions may become integral, so the result is built through
+    :class:`GradedPolynomial`, whose one pass drops and normalises them.
+    ValueError if the element belongs to another module than em.
     """
     if element.module is not em and element.module != em:
         raise ValueError("contraction of an element of another Euler module")
+    cd = em.cox
+    total = _contraction_sum(em, element._terms, form)
+    if len(total) > 1 and len({cd.degree_of_exponent(e) for e in total}) > 1:
+        raise InhomogeneousInput("contraction requires a homogeneous element")
+    return GradedPolynomial(cd, total)
+
+
+def _contraction_sum(
+    em: EulerModule, terms: dict[tuple[int, Vector], int | Fraction], form: WeightForm
+) -> dict[Vector, int | Fraction]:
+    """The contraction of the element with this term map, as the raw sum from
+    the exponent of each x_i * x^e to its coefficient, zero sums included;
+    no check.
+
+    The term map is read in one loop.  With the fan's own weight form, the
+    weights are read from ``variable_weights``; any other form is called
+    once per nonzero component.
+    """
     cd = em.cox
     if form is cd.weight_form:
         weights: Sequence[int] | dict[int, int] = cd.variable_weights
     else:
         # one call per nonzero component, in the order the terms first name them
-        weights = {i: form(em.basis_degrees[i]) for i in dict.fromkeys(i for i, _ in element._terms)}
+        weights = {i: form(em.basis_degrees[i]) for i in dict.fromkeys(i for i, _ in terms)}
     total: dict[Vector, int | Fraction] = {}
     get = total.get
-    for (i, e), c in element._terms.items():
+    for (i, e), c in terms.items():
         # the exponent of x_i * x^e
         raised = list(e)
         raised[i] += 1
         key = tuple(raised)
         total[key] = get(key, 0) + weights[i] * c
-    # x_i * x^e has class deg(e) + deg(x_i): the element is homogeneous exactly
-    # when the raised exponents, zero sums included, share one class.
-    # A known twist says so by construction, and a single exponent has one class.
-    if element._twist is None and len(total) > 1:
-        if len({cd.degree_of_exponent(e) for e in total}) > 1:
-            raise InhomogeneousInput("contraction requires a homogeneous element")
-    return GradedPolynomial(cd, total)
+    return total
 
 
 def induced_algebra_generators(em: EulerModule, form: WeightForm) -> tuple[GradedPolynomial, ...]:
@@ -308,10 +292,11 @@ def check_euler_identity(
     checked = 0
     for _ in range(trials):
         lam = classes[rng.randrange(len(classes))]
-        # the pool's own monomials need no validation, and all have class lam
+        # the pool's own monomials need no validation, and all have class lam,
+        # so the sample and its derivation need no class check
         s = GradedPolynomial(cd, {e: rng.randint(-3, 3) for e in basis[lam]})
         expected = form(lam) * s
-        actual = euler_contract(em, _derivation(em, s, lam), form)
+        actual = GradedPolynomial(cd, _contraction_sum(em, _partials(s), form))
         checked += 1
         if actual != expected:
             failures.append(f"class {lam}: got {actual}, expected {expected}")

@@ -536,7 +536,7 @@ def _count_classes(monkeypatch, cd):
     return calls
 
 
-class TestKnownTwist:
+class TestClassLookups:
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
     def test_derivation_raises_exactly_on_two_classes(self, modules, corpus_cox, name, data):
@@ -547,10 +547,8 @@ class TestKnownTwist:
                 derivation(em, s)
             return
         ds = derivation(em, s)
-        # a twist is recorded from two or more terms; zero and one term get none
-        assert ds._twist == (s.degree if len(s.terms) > 1 else None)
-        if not ds.is_zero() and ds._twist is not None:
-            assert ds._twist == ds.degree
+        # the derivation lies in the twist of the class of s
+        assert ds.is_zero() or ds.degree == s.degree
 
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(SMOOTH_COMPLETE), data=st.data())
@@ -560,30 +558,24 @@ class TestKnownTwist:
         cd, em = corpus_cox[name], modules[name]
         form = effective_weight_form(cd)
         element = _element(data, em)
-        if element._twist is not None and not element.is_zero():
-            assert element._twist == element.degree
         if element.is_homogeneous():
             assert euler_contract(em, element, form) == reference_contract(em, element, form)
         else:
             with pytest.raises(InhomogeneousInput):
                 euler_contract(em, element, form)
 
-    def test_sums_and_polynomial_products_forget_the_twist(self, modules, corpus_cox):
+    def test_sums_and_polynomial_products_are_checked_in_full(self, modules, corpus_cox):
         cd, em = corpus_cox["hirzebruch_1"], modules["hirzebruch_1"]
         form = effective_weight_form(cd)
         x = [cd.variable(i) for i in range(cd.num_vars)]
         # x0 + x2 has class (1, 0) and x1 x2 + x3 has class (1, 1)
         ds, dt = derivation(em, x[0] + x[2]), derivation(em, x[1] * x[2] + x[3])
-        assert ds._twist == (1, 0) and dt._twist == (1, 1)
-        assert derivation(em, x[0])._twist is None
-        for scaled in (3 * ds, ds * Fraction(1, 2), 0 * ds, ds * Fraction(0)):
-            assert scaled._twist == (1, 0)
         for mixed in (ds + dt, ds - dt, ds * (cd.one() + x[0])):
-            assert mixed._twist is None and not mixed.is_homogeneous()
+            assert not mixed.is_homogeneous()
             with pytest.raises(InhomogeneousInput):
                 euler_contract(em, mixed, form)
         for unknown in (x[1] * ds, ds + ds, EulerModuleElement(em, ds.components)):
-            assert unknown._twist is None and unknown.is_homogeneous()
+            assert unknown.is_homogeneous()
             assert euler_contract(em, unknown, form) == reference_contract(em, unknown, form)
 
     @pytest.mark.parametrize("name", SMOOTH_COMPLETE)
@@ -594,17 +586,19 @@ class TestKnownTwist:
         with pytest.raises(InhomogeneousInput):
             euler_contract(em, element, effective_weight_form(cd))
 
-    def test_one_key_case_on_every_monomial_of_weight_at_most_four(self, modules, corpus_cox):
+    def test_one_key_case_on_every_monomial_of_weight_at_most_four(self, modules, corpus_cox, monkeypatch):
         for name, cd in corpus_cox.items():
             em, form = modules[name], effective_weight_form(cd)
             for e in monomials_of_weight_at_most(cd, 4):
                 s, lam = cd.monomial(e), cd.degree_of_exponent(e)
-                ds = derivation(em, s)
-                assert ds._twist is None, (name, e)
-                # every partial raises back to x^e: one key, and no class is needed
-                assert euler_contract(em, ds, form) == form(lam) * s, (name, e)
+                with monkeypatch.context() as patch:
+                    calls = _count_classes(patch, cd)
+                    image = euler_contract(em, derivation(em, s), form)
+                # every partial raises back to x^e: one key, and no class is looked up
+                assert calls == [], (name, e)
+                assert image == form(lam) * s, (name, e)
 
-    def test_each_class_is_found_at_most_once(self, modules, corpus_cox, monkeypatch):
+    def test_a_caller_s_polynomial_is_checked_in_full(self, modules, corpus_cox, monkeypatch):
         cd, em = corpus_cox["delpezzo6"], modules["delpezzo6"]
         form = effective_weight_form(cd)
         s = make_polynomial(cd, {e: 1 for e in monomial_basis(cd, (1, 1, 1, 1))})
@@ -612,12 +606,15 @@ class TestKnownTwist:
         calls = _count_classes(monkeypatch, cd)
         ds = derivation(em, s)
         assert len(calls) == len(s.terms)
+        # every x_i * d(x^e)/dx_i is a multiple of x^e: the sum's distinct
+        # exponents are those of s, one class each
         euler_contract(em, ds, form)
+        assert len(calls) == 2 * len(s.terms)
         euler_contract(em, ds * Fraction(1, 3), form)
-        assert len(calls) == len(s.terms)
+        assert len(calls) == 3 * len(s.terms)
         monomial = cd.monomial((1, 0, 2, 0, 0, 1))
         euler_contract(em, derivation(em, monomial) * 2, form)
-        assert len(calls) == len(s.terms)
+        assert len(calls) == 3 * len(s.terms)
 
     def test_the_identity_check_finds_no_class_per_sample(self, modules, corpus_cox, monkeypatch):
         cd, em = corpus_cox["delpezzo6"], modules["delpezzo6"]
@@ -646,13 +643,13 @@ class TestIdentitySpotCheckPool:
         self, modules, corpus_cox, monkeypatch, max_weight
     ):
         samples = []
-        original = euler_module._derivation
+        original = euler_module._partials
 
-        def recording_derivation(em, s, twist):
-            samples.append((twist, dict(s.terms)))
-            return original(em, s, twist)
+        def recording_partials(s):
+            samples.append(dict(s.terms))
+            return original(s)
 
-        monkeypatch.setattr(euler_module, "_derivation", recording_derivation)
+        monkeypatch.setattr(euler_module, "_partials", recording_partials)
         for name, em in modules.items():
             cd = corpus_cox[name]
             rng, reference = random.Random(name), random.Random(name)
@@ -661,14 +658,36 @@ class TestIdentitySpotCheckPool:
                 em, effective_weight_form(cd), trials=20, max_weight=max_weight, rng=rng
             )
             assert report.ok and report.checked == 20
-            # a reference draw lists all of basis[lam], so its first monomial gives the class;
-            # the sample drops the zero coefficients
+            # a reference draw lists all of basis[lam]; the sample drops the zero coefficients
             expected = [
-                (cd.degree_of_exponent(next(iter(draw))), {e: c for e, c in draw.items() if c})
-                for draw in reference_samples(cd, 20, max_weight, reference)
+                {e: c for e, c in draw.items() if c} for draw in reference_samples(cd, 20, max_weight, reference)
             ]
             assert samples == expected, name
             assert rng.getstate() == reference.getstate(), name
+
+    def test_classes_are_drawn_uniformly_not_by_size(self, modules, corpus_cox, monkeypatch):
+        # at bound 4, hirzebruch_1's pool has 14 classes of 1 to 7 monomials, 45 in all:
+        # a draw by size would give a one-monomial class 1/45 of the samples, not 1/14
+        cd, em = corpus_cox["hirzebruch_1"], modules["hirzebruch_1"]
+        pool = reference_pool(cd, 4)
+        assert len(pool) == 14 and sum(map(len, pool.values())) == 45
+        assert {len(group) for group in pool.values()} == set(range(1, 8))
+        drawn = dict.fromkeys(pool, 0)
+        original = euler_module._partials
+
+        def recording_partials(s):
+            # a zero sample shows no class: at most 1 in 7, for a class of one monomial
+            if s.terms:
+                drawn[cd.degree_of_exponent(next(iter(s.terms)))] += 1
+            return original(s)
+
+        monkeypatch.setattr(euler_module, "_partials", recording_partials)
+        trials = 2800
+        report = check_euler_identity(em, cd.weight_form, trials=trials, max_weight=4, rng=random.Random(46))
+        assert report.ok and report.checked == trials
+        # uniform: 200 draws per class, 171 of them nonzero for a class of one
+        # monomial; by size: 62 for a class of one monomial, 436 for one of seven
+        assert all(120 <= count <= 280 for count in drawn.values()), drawn
 
 
 def canonical_terms(element):

@@ -130,13 +130,18 @@ def test_a_sigterm_ends_the_bench_pairs_run_with_its_benchmark_and_its_copy(tmp_
 
 
 @pytest.fixture
-def bench_pairs(monkeypatch):
-    """``scripts/bench_pairs.py`` loaded as a module, with revisions read as
-    themselves and its SIGTERM handler left uninstalled."""
+def bench_pairs_git(monkeypatch):
+    """``scripts/bench_pairs.py`` loaded as a module, with its SIGTERM handler left uninstalled."""
     module = _load(BENCH_PAIRS_SCRIPT, "bench_pairs_script")
-    monkeypatch.setattr(module, "revision", lambda rev: rev)
     monkeypatch.setattr(module.signal, "signal", lambda *args: None)
     return module
+
+
+@pytest.fixture
+def bench_pairs(bench_pairs_git, monkeypatch):
+    """As ``bench_pairs_git``, with revisions read as themselves, not looked up in git."""
+    monkeypatch.setattr(bench_pairs_git, "revision", lambda rev: (rev, f"{rev}-tree"))
+    return bench_pairs_git
 
 
 def _run_bench_pairs(module, monkeypatch, *argv: str) -> int:
@@ -193,6 +198,48 @@ def test_bench_pairs_refuses_an_out_in_a_missing_directory(bench_pairs, monkeypa
     assert "is not a directory" in capsys.readouterr().err
     assert runs == []
     assert list(tmp_path.iterdir()) == []
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_bench_pairs_records_each_side_s_commit_and_tree(bench_pairs_git, monkeypatch, tmp_path):
+    # a tree hash outlives a squash of its commit
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = []
+
+    def run_once(sha, workload, seed, seconds, scratch):
+        runs.append(sha)
+        return {"metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(bench_pairs_git, "run_once", run_once)
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", "HEAD~0", "--change", "HEAD",
+                                      "--run", "euler-algebra:1-1", "--out", str(tmp_path / "r.json")])
+    assert bench_pairs_git.main() == 0
+    record = json.loads((tmp_path / "r.json").read_text())
+    commit, tree = _git("rev-parse", "HEAD"), _git("rev-parse", "HEAD^{tree}")
+    assert record["revisions"] == {"parent": commit, "change": commit}
+    assert record["trees"] == {"parent": tree, "change": tree}
+    assert runs == [commit, commit]
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_bench_pairs_rejects_an_unknown_revision_before_any_run(
+    bench_pairs_git, monkeypatch, tmp_path, capsys, side
+):
+    runs = []
+    monkeypatch.setattr(bench_pairs_git, "run_once", lambda *args: runs.append(args))
+    revisions = {"parent": "HEAD", "change": "HEAD", side: "nosuchrev"}
+    out = tmp_path / "pairs.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--parent", revisions["parent"], "--change",
+                                      revisions["change"], "--run", "euler-algebra:1-2", "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs_git.main()
+    assert exit_info.value.code == 2
+    assert f"git knows no commit 'nosuchrev' (--{side})" in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
 
 
 def _run_table(monkeypatch, *argv: str) -> int:
