@@ -211,9 +211,9 @@ MUTANTS = (
            "tests/test_cox.py"),
     Mutant("coefficient-reads-text", "cox.py", "make_polynomial",
            "not isinstance(c, (int, float, Fraction))", "False", "tests/test_cox.py"),
-    # The section-polytope walk: x_0's bounds off the static rows, each deeper
-    # constant evaluated once, and each next coordinate's bounds carried into
-    # the next level.
+    # The section-polytope walk: every deeper constant read off one packed
+    # product, x_0's bounds off the rows bounding it, and each next
+    # coordinate's bounds carried into the next level.
     Mutant("first-lower-bound-takes-the-largest", "polyhedral.py", "PolytopeFamily._points",
            "v < low", "v > low", "tests/test_polyhedral.py"),
     Mutant("first-upper-bound-takes-the-largest", "polyhedral.py", "PolytopeFamily._points",
@@ -221,8 +221,13 @@ MUTANTS = (
     Mutant("segment-count-drops-the-plus-one", "polyhedral.py", "PolytopeFamily._points",
            "up + low + 1", "up + low", "tests/test_polyhedral.py"),
     Mutant("deeper-lower-rows-read-no-parameters", "polyhedral.py", "PolytopeFamily._points",
-           "[[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower[1:]]",
-           "[[(head, c, 0) for head, c, f in level] for level in self.lower[1:]]", "tests/test_polyhedral.py"),
+           "(head, c, (packed & mask) - half)", "(head, c, (packed & mask) - half if side is upper else 0)",
+           "tests/test_polyhedral.py"),
+    Mutant("section-pack-extraction-drops-the-bias", "polyhedral.py", "PolytopeFamily._points",
+           "(packed & mask) - half", "packed & mask", "tests/test_polyhedral.py"),
+    Mutant("section-pack-field-one-bit-narrower", "polyhedral.py", "PolytopeFamily._row_pack",
+           "(reach * max((sum(map(abs, f)) for f in forms))).bit_length() + 1",
+           "(reach * max((sum(map(abs, f)) for f in forms))).bit_length() + 0", "tests/test_polyhedral.py"),
     Mutant("walk-lower-bound-takes-the-largest", "polyhedral.py", "_walk",
            "v < low", "v > low", "tests/test_polyhedral.py"),
     Mutant("walk-upper-bound-takes-the-largest", "polyhedral.py", "_walk",

@@ -7,12 +7,14 @@ independent oracles (exponent-fiber counting against section-polytope
 counting) which must agree.
 
 The polytope side counts in class coordinates, through one family of
-Fourier-Motzkin tables per fan (:attr:`CoxData.section_tables`); a class
-is lifted to a divisor only to report an :class:`OracleMismatch`.  The
-fiber side counts only the classes of a box cut out by the effective
-cone's facets, sized by the largest class entry queried, and keys each by
-its packed facet values, so a step of its dynamic program is one integer
-addition and one mask test (:func:`_fiber_tables`).
+Fourier-Motzkin tables per fan (:attr:`CoxData.section_tables`): a class
+costs one dot product per offset-only row and, when those all hold, one
+packed product for all the deeper rows.  A class is lifted to a divisor
+only to report an :class:`OracleMismatch`.  The fiber side counts only
+the classes of a box cut out by the effective cone's facets, sized by the
+largest class entry queried, and keys each by its packed facet values, so
+a step of its dynamic program is one integer addition and one mask test
+(:func:`_fiber_tables`).
 """
 
 from __future__ import annotations
@@ -145,8 +147,10 @@ class CoxData:
         ``class_section.mat_vec(lam)``, linear in lam.  So the Fourier-Motzkin tables
         of the rays are built and composed with the section once per fan,
         on the first query, and a class then costs one rank-length dot
-        product per row: no lift.  No boundedness check: the rays of a
-        complete fan positively span.
+        product per offset-only row and, when those all hold, one
+        rank-length packed product for all the deeper rows
+        (:meth:`PolytopeFamily._row_pack`, kept on the family): no lift.  No
+        boundedness check: the rays of a complete fan positively span.
         """
         return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section)
 

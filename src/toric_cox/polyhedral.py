@@ -14,14 +14,16 @@ some parameters, a = S p, form one :class:`PolytopeFamily`: Fourier-Motzkin
 tables built once, whose rows are split by the sign of the eliminated
 coordinate as they are derived, each row's constant being a linear form in
 p.  For plain offsets the forms are the rows' multipliers, and
-:meth:`PolytopeFamily.linear_tables` composes them with S once, so a
-parameter vector costs one dot product of its own length per row, each
-row's once.  One walk (:func:`_walk`) serves listing and counting: x_0's
-interval comes straight off the rows bounding it, and for each x_k of its
-interval the walk takes x_{k+1}'s bounds, a running minimum per side, and
-carries them into the next level, x_k folded into the deeper constants
-(:func:`_fold`).  At the last coordinate it adds the interval's length,
-and lists its points only when asked to.
+:meth:`PolytopeFamily.linear_tables` composes them with S once.  A
+parameter vector then costs one dot product of its own length per
+offset-only row, which decides emptiness, and past them one packed
+product that yields every deeper row's constant at once
+(:meth:`PolytopeFamily._row_pack`).  One walk (:func:`_walk`) serves
+listing and counting: x_0's interval comes straight off the rows bounding
+it, and for each x_k of its interval the walk takes x_{k+1}'s bounds, a
+running minimum per side, and carries them into the next level, x_k
+folded into the deeper constants (:func:`_fold`).  At the last coordinate
+it adds the interval's length, and lists its points only when asked to.
 Vertices are the generators of positive height of the homogenized cone
 {(m, t) : <n_i, m> + a_i t >= 0, t >= 0}, from one double description
 (:func:`_homogenized_generators`).  The same elimination, stopped at
@@ -279,26 +281,47 @@ def _eliminate(
     return tuple(rows), tuple(reversed(lower)), tuple(reversed(upper))
 
 
-class PolytopeFamily(NamedTuple):
+class PolytopeFamily:
     """The bounded polytopes {m : <n_i, m> >= -a_i} for fixed normals n_i, with
     the offsets a linear in some parameters p, as Fourier-Motzkin tables.
 
     Each table row's constant is a linear form in p, so the tables, built
     once with the family, serve every parameter vector with integer
-    arithmetic only: one dot product of the parameters' length per row.
-    :func:`polytope_family` checks boundedness and takes the offsets
-    themselves as the parameters, each form being a row's multiplier;
-    :meth:`linear_tables` composes the forms with a linear map a = S p.
-    ``level_zero`` holds one form per offset-only row; ``lower[k]`` and
-    ``upper[k]`` hold the rows of level k + 1 bounding x_k (see
-    :data:`TableRow` and :func:`_eliminate`).
+    arithmetic only: one dot product of the parameters' length per level-0
+    row, and for a polytope that level 0 leaves nonempty, one packed
+    product that yields every deeper row's constant at once
+    (:meth:`_row_pack`).  :func:`polytope_family` checks boundedness and
+    takes the offsets themselves as the parameters, each form being a
+    row's multiplier; :meth:`linear_tables` composes the forms with a
+    linear map a = S p.  ``level_zero`` holds one form per offset-only row;
+    ``lower[k]`` and ``upper[k]`` hold the rows of level k + 1 bounding x_k
+    (see :data:`TableRow` and :func:`_eliminate`).  Two families are equal
+    when their tables are; the pack belongs to the instance.
     """
 
-    ambient_dim: int
-    parameters: int
-    level_zero: tuple[Vector, ...]
-    lower: tuple[tuple[TableRow, ...], ...]
-    upper: tuple[tuple[TableRow, ...], ...]
+    __slots__ = ("ambient_dim", "parameters", "level_zero", "lower", "upper", "_pack")
+
+    def __init__(
+        self,
+        ambient_dim: int,
+        parameters: int,
+        level_zero: tuple[Vector, ...],
+        lower: tuple[tuple[TableRow, ...], ...],
+        upper: tuple[tuple[TableRow, ...], ...],
+    ) -> None:
+        self.ambient_dim = ambient_dim
+        self.parameters = parameters
+        self.level_zero = level_zero
+        self.lower = lower
+        self.upper = upper
+        self._pack = (-1, 0, 0, ())  # reach -1: the first nonempty query builds it at its own reach
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PolytopeFamily:
+            return NotImplemented
+        return (self.ambient_dim, self.parameters, self.level_zero, self.lower, self.upper) == (
+            other.ambient_dim, other.parameters, other.level_zero, other.lower, other.upper
+        )
 
     def lattice_points(self, params: Sequence[int]) -> tuple[Vector, ...]:
         """All integer points of the polytope of these parameters, sorted lexicographically.
@@ -319,7 +342,8 @@ class PolytopeFamily(NamedTuple):
 
         Level 0 is checked first, so that an empty polytope, the common case
         of a class outside the effective cone, costs one dot product per
-        level-0 row and no call.  Then :meth:`_points` counts without listing.
+        level-0 row and no call.  Then :meth:`_points` reads every deeper
+        row's constant off one packed product and counts without listing.
         ValueError on a parameter that is not an integer (bools pass).
         """
         params = integer_vector(params, "parameters")
@@ -338,38 +362,79 @@ class PolytopeFamily(NamedTuple):
         """Integer points of a polytope whose level 0 holds: their number, and
         each of them appended to ``points`` unless it is None.
 
-        x_0's interval is read straight off the rows of ``lower[0]`` and
-        ``upper[0]``, one running minimum per side; each deeper row's form
-        is dotted with the parameters once, and :func:`_walk` takes over.
+        Every deeper row's constant is read off one packed product (see
+        :meth:`_row_pack`, rebuilt first when the parameters' reach exceeds
+        the pack's); x_0's interval then comes straight off the rows of
+        ``lower[0]`` and ``upper[0]``, one running minimum per side, and
+        :func:`_walk` takes over.
         """
         if not self.lower:  # dimension 0: the polytope is the origin
             if points is not None:
                 points.append(())
             return 1
+        reach = max(map(abs, params), default=0)
+        pack = self._pack
+        if reach > pack[0]:
+            pack = self._pack = self._row_pack(reach)
+        _, width, bias, columns = pack
+        packed = sum(map(mul, params, columns), bias)
+        mask, half = (1 << width) - 1, 1 << width - 1
+        lower: list[list[EvaluatedRow]] = []
+        upper: list[list[EvaluatedRow]] = []
+        for side, levels in ((lower, self.lower), (upper, self.upper)):
+            for level in levels:
+                evaluated = []
+                for head, c, _ in level:
+                    evaluated.append((head, c, (packed & mask) - half))
+                    packed >>= width
+                side.append(evaluated)
         low = up = None
-        for _, c, f in self.lower[0]:
-            v = sum(map(mul, f, params)) // c
+        for _, c, s in lower[0]:
+            v = s // c
             if low is None or v < low:
                 low = v
-        for _, c, f in self.upper[0]:
-            v = sum(map(mul, f, params)) // c
+        for _, c, s in upper[0]:
+            v = s // c
             if up is None or v < up:
                 up = v
-        if len(self.lower) == 1:
+        if len(lower) == 1:
             if points is not None:
                 points.extend((x,) for x in range(-low, up + 1))
             return up + low + 1
-        lower = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.lower[1:]]
-        upper = [[(head, c, sum(map(mul, f, params))) for head, c, f in level] for level in self.upper[1:]]
-        return _walk(lower, upper, 0, -low, up, (), points)
+        return _walk(lower[1:], upper[1:], 0, -low, up, (), points)
+
+    def _row_pack(self, reach: int) -> tuple[int, int, int, tuple[int, ...]]:
+        """``(reach, width, bias, columns)``: the forms of the deeper rows, packed
+        for every parameter vector whose entries are at most ``reach`` in size.
+
+        The deeper rows are those of ``lower`` and then of ``upper``, level by
+        level; row j takes the field of ``width`` bits at bit j * width.
+        Column k of the forms becomes one integer, ``columns[k] = sum_j
+        f_j[k] * 2**(j * width)``, and ``bias`` holds 2**(width - 1) in every
+        field, so ``bias + sum_k p_k * columns[k]`` is ``sum_j (2**(width - 1)
+        + <f_j, p>) * 2**(j * width)``.
+
+        Why no carry crosses a field.  With M = reach * max_j |f_j|_1, every
+        row constant has |<f_j, p>| <= M, and width is M.bit_length() + 1, so
+        M < 2**(width - 1) and each biased constant lies in [1, 2**width).
+        A sum of such digits times powers of 2**width is the integer's own
+        base-2**width expansion, so field j, read as ``packed & mask`` after
+        j shifts by ``width``, less the bias, is exactly <f_j, p>.
+        """
+        forms = [f for levels in (self.lower, self.upper) for level in levels for _, _, f in level]
+        width = (reach * max(sum(map(abs, f)) for f in forms)).bit_length() + 1
+        at = range(0, width * len(forms), width)
+        columns = tuple(sum(f[k] << j for j, f in zip(at, forms)) for k in range(self.parameters))
+        return reach, width, sum(1 << width - 1 + j for j in at), columns
 
     def linear_tables(self, section: IntegerMatrix) -> "PolytopeFamily":
         """The family over the parameters q of this family's parameters p = section . q.
 
         ``section`` has one row per parameter.  A row's constant <f, p> is
         <section^T f, q>, so each form is composed with the section once,
-        here, and a vector q then costs one dot product of its length per
-        row, whatever the number of normals.
+        here: a vector q then costs one dot product of its length per level-0
+        row and, past level 0, one packed product of its length for all the
+        deeper rows, whatever the number of normals.
         """
         if section.rows != self.parameters:
             raise ValueError(f"section has {section.rows} rows for {self.parameters} parameters")

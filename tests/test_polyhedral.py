@@ -672,6 +672,40 @@ class TestLinearTables:
             family.linear_tables(IntegerMatrix.from_rows([(0,), (0,), (1,)])).count_lattice_points((1, 2))
 
 
+class TestRowPack:
+    """The deeper rows' constants come off one packed product, in fields sized by the largest reach queried."""
+
+    @staticmethod
+    def box_scan_count(rows, offsets, dim) -> int:
+        # rows 2i and 2i + 1 are x_i >= -offsets[2i] and x_i <= offsets[2i + 1]
+        box = [range(-offsets[2 * i], offsets[2 * i + 1] + 1) for i in range(dim)]
+        return sum(
+            all(sum(map(mul, normal, point)) + a >= 0 for normal, a in zip(rows, offsets))
+            for point in itertools.product(*box)
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_full_fields_a_rebuild_and_a_small_class(self, seed):
+        # a box cut by random half-spaces, its offsets the parameters; the
+        # largest deeper form f is met at R * |f|_1 by putting R on its
+        # support, which fills its field, and then R + 1 there widens the pack
+        rng = random.Random(f"row-pack-{seed}")
+        dim = rng.randint(1, 4)
+        rows = [tuple(sign * (i == j) for j in range(dim)) for i in range(dim) for sign in (1, -1)]
+        rows += [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, 4))]
+        family = polytope_family(rows, dim)
+        deeper = [f for side in (family.lower, family.upper) for level in side for _, _, f in level]
+        widest = max(deeper, key=lambda f: sum(map(abs, f)))
+        reach = rng.randint(1, 2)
+        full = [reach if y else rng.randint(0, reach) for y in widest]
+        wider = [reach + 1 if y else a for y, a in zip(widest, full)]
+        small = [rng.randint(0, 1) for _ in rows]
+        for offsets, built in ((full, reach), (wider, reach + 1), (small, reach + 1)):
+            count = family.count_lattice_points(offsets)
+            assert family._pack[0] == built
+            assert count == len(family.lattice_points(offsets)) == self.box_scan_count(rows, offsets, dim)
+
+
 @st.composite
 def wide_planar_polytopes(draw):
     """The (normal, offset) rows of a 2-dimensional polytope of width up to 401 in x_0 whose rows bounding x_1
