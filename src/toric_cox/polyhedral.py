@@ -295,8 +295,8 @@ class PolytopeFamily:
     row's multiplier; :meth:`linear_tables` composes the forms with a
     linear map a = S p.  ``level_zero`` holds one form per offset-only row;
     ``lower[k]`` and ``upper[k]`` hold the rows of level k + 1 bounding x_k
-    (see :data:`TableRow` and :func:`_eliminate`).  Two families are equal
-    when their tables are; the pack belongs to the instance.
+    (see :data:`TableRow` and :func:`_eliminate`).  Two families are equal,
+    and hash alike, when their tables are; the pack belongs to the instance.
     """
 
     __slots__ = ("ambient_dim", "parameters", "level_zero", "lower", "upper", "_pack")
@@ -316,12 +316,16 @@ class PolytopeFamily:
         self.upper = upper
         self._pack = (-1, 0, 0, ())  # reach -1: the first nonempty query builds it at its own reach
 
+    def _tables(self) -> tuple:
+        return self.ambient_dim, self.parameters, self.level_zero, self.lower, self.upper
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not PolytopeFamily:
             return NotImplemented
-        return (self.ambient_dim, self.parameters, self.level_zero, self.lower, self.upper) == (
-            other.ambient_dim, other.parameters, other.level_zero, other.lower, other.upper
-        )
+        return self._tables() == other._tables()
+
+    def __hash__(self) -> int:
+        return hash(self._tables())
 
     def lattice_points(self, params: Sequence[int]) -> tuple[Vector, ...]:
         """All integer points of the polytope of these parameters, sorted lexicographically.
@@ -364,9 +368,11 @@ class PolytopeFamily:
 
         Every deeper row's constant is read off one packed product (see
         :meth:`_row_pack`, rebuilt first when the parameters' reach exceeds
-        the pack's); x_0's interval then comes straight off the rows of
-        ``lower[0]`` and ``upper[0]``, one running minimum per side, and
-        :func:`_walk` takes over.
+        the pack's; a call reads only the pack it checked or built, so a
+        narrower one that another thread stores meanwhile cannot reach it);
+        x_0's interval then comes straight off the rows of ``lower[0]`` and
+        ``upper[0]``, one running minimum per side, and :func:`_walk` takes
+        over.
         """
         if not self.lower:  # dimension 0: the polytope is the origin
             if points is not None:

@@ -512,7 +512,9 @@ class TestPolytopeLatticePoints:
         # bools read as 0 and 1
         assert family.lattice_points((False, True)) == family.lattice_points((0, 1)) == ((0,), (1,))
         assert family.count_lattice_points((False, True)) == 2
+        # the pack that the queries above built is no part of equality or hash
         assert polytope_family([(True,), (-1,)], 1) == family
+        assert hash(polytope_family([(True,), (-1,)], 1)) == hash(family)
 
     @pytest.mark.parametrize(
         "normals, dim, params",
