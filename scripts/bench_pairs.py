@@ -36,13 +36,13 @@ import json
 import os
 import platform
 import shutil
-import signal
 import statistics
-import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import sigterm
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,8 +61,8 @@ def revision(rev: str) -> tuple[str, str] | None:
     """The commit and tree hashes of ``rev``, or None when git knows no such commit."""
     hashes = []
     for kind in ("commit", "tree"):
-        done = subprocess.run(["git", "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{{kind}}}"],
-                              cwd=ROOT, capture_output=True, text=True)
+        done = sigterm.run(["git", "rev-parse", "--verify", "--quiet", "--end-of-options", f"{rev}^{{{kind}}}"],
+                           cwd=ROOT, text=True)
         if done.returncode != 0:
             return None
         hashes.append(done.stdout.strip())
@@ -73,14 +73,15 @@ def run_once(sha: str, workload: str, seed: int, seconds: int, scratch: Path) ->
     """The JSON result of one benchmark run on a fresh copy of the revision."""
     copy = Path(tempfile.mkdtemp(prefix=f"{sha[:8]}-", dir=scratch))
     try:
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tree:
+        archive = sigterm.run(["git", "archive", sha], cwd=ROOT)
+        archive.check_returncode()
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tree:
             tree.extractall(copy, filter="data")
         command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                    "--seconds", str(seconds), "--trace", "0"]
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
         env.pop("PYTHONPATH", None)
-        done = subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+        done = sigterm.run(command, cwd=copy, env=env, text=True)
         if done.returncode != 0:
             raise RuntimeError(f"{sha[:8]} {workload} seed {seed} exited {done.returncode}: {done.stderr[-500:]}")
         return json.loads(done.stdout.strip().splitlines()[-1])
@@ -107,14 +108,8 @@ def summary(pairs: list[dict], directions: dict[str, str]) -> dict:
     return out
 
 
-def _exit_on_sigterm(signum, frame):
-    """SIGTERM unwinds like SystemExit, so that ``subprocess.run`` kills its
-    child and the temporary directory is removed."""
-    raise SystemExit(128 + signum)
-
-
 def main() -> int:
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    sigterm.install()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)

@@ -21,13 +21,14 @@ list); 0 otherwise.
 import ast
 import os
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import NamedTuple
+
+import sigterm
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "toric_cox"
@@ -75,6 +76,18 @@ MUTANTS = (
            "params = integer_vector(params, 'parameters')", "pass", "tests/test_polyhedral.py"),
     Mutant("hermite-reads-rows-unchecked", "lattice.py", "hermite_basis",
            "[list(integer_vector(r, 'row')) for r in rows]", "[list(r) for r in rows]", "tests/test_lattice.py"),
+    # Each elimination writes its own row and column operations; a lower-dimensional
+    # cone's flags come from a Hermite basis, and the weight form sums every facet normal.
+    Mutant("smith-column-step-skips-v", "lattice.py", "smith_normal_form",
+           "for row in (*d, *v):\n    row[j] -= q * row[t]", "for row in d: row[j] -= q * row[t]",
+           "tests/test_lattice.py"),
+    Mutant("hermite-skips-the-reduction-above-the-pivot", "lattice.py", "hermite_basis",
+           "for row in mat[:r]:\n    q = row[c] // top[c]\n    if q:\n        for k, y in enumerate(top):\n"
+           "            row[k] -= q * y", "pass", "tests/test_lattice.py"),
+    Mutant("chart-test-reads-the-rank-only", "fans.py", "_charts",
+           "image != IntegerMatrix.identity(k).entries", "False", "tests/test_fans.py"),
+    Mutant("weight-form-drops-a-normal", "cox.py", "CoxData.weight_form",
+           "zip(*self.effective_normals)", "zip(*self.effective_normals[1:])", "tests/test_cox.py"),
     # Each verify line that can fail, made to pass.
     Mutant("dual-oracle-passes-on-a-mismatch", "verify.py", "_dual_oracle_check",
            "CheckResult('dual oracle dimensions', False, str(exc))",
@@ -300,21 +313,15 @@ def _copy_tree(destination: Path) -> None:
 def _run_tests(copy: Path, test: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error", "-p", "no:cacheprovider", test]
-    return subprocess.run(command, cwd=copy, env=env, capture_output=True, text=True)
+    return sigterm.run(command, cwd=copy, env=env, text=True)
 
 
 def _tail(result: subprocess.CompletedProcess) -> str:
     return "\n".join((result.stdout + result.stderr).strip().splitlines()[-5:])
 
 
-def _exit_on_sigterm(signum, frame):
-    """SIGTERM unwinds like SystemExit, so that ``subprocess.run`` kills its
-    child and the temporary directory is removed."""
-    raise SystemExit(128 + signum)
-
-
 def main() -> int:
-    signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    sigterm.install()
     problems = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="toric-cox-mutants-") as scratch:

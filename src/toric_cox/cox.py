@@ -35,7 +35,6 @@ from .polyhedral import (
     _dual_generators,
     _unchecked_family,
     generators_from_inequalities,
-    strictly_positive_form,
 )
 
 _Key = TypeVar("_Key")
@@ -115,12 +114,13 @@ class CoxData:
     def weight_form(self) -> WeightForm:
         """Integral form positive on all nonzero effective classes, so >= 1 on variable degrees.
 
-        The form reads only the effective cone's facet normals
-        (:attr:`effective_normals`), so the cone's own generators (a second
-        double description) are left out.  No check: integral and positive
-        on the effective cone's generators suffices.
+        The sum of :attr:`effective_normals`, positive on the cone minus the
+        origin as in :func:`~toric_cox.polyhedral.strictly_positive_form`,
+        whose NotPointed check cannot fire here: the effective cone of a
+        complete toric variety is pointed and spans Cl, so its facet normals
+        have full rank.  No elimination and no second double description run.
         """
-        return strictly_positive_form(self.effective_normals, self.cl_rank)
+        return WeightForm(tuple(map(sum, zip(*self.effective_normals))))
 
     @functools.cached_property
     def variable_weights(self) -> tuple[int, ...]:

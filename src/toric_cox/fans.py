@@ -12,8 +12,8 @@ separation test: one Fourier-Motzkin elimination per pair.
 The chart of a full-dimensional maximal cone s is the inverse ``R_s`` of
 its ray matrix ``N_s``, from one fraction-free elimination whose
 determinant also shows the cone simplicial; a lower-dimensional cone
-takes a Smith form, whose last invariant factor decides both flags, and
-has no chart.  Validation also pairs the maximal cones across each facet;
+has no chart, and the Hermite basis of its ray matrix's columns decides
+both flags.  Validation also pairs the maximal cones across each facet;
 on a smooth complete fan it keeps one integer form per wall, read off the
 chart on one side.  The wall forms span the relations among the rays, so
 the class group is read off them, and a divisor is ample iff every wall
@@ -41,7 +41,6 @@ from .lattice import (
     hermite_basis,
     integer_vector,
     primitive_vector,
-    smith_normal_form,
     unimodular_inverse,
 )
 from .polyhedral import separable
@@ -220,10 +219,11 @@ def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
     elimination (:func:`~toric_cox.lattice.unimodular_inverse`) gives
     det N, nonzero iff the cone is simplicial and +-1 iff it is
     unimodular, and then the inverse.  When k < d the cone has no chart,
-    and both flags are read off the Smith form ``U N V = D``: its nonzero
-    invariants come first, each dividing the next, so the k-th is nonzero
-    iff the rays are independent and 1 iff ``D = [I_k | 0]``, when the
-    rays extend to a lattice basis.  Only the wall forms and the
+    and both flags are read off the Hermite basis of the columns of the
+    k x d matrix N, which spans its image in Z^k: the rays are independent
+    iff the basis has k rows, and they extend to a lattice basis iff N maps
+    Z^d onto Z^k, iff every Smith invariant of N is 1 (Cohen 1993, §2.4),
+    iff the basis is the identity.  Only the wall forms and the
     certificate read charts, and only when every cone is full-dimensional.
     """
     charts: list[IntegerMatrix] | None = []
@@ -231,9 +231,9 @@ def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
         k = len(cone)
         if k > f.dim:
             return False, None
-        rays = IntegerMatrix._unchecked(f.cone_rays(cone))
+        rays = f.cone_rays(cone)
         if k == f.dim:
-            det, inverse = unimodular_inverse(rays)
+            det, inverse = unimodular_inverse(IntegerMatrix._unchecked(rays))
             if not det:
                 return False, None
             if inverse is None:
@@ -241,10 +241,10 @@ def _charts(f: Fan) -> tuple[bool, tuple[IntegerMatrix, ...] | None]:
             elif charts is not None:
                 charts.append(inverse)
             continue
-        last = smith_normal_form(rays)[1].entries[k - 1][k - 1]
-        if not last:
+        image = hermite_basis(zip(*rays), k)
+        if len(image) < k:
             return False, None
-        if last != 1:
+        if image != IntegerMatrix.identity(k).entries:
             charts = None
     return True, None if charts is None else tuple(charts)
 
@@ -311,14 +311,14 @@ def validate_fan(f: Fan) -> FanReport:
 
     One elimination per full-dimensional maximal cone shows it simplicial
     and gives its chart when it is unimodular; a cone of more rays than the
-    dimension is not simplicial, and only a lower-dimensional cone takes a
-    Smith form, which decides both flags and gives no chart
-    (:func:`_charts`).  A fan is smooth when every maximal cone is
-    unimodular.  Completeness is decided by facet pairing, which is sound
-    for the simplicial full-dimensional fans this package supports;
-    non-simplicial input is reported as neither smooth nor complete.  On a
-    smooth complete fan the report carries one wall form per facet, read
-    off the charts; it keeps no chart.
+    dimension is not simplicial, and a lower-dimensional cone takes a
+    Hermite basis, which decides both flags and gives no chart
+    (:func:`_charts`).  Validation takes no Smith form.  A fan is smooth
+    when every maximal cone is unimodular.  Completeness is decided by facet
+    pairing, which is sound for the simplicial full-dimensional fans this
+    package supports; non-simplicial input is reported as neither smooth nor
+    complete.  On a smooth complete fan the report carries one wall form per
+    facet, read off the charts; it keeps no chart.
 
     When every maximal cone is unimodular and every facet has two owners,
     the cones form a fan iff the wall certificate of

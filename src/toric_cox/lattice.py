@@ -2,17 +2,18 @@
 
 Normal forms, kernels and cokernels of integer matrices with arbitrary
 precision entries.  Matrices act on column vectors, so an ``m x n`` matrix
-is a lattice map ``Z^n -> Z^m``.  Kernels and ranks come from one Hermite
-elimination; a Smith form is taken only where a lift (:func:`solve_integer`)
-or torsion (:func:`cokernel`) is read, and in fan validation once per
-lower-dimensional maximal cone, whose last invariant factor decides whether
-it is simplicial and unimodular.  Everything here is deterministic: the
-same input always produces the same transforms, which the test fixtures
-rely on.
+is a lattice map ``Z^n -> Z^m``.  Kernels, ranks and the onto test come
+from one Hermite elimination; a Smith form is taken only where a lift
+(:func:`solve_integer`, the class section of a grading) or torsion
+(:func:`cokernel`) is read.  Each of the two eliminations writes its own
+row and column operations, so they share no code.  Everything here is
+deterministic: the same input always produces the same transforms, which
+the test fixtures rely on.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
@@ -139,31 +140,6 @@ class AbelianGroupPresentation:
         self.projection = projection
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    row_s = m[src]
-    row_d = m[dst]
-    for k, x in enumerate(row_s):
-        row_d[k] += factor * x
-
-
-def _add_col(m: list[list[int]], dst: int, src: int, factor: int) -> None:
-    for row in m:
-        row[dst] += factor * row[src]
-
-
-def _scale_row(m: list[list[int]], i: int, factor: int) -> None:
-    m[i] = [factor * x for x in m[i]]
-
-
 def _min_abs_position(d: list[list[int]], start: int) -> tuple[int, int] | None:
     best = None
     best_val = None
@@ -188,53 +164,44 @@ def smith_normal_form(a: IntegerMatrix) -> tuple[IntegerMatrix, IntegerMatrix, I
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     for t in range(min(m, n)):
-        if _min_abs_position(d, t) is None:
-            break
-        while True:
-            i, j = _min_abs_position(d, t)  # type: ignore[misc]
-            if (i, j) != (t, t):
-                if i != t:
-                    _swap_rows(d, t, i)
-                    _swap_rows(u, t, i)
-                if j != t:
-                    _swap_cols(d, t, j)
-                    _swap_cols(v, t, j)
+        while (position := _min_abs_position(d, t)) is not None:
+            i, j = position
+            if i != t:
+                d[t], d[i] = d[i], d[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in (*d, *v):
+                    row[t], row[j] = row[j], row[t]
             if d[t][t] < 0:
-                _scale_row(d, t, -1)
-                _scale_row(u, t, -1)
+                d[t] = [-x for x in d[t]]
+                u[t] = [-x for x in u[t]]
             pivot = d[t][t]
-            dirty = False
             for i in range(t + 1, m):
                 q = d[i][t] // pivot
                 if q:
-                    _add_row(d, i, t, -q)
-                    _add_row(u, i, t, -q)
-                if d[i][t]:
-                    dirty = True
-            if dirty:
+                    for rows in (d, u):
+                        row = rows[i]
+                        for k, y in enumerate(rows[t]):
+                            row[k] -= q * y
+            if any(row[t] for row in d[t + 1 :]):
                 continue
             for j in range(t + 1, n):
                 q = d[t][j] // pivot
                 if q:
-                    _add_col(d, j, t, -q)
-                    _add_col(v, j, t, -q)
-                if d[t][j]:
-                    dirty = True
-            if dirty:
+                    for row in (*d, *v):
+                        row[j] -= q * row[t]
+            if any(d[t][t + 1 :]):
                 continue
-            # Divisibility: the pivot must divide the trailing block.
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % pivot:
-                        offender = i
-                        break
-                if offender is not None:
+            # Divisibility: the pivot must divide the trailing block; if not, add the first offending row to its row.
+            for i, j in product(range(t + 1, m), range(t + 1, n)):
+                if d[i][j] % pivot:
                     break
-            if offender is None:
+            else:
                 break
-            _add_row(d, t, offender, 1)
-            _add_row(u, t, offender, 1)
+            for rows in (d, u):
+                row = rows[t]
+                for k, y in enumerate(rows[i]):
+                    row[k] += y
 
     u_out, d_out, v_out = (IntegerMatrix._unchecked(tuple(map(tuple, m))) for m in (u, d, v))
     return u_out, d_out, v_out
@@ -264,23 +231,26 @@ def hermite_basis(rows: Iterable[Sequence[int]], width: int) -> tuple[Vector, ..
                 break
             i_best = min(nz, key=lambda i: (abs(mat[i][c]), i))
             if i_best != r:
-                _swap_rows(mat, r, i_best)
+                mat[r], mat[i_best] = mat[i_best], mat[r]
             if mat[r][c] < 0:
-                _scale_row(mat, r, -1)
-            done = True
-            for i in range(r + 1, len(mat)):
-                if mat[i][c]:
-                    q = mat[i][c] // mat[r][c]
-                    _add_row(mat, i, r, -q)
-                    if mat[i][c]:
+                mat[r] = [-x for x in mat[r]]
+            top, done = mat[r], True
+            for row in mat[r + 1 :]:
+                if row[c]:
+                    q = row[c] // top[c]
+                    for k, y in enumerate(top):
+                        row[k] -= q * y
+                    if row[c]:
                         done = False
             if done:
                 break
         if r < len(mat) and mat[r][c]:
-            for i in range(r):
-                q = mat[i][c] // mat[r][c]
+            top = mat[r]
+            for row in mat[:r]:
+                q = row[c] // top[c]
                 if q:
-                    _add_row(mat, i, r, -q)
+                    for k, y in enumerate(top):
+                        row[k] -= q * y
             r += 1
     return tuple(tuple(row) for row in mat[:r])
 

@@ -285,9 +285,10 @@ def test_wall_certificate_agrees_with_pairwise_double_description(fan):
 @settings(max_examples=150, deadline=None)
 @given(small_fans())
 def test_smith_form_decides_simplicial_and_charts(fan):
-    # per cone, and for the fan: the Smith-derived flag is the rank test, the
-    # cone is unimodular iff every invariant is 1, and then a full-dimensional
-    # cone has a chart, its inverse, and a lower-dimensional one has none
+    # per cone, and for the fan: the simplicial flag is the rank test, the
+    # cone is unimodular iff every Smith invariant is 1, and then a
+    # full-dimensional cone has a chart, its inverse, and a lower-dimensional
+    # one has none
     flags, unimodular = [], []
     for cone in fan.max_cones:
         rays = fan.cone_rays(cone)
@@ -310,6 +311,24 @@ def test_smith_form_decides_simplicial_and_charts(fan):
     except MalformedFan:
         return
     assert report.simplicial == all(flags)
+
+
+def test_hermite_rule_of_a_lower_dimensional_cone_is_the_last_smith_invariant():
+    # the columns of a k x d ray matrix N (k < d) have a Hermite basis of k
+    # rows iff the k-th Smith invariant of N is nonzero, and that basis is the
+    # identity iff the invariant is 1: N maps Z^d onto Z^k
+    rng = random.Random(48)
+    seen = set()
+    for _ in range(600):
+        d = rng.randint(2, 5)
+        k = rng.randint(1, d - 1)
+        rays = tuple(tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(k))
+        last = smith_normal_form(IntegerMatrix.from_rows(rays))[1].entries[k - 1][k - 1]
+        simplicial, charts = fans_module._charts(Fan(d, rays, (tuple(range(k)),)))
+        assert simplicial == (last != 0), rays
+        assert (charts is not None) == (last == 1), rays
+        seen.add(min(last, 2))
+    assert seen == {0, 1, 2}
 
 
 def reference_charts(f: Fan):
@@ -364,31 +383,36 @@ def test_class_group_of_smooth_projective_fans_is_the_cokernel(fan):
     assert same_presentation(fan)
 
 
-def test_validation_takes_a_smith_form_only_on_lower_dimensional_cones(corpus, monkeypatch):
+def test_validation_takes_a_hermite_basis_only_on_lower_dimensional_cones(corpus, monkeypatch):
     # a full-dimensional cone is inverted by one elimination, a cone of more
     # rays than the dimension is not simplicial, and only a cone of fewer
-    # takes a Smith form; a smooth complete fan's class group takes none
-    real = lattice_module.smith_normal_form
-    calls = []
+    # takes a Hermite basis; neither validation nor a smooth complete fan's
+    # class group takes a Smith form
+    calls = {"smith_normal_form": [], "hermite_basis": []}
 
-    def counted(matrix):
-        calls.append(matrix)
-        return real(matrix)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
-    monkeypatch.setattr(fans_module, "smith_normal_form", counted)
+        def count(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(lattice_module, "smith_normal_form")
+    counted(fans_module, "hermite_basis")
     for fan in [*corpus.values(), *map(load_fan, NON_EXAMPLES)]:
         validate_fan.__wrapped__(fan)
-    assert calls == []
+    assert calls == {"smith_normal_form": [], "hermite_basis": []}
     mixed, _ = UNCERTIFIED["mixed_dimensions"]
     for fan, lower in [(Fan.make(2, [[1, 0]], [[0]]), 1), (mixed, 3)]:
-        calls.clear()
+        calls["hermite_basis"].clear()
         validate_fan.__wrapped__(fan)
-        assert len(calls) == lower
-    calls.clear()
+        assert len(calls["hermite_basis"]) == lower
+        assert calls["smith_normal_form"] == []
     for fan in corpus.values():
         class_group(fan)
-    assert calls == []
+    assert calls["smith_normal_form"] == []
 
 
 @pytest.mark.parametrize(
@@ -573,7 +597,6 @@ class TestIsAmple:
             return real(matrix)
 
         monkeypatch.setattr(lattice_module, "smith_normal_form", counted)
-        monkeypatch.setattr(fans_module, "smith_normal_form", counted)
         rng = random.Random(5)
         for _ in range(50):
             is_ample(fan, TorusInvariantDivisor.make([rng.randint(-3, 3) for _ in range(fan.n_rays)]))

@@ -18,13 +18,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS_SCRIPT = ROOT / "scripts" / "mutants.py"
 BENCH_PAIRS_SCRIPT = ROOT / "scripts" / "bench_pairs.py"
+SIGTERM_HELPER = ROOT / "scripts" / "sigterm.py"
 TABLE_SCRIPT = ROOT / "scripts" / "graded_dimension_table.py"
 
 
 def _load(path: Path, name: str):
+    """The script as a module; its own imports, such as ``sigterm``, resolve in ``scripts/``."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
     return module
 
 
@@ -90,6 +96,46 @@ def test_a_sigterm_ends_the_mutant_run_with_its_tests_and_its_copy(tmp_path):
         run.wait()
 
 
+def test_a_sigterm_while_a_child_starts_kills_and_reaps_it(monkeypatch):
+    # The signal lands right after the fork, while Popen.__init__ still waits on
+    # the exec: subprocess.run's with block does not hold the child yet, so a
+    # SystemExit raised there left it running.  Both scripts start every child
+    # through the helper.
+    for script in (MUTANTS_SCRIPT, BENCH_PAIRS_SCRIPT):
+        assert "subprocess.run(" not in script.read_text(), script.name
+    helper = _load(SIGTERM_HELPER, "sigterm_helper")
+    started = []
+    execute_child = subprocess.Popen._execute_child
+
+    def signalled(self, *args):
+        execute_child(self, *args)
+        started.append(self.pid)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    monkeypatch.setattr(subprocess.Popen, "_execute_child", signalled)
+    previous = signal.getsignal(signal.SIGTERM)
+    helper.install()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            helper.run(["sleep", "30"])
+        left = [pid for pid in started if _alive(pid)]
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+        for pid in started:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    assert exit_info.value.code == 128 + signal.SIGTERM
+    assert len(started) == 1 and left == []
+
+
+def test_a_child_started_by_the_helper_ends_on_its_own_sigterm():
+    # nothing is blocked while the child starts, so it inherits no signal mask
+    helper = _load(SIGTERM_HELPER, "sigterm_helper")
+    done = helper.run([sys.executable, "-c", "import os, signal; os.kill(os.getpid(), signal.SIGTERM)"])
+    assert done.returncode == -signal.SIGTERM
+
+
 def _command_line(pid: int) -> str:
     try:
         return Path("/proc", str(pid), "cmdline").read_bytes().replace(b"\0", b" ").decode()
@@ -133,7 +179,7 @@ def test_a_sigterm_ends_the_bench_pairs_run_with_its_benchmark_and_its_copy(tmp_
 def bench_pairs_git(monkeypatch):
     """``scripts/bench_pairs.py`` loaded as a module, with its SIGTERM handler left uninstalled."""
     module = _load(BENCH_PAIRS_SCRIPT, "bench_pairs_script")
-    monkeypatch.setattr(module.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(module.sigterm, "install", lambda: None)
     return module
 
 
@@ -200,11 +246,30 @@ def test_bench_pairs_refuses_an_out_in_a_missing_directory(bench_pairs, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
 
 
-def test_bench_pairs_records_each_side_s_commit_and_tree(bench_pairs_git, monkeypatch, tmp_path):
+@pytest.fixture
+def throwaway_repo(bench_pairs_git, monkeypatch, tmp_path):
+    """A one-commit git repository holding BENCHMARK.json, made the module's ROOT,
+    so that revisions resolve wherever git is installed, in a checkout or not."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    _git(repo, "init", "-q")
+    _git(repo, "add", "BENCHMARK.json")
+    _git(repo, "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false",
+         "commit", "-q", "-m", "benchmark")
+    monkeypatch.setattr(bench_pairs_git, "ROOT", repo)
+    return repo
+
+
+requires_git = pytest.mark.skipif(shutil.which("git") is None, reason="resolves revisions with git")
+
+
+@requires_git
+def test_bench_pairs_records_each_side_s_commit_and_tree(bench_pairs_git, throwaway_repo, monkeypatch, tmp_path):
     # a tree hash outlives a squash of its commit
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
     runs = []
@@ -218,15 +283,16 @@ def test_bench_pairs_records_each_side_s_commit_and_tree(bench_pairs_git, monkey
                                       "--run", "euler-algebra:1-1", "--out", str(tmp_path / "r.json")])
     assert bench_pairs_git.main() == 0
     record = json.loads((tmp_path / "r.json").read_text())
-    commit, tree = _git("rev-parse", "HEAD"), _git("rev-parse", "HEAD^{tree}")
+    commit, tree = _git(throwaway_repo, "rev-parse", "HEAD"), _git(throwaway_repo, "rev-parse", "HEAD^{tree}")
     assert record["revisions"] == {"parent": commit, "change": commit}
     assert record["trees"] == {"parent": tree, "change": tree}
     assert runs == [commit, commit]
 
 
+@requires_git
 @pytest.mark.parametrize("side", ["parent", "change"])
 def test_bench_pairs_rejects_an_unknown_revision_before_any_run(
-    bench_pairs_git, monkeypatch, tmp_path, capsys, side
+    bench_pairs_git, throwaway_repo, monkeypatch, tmp_path, capsys, side
 ):
     runs = []
     monkeypatch.setattr(bench_pairs_git, "run_once", lambda *args: runs.append(args))
