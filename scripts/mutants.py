@@ -147,8 +147,10 @@ MUTANTS = (
            "(RecursionError, ValueError)", "ValueError", "tests/test_cli.py"),
     Mutant("json-reader-misses-long-integers", "fans.py", "_load_json",
            "(RecursionError, ValueError)", "RecursionError", "tests/test_cli.py"),
-    # The fiber count's box: its guard, its key width, its gate, and a twisted piece's
-    # widest-first order, which builds the tables once.
+    # The fiber count's box: its empty start, its guard, its key width, its gate, and a
+    # twisted piece's widest-first order, which builds the tables once.
+    Mutant("fiber-tables-start-at-radius-zero", "cox.py", "CoxData.__init__",
+           "(-1, 0, (), 0, (), ())", "(0, 0, (), 0, (), ())", "tests/test_cox.py"),
     Mutant("fiber-box-keeps-what-leaves-it", "cox.py", "_fiber_dimension",
            "not nu & guard", "True", "tests/test_cox.py"),
     Mutant("fiber-key-margin-halved", "cox.py", "_fiber_tables",

@@ -30,7 +30,6 @@ _EXPORTS = {
         "MalformedFan",
         "NotAmpleLift",
         "NotComplete",
-        "NotPointed",
         "NotSmooth",
         "NotSurjective",
         "OracleMismatch",
@@ -80,7 +79,6 @@ _EXPORTS = {
         "cone_from_generators",
         "generators_from_inequalities",
         "polytope_family",
-        "strictly_positive_form",
     ),
     "reconstruction": (
         "GradingInput",

@@ -55,6 +55,8 @@ class CoxData:
         self.fan = fan
         self.degree_matrix = degree_matrix
         self.cl_rank = degree_matrix.rows
+        # the fiber tables (:func:`_fiber_tables`), empty until a class can have a monomial
+        self._fiber: _FiberTables = (-1, 0, (), 0, (), ())
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not CoxData:
@@ -114,11 +116,11 @@ class CoxData:
     def weight_form(self) -> WeightForm:
         """Integral form positive on all nonzero effective classes, so >= 1 on variable degrees.
 
-        The sum of :attr:`effective_normals`, positive on the cone minus the
-        origin as in :func:`~toric_cox.polyhedral.strictly_positive_form`,
-        whose NotPointed check cannot fire here: the effective cone of a
+        The sum of :attr:`effective_normals`.  The effective cone of a
         complete toric variety is pointed and spans Cl, so its facet normals
-        have full rank.  No elimination and no second double description run.
+        span the dual space: on a nonzero point of the cone every normal is
+        >= 0 and one is > 0, so their sum is positive there.  No elimination
+        and no second double description run.
         """
         return WeightForm(tuple(map(sum, zip(*self.effective_normals))))
 
@@ -153,11 +155,6 @@ class CoxData:
         boundedness check: the rays of a complete fan positively span.
         """
         return _unchecked_family(self.fan.rays, self.fan.dim).linear_tables(self.class_section)
-
-    @functools.cached_property
-    def _fiber(self) -> _FiberTables:
-        """The fiber count's tables (:func:`_fiber_tables`), replaced when a query leaves their cube."""
-        return _fiber_tables(self, 0)
 
 
 def cox_data(fan: Fan) -> CoxData:
@@ -415,8 +412,10 @@ def _fiber_dimension(cd: CoxData, class_vector: Vector) -> int:
     tables grow only for classes that can have one.
 
     Growth.  A class outside the cube of the tables rebuilds them at its
-    own reach, its largest entry; a class heavier than the built levels
-    appends the missing ones.  Dynamic program over the variables and
+    own reach, its largest entry; the empty tables a :class:`CoxData`
+    starts with have radius -1, so every reach leaves their cube and
+    ``levels[-1]`` is never read on them.  A class heavier than the built
+    levels appends the missing ones.  Dynamic program over the variables and
     weight levels: the monomials in x_0..x_i of weight L either avoid x_i or
     are x_i times one of weight L - w_i, so ``levels_i[L] = levels_(i-1)[L] +
     shift_{d_i}(levels_i[L - w_i])``, and the shift by d_i adds one integer

@@ -30,10 +30,6 @@ class UnboundedPolytope(ToricCoxError):
     """Lattice point enumeration requested on a polyhedron with a recession direction."""
 
 
-class NotPointed(ToricCoxError):
-    """Cone contains a line, so no strictly positive linear form exists."""
-
-
 class OracleMismatch(ToricCoxError):
     """The two independent graded-dimension oracles disagree; implementation bug.
 

@@ -37,11 +37,10 @@ from math import gcd
 from operator import mul
 from typing import Literal, NamedTuple, Sequence
 
-from .errors import NotPointed, UnboundedPolytope
+from .errors import UnboundedPolytope
 from .lattice import (
     IntegerMatrix,
     Vector,
-    hermite_basis,
     integer_vector,
     kernel_basis,
     primitive_vector,
@@ -555,23 +554,3 @@ class WeightForm(NamedTuple):
         if len(v) != len(self.coefficients):
             raise ValueError("length mismatch")
         return sum(map(mul, self.coefficients, v))
-
-
-def strictly_positive_form(normals: Sequence[Vector], ambient_dim: int) -> WeightForm:
-    """Deterministic integral form positive on every nonzero lattice point of the
-    cone {x : <n, x> >= 0 for every n in normals}, given by its facet normals.
-
-    Rule: sum the primitive generators of the dual cone, the facet normals.
-    Each is >= 0 on the cone, and on a nonzero x in the cone some normal is
-    > 0: the facet normals of a pointed cone span the whole space (its dual
-    is full-dimensional), so they cannot all vanish on x.  The sum is thus
-    positive on the cone minus the origin, and being integral it is >= 1 on
-    every nonzero lattice point.  In positive dimension there is at least
-    one normal, so the sum has one coordinate per dimension.  The cone is
-    pointed iff the normals have full rank; NotPointed otherwise.
-    """
-    if any(len(n) != ambient_dim for n in normals):
-        raise ValueError("cone does not live in the stated lattice")
-    if len(hermite_basis(normals, ambient_dim)) != ambient_dim:
-        raise NotPointed("effective cone contains a line")
-    return WeightForm(tuple(map(sum, zip(*normals))))

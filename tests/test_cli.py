@@ -766,13 +766,13 @@ class TestColdStart:
         assert loaded == [f"toric_cox.{name}" for name in COMMAND_MODULES[command]]
 
 
-# toric_cox.__all__, pinned: the 61 exports and the seven submodules they come
+# toric_cox.__all__, pinned: the 59 exports and the seven submodules they come
 # from, as dir() listed them when __init__ imported every submodule.
 PACKAGE_ALL = [
     "AbelianGroupPresentation", "CoxData", "DegenerateRay", "EulerModule",
     "EulerModuleElement", "Fan", "FanReport", "GradedPolynomial", "GradingInput",
     "InhomogeneousInput", "IntegerMatrix", "MalformedFan", "NotAmpleLift", "NotComplete",
-    "NotPointed", "NotSmooth", "NotSurjective", "OracleMismatch", "PolytopeFamily",
+    "NotSmooth", "NotSurjective", "OracleMismatch", "PolytopeFamily",
     "RationalCone", "RaysDontSpan", "ToricCoxError",
     "TorusInvariantDivisor", "UnboundedPolytope", "WeightForm", "anticanonical",
     "basis_element", "build_euler_module",
@@ -784,7 +784,7 @@ PACKAGE_ALL = [
     "irrelevant_ideal", "is_ample", "kernel_basis", "lattice", "make_polynomial",
     "monomial_basis", "monomials_of_weight_at_most", "polyhedral", "polytope_family",
     "reconstruct_fan", "reconstruction", "roundtrip_check", "section_dimension_report",
-    "smith_normal_form", "solve_integer", "strictly_positive_form",
+    "smith_normal_form", "solve_integer",
     "validate_fan",
 ]
 SUBMODULES = ["cox", "errors", "euler", "fans", "lattice", "polyhedral", "reconstruction"]

@@ -421,14 +421,14 @@ def test_the_reach_fails_on_a_name_it_cannot_resolve(source, message):
 
 def test_a_class_outside_the_effective_cone_builds_no_level(corpus):
     # on F_3, (5, -1) has weight 4 and lies outside the cube of the fresh
-    # tables (radius 0), but the facet normal (0, 1) is negative on it
+    # tables (empty, radius -1), but the facet normal (0, 1) is negative on it
     cd = cox_data(corpus["hirzebruch_3"])
     assert cd.weight_form.coefficients == (1, 1)
     assert (0, 1) in cd.effective_normals
     tables = cd._fiber
-    assert tables[0] == 0 and len(tables[-1][-1]) == 1
+    assert tables[0] == -1 and tables[-1] == ()
     assert cox_module._fiber_dimension(cd, (5, -1)) == 0
-    assert cd._fiber is tables and len(tables[-1][-1]) == 1
+    assert cd._fiber is tables
     assert cox_module._fiber_dimension(cd, (4, 1)) == len(monomial_basis(cd, (4, 1))) > 0
     tables = cd._fiber
     assert tables[0] == 4 and len(tables[-1][-1]) == 6
@@ -693,8 +693,8 @@ class TestFanContext:
     def test_fiber_levels_live_on_the_instance(self, corpus):
         cd = cox_data(corpus["p1xp1"])
         tables = cd._fiber
-        # a fresh instance holds level 0 of radius 0 only: the constant monomial, per variable
-        assert tables[0] == 0 and tables[-1] == ([{tables[1]: 1}],) * 4
+        # a fresh instance holds no tables: radius -1 and no levels
+        assert tables[0] == -1 and tables[-1] == ()
         graded_dimension(cd, (3, 0))
         assert cd._fiber is not tables
         tables = cd._fiber
@@ -724,7 +724,7 @@ class TestFanContext:
         # a class outside the cube rebuilds the tables at its own reach, up to its own weight
         assert graded_dimension(cd, (4, 0)) == 5
         assert cd._fiber[0] == 4 and [len(own) for own in cd._fiber[-1]] == [5, 5, 5, 5]
-        assert cox_data(corpus["p1xp1"])._fiber[0] == 0
+        assert cox_data(corpus["p1xp1"])._fiber[0] == -1
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
     def test_fiber_dimension_does_not_depend_on_query_order(self, corpus, order):
@@ -823,6 +823,24 @@ class TestWeightForm:
 
     def test_p1xp1(self, corpus_cox):
         assert effective_weight_form(corpus_cox["p1xp1"]).coefficients == (1, 1)
+
+    def test_delpezzo6(self, corpus_cox):
+        # the one corpus fan whose effective cone is not simplicial: 6 generators, 5 facet normals
+        cd = corpus_cox["delpezzo6"]
+        assert len(cd.effective_cone.generators) == 6 and len(cd.effective_normals) == 5
+        assert effective_weight_form(cd).coefficients == (2, 2, 2, 2)
+        # each facet normal is 0 or 1 on each generator, and two of them are 1 on every one
+        assert [cd.weight_form(g) for g in cd.effective_cone.generators] == [2] * 6
+
+    def test_at_least_one_on_every_lattice_point(self, corpus):
+        # exhaustive over a window of each fan: radius 2 up to rank 2, radius 1 above
+        fans = dict(corpus, **{f"mix_{r}_{i}": mixed_blowup(r, i) for r in (3, 4, 5) for i in range(2)})
+        for name, fan in fans.items():
+            cd = cox_data(fan)
+            radius = 2 if cd.cl_rank <= 2 else 1
+            for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
+                if any(lam) and cone_contains(cd.effective_cone.facet_normals, cd.cl_rank, lam):
+                    assert cd.weight_form(lam) >= 1, (name, lam)
 
     def test_at_least_one_on_variable_degrees(self, corpus_cox):
         for cd in corpus_cox.values():

@@ -44,7 +44,6 @@ from toric_cox.polyhedral import (
     cone_contains,
     cone_from_generators,
     generators_from_inequalities,
-    strictly_positive_form,
 )
 from toric_cox.reconstruction import roundtrip_check
 from toric_cox.verify import (
@@ -540,11 +539,10 @@ def test_verify_counts_a_constant_term_on_the_contraction_line(monkeypatch):
         (lambda: WeightForm((1, 1))((1,)), "length mismatch"),
         (lambda: graded_generation_check((1, 0), [], 1), "variable weights must be positive"),
         (lambda: graded_generation_check((1, 1), [(1,)], 1), "candidate exponent length mismatch"),
-        (lambda: strictly_positive_form([(1, 0)], 1), "cone does not live in the stated lattice"),
         (lambda: cone_contains([(1,)], 1, (1,), "interior"), "unknown mode 'interior'"),
     ],
     ids=["matmul", "hermite-row-width", "solve-rhs-length", "weight-form-length",
-         "generation-weight", "generation-length", "positive-form-dimension", "cone-contains-mode"],
+         "generation-weight", "generation-length", "cone-contains-mode"],
 )
 def test_a_wrong_shape_or_weight_from_outside_raises_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,4 +1,4 @@
-"""Cone duality, membership, lattice points and the positive weight form."""
+"""Cone duality, membership and lattice points."""
 
 import itertools
 import random
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_cox import polyhedral as polyhedral_module
-from toric_cox.errors import NotPointed, UnboundedPolytope
+from toric_cox.errors import UnboundedPolytope
 from toric_cox.lattice import (
     IntegerMatrix,
     hermite_basis,
@@ -29,7 +29,6 @@ from toric_cox.polyhedral import (
     generators_from_inequalities,
     polytope_family,
     separable,
-    strictly_positive_form,
 )
 
 
@@ -786,41 +785,3 @@ class TestFlatLastLevelCount:
             family.count_lattice_points((0, 1))
         with pytest.raises(ValueError, match=r"^4 parameters for 3$"):
             family.count_lattice_points((0, 0, 1, 0))
-
-
-class TestStrictlyPositiveForm:
-    def test_rank_one(self):
-        form = strictly_positive_form(cone_from_generators([(1,)], 1).facet_normals, 1)
-        assert form.coefficients == (1,)
-
-    def test_obtuse_effective_cone(self):
-        eff = cone_from_generators([(1, 0), (-1, 1)], 2)
-        form = strictly_positive_form(eff.facet_normals, 2)
-        assert form.coefficients == (1, 2)
-        assert form((1, 0)) == 1 and form((-1, 1)) == 1 and form((0, 1)) == 2
-
-    def test_line_is_rejected(self):
-        with pytest.raises(NotPointed):
-            strictly_positive_form(cone_from_generators([(1, 0), (-1, 0)], 2).facet_normals, 2)
-
-    def test_quadrant(self):
-        form = strictly_positive_form(cone_from_generators([(1, 0), (0, 1)], 2).facet_normals, 2)
-        assert form.coefficients == (1, 1)
-
-    @pytest.mark.parametrize(
-        "generators",
-        [
-            [(1, 0), (0, 1)],
-            [(1, 0), (-1, 1)],
-            [(1, 0), (-1, 2)],
-            [(2, 1), (1, 2)],
-            [(1, 0), (1, 5)],
-        ],
-    )
-    def test_at_least_one_on_every_lattice_point(self, generators):
-        # exhaustive desk-scale check: all cone points with coordinates <= 10
-        eff = cone_from_generators(generators, 2)
-        form = strictly_positive_form(eff.facet_normals, 2)
-        for point in itertools.product(range(-10, 11), repeat=2):
-            if any(point) and cone_contains(eff.facet_normals, 2, point):
-                assert form(point) >= 1

@@ -143,16 +143,37 @@ def _command_line(pid: int) -> str:
         return ""
 
 
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _one_commit_repo(repo: Path, *names: str) -> Path:
+    """A git repository at ``repo`` whose one commit holds the named files and
+    directories of this tree, copied without bytecode, so that revisions resolve
+    wherever git is installed, in a checkout or in an archive copy."""
+    repo.mkdir()
+    for name in names:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, repo / name, ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(ROOT / name, repo)
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false",
+         "commit", "-q", "-m", "benchmark")
+    return repo
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table in /proc")
-@pytest.mark.skipif(
-    shutil.which("git") is None or not (ROOT / ".git").exists(), reason="archives revisions of a git checkout"
-)
+@pytest.mark.skipif(shutil.which("git") is None, reason="archives revisions with git")
 def test_a_sigterm_ends_the_bench_pairs_run_with_its_benchmark_and_its_copy(tmp_path):
     # as for the mutant run: its own session, so that the finally clause can end
-    # whatever the killed benchmark run had started
+    # whatever the killed benchmark run had started; the revisions are those of
+    # a one-commit copy of the tree, whose own script archives them
+    repo = _one_commit_repo(tmp_path / "repo", "BENCHMARK.json", "bench", "scripts", "src")
     out = tmp_path / "r.json"
     run = subprocess.Popen(
-        [sys.executable, str(BENCH_PAIRS_SCRIPT), "--parent", "HEAD", "--change", "HEAD",
+        [sys.executable, str(repo / "scripts" / "bench_pairs.py"), "--parent", "HEAD", "--change", "HEAD",
          "--run", "cli-corpus:1-1", "--out", str(out)],
         env=dict(os.environ, TMPDIR=str(tmp_path)),
         stdout=subprocess.DEVNULL,
@@ -246,21 +267,10 @@ def test_bench_pairs_refuses_an_out_in_a_missing_directory(bench_pairs, monkeypa
     assert list(tmp_path.iterdir()) == []
 
 
-def _git(repo: Path, *args: str) -> str:
-    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
-
-
 @pytest.fixture
 def throwaway_repo(bench_pairs_git, monkeypatch, tmp_path):
-    """A one-commit git repository holding BENCHMARK.json, made the module's ROOT,
-    so that revisions resolve wherever git is installed, in a checkout or not."""
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    shutil.copy(ROOT / "BENCHMARK.json", repo)
-    _git(repo, "init", "-q")
-    _git(repo, "add", "BENCHMARK.json")
-    _git(repo, "-c", "user.name=bench", "-c", "user.email=bench@example.invalid", "-c", "commit.gpgsign=false",
-         "commit", "-q", "-m", "benchmark")
+    """A one-commit git repository holding BENCHMARK.json, made the module's ROOT."""
+    repo = _one_commit_repo(tmp_path / "repo", "BENCHMARK.json")
     monkeypatch.setattr(bench_pairs_git, "ROOT", repo)
     return repo
 
