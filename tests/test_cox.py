@@ -832,15 +832,21 @@ class TestWeightForm:
         # each facet normal is 0 or 1 on each generator, and two of them are 1 on every one
         assert [cd.weight_form(g) for g in cd.effective_cone.generators] == [2] * 6
 
-    def test_at_least_one_on_every_lattice_point(self, corpus):
-        # exhaustive over a window of each fan: radius 2 up to rank 2, radius 1 above
-        fans = dict(corpus, **{f"mix_{r}_{i}": mixed_blowup(r, i) for r in (3, 4, 5) for i in range(2)})
-        for name, fan in fans.items():
-            cd = cox_data(fan)
-            radius = 2 if cd.cl_rank <= 2 else 1
-            for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
-                if any(lam) and cone_contains(cd.effective_cone.facet_normals, cd.cl_rank, lam):
-                    assert cd.weight_form(lam) >= 1, (name, lam)
+    @pytest.mark.parametrize(
+        "name", [*SMOOTH_COMPLETE, *(f"mix_{r}_{i}" for r in (3, 4, 5) for i in range(2))]
+    )
+    def test_at_least_one_on_every_lattice_point(self, corpus, name):
+        # exhaustive over a window of the fan: radius 2 up to rank 2, radius 1 above
+        if name.startswith("mix_"):
+            _, rank, index = name.split("_")
+            fan = mixed_blowup(int(rank), int(index))
+        else:
+            fan = corpus[name]
+        cd = cox_data(fan)
+        radius = 2 if cd.cl_rank <= 2 else 1
+        for lam in itertools.product(range(-radius, radius + 1), repeat=cd.cl_rank):
+            if any(lam) and cone_contains(cd.effective_cone.facet_normals, cd.cl_rank, lam):
+                assert cd.weight_form(lam) >= 1, lam
 
     def test_at_least_one_on_variable_degrees(self, corpus_cox):
         for cd in corpus_cox.values():
